@@ -98,6 +98,8 @@ def cmd_poly(args) -> int:
         rows = _family_table(args)
     except (ValueError, ZeroDivisionError) as exc:
         return _fail(str(exc), EXIT_BAD_CONFIG)
+    except quad.QuadratureError as exc:
+        return _fail(str(exc), EXIT_SOLVER)
     params = (f"k={args.k}" if needs_k else f"alpha={args.alpha},beta={args.beta}")
     if args.format == "csv":
         text = xop.emit_family_csv(rows, args.route, params)

@@ -25,11 +25,7 @@ import numpy as np
 from .polycore import jacobi_classical
 from .potentials import Oscillator3D, ScarfTrig, ve_laguerre
 from .solver import Grid, GridFunction, discretize
-from .xop import x1_jacobi_op_route, x1_laguerre_op_route
-
-# re-exported polynomial ladder routes, used here composed with prefactors
-op_route_raising = x1_laguerre_op_route
-op_route_jacobi = x1_jacobi_op_route
+from .xop import x1_jacobi_op_route
 
 
 @dataclass(frozen=True)
@@ -67,23 +63,24 @@ def partner_potentials(w: Superpotential, energy: float = 0.0) -> PartnerPair:
     return PartnerPair(v_plus=v_plus, v_minus=v_minus, factorization_energy=energy)
 
 
-def apply_A(w: Superpotential, psi: GridFunction, dagger: bool = False) -> GridFunction:
-    """(d/dx + W) psi, or (-d/dx + W) psi with dagger.
-
-    The derivative is centered in the interior and 3-point one-sided at the
-    two end nodes (no Dirichlet ghost is assumed for psi' itself).
-    """
-    h = psi.grid.h
-    v = psi.values
+def _derivative(v: np.ndarray, h: float) -> np.ndarray:
+    """Grid derivative: centered in the interior and 3-point one-sided at the
+    two end nodes (no Dirichlet ghost is assumed for the derivative itself)."""
     if len(v) < 3:
         raise ValueError("grid too small for one-sided stencils")
     d = np.empty_like(v)
     d[1:-1] = (v[2:] - v[:-2]) / (2 * h)
     d[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
     d[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
+    return d
+
+
+def apply_A(w: Superpotential, psi: GridFunction, dagger: bool = False) -> GridFunction:
+    """(d/dx + W) psi, or (-d/dx + W) psi with dagger (see :func:`_derivative`)."""
+    d = _derivative(psi.values, psi.grid.h)
     if dagger:
         d = -d
-    return GridFunction(psi.grid, d + w.w(psi.grid.points()) * v)
+    return GridFunction(psi.grid, d + w.w(psi.grid.points()) * psi.values)
 
 
 def formal_zero_mode(w: Superpotential, grid: Grid) -> GridFunction:
@@ -116,7 +113,7 @@ def intertwine_check(w: Superpotential, psi_source: GridFunction,
 
 
 def superpotential_from_ground_state(psi0: GridFunction) -> Superpotential:
-    """Diagnostic W = -psi0'/psi0 by centered differences.
+    """Diagnostic W = -psi0'/psi0 and W' by the stencil of :func:`_derivative`.
 
     Requires psi0 strictly positive in the grid interior (a node makes the
     log-derivative meaningless).  The returned callables interpolate the grid
@@ -129,12 +126,8 @@ def superpotential_from_ground_state(psi0: GridFunction) -> Superpotential:
             f"ground state must be strictly positive; violated at node {bad}"
         )
     h = psi0.grid.h
-    d = np.empty_like(v)
-    d[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-    d[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
-    d[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
-    wvals = -d / v
-    dw = np.gradient(wvals, h)
+    wvals = -_derivative(v, h) / v
+    dw = _derivative(wvals, h)
     x0 = psi0.grid.points()
 
     def w(x):

@@ -4,9 +4,8 @@ A campaign is configured by a JSON-serializable :class:`VerificationConfig`,
 runs a selection of suites, and produces a :class:`VerificationReport` whose
 rows are either hard checks (status "pass"/"fail" against a tolerance) or
 audits of printed formulas (status "reported": the measured deviation is the
-finding and never fails the run).  Suites run in parallel, capped by the
-XOP_THREADS environment variable; report assembly is serialized and files are
-written atomically.
+finding and never fails the run).  Suites run one after another, in the
+order given; report files are written atomically.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,6 +59,11 @@ _DEFAULTS = {
 }
 
 
+def _is_int(value) -> bool:
+    """An int proper: JSON true/false arrive as bools, which Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class VerificationConfig:
     suites: list[str]
@@ -75,10 +78,18 @@ class VerificationConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "VerificationConfig":
-        merged = {**_DEFAULTS, **raw}
+        if not isinstance(raw, dict):
+            raise ConfigError("config: must be a JSON object")
         unknown = set(raw) - set(_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
+        merged = {**_DEFAULTS, **raw}
+        for key in ("laguerre_k", "jacobi_alpha_beta", "oscillator_l"):
+            if not isinstance(merged[key], list):
+                raise ConfigError(f"{key}: must be a list")
+        for key in ("tolerances", "grid"):
+            if not isinstance(merged[key], dict):
+                raise ConfigError(f"{key}: must be an object")
         suites = merged["suites"]
         if not isinstance(suites, list) or not suites:
             raise ConfigError("suites: must be a nonempty list")
@@ -96,6 +107,8 @@ class VerificationConfig:
             raise ConfigError(f"laguerre_k: {exc}") from exc
         if not kvals or any(k <= 0 for k in kvals):
             raise ConfigError("laguerre_k: need a nonempty list of rationals > 0")
+        if not all(isinstance(p, list) and len(p) == 2 for p in merged["jacobi_alpha_beta"]):
+            raise ConfigError("jacobi_alpha_beta: each entry must be an [alpha, beta] pair")
         try:
             ab = [(as_rational(a), as_rational(b)) for a, b in merged["jacobi_alpha_beta"]]
         except (ValueError, TypeError) as exc:
@@ -103,36 +116,35 @@ class VerificationConfig:
         if not ab or any(a == b or a <= -1 or b <= -1 for a, b in ab):
             raise ConfigError("jacobi_alpha_beta: need pairs with alpha,beta > -1, alpha != beta")
         lvals = merged["oscillator_l"]
-        if not lvals or any((not isinstance(l, int)) or l < 0 for l in lvals):
+        if not lvals or any(not _is_int(l) or l < 0 for l in lvals):
             raise ConfigError("oscillator_l: need a nonempty list of ints >= 0")
-        n_max = merged["n_max"]
-        if not isinstance(n_max, int) or n_max < 1:
-            raise ConfigError("n_max: must be a positive integer")
-        n_eig = merged["n_eigen_max"]
-        if not isinstance(n_eig, int) or n_eig < 1:
-            raise ConfigError("n_eigen_max: must be a positive integer")
+        for key in ("n_max", "n_eigen_max"):
+            if not _is_int(merged[key]) or merged[key] < 1:
+                raise ConfigError(f"{key}: must be a positive integer")
         tol = {**_DEFAULTS["tolerances"], **merged["tolerances"]}
         for key, val in tol.items():
             if key not in _DEFAULTS["tolerances"]:
                 raise ConfigError(f"tolerances: unknown entry {key!r}")
-            if not (isinstance(val, (int, float)) and val > 0):
+            if isinstance(val, bool) or not (isinstance(val, (int, float)) and val > 0):
                 raise ConfigError(f"tolerances: {key} must be > 0")
         grid = {**_DEFAULTS["grid"], **merged["grid"]}
         for key, val in grid.items():
             if key not in _DEFAULTS["grid"]:
                 raise ConfigError(f"grid: unknown entry {key!r}")
-            if not (isinstance(val, int) and val >= 16):
+            if not (_is_int(val) and val >= 16):
                 raise ConfigError(f"grid: {key} must be an int >= 16")
+        if not isinstance(merged["negative_control"], bool):
+            raise ConfigError("negative_control: must be true or false")
         return VerificationConfig(
             suites=list(dict.fromkeys(expanded)),
             laguerre_k=kvals,
             jacobi_alpha_beta=ab,
             oscillator_l=list(lvals),
-            n_max=n_max,
-            n_eigen_max=n_eig,
+            n_max=merged["n_max"],
+            n_eigen_max=merged["n_eigen_max"],
             tolerances=tol,
             grid=grid,
-            negative_control=bool(merged["negative_control"]),
+            negative_control=merged["negative_control"],
         )
 
     def to_dict(self) -> dict:
@@ -199,114 +211,71 @@ def _gate(cid: str, claim: str, params: dict, metric: float, tolerance: float,
 def suite_xop(cfg: VerificationConfig) -> list[dict]:
     rows = []
     tol = cfg.tolerances
-    for k in cfg.laguerre_k:
-        t0 = time.perf_counter()
-        bad = 0
-        for n in range(1, cfg.n_eigen_max + 1):
-            f = xop.x1_laguerre_op_route(n - 1, k)
-            if not xop.x1_laguerre_ode_residual(f, k, n).is_zero:
-                bad += 1
-        rows.append(_gate(f"x1-laguerre-eigenrelation[k={k}]",
-                          "exceptional Laguerre equation holds exactly on the operator route",
-                          {"k": str(k), "n": f"1..{cfg.n_eigen_max}"}, bad, 0, t0))
+    families = ([(xop.XFamilySpec(family="laguerre", k=k), {"k": str(k)})
+                 for k in cfg.laguerre_k]
+                + [(xop.XFamilySpec(family="jacobi", alpha=a, beta=b),
+                    {"alpha": str(a), "beta": str(b)})
+                   for a, b in cfg.jacobi_alpha_beta])
+    for spec, params in families:
+        fam = spec.family
+        tag = ",".join(f"{key}={val}" for key, val in params.items())
+        with_n_max = {**params, "n_max": cfg.n_max}
 
         t0 = time.perf_counter()
-        spec = xop.XFamilySpec(family="laguerre", k=k)
+        # ops[n - 1] is the operator-route member of index n
+        ops = [xop.family_by_route(spec, n, "operator")
+               for n in range(1, max(cfg.n_max, cfg.n_eigen_max) + 1)]
+        bad = sum(1 for n in range(1, cfg.n_eigen_max + 1)
+                  if not spec.ode_residual(ops[n - 1], n).is_zero)
+        rows.append(_gate(f"x1-{fam}-eigenrelation[{tag}]",
+                          f"exceptional {fam.capitalize()} equation holds exactly "
+                          "on the operator route",
+                          {**params, "n": f"1..{cfg.n_eigen_max}"}, bad, 0, t0))
+
+        t0 = time.perf_counter()
         exact_dev = 0.0
         for n in range(1, cfg.n_max + 1):
-            op = xop.family_by_route(spec, n, "operator").monic()
+            op = ops[n - 1].monic()
             ns = xop.family_by_route(spec, n, "nullspace")
             if op != ns:
                 exact_dev = max(exact_dev, xop.coefficient_rel_diff(op, ns))
-        rows.append(_gate(f"route-agreement-exact[laguerre,k={k}]",
+        rows.append(_gate(f"route-agreement-exact[{fam},{tag}]",
                           "operator and nullspace routes agree exactly",
-                          {"k": str(k), "n_max": cfg.n_max}, exact_dev, 0, t0))
+                          with_n_max, exact_dev, 0, t0))
 
         t0 = time.perf_counter()
         gs = xop.gram_schmidt_family(spec.weight(), cfg.n_max)
-        dev = max(
-            xop.coefficient_rel_diff(gs[n - 1],
-                                     xop.family_by_route(spec, n, "operator"))
-            for n in range(1, cfg.n_max + 1)
-        )
-        rows.append(_gate(f"route-agreement-gs[laguerre,k={k}]",
+        dev = max(xop.coefficient_rel_diff(gs[n - 1], ops[n - 1])
+                  for n in range(1, cfg.n_max + 1))
+        rows.append(_gate(f"route-agreement-gs[{fam},{tag}]",
                           "Gram-Schmidt route matches the exact routes up to scale",
-                          {"k": str(k), "n_max": cfg.n_max}, dev,
-                          tol["route_agreement"], t0))
+                          with_n_max, dev, tol["route_agreement"], t0))
 
         t0 = time.perf_counter()
         gram = quad.gram_matrix(gs, spec.weight())
         d = np.sqrt(np.diag(gram))
         off = np.abs(gram - np.diag(np.diag(gram))) / np.outer(d, d)
-        rows.append(_gate(f"orthogonality[laguerre,k={k}]",
+        rows.append(_gate(f"orthogonality[{fam},{tag}]",
                           "Gram matrix off-diagonals vanish under the rational weight",
-                          {"k": str(k), "n_max": cfg.n_max},
-                          float(np.max(off)), tol["orthogonality"], t0))
+                          with_n_max, float(np.max(off)), tol["orthogonality"], t0))
 
+        if fam != "laguerre":
+            continue
         t0 = time.perf_counter()
-        no_const = len(xop.xj_polynomial_solve(k, 1, 0, 1)) == 0
-        degrees_ok = all(
-            xop.family_by_route(spec, n, "operator").degree == n
-            for n in range(1, cfg.n_max + 1)
-        )
-        rows.append(_gate(f"degree-law[laguerre,k={k}]",
+        no_const = len(xop.xj_polynomial_solve(spec.k, 1, 0, 1)) == 0
+        degrees_ok = all(ops[n - 1].degree == n for n in range(1, cfg.n_max + 1))
+        rows.append(_gate(f"degree-law[{fam},{tag}]",
                           "member n has degree n and no degree-0 member exists",
-                          {"k": str(k)}, 0 if (no_const and degrees_ok) else 1, 0, t0))
+                          params, 0 if (no_const and degrees_ok) else 1, 0, t0))
 
         t0 = time.perf_counter()
         gs10 = xop.gram_schmidt_family(spec.weight(), 10)
         errs = xop.best_approximation_errors(spec.weight(), gs10)
         decreasing = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
-        rows.append(_gate(f"completeness-proxy[laguerre,k={k}]",
+        rows.append(_gate(f"completeness-proxy[{fam},{tag}]",
                           "best approximation error of 1 strictly decreases with N",
-                          {"k": str(k), "errors": [round(e, 12) for e in errs]},
+                          {**params, "errors": [round(e, 12) for e in errs]},
                           0 if decreasing else 1, 0, t0))
-
-    for a, b in cfg.jacobi_alpha_beta:
-        tag = f"alpha={a},beta={b}"
-        t0 = time.perf_counter()
-        bad = 0
-        for n in range(1, cfg.n_eigen_max + 1):
-            f = xop.x1_jacobi_op_route(n - 1, a, b)
-            if not xop.x1_jacobi_ode_residual(f, a, b, n).is_zero:
-                bad += 1
-        rows.append(_gate(f"x1-jacobi-eigenrelation[{tag}]",
-                          "exceptional Jacobi equation holds exactly on the operator route",
-                          {"alpha": str(a), "beta": str(b),
-                           "n": f"1..{cfg.n_eigen_max}"}, bad, 0, t0))
-
-        spec = xop.XFamilySpec(family="jacobi", alpha=a, beta=b)
-        t0 = time.perf_counter()
-        exact_dev = 0.0
-        for n in range(1, cfg.n_max + 1):
-            op = xop.family_by_route(spec, n, "operator").monic()
-            ns = xop.family_by_route(spec, n, "nullspace")
-            if op != ns:
-                exact_dev = max(exact_dev, xop.coefficient_rel_diff(op, ns))
-        rows.append(_gate(f"route-agreement-exact[jacobi,{tag}]",
-                          "operator and nullspace routes agree exactly",
-                          {"alpha": str(a), "beta": str(b)}, exact_dev, 0, t0))
-
-        t0 = time.perf_counter()
-        gs = xop.gram_schmidt_family(spec.weight(), cfg.n_max)
-        dev = max(
-            xop.coefficient_rel_diff(gs[n - 1],
-                                     xop.family_by_route(spec, n, "operator"))
-            for n in range(1, cfg.n_max + 1)
-        )
-        rows.append(_gate(f"route-agreement-gs[jacobi,{tag}]",
-                          "Gram-Schmidt route matches the exact routes up to scale",
-                          {"alpha": str(a), "beta": str(b)}, dev,
-                          tol["route_agreement"], t0))
-
-        t0 = time.perf_counter()
-        gram = quad.gram_matrix(gs, spec.weight())
-        d = np.sqrt(np.diag(gram))
-        off = np.abs(gram - np.diag(np.diag(gram))) / np.outer(d, d)
-        rows.append(_gate(f"orthogonality[jacobi,{tag}]",
-                          "Gram matrix off-diagonals vanish under the rational weight",
-                          {"alpha": str(a), "beta": str(b)},
-                          float(np.max(off)), tol["orthogonality"], t0))
     return rows
 
 
@@ -550,16 +519,8 @@ _SUITE_FUNCS = {
 
 
 def run_verification(cfg: VerificationConfig) -> VerificationReport:
-    """Run the configured suites (in parallel) and assemble the report."""
-    try:
-        cap = int(os.environ.get("XOP_THREADS", "4"))
-    except ValueError:
-        cap = 4
-    max_workers = max(1, min(cap, len(cfg.suites)))
-    checks: list[dict] = []
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        for batch in pool.map(lambda s: _SUITE_FUNCS[s](cfg), cfg.suites):
-            checks.extend(batch)
+    """Run the configured suites one after another and assemble the report."""
+    checks = [row for suite in cfg.suites for row in _SUITE_FUNCS[suite](cfg)]
     if cfg.negative_control:
         checks.append(_check("negative-control",
                              "intentionally corrupted check (must fail)",

@@ -66,6 +66,12 @@ class XFamilySpec:
             return quad.WeightSpec.x1_laguerre(self.k)
         return quad.WeightSpec.x1_jacobi(self.alpha, self.beta)
 
+    def ode_residual(self, f: Poly, n: int) -> Poly:
+        """Cleared residual of this family's X1 equation at index n."""
+        if self.family == "laguerre":
+            return x1_laguerre_ode_residual(f, self.k, n)
+        return x1_jacobi_ode_residual(f, self.alpha, self.beta, n)
+
 
 # ---------------------------------------------------------------------------
 # operator routes
@@ -90,8 +96,7 @@ def x1_jacobi_op_route(n: int, alpha: RationalLike, beta: RationalLike) -> Poly:
     Applies [alpha+beta-(beta-alpha)x]((1+x) d/dx + beta + 1) + (beta-alpha)(1+x)
     to the classical P_n^(alpha-1, beta+1); the result has degree n+1 and is
     proportional to the exceptional member of index n+1.  The proportionality
-    constant is whatever it is -- measured, never assumed (see
-    :func:`x1_jacobi_raising_constant`).
+    constant is whatever it is -- measured, never assumed.
     """
     al, be = as_rational(alpha), as_rational(beta)
     if al == be:
@@ -102,13 +107,6 @@ def x1_jacobi_op_route(n: int, alpha: RationalLike, beta: RationalLike) -> Poly:
     one_plus_x = Poly((1, 1))
     return Poly((al + be, -(be - al))) * (one_plus_x * P.derivative() + (be + 1) * P) \
         + (be - al) * one_plus_x * P
-
-
-def x1_jacobi_raising_constant(n: int, alpha: RationalLike, beta: RationalLike,
-                               reference: Poly) -> Fraction:
-    """Measured ratio between the operator-route output and a reference polynomial."""
-    out = x1_jacobi_op_route(n, alpha, beta)
-    return out.leading / reference.leading
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +184,17 @@ def xj_polynomial_solve(k: RationalLike, j: int, n: RationalLike,
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    ncols = max_degree + 1
-    nrows = max_degree + 2
-    cols = []
-    for d in range(ncols):
-        res = xj_laguerre_ode_residual(Poly([0] * d + [1]), k, j, n)
-        cols.append([res.coefficient(r) for r in range(nrows)])
-    rows = [[cols[c][r] for c in range(ncols)] for r in range(nrows)]
-    basis = rational_nullspace(rows)
-    return [Poly(vec).monic() for vec in basis]
+    return _monomial_nullspace(lambda f: xj_laguerre_ode_residual(f, k, j, n),
+                               max_degree)
+
+
+def _monomial_nullspace(residual, max_degree: int) -> list[Poly]:
+    """Monic exact basis of the polynomials of degree <= max_degree that the
+    linear map ``residual`` sends to the zero polynomial."""
+    images = [residual(Poly([0] * d + [1])) for d in range(max_degree + 1)]
+    nrows = max(1, max(img.degree for img in images) + 1)
+    rows = [[img.coefficient(r) for img in images] for r in range(nrows)]
+    return [Poly(vec).monic() for vec in rational_nullspace(rows)]
 
 
 def xj_index_scan(k: RationalLike, j: int, n_values, max_degree: int) -> dict:
@@ -413,10 +413,7 @@ def family_by_route(spec: XFamilySpec, n: int, route: str):
             return x1_laguerre_op_route(n - 1, spec.k)
         return x1_jacobi_op_route(n - 1, spec.alpha, spec.beta)
     if route == "nullspace":
-        if spec.family == "laguerre":
-            sols = xj_polynomial_solve(spec.k, 1, n, n)
-        else:
-            sols = _x1_jacobi_nullspace(spec.alpha, spec.beta, n)
+        sols = _monomial_nullspace(lambda f: spec.ode_residual(f, n), n)
         if len(sols) != 1:
             raise ValueError(
                 f"nullspace route expected exactly one solution, got {len(sols)}"
@@ -425,17 +422,6 @@ def family_by_route(spec: XFamilySpec, n: int, route: str):
     if route == "gram-schmidt":
         return gram_schmidt_family(spec.weight(), n)[n - 1]
     raise ValueError(f"unknown route {route!r}")
-
-
-def _x1_jacobi_nullspace(alpha, beta, n: int) -> list[Poly]:
-    ncols = n + 1
-    nrows = n + 3
-    cols = []
-    for d in range(ncols):
-        res = x1_jacobi_ode_residual(Poly([0] * d + [1]), alpha, beta, n)
-        cols.append([res.coefficient(r) for r in range(nrows)])
-    rows = [[cols[c][r] for c in range(ncols)] for r in range(nrows)]
-    return [Poly(v).monic() for v in rational_nullspace(rows)]
 
 
 def emit_family_csv(members, route: str, params: str) -> str:

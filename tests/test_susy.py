@@ -14,8 +14,6 @@ from exopoly.susy import (
     formal_zero_mode,
     intertwine_check,
     intertwining_operator_residual,
-    op_route_jacobi,
-    op_route_raising,
     oscillator_intertwiner,
     partner_potentials,
     printed_superpotential_candidate,
@@ -23,6 +21,7 @@ from exopoly.susy import (
     superpotential_from_ground_state,
     verify_claims,
 )
+from exopoly.xop import x1_jacobi_op_route, x1_laguerre_op_route
 
 W_LINEAR = Superpotential(w=lambda x: x, w_prime=lambda x: np.ones_like(x),
                           label="W(x)=x")
@@ -150,7 +149,7 @@ class TestPolynomialLadderComposition:
         # fit prefactor * poly(u) in the original space: dividing by the
         # exponentially small prefactor would amplify the O(h^2) noise
         window = (x > 0.2) & (x < 10.0)
-        target = op_route_raising(nu, __import__("fractions").Fraction(3, 2))
+        target = x1_laguerre_op_route(nu, __import__("fractions").Fraction(3, 2))
         design = (np.vander(u[window], N=target.degree + 1, increasing=True)
                   * prefactor[window, None])
         fitted, *_ = np.linalg.lstsq(design, phi[window], rcond=None)
@@ -158,8 +157,8 @@ class TestPolynomialLadderComposition:
         scale = fitted[-1] / expect[-1]
         assert fitted / scale == pytest.approx(expect, rel=1e-6, abs=1e-6 * np.max(np.abs(expect)))
 
-    def test_jacobi_ladder_reexport(self):
-        out = op_route_jacobi(0, 1, 3)
+    def test_jacobi_ladder_route(self):
+        out = x1_jacobi_op_route(0, 1, 3)
         assert out.to_floats() == [18.0, -6.0]
 
 

@@ -4,12 +4,14 @@ import json
 
 import pytest
 
+from exopoly import quad, xop
 from exopoly.cli import main
 from exopoly.polycore import Poly
 from exopoly.verify import (
     ConfigError,
     VerificationConfig,
     run_verification,
+    suite_xop,
     write_atomic,
 )
 
@@ -40,6 +42,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="grid"):
             VerificationConfig.from_dict({"grid": {"spectrum_points": 4}})
 
+    @pytest.mark.parametrize("raw", [
+        {"laguerre_k": "12"},
+        {"jacobi_alpha_beta": ["12"]},
+        {"n_max": True},
+        {"n_eigen_max": False},
+        {"oscillator_l": [True]},
+        {"tolerances": []},
+        {"tolerances": {"quotient": True}},
+        {"grid": 5},
+        {"negative_control": "false"},
+        [],
+    ], ids=repr)
+    def test_malformed_input_rejected(self, raw):
+        with pytest.raises(ConfigError):
+            VerificationConfig.from_dict(raw)
+
     def test_roundtrip(self):
         cfg = VerificationConfig.from_dict({"suites": ["xop"], "n_max": 4})
         again = VerificationConfig.from_dict(cfg.to_dict())
@@ -69,14 +87,34 @@ class TestCampaign:
         assert any(c["id"] == "negative-control" and c["status"] == "fail"
                    for c in rep.checks)
 
-    def test_thread_cap_respected(self, monkeypatch):
-        monkeypatch.setenv("XOP_THREADS", "1")
+    def test_two_suite_campaign_passes(self):
         cfg = VerificationConfig.from_dict(
             {"suites": ["xop", "theorem"], "laguerre_k": ["1"],
              "jacobi_alpha_beta": [["1", "2"]], "n_max": 2, "n_eigen_max": 2}
         )
         rep = run_verification(cfg)
         assert rep.failures == 0
+        ids = {c["id"] for c in rep.checks}
+        assert "x1-laguerre-eigenrelation[k=1]" in ids
+        assert "quotient-extension-x1[k=1]" in ids
+
+    def test_xop_suite_id_set(self):
+        cfg = VerificationConfig.from_dict(
+            {"suites": ["xop"], "laguerre_k": ["7/2"],
+             "jacobi_alpha_beta": [["1/2", "3/2"]], "n_max": 3, "n_eigen_max": 3}
+        )
+        assert sorted(c["id"] for c in suite_xop(cfg)) == sorted([
+            "x1-laguerre-eigenrelation[k=7/2]",
+            "route-agreement-exact[laguerre,k=7/2]",
+            "route-agreement-gs[laguerre,k=7/2]",
+            "orthogonality[laguerre,k=7/2]",
+            "degree-law[laguerre,k=7/2]",
+            "completeness-proxy[laguerre,k=7/2]",
+            "x1-jacobi-eigenrelation[alpha=1/2,beta=3/2]",
+            "route-agreement-exact[jacobi,alpha=1/2,beta=3/2]",
+            "route-agreement-gs[jacobi,alpha=1/2,beta=3/2]",
+            "orthogonality[jacobi,alpha=1/2,beta=3/2]",
+        ])
 
     def test_determinism_modulo_runtime(self):
         cfg = VerificationConfig.from_dict(
@@ -137,6 +175,12 @@ class TestCliVerify:
         assert main(["verify", "--config", str(path)]) == 2
         assert "suites" in capsys.readouterr().err
 
+    def test_non_object_config_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("[]")
+        assert main(["verify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: config")
+
     def test_unreadable_config_exits_two(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
 
@@ -178,6 +222,16 @@ class TestCliPoly:
                      "--route", "gram-schmidt", "--format", "csv"])
         assert code == 0
         assert "gram-schmidt" in capsys.readouterr().out
+
+    def test_quadrature_failure_exits_three(self, monkeypatch, capsys):
+        def fail(weight, count):
+            raise quad.QuadratureError("integral did not converge")
+
+        monkeypatch.setattr(xop, "gram_schmidt_family", fail)
+        code = main(["poly", "--family", "x1-laguerre", "--k", "1", "--n", "16",
+                     "--route", "gram-schmidt"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: integral did not converge")
 
 
 class TestCliSpectrum:
