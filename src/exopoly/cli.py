@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__, quad, solver, xop
-from .polycore import Poly, as_rational
+from .polycore import Poly, as_rational, jacobi_family, laguerre_family
 from .potentials import PotentialError, make_preset
 from .solver import Grid, SolverError
 from .verify import ConfigError, VerificationConfig, run_verification, write_atomic
@@ -47,7 +47,10 @@ def cmd_verify(args) -> int:
         cfg = VerificationConfig.from_dict(raw)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_BAD_CONFIG)
-    report = run_verification(cfg)
+    try:
+        report = run_verification(cfg)
+    except quad.QuadratureError as exc:
+        return _fail(str(exc), EXIT_SOLVER)
     text = report.to_json()
     if args.out:
         write_atomic(args.out, text + "\n")
@@ -63,15 +66,10 @@ def cmd_verify(args) -> int:
 
 def _family_table(args) -> list:
     fam = args.family
-    rows = []
-    if fam in ("laguerre", "jacobi"):
-        for n in range(0, args.n + 1):
-            if fam == "laguerre":
-                rows.append(xop.laguerre_classical(n, as_rational(args.k)))
-            else:
-                rows.append(xop.jacobi_classical(n, as_rational(args.alpha),
-                                                 as_rational(args.beta)))
-        return rows
+    if fam == "laguerre":
+        return laguerre_family(args.n, as_rational(args.k))
+    if fam == "jacobi":
+        return jacobi_family(args.n, as_rational(args.alpha), as_rational(args.beta))
     if fam in ("x1-laguerre", "x1-jacobi"):
         if args.n < 1:
             raise ValueError("no degree-0 member: exceptional families start at n=1")
@@ -82,6 +80,8 @@ def _family_table(args) -> list:
                                    beta=as_rational(args.beta))
         if args.route == "gram-schmidt":
             return xop.gram_schmidt_family(spec.weight(), args.n)
+        if args.route == "operator":
+            return xop.operator_family(spec, args.n)
         return [xop.family_by_route(spec, n, args.route)
                 for n in range(1, args.n + 1)]
     raise ValueError(f"unknown family {fam!r}")

@@ -1,7 +1,9 @@
 """Exact rational polynomial algebra and classical orthogonal polynomials.
 
-Everything in this module is exact: coefficients are `fractions.Fraction`,
-no floating point ever enters, and an identity that holds here holds as a
+Everything in this module is exact: a polynomial is a tuple of integer
+numerators over one positive common denominator (``coeffs`` shows them as
+`fractions.Fraction`), the nullspace solver eliminates on integers, no
+floating point ever enters, and an identity that holds here holds as a
 theorem, not as a numerical coincidence.  The rest of the package builds the
 exceptional families out of these primitives and only drops to floats at the
 quadrature/eigensolver layer.
@@ -9,6 +11,7 @@ quadrature/eigensolver layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -48,18 +51,40 @@ def rational_str(value: RationalLike) -> str:
 class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
-    Coefficients are stored ascending in the power of the variable; trailing
-    zeros are stripped, so the zero polynomial has an empty coefficient tuple
-    and ``degree == -1``.
+    Stored as a tuple of integer numerators, ascending in the power of the
+    variable, over one positive common denominator.  The form is canonical:
+    no trailing zero numerators and ``gcd(content, den) == 1``, so the zero
+    polynomial is ``()`` over 1 with ``degree == -1``, and two polynomials are
+    equal exactly when their numerators and denominators are.  ``coeffs`` is
+    a read-only view of the coefficients as Fractions.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [as_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        pairs = [_ratio(c) for c in coeffs]
+        den = math.lcm(*(d for _, d in pairs)) if pairs else 1
+        self._set([n * (den // d) for n, d in pairs], den)
+
+    def _set(self, nums: list[int], den: int) -> None:
+        """Store ``nums / den`` (den > 0) in canonical form."""
+        while nums and not nums[-1]:
+            nums.pop()
+        if not nums:
+            self._num, self._den = (), 1
+            return
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        self._num, self._den = tuple(nums), den
+
+    @classmethod
+    def _from_ints(cls, nums: list[int], den: int = 1) -> "Poly":
+        """The polynomial ``nums / den``; ``den`` must be positive."""
+        out = cls.__new__(cls)
+        out._set(nums, den)
+        return out
 
     @staticmethod
     def zero() -> "Poly":
@@ -75,68 +100,90 @@ class Poly:
 
     @staticmethod
     def constant(c: RationalLike) -> "Poly":
-        return Poly((as_rational(c),))
+        return Poly((c,))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
+
+    @property
+    def numerators(self) -> tuple[int, ...]:
+        return self._num
+
+    @property
+    def denominator(self) -> int:
+        return self._den
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self._num):
+            return Fraction(self._num[power], self._den)
         return Fraction(0)
 
     # ring operations ------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        da, db = self._den, other._den
+        den = da * db // math.gcd(da, db)
+        fa, fb = den // da, den // db
+        a = [c * fa for c in self._num] if fa != 1 else list(self._num)
+        b = [c * fb for c in other._num] if fb != 1 else other._num
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+            a, b = list(b), a
         for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+            a[i] += c
+        return Poly._from_ints(a, den)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        out = Poly.__new__(Poly)
+        out._num, out._den = tuple(-c for c in self._num), self._den
+        return out
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if self.is_zero or other.is_zero:
+            a, b = self._num, other._num
+            if not a or not b:
                 return Poly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for jj, b in enumerate(other.coeffs):
-                    out[i + jj] += a * b
-            return Poly(out)
+            if len(a) < len(b):
+                a, b = b, a
+            out = [0] * (len(a) + len(b) - 1)
+            for j, bj in enumerate(b):
+                if bj:
+                    for i, ai in enumerate(a, j):
+                        out[i] += ai * bj
+            return Poly._from_ints(out, self._den * other._den)
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c: RationalLike) -> "Poly":
-        q = as_rational(c)
-        return Poly(tuple(q * a for a in self.coeffs))
+        n, d = _ratio(c)
+        return Poly._from_ints([n * a for a in self._num], self._den * d)
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return Poly._from_ints([i * c for i, c in enumerate(self._num) if i], self._den)
 
     def compose_linear(self, a: RationalLike, b: RationalLike) -> "Poly":
         """Exact substitution x -> a*x + b, via Horner over the polynomial ring."""
-        inner = Poly((as_rational(b), as_rational(a)))
+        inner = Poly((b, a))
         out = Poly.zero()
         for c in reversed(self.coeffs):
             out = out * inner + Poly.constant(c)
@@ -147,7 +194,8 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
+        divisor = other.coeffs
+        quo = [Fraction(0)] * max(len(rem) - len(divisor) + 1, 0)
         d, lead = other.degree, other.leading
         while len(rem) - 1 >= d and any(rem):
             while rem and rem[-1] == 0:
@@ -157,7 +205,7 @@ class Poly:
             shift = len(rem) - 1 - d
             factor = rem[-1] / lead
             quo[shift] = factor
-            for i, c in enumerate(other.coeffs):
+            for i, c in enumerate(divisor):
                 rem[shift + i] -= factor * c
             rem.pop()
         return Poly(quo), Poly(rem)
@@ -171,20 +219,25 @@ class Poly:
         with coefficients coerced to float in that case.
         """
         if isinstance(value, (Fraction, int)):
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * value + c
-            return acc
+            p, q = _ratio(value)
+            acc, qpow = 0, 1
+            for c in reversed(self._num):
+                acc = acc * p + c * qpow
+                qpow *= q
+            # acc = q^deg * den * f(p/q), and qpow = q^(deg+1)
+            return Fraction(acc * q, self._den * qpow)
         acc = 0.0 * value
-        for c in reversed(self.coeffs):
-            acc = acc * value + float(c)
+        for c in reversed(self.to_floats()):
+            acc = acc * value + c
         return acc
 
     def monic(self) -> "Poly":
         return self.scale(1 / self.leading)
 
     def to_floats(self) -> list[float]:
-        return [float(c) for c in self.coeffs]
+        # int / int is correctly rounded, the same value float(Fraction) gives
+        den = self._den
+        return [c / den for c in self._num]
 
     # serialization --------------------------------------------------------
 
@@ -194,13 +247,14 @@ class Poly:
 
     @staticmethod
     def from_json(items: Sequence[str]) -> "Poly":
-        return Poly(tuple(Fraction(s) for s in items))
+        return Poly(Fraction(s) for s in items)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -214,6 +268,14 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, positive denominator) of an exact rational scalar."""
+    if type(value) is int:
+        return value, 1
+    q = as_rational(value)
+    return q.numerator, q.denominator
+
+
 X = Poly.x()
 
 
@@ -221,10 +283,10 @@ X = Poly.x()
 # classical families
 # ---------------------------------------------------------------------------
 
-def laguerre_classical(n: int, m: RationalLike) -> Poly:
-    """Generalized Laguerre polynomial L_n^(m), exact coefficients.
+def laguerre_family(n: int, m: RationalLike) -> list[Poly]:
+    """Generalized Laguerre polynomials L_0^(m) .. L_n^(m), exact coefficients.
 
-    Standard normalization: leading coefficient (-1)^n / n!.  Generated by the
+    Standard normalization: leading coefficient (-1)^i / i!.  One pass of the
     three-term recurrence
         (i+1) L_{i+1} = (2i + 1 + m - x) L_i - (i + m) L_{i-1}.
     The parameter m may be any rational (non-integer values are first-class).
@@ -232,42 +294,46 @@ def laguerre_classical(n: int, m: RationalLike) -> Poly:
     if n < 0:
         raise ValueError("degree must be >= 0")
     mq = as_rational(m)
-    p_prev = Poly.one()
-    if n == 0:
-        return p_prev
-    p = Poly((1 + mq, -1))
+    fam = [Poly.one(), Poly((1 + mq, -1))]
     for i in range(1, n):
-        nxt = (Poly((2 * i + 1 + mq, -1)) * p - (i + mq) * p_prev).scale(
+        nxt = (Poly((2 * i + 1 + mq, -1)) * fam[i] - (i + mq) * fam[i - 1]).scale(
             Fraction(1, i + 1)
         )
-        p_prev, p = p, nxt
-    return p
+        fam.append(nxt)
+    return fam[: n + 1]
 
 
-def jacobi_classical(n: int, alpha: RationalLike, beta: RationalLike) -> Poly:
-    """Jacobi polynomial P_n^(alpha,beta), exact coefficients.
+def laguerre_classical(n: int, m: RationalLike) -> Poly:
+    """Generalized Laguerre polynomial L_n^(m); see :func:`laguerre_family`."""
+    return laguerre_family(n, m)[n]
 
-    Standard normalization P_n(1) = binomial(n + alpha, n).  Requires
-    alpha, beta > -1 so the family is orthogonal under its weight.
+
+def jacobi_family(n: int, alpha: RationalLike, beta: RationalLike) -> list[Poly]:
+    """Jacobi polynomials P_0^(alpha,beta) .. P_n^(alpha,beta), exact coefficients.
+
+    Standard normalization P_i(1) = binomial(i + alpha, i), from one pass of
+    the three-term recurrence.  Requires alpha, beta > -1 so the family is
+    orthogonal under its weight.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
     a, b = as_rational(alpha), as_rational(beta)
     if a <= -1 or b <= -1:
         raise ValueError("jacobi parameters must satisfy alpha, beta > -1")
-    p_prev = Poly.one()
-    if n == 0:
-        return p_prev
-    p = Poly((Fraction(a - b, 2), Fraction(a + b + 2, 2)))
+    s = a + b
+    fam = [Poly.one(), Poly((Fraction(a - b, 2), Fraction(s + 2, 2)))]
     for i in range(2, n + 1):
-        s = a + b
         c1 = 2 * i * (i + s) * (2 * i + s - 2)
         c2 = (2 * i + s - 1) * (a * a - b * b)
         c3 = (2 * i + s - 1) * (2 * i + s) * (2 * i + s - 2)
         c4 = 2 * (i + a - 1) * (i + b - 1) * (2 * i + s)
-        nxt = (Poly((c2, c3)) * p - c4 * p_prev).scale(Fraction(1) / c1)
-        p_prev, p = p, nxt
-    return p
+        fam.append((Poly((c2, c3)) * fam[i - 1] - c4 * fam[i - 2]).scale(1 / c1))
+    return fam[: n + 1]
+
+
+def jacobi_classical(n: int, alpha: RationalLike, beta: RationalLike) -> Poly:
+    """Jacobi polynomial P_n^(alpha,beta); see :func:`jacobi_family`."""
+    return jacobi_family(n, alpha, beta)[n]
 
 
 @dataclass(frozen=True)
@@ -323,43 +389,52 @@ def classical_ode_residual(g: Poly, family: str, params, eig: RationalLike) -> P
 # exact linear algebra (small systems only)
 # ---------------------------------------------------------------------------
 
-def rational_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals; returns (rref, pivot columns)."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
+def rational_nullspace(rows: list[list[RationalLike]]) -> list[list[Fraction]]:
+    """Exact basis of the nullspace of a small rational matrix.
+
+    One vector per free (non-pivot) column, with 1 in that column and 0 in
+    the other free columns.  Each row is cleared to integers, then reduced by
+    fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968)
+    565-578): every entry stays an integer minor of the cleared matrix, each
+    division by the previous pivot is exact, and at the end every pivot
+    equals the last one, ``d``, so the reduced row echelon form is M / d.
+    """
+    if not rows:
+        return []
+    mat = []
+    for row in rows:
+        pairs = [_ratio(v) for v in row]
+        den = math.lcm(*(d for _, d in pairs)) if pairs else 1
+        mat.append([n * (den // d) for n, d in pairs])
+    nrows, ncols = len(mat), len(mat[0])
     pivots: list[int] = []
-    r = 0
+    prev = 1
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
+        top = mat[r]
+        p = top[c]
         for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [v - factor * w for v, w in zip(mat[i], mat[r])]
+            if i == r:
+                continue
+            row, f = mat[i], mat[i][c]
+            if f:
+                mat[i] = [(p * v - f * w) // prev for v, w in zip(row, top)]
+            elif p != prev:
+                mat[i] = [p * v // prev for v in row]
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat, pivots
-
-
-def rational_nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact basis of the nullspace of a small rational matrix."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rref, pivots = rational_rref(rows)
+        prev = p
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
+            vec[pc] = Fraction(-mat[r][fc], prev)
         basis.append(vec)
     return basis

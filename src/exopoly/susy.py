@@ -17,6 +17,7 @@ polynomial ladder operator and carries that construction in
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -243,6 +244,7 @@ def _row(claim: str, params: dict, lhs_max: float, rhs_max: float,
         "max_abs_dev": float(dev),
         "tol": tol,
         "status": status,
+        "done": time.perf_counter(),
     }
 
 
@@ -253,14 +255,22 @@ def verify_claims(preset: str, grid_points: int = 4000) -> list[dict]:
     by algebra are pass/fail at tight tolerance, while printed preset-specific
     formulas are always status "reported" (their deviations are findings, not
     test failures).  Presets: "oscillator3d", "coulomb", "scarf".
+
+    Each row's "runtime" is the wall time since the previous row was made
+    (since the call began, for the first row), so the rows' runtimes add up
+    to the time of the call.
     """
-    if preset == "oscillator3d":
-        return _oscillator_claims(grid_points)
-    if preset == "coulomb":
-        return _coulomb_claims(grid_points)
-    if preset == "scarf":
-        return _scarf_claims(grid_points)
-    raise ValueError(f"claim audit covers oscillator3d, coulomb, scarf; got {preset!r}")
+    claims = {"oscillator3d": _oscillator_claims, "coulomb": _coulomb_claims,
+              "scarf": _scarf_claims}
+    if preset not in claims:
+        raise ValueError(f"claim audit covers oscillator3d, coulomb, scarf; got {preset!r}")
+    t0 = time.perf_counter()
+    rows = claims[preset](grid_points)
+    for row in rows:
+        done = row.pop("done")
+        row["runtime"] = done - t0
+        t0 = done
+    return rows
 
 
 def _oscillator_claims(grid_points: int) -> list[dict]:

@@ -31,7 +31,9 @@ from .polycore import (
     X,
     as_rational,
     jacobi_classical,
+    jacobi_family,
     laguerre_classical,
+    laguerre_family,
     rational_nullspace,
     rational_str,
 )
@@ -83,11 +85,8 @@ def x1_laguerre_op_route(nu: int, k: RationalLike) -> Poly:
     Applies (x+k)(d/dx - 1) - 1 to the classical L_nu^(k-1); the result has
     degree nu+1 and satisfies the exceptional equation at index n = nu+1.
     """
-    kq = as_rational(k)
-    if kq <= 0:
-        raise ValueError("requires k > 0")
-    L = laguerre_classical(nu, kq - 1)
-    return Poly((kq, 1)) * (L.derivative() - L) - L
+    kq = _laguerre_ladder_k(k)
+    return _laguerre_ladder(laguerre_classical(nu, kq - 1), kq)
 
 
 def x1_jacobi_op_route(n: int, alpha: RationalLike, beta: RationalLike) -> Poly:
@@ -98,12 +97,47 @@ def x1_jacobi_op_route(n: int, alpha: RationalLike, beta: RationalLike) -> Poly:
     proportional to the exceptional member of index n+1.  The proportionality
     constant is whatever it is -- measured, never assumed.
     """
+    al, be = _jacobi_ladder_params(alpha, beta)
+    return _jacobi_ladder(jacobi_classical(n, al - 1, be + 1), al, be)
+
+
+def operator_family(spec: XFamilySpec, n_max: int) -> list[Poly]:
+    """Operator-route members of index 1..n_max (entry i has index i+1), from
+    one pass over the classical family."""
+    if n_max < 1:
+        raise ValueError("exceptional families have no degree-0 member")
+    if spec.family == "laguerre":
+        kq = _laguerre_ladder_k(spec.k)
+        return [_laguerre_ladder(L, kq) for L in laguerre_family(n_max - 1, kq - 1)]
+    al, be = _jacobi_ladder_params(spec.alpha, spec.beta)
+    return [_jacobi_ladder(P, al, be) for P in jacobi_family(n_max - 1, al - 1, be + 1)]
+
+
+def _laguerre_ladder_k(k: RationalLike) -> Fraction:
+    kq = as_rational(k)
+    if kq <= 0:
+        raise ValueError("requires k > 0")
+    return kq
+
+
+def _laguerre_ladder(L: Poly, k: Fraction) -> Poly:
+    """(x+k)(d/dx - 1) - 1 applied to L."""
+    return Poly((k, 1)) * (L.derivative() - L) - L
+
+
+def _jacobi_ladder_params(alpha: RationalLike,
+                          beta: RationalLike) -> tuple[Fraction, Fraction]:
     al, be = as_rational(alpha), as_rational(beta)
     if al == be:
         raise ValueError("requires alpha != beta")
     if al - 1 <= -1 or be + 1 <= -1:
         raise ValueError("requires alpha > 0 so P^(alpha-1, beta+1) exists")
-    P = jacobi_classical(n, al - 1, be + 1)
+    return al, be
+
+
+def _jacobi_ladder(P: Poly, al: Fraction, be: Fraction) -> Poly:
+    """[alpha+beta-(beta-alpha)x]((1+x) d/dx + beta + 1) + (beta-alpha)(1+x)
+    applied to P."""
     one_plus_x = Poly((1, 1))
     return Poly((al + be, -(be - al))) * (one_plus_x * P.derivative() + (be + 1) * P) \
         + (be - al) * one_plus_x * P

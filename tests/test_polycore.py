@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic and the classical families."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,9 @@ from exopoly.polycore import (
     as_rational,
     classical_ode_residual,
     jacobi_classical,
+    jacobi_family,
     laguerre_classical,
+    laguerre_family,
     rational_nullspace,
     rational_str,
 )
@@ -26,6 +29,36 @@ rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
 )
 small_polys = st.lists(rationals, min_size=0, max_size=6).map(Poly)
+# raw coefficient lists, trailing zeros and all, so construction is exercised
+raw_coeffs = st.lists(st.one_of(rationals, st.integers(-50, 50), st.just(F(0))),
+                      min_size=0, max_size=7)
+any_polys = raw_coeffs.map(Poly)
+nonzero_polys = any_polys.filter(lambda p: not p.is_zero)
+
+SX = sympy.Symbol("x")
+# sympy is the slow side of every comparison; 40 examples keep tier-1 quick
+oracle_settings = settings(max_examples=40, deadline=None)
+
+
+def to_sympy(p: Poly) -> sympy.Poly:
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs or [0], SX, domain=sympy.QQ)
+
+
+def from_sympy(sp: sympy.Poly) -> Poly:
+    return Poly(F(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs()))
+
+
+def assert_canonical(p: Poly) -> None:
+    nums, den = p.numerators, p.denominator
+    assert all(type(c) is int for c in nums) and type(den) is int
+    assert den > 0
+    if not nums:
+        assert den == 1 and p.degree == -1
+        return
+    assert nums[-1] != 0
+    assert math.gcd(den, *nums) == 1
+    assert p.coeffs == tuple(F(c, den) for c in nums)
 
 
 class TestPolyArithmetic:
@@ -78,6 +111,113 @@ class TestPolyArithmetic:
         assert rational_str(as_rational("-3/2")) == "-3/2"
 
 
+class TestIntegerPolyAgainstSympy:
+    """The integer-numerator Poly against sympy.Poly over QQ."""
+
+    @given(raw_coeffs)
+    @oracle_settings
+    def test_construction_is_canonical(self, coeffs):
+        p = Poly(coeffs)
+        assert_canonical(p)
+        assert p == from_sympy(to_sympy(p))
+        assert p.coeffs == tuple(F(c) for c in coeffs)[: p.degree + 1]
+        assert not any(F(c) for c in coeffs[p.degree + 1:])
+
+    def test_zero_polynomial_forms(self):
+        for zero in (Poly(), Poly((0, F(0), "0/7")), Poly.zero(), Poly((3,)) - Poly((3,)),
+                     Poly((F(-1, 2), 4)).scale(0), Poly((5,)).derivative()):
+            assert_canonical(zero)
+            assert zero.numerators == () and zero.denominator == 1
+            assert zero == Poly.zero() and hash(zero) == hash(Poly.zero())
+            assert zero.to_json() == []
+
+    def test_negative_inputs_keep_a_positive_denominator(self):
+        p = Poly((F(-3, 4), F(6, -8), -9))
+        assert (p.numerators, p.denominator) == ((-3, -3, -36), 4)
+        assert p.scale(F(-4, 3)) == Poly((1, 1, 12))
+        assert p.monic() == Poly((F(1, 12), F(1, 12), 1))
+
+    @given(any_polys, any_polys)
+    @oracle_settings
+    def test_add_sub_mul(self, p, q):
+        sp, sq = to_sympy(p), to_sympy(q)
+        for ours, theirs in ((p + q, sp + sq), (p - q, sp - sq), (p * q, sp * sq),
+                             (-p, -sp)):
+            assert_canonical(ours)
+            assert ours == from_sympy(theirs)
+
+    @given(any_polys, st.one_of(rationals, st.integers(-20, 20)))
+    @oracle_settings
+    def test_scale(self, p, c):
+        for ours in (p.scale(c), c * p, p * c):
+            assert_canonical(ours)
+            assert ours == from_sympy(to_sympy(p) * sympy.Rational(F(c).numerator,
+                                                                   F(c).denominator))
+
+    @given(any_polys)
+    @oracle_settings
+    def test_derivative(self, p):
+        d = p.derivative()
+        assert_canonical(d)
+        assert d == from_sympy(to_sympy(p).diff(SX))
+
+    @given(nonzero_polys)
+    @oracle_settings
+    def test_monic(self, p):
+        m = p.monic()
+        assert_canonical(m)
+        assert m == from_sympy(to_sympy(p).monic())
+        assert m.leading == 1
+
+    @given(any_polys, nonzero_polys)
+    @oracle_settings
+    def test_divmod(self, a, b):
+        q, r = a.divmod(b)
+        assert_canonical(q)
+        assert_canonical(r)
+        assert q * b + r == a
+        assert r.degree < b.degree
+        sq, sr = sympy.div(to_sympy(a), to_sympy(b))
+        assert (q, r) == (from_sympy(sq), from_sympy(sr))
+
+    @given(any_polys, rationals, rationals)
+    @oracle_settings
+    def test_compose_linear(self, p, a, b):
+        out = p.compose_linear(a, b)
+        assert_canonical(out)
+        inner = sympy.Rational(a.numerator, a.denominator) * SX + sympy.Rational(
+            b.numerator, b.denominator)
+        assert out == from_sympy(to_sympy(p).compose(sympy.Poly(inner, SX, domain=sympy.QQ)))
+
+    @given(any_polys, st.one_of(rationals, st.integers(-30, 30)))
+    @oracle_settings
+    def test_exact_call(self, p, v):
+        value = p(v)
+        assert isinstance(value, F)
+        q = F(v)
+        assert value == F(to_sympy(p).eval(sympy.Rational(q.numerator, q.denominator)))
+
+    @given(raw_coeffs, raw_coeffs)
+    @oracle_settings
+    def test_hash_consistent_with_eq(self, a, b):
+        p, q = Poly(a), Poly(b)
+        assert (p == q) == (p.coeffs == q.coeffs)
+        if p == q:
+            assert hash(p) == hash(q)
+        # the same value spelled as strings, with a trailing zero appended
+        spelled = Poly([str(F(c)) for c in a] + ["0/3"])
+        assert spelled == p and hash(spelled) == hash(p)
+
+    @given(any_polys)
+    @oracle_settings
+    def test_json_roundtrip(self, p):
+        js = p.to_json()
+        assert js == [f"{c.numerator}/{c.denominator}" for c in p.coeffs]
+        back = Poly.from_json(js)
+        assert back == p and back.to_json() == js
+        assert_canonical(back)
+
+
 class TestClassicalFamilies:
     def test_degree_zero_members(self):
         assert laguerre_classical(0, F(5, 2)) == Poly.one()
@@ -104,15 +244,28 @@ class TestClassicalFamilies:
 
     def test_against_sympy(self):
         x = sympy.Symbol("x")
-        for n in range(7):
-            ours = laguerre_classical(n, F(5, 2)).coeffs
+        for n, member in enumerate(laguerre_family(40, F(5, 2))):
             theirs = sympy.Poly(
                 sympy.laguerre_poly(n, x, sympy.Rational(5, 2)), x
             ).all_coeffs()[::-1]
-            assert [sympy.Rational(c.numerator, c.denominator) for c in ours] == list(theirs)
-            ours = jacobi_classical(n, F(2), F(5)).coeffs
+            assert [sympy.Rational(c.numerator, c.denominator)
+                    for c in member.coeffs] == list(theirs), n
+        for n, member in enumerate(jacobi_family(40, F(2), F(5))):
             theirs = sympy.Poly(sympy.jacobi_poly(n, 2, 5, x), x).all_coeffs()[::-1]
-            assert [sympy.Rational(c.numerator, c.denominator) for c in ours] == list(theirs)
+            assert [sympy.Rational(c.numerator, c.denominator)
+                    for c in member.coeffs] == list(theirs), n
+
+    def test_single_member_is_the_family_member(self):
+        lag, jac = laguerre_family(12, F(7, 3)), jacobi_family(12, F(1, 2), F(3, 2))
+        assert len(lag) == len(jac) == 13
+        for n in (0, 1, 2, 7, 12):
+            assert laguerre_classical(n, F(7, 3)) == lag[n]
+            assert jacobi_classical(n, F(1, 2), F(3, 2)) == jac[n]
+        assert laguerre_family(0, 1) == [Poly.one()]
+        with pytest.raises(ValueError):
+            laguerre_family(-1, 1)
+        with pytest.raises(ValueError):
+            jacobi_family(3, -1, 2)
 
     def test_laguerre_leading_coefficient(self):
         import math
@@ -173,3 +326,46 @@ def test_rational_nullspace_small_system():
     assert len(basis) == 2
     for vec in basis:
         assert sum(r * v for r, v in zip(rows[0], vec)) == 0
+
+
+def _sympy_nullspace(rows):
+    mat = sympy.Matrix([[sympy.Rational(F(v).numerator, F(v).denominator) for v in r]
+                        for r in rows])
+    return [[F(int(v.p), int(v.q)) for v in vec] for vec in mat.nullspace()]
+
+
+@st.composite
+def rank_deficient(draw):
+    """Products (nrows x rank)(rank x ncols) of small rationals, some rows zeroed."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    rank = draw(st.integers(0, min(nrows, ncols)))
+    entry = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    left = [[draw(entry) for _ in range(rank)] for _ in range(nrows)]
+    right = [[draw(entry) for _ in range(ncols)] for _ in range(rank)]
+    zeroed = draw(st.sets(st.integers(0, nrows - 1)))
+    return [[F(0) if i in zeroed else sum((left[i][k] * right[k][j] for k in range(rank)), F(0))
+             for j in range(ncols)] for i in range(nrows)]
+
+
+class TestNullspaceAgainstSympy:
+    @given(rank_deficient())
+    @settings(max_examples=60, deadline=None)
+    def test_random_rank_deficient(self, rows):
+        assert rational_nullspace(rows) == _sympy_nullspace(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [[0]],
+        [[1, 2, 3, 4, 5, 6]],
+        [[0, 0, 0], [F(1, 2), F(-1, 3), 2], [0, 0, 0], [1, F(-2, 3), 4]],
+        [[2, -4, 6, 0, 1, F(7, 5)], [1, -2, 3, 1, 0, 0], [3, -6, 9, 1, 1, F(7, 5)]],
+        [[F(1, 3), 1], [1, 3], [F(-1, 6), F(-1, 2)]],
+    ], ids=["all-zero", "one-zero", "wide-rank1", "zero-rows", "wide-rank2", "tall"])
+    def test_edge_shapes(self, rows):
+        basis = rational_nullspace(rows)
+        assert basis == _sympy_nullspace(rows)
+        for vec in basis:
+            assert all(sum(F(r) * v for r, v in zip(row, vec)) == 0 for row in rows)
+
+    def test_empty_matrix(self):
+        assert rational_nullspace([]) == []

@@ -1,16 +1,18 @@
 """Verification campaign configuration, report contract, CLI exit codes."""
 
 import json
+import time
 
 import pytest
 
-from exopoly import quad, xop
+from exopoly import quad, susy, xop
 from exopoly.cli import main
 from exopoly.polycore import Poly
 from exopoly.verify import (
     ConfigError,
     VerificationConfig,
     run_verification,
+    suite_susy,
     suite_xop,
     write_atomic,
 )
@@ -129,6 +131,32 @@ class TestCampaign:
 
         assert strip(run_verification(cfg)) == strip(run_verification(cfg))
 
+    def test_susy_rows_carry_their_own_runtime(self, monkeypatch):
+        walls = {}
+        audit = susy.verify_claims
+
+        def timed(preset, *args, **kwargs):
+            t0 = time.perf_counter()
+            rows = audit(preset, *args, **kwargs)
+            walls[preset] = time.perf_counter() - t0
+            return rows
+
+        monkeypatch.setattr(susy, "verify_claims", timed)
+        cfg = VerificationConfig.from_dict({"suites": ["susy"],
+                                            "grid": {"rayleigh_points": 2000}})
+        rows = {c["id"]: c for c in suite_susy(cfg)}
+        assert set(walls) == {"oscillator3d", "coulomb", "scarf"}
+        for preset, wall in walls.items():
+            claim_rows = [c for cid, c in rows.items()
+                          if cid.startswith(f"claim-audit[{preset}:")]
+            assert claim_rows
+            # each row's runtime is rounded to 1e-6 s
+            slack = 5e-7 * len(claim_rows)
+            assert sum(c["runtime"] for c in claim_rows) <= wall + slack, preset
+        # the separation row reuses the residuals of the matched-pairings row
+        assert (rows["intertwine-separation"]["runtime"]
+                < rows["intertwine-matched-pairings"]["runtime"])
+
 
 class TestWriteAtomic:
     def test_write_and_no_leftover_temp(self, tmp_path):
@@ -183,6 +211,14 @@ class TestCliVerify:
 
     def test_unreadable_config_exits_two(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
+
+    def test_quadrature_failure_exits_three(self, quick_config, monkeypatch, capsys):
+        def fail(weight, count):
+            raise quad.QuadratureError("integral did not converge")
+
+        monkeypatch.setattr(xop, "gram_schmidt_family", fail)
+        assert main(["verify", "--config", str(quick_config)]) == 3
+        assert capsys.readouterr().err.startswith("error: integral did not converge")
 
 
 class TestCliPoly:

@@ -1,5 +1,7 @@
 """Exceptional family construction: three routes, exact equations, weights."""
 
+import hashlib
+import json
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from exopoly.polycore import Poly
 from exopoly.quad import WeightSpec, gram_matrix
+from exopoly.verify import VerificationConfig
 from exopoly.xop import (
     XFamilySpec,
     best_approximation_errors,
@@ -17,6 +20,7 @@ from exopoly.xop import (
     exceptional_seeds,
     family_by_route,
     gram_schmidt_family,
+    operator_family,
     x1_jacobi_ode_residual,
     x1_jacobi_op_route,
     x1_laguerre_ode_residual,
@@ -242,3 +246,36 @@ def test_emit_family_csv_exact_and_float():
     floats = gram_schmidt_family(spec.weight(), 2)
     text = emit_family_csv(floats, "gram-schmidt", "k=1")
     assert "gram-schmidt" in text
+
+
+# sha256 of json.dumps([p.to_json() for p in members 1..40]) per default
+# family, computed with the Fraction-based core this one replaced
+OPERATOR_DIGESTS = {
+    ("laguerre", "1"): "6c313b8a5cacb17c42f25bcba839e70cb3037247fa80a44de861ca3f11e2d374",
+    ("laguerre", "2"): "997f0fb9058223c9d99a4494d23dc009af4f48de7fcffc8f73e9e3fc9d171c77",
+    ("laguerre", "7/2"): "7ac0a276da0b1818aab0e74233f2e04df16296a721d4bd69d85f575bf25838b0",
+    ("jacobi", "1", "2"): "fdfd3d6cec0a15519e1e3ed49e8f0562ca962a24430c600da2342bed078d03c8",
+    ("jacobi", "2", "5"): "b45723cbb8330e5161f61a02d2b43b3046d9b6a6d2e99628f4ba46404cb92e40",
+    ("jacobi", "1/2", "3/2"): "af9e62425ba0f0533550f1a1505e00315996d3ae59c39ded3c6740335e833a52",
+}
+
+
+def _default_families():
+    cfg = VerificationConfig.from_dict({})
+    return ([(("laguerre", str(k)), XFamilySpec(family="laguerre", k=k))
+             for k in cfg.laguerre_k]
+            + [(("jacobi", str(a), str(b)), XFamilySpec(family="jacobi", alpha=a, beta=b))
+               for a, b in cfg.jacobi_alpha_beta])
+
+
+class TestPinnedOperatorCoefficients:
+    def test_every_default_family_is_pinned(self):
+        assert [key for key, _ in _default_families()] == list(OPERATOR_DIGESTS)
+
+    @pytest.mark.parametrize("key", list(OPERATOR_DIGESTS), ids=",".join)
+    def test_members_1_to_40(self, key):
+        spec = dict(_default_families())[key]
+        members = operator_family(spec, 40)
+        assert [family_by_route(spec, n, "operator") for n in range(1, 41)] == members
+        text = json.dumps([p.to_json() for p in members])
+        assert hashlib.sha256(text.encode()).hexdigest() == OPERATOR_DIGESTS[key]
