@@ -47,10 +47,7 @@ def cmd_verify(args) -> int:
         cfg = VerificationConfig.from_dict(raw)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_BAD_CONFIG)
-    try:
-        report = run_verification(cfg)
-    except quad.QuadratureError as exc:
-        return _fail(str(exc), EXIT_SOLVER)
+    report = run_verification(cfg)
     text = report.to_json()
     if args.out:
         write_atomic(args.out, text + "\n")

@@ -62,9 +62,7 @@ class Poly:
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        pairs = [_ratio(c) for c in coeffs]
-        den = math.lcm(*(d for _, d in pairs)) if pairs else 1
-        self._set([n * (den // d) for n, d in pairs], den)
+        self._set(*_clear(coeffs))
 
     def _set(self, nums: list[int], den: int) -> None:
         """Store ``nums / den`` (den > 0) in canonical form."""
@@ -106,14 +104,6 @@ class Poly:
     def coeffs(self) -> tuple[Fraction, ...]:
         den = self._den
         return tuple(Fraction(c, den) for c in self._num)
-
-    @property
-    def numerators(self) -> tuple[int, ...]:
-        return self._num
-
-    @property
-    def denominator(self) -> int:
-        return self._den
 
     @property
     def degree(self) -> int:
@@ -276,6 +266,13 @@ def _ratio(value) -> tuple[int, int]:
     return q.numerator, q.denominator
 
 
+def _clear(values: Iterable[RationalLike]) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator of ``values``."""
+    pairs = [_ratio(v) for v in values]
+    den = math.lcm(*(d for _, d in pairs)) if pairs else 1
+    return [n * (den // d) for n, d in pairs], den
+
+
 X = Poly.x()
 
 
@@ -401,11 +398,7 @@ def rational_nullspace(rows: list[list[RationalLike]]) -> list[list[Fraction]]:
     """
     if not rows:
         return []
-    mat = []
-    for row in rows:
-        pairs = [_ratio(v) for v in row]
-        den = math.lcm(*(d for _, d in pairs)) if pairs else 1
-        mat.append([n * (den // d) for n, d in pairs])
+    mat = [_clear(row)[0] for row in rows]
     nrows, ncols = len(mat), len(mat[0])
     pivots: list[int] = []
     prev = 1

@@ -85,7 +85,9 @@ def x1_laguerre_op_route(nu: int, k: RationalLike) -> Poly:
     Applies (x+k)(d/dx - 1) - 1 to the classical L_nu^(k-1); the result has
     degree nu+1 and satisfies the exceptional equation at index n = nu+1.
     """
-    kq = _laguerre_ladder_k(k)
+    kq = as_rational(k)
+    if kq <= 0:
+        raise ValueError("requires k > 0")
     return _laguerre_ladder(laguerre_classical(nu, kq - 1), kq)
 
 
@@ -107,17 +109,10 @@ def operator_family(spec: XFamilySpec, n_max: int) -> list[Poly]:
     if n_max < 1:
         raise ValueError("exceptional families have no degree-0 member")
     if spec.family == "laguerre":
-        kq = _laguerre_ladder_k(spec.k)
+        kq = as_rational(spec.k)
         return [_laguerre_ladder(L, kq) for L in laguerre_family(n_max - 1, kq - 1)]
     al, be = _jacobi_ladder_params(spec.alpha, spec.beta)
     return [_jacobi_ladder(P, al, be) for P in jacobi_family(n_max - 1, al - 1, be + 1)]
-
-
-def _laguerre_ladder_k(k: RationalLike) -> Fraction:
-    kq = as_rational(k)
-    if kq <= 0:
-        raise ValueError("requires k > 0")
-    return kq
 
 
 def _laguerre_ladder(L: Poly, k: Fraction) -> Poly:

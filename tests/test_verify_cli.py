@@ -212,14 +212,6 @@ class TestCliVerify:
     def test_unreadable_config_exits_two(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
 
-    def test_quadrature_failure_exits_three(self, quick_config, monkeypatch, capsys):
-        def fail(weight, count):
-            raise quad.QuadratureError("integral did not converge")
-
-        monkeypatch.setattr(xop, "gram_schmidt_family", fail)
-        assert main(["verify", "--config", str(quick_config)]) == 3
-        assert capsys.readouterr().err.startswith("error: integral did not converge")
-
 
 class TestCliPoly:
     def test_x1_table_contains_first_member(self, capsys):
