@@ -150,35 +150,43 @@ class Recurrence:
 
 
 def recurrence_coefficients(weight: WeightSpec, n: int) -> Recurrence:
-    """Three-term recurrence coefficients of the classical weight, length n."""
+    """Three-term recurrence coefficients of the classical weight, length n.
+
+    Raises ValueError naming the parameter when the mass or a coefficient does
+    not fit a float (e.g. Gamma(k+1) past k ~ 170).
+    """
     w = weight.classical_base()
-    if w.kind == "laguerre":
-        k = float(w.k)
-        i = np.arange(n, dtype=float)
-        a = 2 * i + k + 1
-        b = i * (i + k)
-        mu0 = math.gamma(k + 1)
-        return Recurrence(a=a, b=b, mu0=mu0)
-    al, be = float(w.alpha), float(w.beta)
-    s = al + be
     i = np.arange(n, dtype=float)
-    a = np.empty(n)
-    b = np.zeros(n)
-    a[0] = (be - al) / (s + 2)
-    if n > 1:
-        ii = i[1:]
-        a[1:] = (be**2 - al**2) / ((2 * ii + s) * (2 * ii + s + 2))
-        # i = 1 written with the (1 + s) factor cancelled so s = -1 stays finite
-        b[1] = 4 * (1 + al) * (1 + be) / ((2 + s) ** 2 * (3 + s))
-        if n > 2:
-            jj = i[2:]
-            b[2:] = (
-                4 * jj * (jj + al) * (jj + be) * (jj + s)
-                / ((2 * jj + s) ** 2 * (2 * jj + s + 1) * (2 * jj + s - 1))
+    try:
+        if w.kind == "laguerre":
+            k = float(w.k)
+            a, b, mu0 = 2 * i + k + 1, i * (i + k), math.gamma(k + 1)
+        else:
+            al, be = float(w.alpha), float(w.beta)
+            s = al + be
+            a = np.empty(n)
+            b = np.zeros(n)
+            a[0] = (be - al) / (s + 2)
+            if n > 1:
+                ii = i[1:]
+                a[1:] = (be**2 - al**2) / ((2 * ii + s) * (2 * ii + s + 2))
+                # i = 1 written with the (1 + s) factor cancelled so s = -1 stays finite
+                b[1] = 4 * (1 + al) * (1 + be) / ((2 + s) ** 2 * (3 + s))
+                if n > 2:
+                    jj = i[2:]
+                    b[2:] = (
+                        4 * jj * (jj + al) * (jj + be) * (jj + s)
+                        / ((2 * jj + s) ** 2 * (2 * jj + s + 1) * (2 * jj + s - 1))
+                    )
+            mu0 = 2 ** (s + 1) * math.exp(
+                math.lgamma(al + 1) + math.lgamma(be + 1) - math.lgamma(s + 2)
             )
-    mu0 = 2 ** (s + 1) * math.exp(
-        math.lgamma(al + 1) + math.lgamma(be + 1) - math.lgamma(s + 2)
-    )
+    except OverflowError:
+        mu0 = math.inf  # a and b may be unset; the test below stops at mu0
+    if not (math.isfinite(mu0) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        name = "k" if w.kind == "laguerre" else ("alpha" if w.alpha >= w.beta else "beta")
+        raise ValueError(f"{w.kind} weight parameter {name} is too large: the mass or "
+                         "recurrence coefficients overflow a float")
     return Recurrence(a=a, b=b, mu0=mu0)
 
 
@@ -277,83 +285,90 @@ def gauss_rule(weight: WeightSpec, n: int) -> QuadratureRule:
     return rule
 
 
-def _as_callable(f) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(f, Poly):
-        return f
-    if callable(f):
-        return f
-    arr = np.asarray(f, dtype=float)  # ascending coefficients
+def _values(fs: Sequence[Union[Poly, np.ndarray, Callable]], x: np.ndarray) -> np.ndarray:
+    """Row i holds fs[i] at the nodes x.  A Poly or callable is called (a
+    constant result is broadcast); anything else is read as ascending float
+    coefficients."""
+    rows = []
+    for f in fs:
+        vals = f(x) if callable(f) else np.polynomial.polynomial.polyval(
+            x, np.asarray(f, dtype=float))
+        rows.append(np.broadcast_to(np.asarray(vals, dtype=float), x.shape))
+    return np.array(rows)
 
-    def evaluate(x):
-        return np.polynomial.polynomial.polyval(x, arr)
 
-    return evaluate
+def _converge(estimate: Callable[[QuadratureRule], tuple[np.ndarray, np.ndarray]],
+              weight: WeightSpec, max_nodes: int) -> np.ndarray:
+    """The node-doubling loop behind :func:`integrate` and :func:`gram_matrix`.
 
-
-def integrate(
-    f,
-    weight: WeightSpec,
-    rel_tol: float = REL_TOL_DEFAULT,
-    max_nodes: int = MAX_NODES_DEFAULT,
-) -> float:
-    """Integral of f against the weight, with an explicit convergence check.
-
-    For the x1 kinds the rational factor is folded into the integrand and the
-    classical rule of the base weight is applied.  The node count doubles from
-    16 until two successive estimates agree to ``rel_tol`` relative to the
-    L1 size sum_i w_i |g(x_i)| of the integrand (so integrals that vanish by
-    cancellation, e.g. orthogonality cross terms, still converge sensibly).
-    Never silently returns: raises QuadratureError past ``max_nodes``.
+    ``estimate(rule)`` returns an array of integral estimates and the array of
+    their L1 sizes sum_i w_i |g(x_i)| on one Gauss rule of the classical base.
+    The node count doubles from 16; each entry is frozen at the first doubling
+    where it moved by at most REL_TOL_DEFAULT relative to max(L1 size,
+    |estimate|) (so integrals that vanish by cancellation, e.g. orthogonality
+    cross terms, still converge sensibly), or where its L1 size is 0.  Never
+    silently returns: raises QuadratureError if any entry is unconverged past
+    ``max_nodes``.
     """
-    func = _as_callable(f)
-    factor_needed = weight.is_rational_extension
-
-    def g(x):
-        vals = np.asarray(func(x), dtype=float)
-        if vals.shape == ():
-            vals = np.full(np.shape(x), float(vals))
-        if factor_needed:
-            vals = vals * weight.rational_factor(x)
-        return vals
-
     n = 16
-    rule = gauss_rule(weight, n)
-    prev = rule.integrate(g)
+    prev, _ = estimate(gauss_rule(weight, n))
+    result = np.zeros_like(prev)
+    done = np.zeros(prev.shape, dtype=bool)
     while 2 * n <= max_nodes:
         n *= 2
-        rule = gauss_rule(weight, n)
-        vals = np.asarray(g(rule.nodes), dtype=float)
-        cur = float(np.dot(rule.weights, vals))
-        scale = float(np.dot(rule.weights, np.abs(vals)))
-        if scale == 0.0:
-            return 0.0
-        if abs(cur - prev) <= rel_tol * max(scale, abs(cur)):
-            return cur
+        cur, scale = estimate(gauss_rule(weight, n))
+        tol = REL_TOL_DEFAULT * np.maximum(scale, np.abs(cur))
+        passed = ~done & ((scale == 0.0) | (np.abs(cur - prev) <= tol))
+        result = np.where(passed, cur, result)
+        done = done | passed
+        if done.all():
+            return result
         prev = cur
     raise QuadratureError(
-        f"integral did not converge to rel_tol={rel_tol} within {max_nodes} nodes"
+        f"integral did not converge to rel_tol={REL_TOL_DEFAULT} within {max_nodes} nodes"
     )
+
+
+def integrate(f, weight: WeightSpec, max_nodes: int = MAX_NODES_DEFAULT) -> float:
+    """Integral of f (a Poly, callable or coefficient array) against the weight.
+
+    For the x1 kinds the rational factor is folded into the integrand and the
+    classical rule of the base weight is applied; the node count doubles as
+    described in :func:`_converge`.
+    """
+    def estimate(rule):
+        vals = _values([f], rule.nodes)[0]
+        if weight.is_rational_extension:
+            vals = vals * weight.rational_factor(rule.nodes)
+        return np.dot(rule.weights, vals), np.dot(rule.weights, np.abs(vals))
+
+    return float(_converge(estimate, weight, max_nodes))
 
 
 def gram_matrix(
     polys: Sequence[Union[Poly, np.ndarray, Callable]],
     weight: WeightSpec,
-    rel_tol: float = REL_TOL_DEFAULT,
+    others: Optional[Sequence[Union[Poly, np.ndarray, Callable]]] = None,
 ) -> np.ndarray:
-    """Matrix of pairwise inner products under the weight.
+    """Matrix of inner products (polys[i], others[j]) under the weight.
 
-    Each entry is computed once and mirrored, so the result is symmetric by
-    construction.  Convergence failures of :func:`integrate` propagate.
+    Without ``others`` it is the Gram matrix of ``polys``, with the upper
+    triangle mirrored so the result is symmetric by construction.  Each
+    polynomial is evaluated once per Gauss rule and all entries share one
+    node-doubling loop, each entry converging as one :func:`integrate` call
+    would.  Convergence failures raise QuadratureError.
     """
     if not len(polys):
         raise ValueError("gram_matrix needs at least one polynomial")
-    fs = [_as_callable(p) for p in polys]
-    n = len(fs)
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            fi, fj = fs[i], fs[j]
-            val = integrate(lambda x: np.asarray(fi(x)) * np.asarray(fj(x)),
-                            weight, rel_tol=rel_tol)
-            g[i, j] = g[j, i] = val
-    return g
+
+    def estimate(rule):
+        vals = _values(polys, rule.nodes)
+        left = vals * (rule.weights * weight.rational_factor(rule.nodes))
+        right = vals if others is None else _values(others, rule.nodes)
+        cur, scale = left @ right.T, np.abs(left) @ np.abs(right).T
+        if others is None:
+            lower = np.tril_indices(len(polys), -1)
+            cur[lower], scale[lower] = cur.T[lower], scale.T[lower]
+        return cur, scale
+
+    return _converge(estimate, weight, MAX_NODES_DEFAULT)

@@ -248,7 +248,10 @@ def suite_xop(cfg: VerificationConfig) -> list[dict]:
                           with_n_max, exact_dev, 0, t0))
 
         t0 = time.perf_counter()
-        gs = xop.gram_schmidt_family(spec.weight(), cfg.n_max)
+        # member n depends only on seeds 1..n, so one family serves every check
+        gs_all = xop.gram_schmidt_family(
+            spec.weight(), max(cfg.n_max, 10) if fam == "laguerre" else cfg.n_max)
+        gs = gs_all[: cfg.n_max]
         dev = max(xop.coefficient_rel_diff(gs[n - 1], ops[n - 1])
                   for n in range(1, cfg.n_max + 1))
         rows.append(_gate(f"route-agreement-gs[{fam},{tag}]",
@@ -273,8 +276,7 @@ def suite_xop(cfg: VerificationConfig) -> list[dict]:
                           params, 0 if (no_const and degrees_ok) else 1, 0, t0))
 
         t0 = time.perf_counter()
-        gs10 = xop.gram_schmidt_family(spec.weight(), 10)
-        errs = xop.best_approximation_errors(spec.weight(), gs10)
+        errs = xop.best_approximation_errors(spec.weight(), gs_all[:10])
         decreasing = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
         rows.append(_gate(f"completeness-proxy[{fam},{tag}]",
                           "best approximation error of 1 strictly decreases with N",

@@ -23,7 +23,6 @@ import numpy as np
 import scipy.linalg
 
 from . import quad
-from .quad import REL_TOL_DEFAULT
 from .polycore import (
     JacobiConstants,
     Poly,
@@ -263,7 +262,7 @@ def xj_quotient_residual_coeffs(f: np.ndarray, k: float, j: int,
     return pp.polyadd(res, pp.polymul(pot, f))
 
 
-def xj_quotient_solve(k: float, j: int, n: int, drop_reducible: bool = True) -> list[dict]:
+def xj_quotient_solve(k: float, j: int, n: int) -> list[dict]:
     """Polynomials f of degree n for which f/(x+k)^j solves a rational extension
     of the Laguerre equation.
 
@@ -276,7 +275,7 @@ def xj_quotient_solve(k: float, j: int, n: int, drop_reducible: bool = True) -> 
     has been re-verified against the cleared identity.
 
     Solutions with f(-k) = 0 are reducible (the quotient collapses to a lower
-    codimension) and are dropped by default.  For j = 1 the branch A = 1
+    codimension) and are dropped.  For j = 1 the branch A = 1
     appears at every n and carries the exceptional family; the remaining
     branches -- all of them for j >= 2 -- have n-dependent A, so no single
     n-independent potential of this form exists beyond the A = 1 family.
@@ -307,7 +306,7 @@ def xj_quotient_solve(k: float, j: int, n: int, drop_reducible: bool = True) -> 
         if abs(phi[-1]) < 1e-10:
             continue  # degree < n; belongs to a lower index
         phi = phi / phi[-1]
-        if drop_reducible and abs(phi[0]) < 1e-8 * np.max(np.abs(phi)):
+        if abs(phi[0]) < 1e-8 * np.max(np.abs(phi)):
             continue
         # back to f(x) = sum_p phi_p (x+k)^p
         fcoef = np.zeros(size)
@@ -352,23 +351,23 @@ def exceptional_seeds(weight: quad.WeightSpec, count: int) -> list[np.ndarray]:
     return seeds
 
 
-def gram_schmidt_family(weight: quad.WeightSpec, count: int,
-                        rel_tol: float = REL_TOL_DEFAULT) -> list[np.ndarray]:
-    """First ``count`` members of the exceptional family by modified Gram-Schmidt.
+def gram_schmidt_family(weight: quad.WeightSpec, count: int) -> list[np.ndarray]:
+    """First ``count`` members of the exceptional family by classical
+    Gram-Schmidt with one reorthogonalization pass.
 
-    Inner products are quadrature-based (so convergence failures surface as
-    QuadratureError).  Members are unit-norm with positive leading
-    coefficient; member i has degree i.
+    Each pass projects the seed onto all earlier members with one
+    :func:`quad.gram_matrix` call (so convergence failures surface as
+    QuadratureError); the second pass removes the O(eps * kappa) residue of
+    the first.  Members are unit-norm with positive leading coefficient;
+    member i has degree i and depends only on seeds 1..i.
     """
-    seeds = exceptional_seeds(weight, count)
     members: list[np.ndarray] = []
-    for seed in seeds:
-        w = seed.astype(float)
-        for _ in range(2):  # second pass removes the O(eps * kappa) residue
-            for e in members:
-                proj = quad.integrate(_pair_product(w, e), weight, rel_tol=rel_tol)
-                w = _poly_sub(w, proj * e)
-        nrm2 = quad.integrate(_pair_product(w, w), weight, rel_tol=rel_tol)
+    for w in exceptional_seeds(weight, count):
+        for _ in range(2 if members else 0):
+            proj = quad.gram_matrix([w], weight, others=members)[0]
+            for c, e in zip(proj, members):
+                w[: len(e)] -= c * e
+        nrm2 = quad.gram_matrix([w], weight)[0, 0]
         if not nrm2 > 0:
             raise quad.QuadratureError("Gram-Schmidt produced a null vector")
         w = w / np.sqrt(nrm2)
@@ -378,37 +377,17 @@ def gram_schmidt_family(weight: quad.WeightSpec, count: int,
     return members
 
 
-def _pair_product(p: np.ndarray, q: np.ndarray):
-    def f(x):
-        return np.polynomial.polynomial.polyval(x, p) * np.polynomial.polynomial.polyval(x, q)
-
-    return f
-
-
-def _poly_sub(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    n = max(len(p), len(q))
-    out = np.zeros(n)
-    out[: len(p)] += p
-    out[: len(q)] -= q
-    return out
-
-
-def best_approximation_errors(weight: quad.WeightSpec, members: list[np.ndarray],
-                              rel_tol: float = REL_TOL_DEFAULT) -> list[float]:
+def best_approximation_errors(weight: quad.WeightSpec,
+                              members: list[np.ndarray]) -> list[float]:
     """L2(weight) best-approximation error of the constant 1 by the first N members.
 
     err_N^2 = ||1||^2 - sum_{i<=N} (1, e_i)^2 for orthonormal members; the
     sequence strictly decreasing in N is the completeness proxy.
     """
     one = np.array([1.0])
-    total = quad.integrate(_pair_product(one, one), weight, rel_tol=rel_tol)
-    errs = []
-    acc = 0.0
-    for e in members:
-        proj = quad.integrate(_pair_product(one, e), weight, rel_tol=rel_tol)
-        acc += proj * proj
-        errs.append(float(np.sqrt(max(total - acc, 0.0))))
-    return errs
+    total, *proj = quad.gram_matrix([one], weight, others=[one, *members])[0]
+    acc = np.cumsum(np.square(proj))
+    return [float(np.sqrt(max(total - a, 0.0))) for a in acc]
 
 
 # ---------------------------------------------------------------------------

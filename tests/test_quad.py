@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad as adaptive_quad
 
 from exopoly import quad
+from exopoly.polycore import Poly
 from exopoly.quad import QuadratureError, WeightSpec, golub_welsch, gram_matrix, integrate
 
 from oracles import jacobi_moment, laguerre_moment, log_laguerre_moment
@@ -135,6 +136,30 @@ class TestGramMatrix:
         g = gram_matrix([np.array([1.0, 2.0])], WeightSpec.jacobi(1, 1))
         assert g.shape == (1, 1)
         assert g[0, 0] > 0
+
+    @pytest.mark.parametrize("weight", [WeightSpec.x1_laguerre(F(7, 2)),
+                                        WeightSpec.x1_jacobi(F(2), F(5))],
+                             ids=["x1-laguerre", "x1-jacobi"])
+    def test_matches_per_pair_integrate(self, weight):
+        polys = [Poly((1, 2)), Poly((F(-1, 3), 0, 1)), np.array([0.5, -1.0, 0.25, 1.0]),
+                 np.array([2.0, 0.0, 0.0, 0.0, -1.0])]
+        others = [Poly((3,)), np.array([1.0, 1.0])]
+
+        def ref(p, q):
+            def value(f, x):
+                return f(x) if isinstance(f, Poly) else np.polynomial.polynomial.polyval(x, f)
+            return integrate(lambda x: value(p, x) * value(q, x), weight)
+
+        g = gram_matrix(polys, weight)
+        h = gram_matrix(polys, weight, others=others)
+        assert g.shape == (4, 4) and h.shape == (4, 2)
+        norms = [ref(p, p) for p in polys]
+        other_norms = [ref(q, q) for q in others]
+        for i, p in enumerate(polys):
+            for j, q in enumerate(polys):
+                assert abs(g[i, j] - ref(p, q)) <= 1e-13 * math.sqrt(norms[i] * norms[j])
+            for j, q in enumerate(others):
+                assert abs(h[i, j] - ref(p, q)) <= 1e-13 * math.sqrt(norms[i] * other_norms[j])
 
     def test_symmetry_exact(self):
         k = F(1)

@@ -212,6 +212,17 @@ class TestCliVerify:
     def test_unreadable_config_exits_two(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
 
+    def test_n_max_13_raises_quadrature_error(self, tmp_path):
+        # The quadrature of the Gram-Schmidt route stops converging at n_max 13
+        # on the default grid, by numerical accident rather than design: any
+        # change to the quadrature or to Gram-Schmidt must re-check this edge.  bench/selftest.py counts on this
+        # campaign failing with QuadratureError escaping cli.main; ROADMAP
+        # item 4 maps the error to exit 3 and must change both together.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_max": 13}))
+        with pytest.raises(quad.QuadratureError):
+            main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+
 
 class TestCliPoly:
     def test_x1_table_contains_first_member(self, capsys):
@@ -318,6 +329,16 @@ class TestCliQuad:
 
     def test_laguerre_rule_requires_k(self):
         assert main(["quad", "--rule", "laguerre", "--n", "4"]) == 2
+
+    @pytest.mark.parametrize("argv,name", [
+        (["--rule", "laguerre", "--k", "400", "--n", "200"], "k"),
+        (["--rule", "jacobi", "--alpha", "1e300", "--beta", "1", "--n", "4"], "alpha"),
+        (["--rule", "laguerre", "--k", "1e400", "--n", "4"], "k"),
+    ])
+    def test_weight_overflowing_a_float_exits_two(self, argv, name, capsys):
+        assert main(["quad", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"parameter {name} is too large" in err
 
     def test_jacobi_rule(self, capsys):
         assert main(["quad", "--rule", "jacobi", "--alpha", "1/2", "--beta", "3/2",

@@ -191,6 +191,14 @@ class TestGramSchmidtRoute:
         g = gram_matrix(fam, w)
         assert np.max(np.abs(g - np.eye(6))) < 1e-10
 
+    @pytest.mark.parametrize("weight", [WeightSpec.x1_laguerre(F(7, 2)),
+                                        WeightSpec.x1_jacobi(F(2), F(5))],
+                             ids=["x1-laguerre", "x1-jacobi"])
+    def test_members_depend_only_on_earlier_seeds(self, weight):
+        short, long = gram_schmidt_family(weight, 8), gram_schmidt_family(weight, 10)
+        assert len(short) == 8
+        assert all(np.array_equal(a, b) for a, b in zip(short, long[:8]))
+
     def test_degrees_and_positive_leading(self):
         w = WeightSpec.x1_jacobi(F(2), F(5))
         fam = gram_schmidt_family(w, 5)
