@@ -136,14 +136,18 @@ def cmd_spectrum(args) -> int:
         grid = Grid(a, b, args.grid_n)
     except ValueError as exc:
         return _fail(f"bad grid: {exc}", EXIT_BAD_CONFIG)
+    if not 1 <= args.levels <= grid.n:
+        return _fail(f"--levels must be between 1 and --grid-n ({grid.n}), "
+                     f"got {args.levels}", EXIT_BAD_CONFIG)
+
+    def extended_v(x):
+        return preset.extended_potential(x, args.exc_level)
 
     def solve(v, tag):
         return solver.solve_spectrum(v, grid, args.levels,
                                      preset=tag, params=preset.params())
 
     try:
-        if args.extended or args.compare:
-            extended_v = _extended_potential(preset, args.exc_level)
         if args.compare:
             rep = solve(preset.potential, args.preset)
             rep_ext = solve(extended_v, args.preset + "-extended")
@@ -159,13 +163,6 @@ def cmd_spectrum(args) -> int:
     text = rep.to_csv() if args.format == "csv" else rep.to_json(indent=2)
     _emit(text, args.out)
     return EXIT_OK
-
-
-def _extended_potential(preset, level: int):
-    # coulomb/morse extensions are level-dependent; the others ignore n
-    if preset.name in ("coulomb", "morse"):
-        return lambda x: preset.extended_potential(x, level)
-    return lambda x: preset.extended_potential(x)
 
 
 def cmd_quad(args) -> int:

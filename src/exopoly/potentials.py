@@ -24,7 +24,7 @@ import numpy as np
 
 from .polycore import Poly, RationalLike, as_rational, laguerre_classical, jacobi_classical
 from .solver import Grid, GridFunction, discretize, eigen_residual, rayleigh_quotient
-from .xop import x1_jacobi_op_route, x1_laguerre_op_route
+from .xop import x1_jacobi_op_route, x1_laguerre_op_route, xj_quotient_residual_coeffs
 
 
 class PotentialError(ValueError):
@@ -141,7 +141,7 @@ class Oscillator3D:
     def extended_potential(self, x, n: Optional[int] = None):
         return self.potential(x) + self.extension(x)
 
-    def ve_printed(self, u):
+    def ve_printed(self, u, n: Optional[int] = None):
         """The extension in its printed form, as a function of u = x^2/2."""
         return ve_laguerre(u, self.k)
 
@@ -232,7 +232,7 @@ class CoulombRadial:
     def extended_potential(self, x, n: int):
         return self.potential(x) + self.extension(x, n)
 
-    def ve_printed(self, r):
+    def ve_printed(self, r, n: Optional[int] = None):
         """Printed form: ve in the variable r with parameter 2l+1."""
         return ve_laguerre(r, self.k)
 
@@ -352,8 +352,12 @@ class Morse:
     def extended_potential(self, x, n: int):
         return self.potential(x) + self.extension(x, n)
 
-    def ve_printed(self, y, n: int):
-        """Printed form 1/(y+s-n) - 2(s-n)/(y+s-n)^2, verbatim (pole checked)."""
+    def ve_printed(self, y, n: Optional[int] = None):
+        """Printed form 1/(y+s-n) - 2(s-n)/(y+s-n)^2, verbatim (pole checked).
+
+        The form is level-dependent: n = None raises like any level outside
+        the bound spectrum.
+        """
         self._check_level(n)
         smn = float(self.s) - n
         if smn <= 0:
@@ -487,7 +491,7 @@ class ScarfTrig:
     def extended_potential(self, x, n: Optional[int] = None):
         return self.potential(x) + self.extension(x)
 
-    def ve_printed(self, z):
+    def ve_printed(self, z, n: Optional[int] = None):
         """Printed extension A(2A-1)/(2A-1-2Bz) - (A(2A-1)^2-4B^2)/(2A-1-2Bz)^2.
 
         Kept verbatim for auditing; its pole (2A-1)/(2B) is rejected if it
@@ -580,11 +584,7 @@ def ve_preset(preset, coordinate, n: Optional[int] = None):
     """
     if isinstance(preset, str):
         preset = make_preset(preset, {})
-    if preset.name == "morse":
-        if n is None:
-            raise PotentialError("the morse extension is level-dependent; pass n")
-        return preset.ve_printed(coordinate, n)
-    return preset.ve_printed(coordinate)
+    return preset.ve_printed(coordinate, n)
 
 
 def closed_form_eigenstate(preset, n: int, kind: str = "classical") -> EigenstateClosedForm:
@@ -612,14 +612,17 @@ def quotient_identity_check(f, k: RationalLike, grid: Grid, j: int = 1,
     """Max grid residual of the quotient form of the extended Laguerre equation.
 
     Evaluates  x g'' + (k+1-x) g' + (c - A/(x+k) - B/(x+k)^2) g  with
-    g = f/(x+k)^j and c = deg(f) - j, using analytic derivatives of the
-    quotient.  For j = 1 the coefficients default to the exceptional-family
+    g = f/(x+k)^j and c = deg(f) - j, as the cleared polynomial of
+    :func:`exopoly.xop.xj_quotient_residual_coeffs` divided by (x+k)^(j+2) on
+    the grid.  For j = 1 the coefficients default to the exceptional-family
     values (A, B) = (1, -2k); for j >= 2 they must be supplied (see
     :func:`exopoly.xop.xj_quotient_solve`, which also explains why no
     n-independent choice exists).  A small residual confirms the identity for
-    this f; a wrong polynomial fails loudly.  The value is the raw maximum,
-    so it scales with |f| on the grid: for high degrees on wide grids expect
-    the roundoff floor around 1e-16 * max|f|.
+    this f; a wrong polynomial fails loudly.  The cancellation happens in the
+    cleared coefficients, before any grid value is formed, so a member with
+    small exact coefficients can read exactly 0; otherwise the roundoff floor
+    is about 1e-16 * max_i |r_i x^i| / (x+k)^(j+2) for the cleared polynomial
+    sum_i r_i x^i, which grows with the degree and the grid width.
     """
     kf = float(k) if isinstance(k, float) else float(as_rational(k))
     if isinstance(f, Poly):
@@ -634,16 +637,7 @@ def quotient_identity_check(f, k: RationalLike, grid: Grid, j: int = 1,
         a_coef, b_coef = 1.0, -2.0 * kf
     else:
         a_coef, b_coef = float(rational_coeffs[0]), float(rational_coeffs[1])
-    c = float(deg - j)
-    pp = np.polynomial.polynomial
+    cleared = xj_quotient_residual_coeffs(coeffs, kf, j, a_coef, b_coef, float(deg - j))
     x = grid.points()
-    t = x + kf
-    fv = pp.polyval(x, coeffs)
-    fpv = pp.polyval(x, pp.polyder(coeffs))
-    fppv = pp.polyval(x, pp.polyder(coeffs, 2))
-    g = fv / t**j
-    gp = (fpv - j * fv / t) / t**j
-    gpp = (fppv - 2 * j * fpv / t + j * (j + 1) * fv / t**2) / t**j
-    slot = c - a_coef / t - b_coef / t**2
-    res = x * gpp + (kf + 1 - x) * gp + slot * g
+    res = np.polynomial.polynomial.polyval(x, cleared) / (x + kf) ** (j + 2)
     return float(np.max(np.abs(res)))

@@ -155,6 +155,8 @@ def recurrence_coefficients(weight: WeightSpec, n: int) -> Recurrence:
     Raises ValueError naming the parameter when the mass or a coefficient does
     not fit a float (e.g. Gamma(k+1) past k ~ 170).
     """
+    if n < 1:
+        raise ValueError(f"recurrence needs n >= 1 coefficients, got n={n}")
     w = weight.classical_base()
     i = np.arange(n, dtype=float)
     try:

@@ -144,19 +144,12 @@ def _jacobi_ladder(P: Poly, al: Fraction, be: Fraction) -> Poly:
 def x1_laguerre_ode_residual(f: Poly, k: RationalLike, n: int) -> Poly:
     """Cleared residual of the exceptional Laguerre equation at eigenvalue index n.
 
-    -x(x+k) f'' + (x-k)[(k+x+1) f' - f] - (n-1)(x+k) f, exactly.  Zero
+    -x(x+k) f'' + (x-k)[(k+x+1) f' - f] - (n-1)(x+k) f, exactly: the
+    codimension-j equation of :func:`xj_laguerre_ode_residual` at j=1.  Zero
     polynomial iff f is the index-n eigenpolynomial (the eigenvalue being
     n-1 in the uncleared equation).
     """
-    kq = as_rational(k)
-    lam = as_rational(n) - 1
-    fp, fpp = f.derivative(), f.derivative().derivative()
-    x_plus_k = Poly((kq, 1))
-    return (
-        -(X * x_plus_k) * fpp
-        + Poly((-kq, 1)) * (Poly((kq + 1, 1)) * fp - f)
-        - lam * x_plus_k * f
-    )
+    return _laguerre_residual(f, k, 1, n)
 
 
 def x1_jacobi_ode_residual(f: Poly, alpha: RationalLike, beta: RationalLike,
@@ -188,17 +181,18 @@ def xj_laguerre_ode_residual(f: Poly, k: RationalLike, j: int, n: RationalLike) 
     """
     if j < 1:
         raise ValueError("codimension j must be >= 1")
-    kq = as_rational(k)
-    nq = as_rational(n)
-    fp, fpp = f.derivative(), f.derivative().derivative()
-    x_plus_k = Poly((kq, 1))
+    return _laguerre_residual(f, k, j, n)
+
+
+def _laguerre_residual(f: Poly, k: RationalLike, j: int, n: RationalLike) -> Poly:
+    """The one body of both Laguerre residuals (private, so a traced public
+    name never calls the other)."""
+    kq, nq = as_rational(k), as_rational(n)
+    fp = f.derivative()
     first_order = Poly((-kq, 1)) * Poly((kq + 1, 1)) - (2 * (j - 1)) * X
-    return (
-        -(X * x_plus_k) * fpp
-        + first_order * fp
-        - j * Poly((-kq, 1)) * f
-        - (nq - j) * x_plus_k * f
-    )
+    # j(x-k) + (n-j)(x+k) collected into one factor: one product with f, not two
+    zeroth_order = Poly(((nq - 2 * j) * kq, nq))
+    return -(X * Poly((kq, 1))) * fp.derivative() + first_order * fp - zeroth_order * f
 
 
 def xj_polynomial_solve(k: RationalLike, j: int, n: RationalLike,
@@ -236,7 +230,7 @@ def xj_index_scan(k: RationalLike, j: int, n_values, max_degree: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# quotient-compatible Xj instances (matrix pencil in the shifted variable)
+# quotient-compatible Xj instances (tridiagonal eigenproblem in the shifted variable)
 # ---------------------------------------------------------------------------
 
 def xj_quotient_residual_coeffs(f: np.ndarray, k: float, j: int,

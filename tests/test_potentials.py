@@ -162,6 +162,11 @@ class TestPresetRegistry:
         with pytest.raises(PotentialError):
             closed_form_eigenstate("oscillator3d", 1, "mystery")
 
+    @pytest.mark.parametrize("preset,coordinate", [
+        (Oscillator3D(), 0.7), (CoulombRadial(), 1.3), (ScarfTrig(A=4, B=1), 0.2)])
+    def test_level_free_extensions_ignore_n(self, preset, coordinate):
+        assert preset.ve_printed(coordinate, 2) == preset.ve_printed(coordinate)
+
     def test_make_preset_roundtrip(self):
         sc = make_preset("scarf", {"A": "3", "B": "1"})
         assert isinstance(sc, ScarfTrig)

@@ -313,6 +313,13 @@ class TestCliSpectrum:
                      "--exc-level", "0", "--grid-n", "2000", "--domain", "0,80"])
         assert code == 3
 
+    @pytest.mark.parametrize("levels,grid_n", [("0", "2000"), ("17", "16")])
+    def test_level_count_outside_the_grid_exits_two(self, levels, grid_n, capsys):
+        code = main(["spectrum", "--preset", "oscillator3d", "--levels", levels,
+                     "--grid-n", grid_n])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --levels must be between 1")
+
     def test_csv_format(self, capsys):
         code = main(["spectrum", "--preset", "oscillator3d", "--l", "1",
                      "--grid-n", "2000", "--levels", "2", "--format", "csv"])
@@ -339,6 +346,14 @@ class TestCliQuad:
         assert main(["quad", *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"parameter {name} is too large" in err
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    @pytest.mark.parametrize("rule", [["legendre"], ["laguerre", "--k", "1"],
+                                      ["jacobi", "--alpha", "1", "--beta", "2"]])
+    def test_non_positive_node_count_exits_two(self, rule, n, capsys):
+        assert main(["quad", "--rule", *rule, "--n", n]) == 2
+        assert capsys.readouterr().err.startswith(f"error: recurrence needs n >= 1 "
+                                                  f"coefficients, got n={n}")
 
     def test_jacobi_rule(self, capsys):
         assert main(["quad", "--rule", "jacobi", "--alpha", "1/2", "--beta", "3/2",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import sympy
 
 from exopoly.polycore import Poly
 from exopoly.quad import WeightSpec, gram_matrix
@@ -164,6 +165,56 @@ class TestXjEquation:
         a3 = sorted(s["A"] for s in xj_quotient_solve(1.0, 2, 3))
         assert not np.isclose(a2, 2.0).any()  # the printed value j=2 never occurs
         assert min(abs(x - y) for x in a2 for y in a3) > 0.2
+
+
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+positive_k = st.fractions(min_value=F(1, 4), max_value=5, max_denominator=4)
+
+
+class TestQuotientIdentityAgainstSympy:
+    """The cleared quotient identity, the one evaluator behind both the
+    xj_quotient_solve filter and the grid check, against sympy's expansion."""
+
+    @given(st.lists(small_rationals, min_size=1, max_size=6), positive_k,
+           st.integers(min_value=1, max_value=3),
+           small_rationals, small_rationals, small_rationals)
+    @settings(max_examples=40, deadline=None)  # sympy is the slow side
+    def test_cleared_coefficients(self, f, k, j, A, B, c):
+        x = sympy.Symbol("x")
+        q = [sympy.Rational(v.numerator, v.denominator) for v in (k, A, B, c)]
+        kq, aq, bq, cq = q
+        g = sum(sympy.Rational(v.numerator, v.denominator) * x**i
+                for i, v in enumerate(f)) / (x + kq) ** j
+        clear = (x + kq) ** (j + 2)
+        # the bracket's three terms, each cleared to a polynomial on its own
+        terms = [sympy.Poly(sympy.cancel(clear * t), x).all_coeffs()[::-1]
+                 for t in (x * g.diff(x, 2), (kq + 1 - x) * g.diff(x),
+                           (cq - aq / (x + kq) - bq / (x + kq) ** 2) * g)]
+        size = max(map(len, terms))
+        terms = [t + [0] * (size - len(t)) for t in terms]
+        exact = np.array([float(sum(col)) for col in zip(*terms)])
+        ours = xj_quotient_residual_coeffs([float(v) for v in f], float(k), j,
+                                           float(A), float(B), float(c))
+        assert np.all(ours[size:] == 0)
+        ours = np.concatenate([ours, np.zeros(max(0, size - len(ours)))])[:size]
+        # relative to the largest term, so an identity that cancels to 0 is held
+        # to the same standard as one that does not
+        scale = max(float(sum(abs(v) for v in col)) for col in zip(*terms))
+        assert np.max(np.abs(ours - exact)) <= 1e-12 * scale
+
+    @given(st.lists(small_rationals, min_size=1, max_size=6), positive_k,
+           st.integers(min_value=1, max_value=8))
+    @settings(max_examples=40, deadline=None)
+    def test_j1_quotient_is_the_x1_equation(self, f, k, n):
+        # at A = 1, B = -2k, c = n-1 the cleared j=1 quotient identity is
+        # -(x+k) times the cleared X1 residual, for every f
+        exact = (-Poly((k, 1)) * x1_laguerre_ode_residual(Poly(f), k, n)).to_floats()
+        ours = xj_quotient_residual_coeffs([float(v) for v in f], float(k), 1,
+                                           1.0, -2.0 * float(k), float(n - 1))
+        size = max(len(exact), len(ours))
+        exact, ours = (np.concatenate([a, np.zeros(size - len(a))])
+                       for a in (np.asarray(exact, float), np.asarray(ours, float)))
+        assert np.max(np.abs(ours - exact)) <= 1e-12 * max(1.0, np.max(np.abs(exact)))
 
 
 class TestGramSchmidtRoute:
