@@ -39,6 +39,7 @@ from .solver import (  # noqa: F401
     SpectrumReport,
     discretize,
     eigen_lowest,
+    lowest_levels,
     rayleigh_quotient,
     solve_spectrum,
     spectrum_compare,

@@ -158,7 +158,9 @@ def cmd_spectrum(args) -> int:
             rep = solve(extended_v, args.preset + "-extended")
         else:
             rep = solve(preset.potential, args.preset)
-    except (SolverError, PotentialError) as exc:
+    except PotentialError as exc:  # an inadmissible --exc-level
+        return _fail(str(exc), EXIT_BAD_CONFIG)
+    except SolverError as exc:
         return _fail(str(exc), EXIT_SOLVER)
     text = rep.to_csv() if args.format == "csv" else rep.to_json(indent=2)
     _emit(text, args.out)

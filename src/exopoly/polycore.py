@@ -171,35 +171,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly._from_ints([i * c for i, c in enumerate(self._num) if i], self._den)
 
-    def compose_linear(self, a: RationalLike, b: RationalLike) -> "Poly":
-        """Exact substitution x -> a*x + b, via Horner over the polynomial ring."""
-        inner = Poly((b, a))
-        out = Poly.zero()
-        for c in reversed(self.coeffs):
-            out = out * inner + Poly.constant(c)
-        return out
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact polynomial division with remainder."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        divisor = other.coeffs
-        quo = [Fraction(0)] * max(len(rem) - len(divisor) + 1, 0)
-        d, lead = other.degree, other.leading
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            quo[shift] = factor
-            for i, c in enumerate(divisor):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        return Poly(quo), Poly(rem)
-
     # evaluation -----------------------------------------------------------
 
     def __call__(self, value):

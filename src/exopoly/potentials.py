@@ -321,9 +321,6 @@ class Morse:
         return {"A": str(self.A), "B": str(self.B), "alpha": str(self.alpha),
                 "energy_shift": self.energy_shift}
 
-    def max_level(self) -> int:
-        return max(int(math.ceil(float(self.s) - 1e-9)) - 1, -1)
-
     def variable(self, x):
         af, bf = float(self.alpha), float(self.B)
         return (2 * bf / af) * np.exp(-af * np.asarray(x, dtype=float))

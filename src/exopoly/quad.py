@@ -180,9 +180,9 @@ def recurrence_coefficients(weight: WeightSpec, n: int) -> Recurrence:
                         4 * jj * (jj + al) * (jj + be) * (jj + s)
                         / ((2 * jj + s) ** 2 * (2 * jj + s + 1) * (2 * jj + s - 1))
                     )
-            mu0 = 2 ** (s + 1) * math.exp(
-                math.lgamma(al + 1) + math.lgamma(be + 1) - math.lgamma(s + 2)
-            )
+            # all in log space: 2^(s+1) alone overflows long before the mass does
+            mu0 = math.exp((s + 1) * math.log(2) + math.lgamma(al + 1)
+                           + math.lgamma(be + 1) - math.lgamma(s + 2))
     except OverflowError:
         mu0 = math.inf  # a and b may be unset; the test below stops at mu0
     if not (math.isfinite(mu0) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):

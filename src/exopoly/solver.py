@@ -3,14 +3,23 @@
 The Hamiltonian convention everywhere is H = -d^2/dx^2 + V(x) with Dirichlet
 boundaries at both ends of the (truncated) domain, discretized with the
 standard 3-point Laplacian.  The symmetric tridiagonal eigenproblems go
-through LAPACK's bisection + inverse-iteration path (scipy
-``eigh_tridiagonal``), which also serves the Golub-Welsch construction in
-:mod:`exopoly.quad`.
+through LAPACK's bisection (scipy ``eigh_tridiagonal``), which also serves
+the Golub-Welsch construction in :mod:`exopoly.quad`.  Eigenvectors, by
+inverse iteration, are computed only when asked for: the verify path's
+spectrum checks read eigenvalues alone (:func:`lowest_levels`), and
+:func:`solve_spectrum` adds vectors and residuals for ``exopoly spectrum``.
+
+Inner products and norms of grid vectors are numpy reductions, not
+``np.dot``/``np.linalg.norm``.  Those hand vectors of more than about ten
+thousand elements to BLAS ``ddot``, which OpenBLAS runs on its thread pool;
+on a 2-vCPU machine each such call cost about 8 ms, against microseconds for
+the reduction, and inverse iteration makes the same threaded calls.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -20,6 +29,11 @@ from scipy.linalg import eigh_tridiagonal
 
 class SolverError(RuntimeError):
     """Raised when a discretization or eigensolve cannot proceed."""
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) by numpy's pairwise reduction, kept off the BLAS thread pool."""
+    return float(np.add.reduce(a * b))
 
 
 @dataclass(frozen=True)
@@ -64,20 +78,16 @@ class GridFunction:
             raise ValueError("grid function contains non-finite values")
 
     def norm(self) -> float:
-        return float(np.sqrt(self.grid.h * np.dot(self.values, self.values)))
+        return math.sqrt(self.grid.h * _dot(self.values, self.values))
 
     def inner(self, other: "GridFunction") -> float:
-        return float(self.grid.h * np.dot(self.values, other.values))
+        return self.grid.h * _dot(self.values, other.values)
 
     def normalized(self) -> "GridFunction":
         nrm = self.norm()
         if nrm == 0:
             raise ValueError("cannot normalize the zero grid function")
         return GridFunction(self.grid, self.values / nrm)
-
-    @staticmethod
-    def sample(f: Callable[[np.ndarray], np.ndarray], grid: Grid) -> "GridFunction":
-        return GridFunction(grid, np.asarray(f(grid.points()), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -122,22 +132,36 @@ def tridiagonal_eigh(
     count: Optional[int] = None,
     values_only: bool = False,
 ):
-    """Eigen-decomposition of a symmetric tridiagonal matrix.
+    """Eigen-decomposition of a symmetric tridiagonal matrix, ascending.
 
-    With ``count`` set, only the lowest ``count`` pairs are computed via
-    bisection on Sturm sequences plus inverse iteration; otherwise the full
-    decomposition is returned.  ``values_only`` skips eigenvectors (used by
-    the Golub-Welsch quadrature construction, where large rules would not fit
-    a full eigenvector matrix).
+    With ``count`` set, only the lowest ``count`` eigenvalues are computed, by
+    bisection on Sturm sequences; otherwise the full spectrum.  Eigenvectors
+    (inverse iteration for ``count``) are returned alongside unless
+    ``values_only``, which returns the eigenvalues alone.
     """
+    select, select_range = ("a", None) if count is None else ("i", (0, count - 1))
     try:
-        if count is None:
-            if values_only:
-                return eigh_tridiagonal(diag, off, eigvals_only=True)
-            return eigh_tridiagonal(diag, off)
-        return eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
+        return eigh_tridiagonal(diag, off, eigvals_only=values_only,
+                                select=select, select_range=select_range)
     except Exception as exc:  # pragma: no cover - LAPACK failures are exotic
         raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
+
+
+def _check_count(count: int, op: Tridiagonal) -> None:
+    if count < 1 or count > op.n:
+        raise ValueError("count must be between 1 and the matrix size")
+
+
+def lowest_levels(potential: Callable[[np.ndarray], np.ndarray], grid: Grid,
+                  count: int) -> list[float]:
+    """Lowest ``count`` eigenvalues of -d^2/dx^2 + V on ``grid``, ascending.
+
+    The same numbers as :func:`solve_spectrum`'s, without eigenvectors.
+    """
+    op = discretize(potential, grid)
+    _check_count(count, op)
+    w = tridiagonal_eigh(op.diag, op.off, count=count, values_only=True)
+    return [float(e) for e in w]
 
 
 def eigen_lowest(op: Tridiagonal, count: int, grid: Optional[Grid] = None):
@@ -147,33 +171,32 @@ def eigen_lowest(op: Tridiagonal, count: int, grid: Optional[Grid] = None):
     given, Euclidean otherwise).  Returns a list of (eigenvalue, vector) with
     vector a GridFunction when ``grid`` is given, else a plain array.
     """
-    if count < 1 or count > op.n:
-        raise ValueError("count must be between 1 and the matrix size")
+    _check_count(count, op)
     w, v = tridiagonal_eigh(op.diag, op.off, count=count)
     pairs = []
     for i in range(count):
         vec = v[:, i]
         if grid is not None:
-            gf = GridFunction(grid, vec / np.sqrt(grid.h * np.dot(vec, vec)))
+            gf = GridFunction(grid, vec / math.sqrt(grid.h * _dot(vec, vec)))
             pairs.append((float(w[i]), gf))
         else:
-            pairs.append((float(w[i]), vec / np.linalg.norm(vec)))
+            pairs.append((float(w[i]), vec / math.sqrt(_dot(vec, vec))))
     return pairs
 
 
 def eigen_residual(op: Tridiagonal, value: float, vec: np.ndarray) -> float:
     """Discrete residual ||T psi - E psi|| / ||psi|| (norm-independent)."""
     r = op.matvec(vec) - value * vec
-    return float(np.linalg.norm(r) / np.linalg.norm(vec))
+    return math.sqrt(_dot(r, r) / _dot(vec, vec))
 
 
 def rayleigh_quotient(op: Tridiagonal, psi) -> float:
     """<psi, T psi> / <psi, psi> for a grid function or plain vector."""
     v = psi.values if isinstance(psi, GridFunction) else np.asarray(psi, dtype=float)
-    denom = float(np.dot(v, v))
+    denom = _dot(v, v)
     if denom == 0.0:
         raise ValueError("rayleigh quotient of the zero vector")
-    return float(np.dot(v, op.matvec(v)) / denom)
+    return _dot(v, op.matvec(v)) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +310,7 @@ def convergence_order(
     for n in sizes:
         g = Grid(domain[0], domain[1], n)
         op = discretize(potential, g)
-        w, _ = tridiagonal_eigh(op.diag, op.off, count=level + 1)
+        w = tridiagonal_eigh(op.diag, op.off, count=level + 1, values_only=True)
         hs.append(g.h)
         errs.append(abs(float(w[level]) - exact))
     if any(e == 0 for e in errs):

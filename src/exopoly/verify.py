@@ -362,23 +362,20 @@ def suite_spectra(cfg: VerificationConfig) -> list[dict]:
         osc = Oscillator3D(l=l)
         grid = Grid(*osc.default_domain(), npts)
         t0 = time.perf_counter()
-        rep = solver.solve_spectrum(osc.potential, grid, 3, preset="oscillator3d",
-                                    params=osc.params())
+        levels = solver.lowest_levels(osc.potential, grid, 3)
         rel = max(
-            abs(rep.eigenvalues[n] - osc.classical_energy(n)) / osc.classical_energy(n)
+            abs(levels[n] - osc.classical_energy(n)) / osc.classical_energy(n)
             for n in range(3)
         )
         rows.append(_gate(f"oscillator-spectrum[l={l}]",
                           "grid solver reproduces E_n = 2n + l + 3/2",
                           {"l": l, "N": npts,
-                           "levels": [round(e, 8) for e in rep.eigenvalues]},
+                           "levels": [round(e, 8) for e in levels]},
                           rel, tol["spectrum_rel"], t0))
 
         t0 = time.perf_counter()
-        rep_ext = solver.solve_spectrum(osc.extended_potential, grid, 3,
-                                        preset="oscillator3d-extended",
-                                        params=osc.params())
-        mapping = solver.spectrum_compare(rep.eigenvalues, rep_ext.eigenvalues, 1e-2)
+        levels_ext = solver.lowest_levels(osc.extended_potential, grid, 3)
+        mapping = solver.spectrum_compare(levels, levels_ext, 1e-2)
         rows.append(_check(f"oscillator-isospectrality[l={l}]",
                            "extended vs classical level mapping (missing states reported)",
                            {"l": l, "mapping": mapping,
@@ -421,11 +418,9 @@ def suite_spectra(cfg: VerificationConfig) -> list[dict]:
                       tol["rayleigh_rel"], t0))
 
     t0 = time.perf_counter()
-    rep_cl = solver.solve_spectrum(sc.potential, scgrid, 4, preset="scarf",
-                                   params=sc.params())
-    rep_ext = solver.solve_spectrum(sc.extended_potential, scgrid, 4,
-                                    preset="scarf-extended", params=sc.params())
-    mapping = solver.spectrum_compare(rep_cl.eigenvalues, rep_ext.eigenvalues, 1e-2)
+    levels_cl = solver.lowest_levels(sc.potential, scgrid, 4)
+    levels_ext = solver.lowest_levels(sc.extended_potential, scgrid, 4)
+    mapping = solver.spectrum_compare(levels_cl, levels_ext, 1e-2)
     rows.append(_check("scarf-isospectrality",
                        "extended vs classical level mapping (missing states reported)",
                        {"mapping": mapping,

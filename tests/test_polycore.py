@@ -74,10 +74,6 @@ class TestPolyArithmetic:
     def test_derivative_of_constant_is_zero(self):
         assert Poly((7,)).derivative().is_zero
 
-    def test_compose_linear(self):
-        p = Poly((1, 2, 1))  # (x+1)^2
-        assert p.compose_linear(2, -1) == Poly((0, 0, 4))  # (2x-1+1)^2
-
     def test_exact_evaluation_and_float_evaluation(self):
         p = Poly((F(1, 3), 0, 1))
         assert p(F(1, 2)) == F(7, 12)
@@ -87,15 +83,6 @@ class TestPolyArithmetic:
     @settings(deadline=None)
     def test_addition_roundtrip(self, p, q):
         assert (p + q) - q == p
-
-    @given(small_polys, small_polys)
-    @settings(max_examples=60, deadline=None)
-    def test_exact_division_of_products(self, p, q):
-        if q.is_zero:
-            return
-        quo, rem = (p * q).divmod(q)
-        assert rem.is_zero
-        assert quo == p
 
     def test_decimal_literals_read_exactly(self):
         assert as_rational(2.5) == F(5, 2)
@@ -168,26 +155,6 @@ class TestIntegerPolyAgainstSympy:
         assert_canonical(m)
         assert m == from_sympy(to_sympy(p).monic())
         assert m.leading == 1
-
-    @given(any_polys, nonzero_polys)
-    @oracle_settings
-    def test_divmod(self, a, b):
-        q, r = a.divmod(b)
-        assert_canonical(q)
-        assert_canonical(r)
-        assert q * b + r == a
-        assert r.degree < b.degree
-        sq, sr = sympy.div(to_sympy(a), to_sympy(b))
-        assert (q, r) == (from_sympy(sq), from_sympy(sr))
-
-    @given(any_polys, rationals, rationals)
-    @oracle_settings
-    def test_compose_linear(self, p, a, b):
-        out = p.compose_linear(a, b)
-        assert_canonical(out)
-        inner = sympy.Rational(a.numerator, a.denominator) * SX + sympy.Rational(
-            b.numerator, b.denominator)
-        assert out == from_sympy(to_sympy(p).compose(sympy.Poly(inner, SX, domain=sympy.QQ)))
 
     @given(any_polys, st.one_of(rationals, st.integers(-30, 30)))
     @oracle_settings

@@ -87,7 +87,7 @@ class TestClosedFormStates:
 
     def test_morse_energies(self):
         mo = Morse(A=4, B=2)
-        for n in range(mo.max_level() + 1):
+        for n in range(4):  # the bound levels n < s = A / alpha = 4
             assert mo.classical_energy(n) == pytest.approx(16 - (4 - n) ** 2)
         with pytest.raises(PotentialError):
             mo.classical_state(4)

@@ -7,15 +7,18 @@ import pytest
 
 from exopoly.solver import (
     Grid,
+    GridFunction,
     SolverError,
     Tridiagonal,
     convergence_order,
     discretize,
     eigen_lowest,
     eigen_residual,
+    lowest_levels,
     rayleigh_quotient,
     solve_spectrum,
     spectrum_compare,
+    tridiagonal_eigh,
 )
 
 
@@ -74,6 +77,50 @@ class TestEigenLowest:
         assert eigs == sorted(eigs)
         with pytest.raises(ValueError):
             eigen_lowest(op, 0)
+
+
+class TestValuesOnly:
+    def test_bit_equal_to_the_eigenpair_path(self):
+        g = Grid(0.0, 10.0, 3000)
+        op = discretize(lambda x: x**2 / 4 + 2 / x**2, g)
+        w_only = tridiagonal_eigh(op.diag, op.off, count=5, values_only=True)
+        w, v = tridiagonal_eigh(op.diag, op.off, count=5)
+        assert w_only.shape == (5,) and v.shape == (3000, 5)
+        assert np.array_equal(w_only, w)
+
+    def test_lowest_levels_are_the_spectrum_report_levels(self):
+        g = Grid(0.0, 12.0, 2000)
+        potential = lambda x: x**2 / 4  # noqa: E731
+        assert lowest_levels(potential, g, 4) == solve_spectrum(potential, g, 4).eigenvalues
+        with pytest.raises(ValueError):
+            lowest_levels(potential, g, 0)
+
+
+class TestGridInnerProducts:
+    g = Grid(0.0, 14.0, 64000)
+
+    def test_norm_and_inner_match_exact_sums(self):
+        x = self.g.points()
+        f = GridFunction(self.g, x * np.exp(-(x**2) / 4))
+        p = GridFunction(self.g, (1 - x / 3) * np.exp(-x / 2))
+        h = self.g.h
+        assert f.norm() == pytest.approx(math.sqrt(h * math.fsum(f.values**2)), rel=1e-14)
+        exact = h * math.fsum(f.values * p.values)
+        assert f.inner(p) == pytest.approx(exact, rel=1e-14)
+
+    def test_no_blas_reduction_on_grid_vectors(self, monkeypatch):
+        def blas(*args, **kwargs):
+            raise AssertionError("grid vector reduced through BLAS")
+
+        x = self.g.points()
+        psi = GridFunction(self.g, x * np.exp(-(x**2) / 4))
+        op = discretize(lambda x: x**2 / 4, self.g)
+        monkeypatch.setattr(np, "dot", blas)
+        monkeypatch.setattr(np.linalg, "norm", blas)
+        psi.normalized().inner(psi)
+        rayleigh_quotient(op, psi)
+        eigen_residual(op, 1.5, psi.values)
+        eigen_lowest(op, 1, grid=self.g)
 
 
 class TestRayleigh:

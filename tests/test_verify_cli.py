@@ -1,17 +1,21 @@
 """Verification campaign configuration, report contract, CLI exit codes."""
 
 import json
+import math
 import time
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from exopoly import quad, susy, xop
+from exopoly import quad, solver, susy, xop
 from exopoly.cli import main
 from exopoly.polycore import Poly
 from exopoly.verify import (
     ConfigError,
     VerificationConfig,
     run_verification,
+    suite_spectra,
     suite_susy,
     suite_xop,
     write_atomic,
@@ -156,6 +160,32 @@ class TestCampaign:
         # the separation row reuses the residuals of the matched-pairings row
         assert (rows["intertwine-separation"]["runtime"]
                 < rows["intertwine-matched-pairings"]["runtime"])
+
+    def test_spectra_suite_solves_for_eigenvalues_only(self, monkeypatch):
+        def no_vectors(*args, **kwargs):
+            raise AssertionError("the verify path computed eigenvectors")
+
+        flags = []
+        eigh = solver.tridiagonal_eigh
+
+        def recording(diag, off, count=None, values_only=False):
+            flags.append(values_only)
+            return eigh(diag, off, count=count, values_only=values_only)
+
+        monkeypatch.setattr(solver, "eigen_lowest", no_vectors)
+        monkeypatch.setattr(solver, "tridiagonal_eigh", recording)
+        cfg = VerificationConfig.from_dict(
+            {"suites": ["spectra"],
+             "grid": {"spectrum_points": 2000, "rayleigh_points": 4000}})
+        ids = sorted(c["id"] for c in suite_spectra(cfg))
+        assert ids == sorted([
+            "oscillator-spectrum[l=0]", "oscillator-spectrum[l=1]",
+            "oscillator-isospectrality[l=0]", "oscillator-isospectrality[l=1]",
+            "oscillator-convergence-order", "oscillator-exceptional-rayleigh",
+            "scarf-exceptional-rayleigh", "scarf-isospectrality",
+        ])
+        # 2 levels x 2 potentials for the oscillator, 3 convergence sizes, 2 for Scarf
+        assert flags == [True] * 9
 
 
 class TestWriteAtomic:
@@ -307,11 +337,20 @@ class TestCliSpectrum:
         assert main(["spectrum", "--preset", "scarf", "--params",
                      '{"A": "1", "B": "1"}', "--grid-n", "2000"]) == 2
 
-    def test_solver_failure_exits_three(self):
-        # the coulomb extension needs a valid level index; 0 is inadmissible
+    def test_inadmissible_exc_level_exits_two(self, capsys):
+        # the coulomb extension needs a valid level index; 0 is a bad argument
         code = main(["spectrum", "--preset", "coulomb", "--l", "0", "--extended",
                      "--exc-level", "0", "--grid-n", "2000", "--domain", "0,80"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: coulomb extension needs")
+
+    def test_solver_failure_exits_three(self, capsys):
+        # an odd node count on (-1, 1) puts a node on the l(l+1)/x^2 pole
+        with np.errstate(divide="ignore"):
+            code = main(["spectrum", "--preset", "oscillator3d", "--l", "1",
+                         "--domain=-1,1", "--grid-n", "17", "--levels", "2"])
         assert code == 3
+        assert capsys.readouterr().err.startswith("error: potential is not finite")
 
     @pytest.mark.parametrize("levels,grid_n", [("0", "2000"), ("17", "16")])
     def test_level_count_outside_the_grid_exits_two(self, levels, grid_n, capsys):
@@ -346,6 +385,15 @@ class TestCliQuad:
         assert main(["quad", *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"parameter {name} is too large" in err
+
+    def test_jacobi_mass_past_float_powers_of_two(self, capsys):
+        # 2^(alpha+beta+1) = 2^4001 overflows a float; the mass is about 0.04
+        assert main(["quad", "--rule", "jacobi", "--alpha", "2000", "--beta", "2000",
+                     "--n", "4"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[2:]
+        total = math.fsum(float(row.split(",")[1]) for row in rows)
+        mass = Fraction(2**4001 * math.factorial(2000) ** 2, math.factorial(4001))
+        assert total == pytest.approx(float(mass), rel=1e-12)
 
     @pytest.mark.parametrize("n", ["0", "-2"])
     @pytest.mark.parametrize("rule", [["legendre"], ["laguerre", "--k", "1"],
