@@ -38,7 +38,7 @@ for n in range(1, 5):
     ns = family_by_route(spec, n, "nullspace")
     print(f"  n={n}: identical = {op == ns}")
 
-print("\nGram-Schmidt route (floating point, quadrature inner products):")
+print("\nGram-Schmidt route (floating point, in the basis orthonormal for the weight):")
 gs = gram_schmidt_family(spec.weight(), 4)
 for n in range(1, 5):
     dev = coefficient_rel_diff(gs[n - 1], family_by_route(spec, n, "operator"))

@@ -1,16 +1,18 @@
 """Gauss quadrature for the rational weights and the orthogonality they induce.
 
 The exceptional families are orthogonal under classical densities divided by
-(x+k)^2 (Laguerre) or (x-b)^2 (Jacobi).  Integration folds the rational
-factor into the integrand and applies the classical Gauss rule with node
-doubling until two estimates agree -- the integrand is analytic near the
-domain, so convergence is geometric.
+(x+k)^2 (Laguerre) or (x-b)^2 (Jacobi).  Dividing the classical recurrence
+twice by (x-z), z the pole, gives the recurrence of the rational weight
+itself, and so Gauss rules that integrate polynomials exactly by degree.
+For a general integrand, `integrate` folds the rational factor into the
+classical rule instead and doubles the node count until two estimates agree
+-- the integrand is analytic near the domain, so convergence is geometric.
 """
 
 import numpy as np
 
 from exopoly import WeightSpec, golub_welsch, gram_matrix, integrate
-from exopoly.quad import legendre_recurrence, recurrence_coefficients
+from exopoly.quad import legendre_recurrence, recurrence_coefficients, weight_rule
 from exopoly.xop import best_approximation_errors, gram_schmidt_family
 
 print("== Golub-Welsch rules from the Jacobi (recurrence) matrix ==")
@@ -27,20 +29,27 @@ print(f"128-point Laguerre rule: smallest weight {w128.weights.min():.3e} "
 print("\n== integrating against the rational weight ==")
 w = WeightSpec.x1_laguerre(1)
 val = integrate(lambda x: np.ones_like(x), w)
-print(f"mass of x e^-x/(x+1)^2 on (0, inf): {val:.15f}")
+print(f"mass of x e^-x/(x+1)^2 on (0, inf), by node doubling: {val:.15f}")
+rule = weight_rule(w, 1)
+print(f"the same mass as the weight of the 1-point rule of the weight itself: "
+      f"{rule.weights[0]:.15f}")
 
 kf = 1.0
-val = integrate(lambda x: (x + kf + 1) * (x + kf) ** 2, w)
-print(f"(x+k+1)(x+k)^2 against the same weight: {val:.12f} "
+rule = weight_rule(w, 2)  # exact through degree 3
+val = rule.integrate(lambda x: (x + kf + 1) * (x + kf) ** 2)
+print(f"(x+k+1)(x+k)^2 on the 2-point rule of the weight: {val:.12f} "
       "(rational factor cancels; equals a pure Gamma moment: 2(k+1)Gamma(k+1) = 4)")
 
 print("\n== orthogonality of the exceptional family ==")
-# member i depends only on the first i seeds, so one 10-member family serves
-# both sections below
+# Gram-Schmidt runs in the orthonormal basis of the weight's own recurrence:
+# the seeds span the kernel of l(p) = p(-k) - p'(-k), so one QR of a
+# bidiagonal matrix orthogonalizes them, and no integral is taken.  Member i
+# depends only on the first i seeds, so one 10-member family serves both
+# sections below.
 family = gram_schmidt_family(w, 10)
 gram = gram_matrix(family[:6], w)
 off = np.abs(gram - np.eye(6)).max()
-print(f"Gram matrix of the first 6 members: max |G - I| = {off:.2e}")
+print(f"Gram matrix of the first 6 members on a 7-point rule: max |G - I| = {off:.2e}")
 
 print("\n== completeness proxy ==")
 errs = best_approximation_errors(w, family)

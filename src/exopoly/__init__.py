@@ -9,8 +9,9 @@ Layers, bottom up:
 * :mod:`exopoly.xop` -- the exceptional families by three independent routes
   (ladder operator, exact ODE nullspace, Gram-Schmidt under the rational
   weight), with the defining equations checked as exact identities.
-* :mod:`exopoly.quad` -- Gauss rules (Golub-Welsch) and convergence-controlled
-  integration for the rational weights.
+* :mod:`exopoly.quad` -- Gauss rules (Golub-Welsch) for the classical weights
+  and for the rational weights themselves, and convergence-controlled
+  integration of arbitrary integrands.
 * :mod:`exopoly.solver` -- finite-difference Schrödinger eigensolver, the
   numerical referee for isospectrality claims.
 * :mod:`exopoly.potentials` -- oscillator/Coulomb/Morse/Scarf presets, their

@@ -1,13 +1,20 @@
-"""Gaussian quadrature for the classical weights and convergence-controlled
-integration for their rational extensions.
+"""Gaussian quadrature for the classical weights and for their rational
+extensions.
 
 The rational weights  x^k e^-x / (x+k)^2  on (0, inf)  and
-(1-x)^a (1+x)^b / (x-b)^2  on [-1, 1]  are integrated by folding the rational
-factor into the integrand and applying the underlying classical Gauss rule,
-doubling the node count until two successive estimates agree.  The integrand
-is then analytic in a neighbourhood of the domain (the poles at -k and b stay
-outside), so the Gauss estimates converge geometrically and the doubling test
-is a reliable error gauge.
+(1-x)^a (1+x)^b / (x-b)^2  on [-1, 1]  are dlambda/(x-z)^2 for a classical
+dlambda and a pole z = -k resp. b outside the support.  Their own monic
+recurrence comes from the classical one by two linear-divisor modifications
+(:func:`weight_recurrence`), and Golub-Welsch turns it into Gauss rules of
+the weight itself (:func:`weight_rule`).  :func:`gram_matrix` integrates
+polynomials on one such rule, sized to be exact by degree.
+
+:func:`integrate` is the integrator for any callable: it folds the rational
+factor into the integrand and applies the classical Gauss rule of the base
+weight, doubling the node count until two successive estimates agree.  The
+integrand is analytic in a neighbourhood of the domain (the poles at -k and
+b stay outside), so the estimates converge geometrically and the doubling
+test is a reliable error gauge.
 """
 
 from __future__ import annotations
@@ -115,12 +122,19 @@ class WeightSpec:
             return WeightSpec.jacobi(self.alpha, self.beta)
         return self
 
+    @property
+    def pole(self) -> Fraction:
+        """The double pole z of the x1 factor 1/(x-z)^2: -k resp. b."""
+        if self.kind == "x1-laguerre":
+            return -self.k
+        if self.kind == "x1-jacobi":
+            return self.b_constant
+        raise ValueError("only the x1 kinds have a pole")
+
     def rational_factor(self, x: np.ndarray) -> np.ndarray:
         """The factor multiplying the classical density (1 for classical kinds)."""
-        if self.kind == "x1-laguerre":
-            return 1.0 / (x + float(self.k)) ** 2
-        if self.kind == "x1-jacobi":
-            return 1.0 / (x - float(self.b_constant)) ** 2
+        if self.is_rational_extension:
+            return 1.0 / (x - float(self.pole)) ** 2
         return np.ones_like(np.asarray(x, dtype=float))
 
     def density(self, x: np.ndarray) -> np.ndarray:
@@ -301,7 +315,7 @@ def _values(fs: Sequence[Union[Poly, np.ndarray, Callable]], x: np.ndarray) -> n
 
 def _converge(estimate: Callable[[QuadratureRule], tuple[np.ndarray, np.ndarray]],
               weight: WeightSpec, max_nodes: int) -> np.ndarray:
-    """The node-doubling loop behind :func:`integrate` and :func:`gram_matrix`.
+    """The node-doubling loop behind :func:`integrate`.
 
     ``estimate(rule)`` returns an array of integral estimates and the array of
     their L1 sizes sum_i w_i |g(x_i)| on one Gauss rule of the classical base.
@@ -336,7 +350,9 @@ def integrate(f, weight: WeightSpec, max_nodes: int = MAX_NODES_DEFAULT) -> floa
 
     For the x1 kinds the rational factor is folded into the integrand and the
     classical rule of the base weight is applied; the node count doubles as
-    described in :func:`_converge`.
+    described in :func:`_converge`.  This is the integrator for integrands
+    that are not polynomials; :func:`gram_matrix` integrates polynomials
+    exactly on one rule of the weight itself.
     """
     def estimate(rule):
         vals = _values([f], rule.nodes)[0]
@@ -347,30 +363,126 @@ def integrate(f, weight: WeightSpec, max_nodes: int = MAX_NODES_DEFAULT) -> floa
     return float(_converge(estimate, weight, max_nodes))
 
 
+# ---------------------------------------------------------------------------
+# Gauss rules of the rational weights themselves
+# ---------------------------------------------------------------------------
+
+_CF_START = 128
+_CF_MAX = 2**17
+
+_WEIGHT_RECURRENCE_CACHE: dict[tuple, Recurrence] = {}
+
+
+def _divide_linear(a: np.ndarray, b: np.ndarray, mu0: float,
+                   z: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Monic recurrence of dlambda/(t-z) from the length-n recurrence of
+    dlambda, for z outside the support; the result has length n-1.
+
+    The Cauchy integrals rho_m = int pi_m dlambda/(t-z) are the minimal
+    solution of the recurrence; their ratios r_m = rho_m/rho_{m-1} come from
+    the backward continued fraction r_m = b_m/((z-a_m) - r_{m+1}) started
+    from r_n = 0, and then (Gautschi, OUP 2004, section 2.4)
+    a'_m = a_m - r_m + r_{m+1},  b'_m = b_m + r_m (a_m - a_{m-1} - r_m + r_{m+1}),
+    with r_0 = 0 and the new mass rho_0 = mu0/(r_1 - (z-a_0)).  The new
+    measure is negative when z lies above the support; only its mass then
+    changes sign.
+    """
+    n = len(a)
+    al, be = a.tolist(), b.tolist()
+    r = [0.0] * (n + 1)
+    try:
+        for m in range(n - 1, 0, -1):
+            r[m] = be[m] / ((z - al[m]) - r[m + 1])
+        rho0 = mu0 / (r[1] - (z - al[0]))
+    except ZeroDivisionError:
+        raise QuadratureError(f"continued fraction for the pole z={z} hit a zero "
+                              "denominator") from None
+    r = np.array(r)
+    a_new = a[:-1] - r[:-2] + r[1:-1]
+    b_new = np.zeros(n - 1)
+    b_new[1:] = b[1:-1] + r[1:-2] * (a[1:-1] - a[:-2] - r[1:-2] + r[2:-1])
+    return a_new, b_new, rho0
+
+
+def weight_recurrence(weight: WeightSpec, n: int) -> Recurrence:
+    """The first n monic recurrence coefficients of an x1 weight itself.
+
+    Divides the classical recurrence twice by (t-z), z the pole, with
+    :func:`_divide_linear`.  The backward continued fraction starts at
+    _CF_START coefficients and doubles until the first n coefficients and the
+    mass repeat bit for bit, so a shorter request returns a prefix of a
+    longer one; past _CF_MAX it raises QuadratureError.  Cached per weight.
+    """
+    if n < 1:
+        raise ValueError(f"recurrence needs n >= 1 coefficients, got n={n}")
+    key = weight.cache_key()
+    rec = _WEIGHT_RECURRENCE_CACHE.get(key)
+    if rec is None or len(rec.a) < n:
+        rec = _divided_recurrence(weight, n)
+        _WEIGHT_RECURRENCE_CACHE[key] = rec
+    return Recurrence(a=rec.a[:n], b=rec.b[:n], mu0=rec.mu0)
+
+
+def _divided_recurrence(weight: WeightSpec, n: int) -> Recurrence:
+    z = float(weight.pole)
+    length, prev = _CF_START, None
+    while length < n + 2:
+        length *= 2
+    while length <= _CF_MAX:
+        base = recurrence_coefficients(weight, length)
+        a, b, mu0 = _divide_linear(*_divide_linear(base.a, base.b, base.mu0, z), z)
+        cur = np.concatenate([a[:n], b[:n], [mu0]])
+        if prev is not None and np.array_equal(prev, cur):
+            break
+        prev, length = cur, 2 * length
+    else:
+        raise QuadratureError(f"{weight.kind} recurrence did not settle within "
+                              f"{_CF_MAX} continued-fraction steps")
+    if not (mu0 > 0 and np.all(b[1:n] > 0)):
+        raise QuadratureError(f"{weight.kind} recurrence is not from a positive measure")
+    return Recurrence(a=a[:n].copy(), b=b[:n].copy(), mu0=mu0)
+
+
+def weight_rule(weight: WeightSpec, n: int) -> QuadratureRule:
+    """n-point Gauss rule of the weight itself (exact through degree 2n-1):
+    the cached classical rule for classical kinds, the rule of
+    :func:`weight_recurrence` for the x1 kinds."""
+    if not weight.is_rational_extension:
+        return gauss_rule(weight, n)
+    return golub_welsch(weight_recurrence(weight, n), n)
+
+
+def _degree(f) -> int:
+    if isinstance(f, Poly):
+        return max(f.degree, 0)
+    if callable(f):
+        raise TypeError("gram_matrix integrates polynomials only (a Poly or a "
+                        "coefficient array); use integrate for a callable")
+    return max(len(np.atleast_1d(f)) - 1, 0)
+
+
 def gram_matrix(
-    polys: Sequence[Union[Poly, np.ndarray, Callable]],
+    polys: Sequence[Union[Poly, np.ndarray]],
     weight: WeightSpec,
-    others: Optional[Sequence[Union[Poly, np.ndarray, Callable]]] = None,
+    others: Optional[Sequence[Union[Poly, np.ndarray]]] = None,
 ) -> np.ndarray:
     """Matrix of inner products (polys[i], others[j]) under the weight.
 
     Without ``others`` it is the Gram matrix of ``polys``, with the upper
-    triangle mirrored so the result is symmetric by construction.  Each
-    polynomial is evaluated once per Gauss rule and all entries share one
-    node-doubling loop, each entry converging as one :func:`integrate` call
-    would.  Convergence failures raise QuadratureError.
+    triangle mirrored so the result is symmetric by construction.  Every
+    entry comes from one :func:`weight_rule` of nu = floor((deg p + deg q)/2)
+    + 1 nodes, the largest degrees over both lists, so it is exact by degree.
+    A callable is refused with TypeError.
     """
     if not len(polys):
         raise ValueError("gram_matrix needs at least one polynomial")
-
-    def estimate(rule):
-        vals = _values(polys, rule.nodes)
-        left = vals * (rule.weights * weight.rational_factor(rule.nodes))
-        right = vals if others is None else _values(others, rule.nodes)
-        cur, scale = left @ right.T, np.abs(left) @ np.abs(right).T
-        if others is None:
-            lower = np.tril_indices(len(polys), -1)
-            cur[lower], scale[lower] = cur.T[lower], scale.T[lower]
-        return cur, scale
-
-    return _converge(estimate, weight, MAX_NODES_DEFAULT)
+    right_polys = polys if others is None else others
+    degree = max(map(_degree, polys)) + max(map(_degree, right_polys), default=0)
+    rule = weight_rule(weight, degree // 2 + 1)
+    vals = _values(polys, rule.nodes)
+    right = vals if others is None else _values(others, rule.nodes)
+    gram = (vals * rule.weights) @ right.T
+    if others is None:
+        lower = np.tril_indices(len(polys), -1)
+        gram[lower] = gram.T[lower]
+    return gram

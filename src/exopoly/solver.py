@@ -121,7 +121,7 @@ def discretize(potential: Callable[[np.ndarray], np.ndarray], grid: Grid) -> Tri
         v = np.full(grid.n, float(v))
     bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
-        raise SolverError(f"potential is not finite at grid node x={x[bad[0]]!r}")
+        raise SolverError(f"potential is not finite at grid node x={float(x[bad[0]])!r}")
     h2 = grid.h**2
     return Tridiagonal(diag=2.0 / h2 + v, off=np.full(grid.n - 1, -1.0 / h2))
 

@@ -6,7 +6,8 @@ Three independent construction routes are provided and cross-checked:
   (exact rational coefficients),
 * the exact nullspace of the cleared exceptional differential equation,
 * Gram-Schmidt orthogonalization of the seed sequences under the rational
-  weight (floating point, quadrature-based).
+  weight (floating point, in the orthonormal basis of the weight's own
+  recurrence).
 
 The defining equations are verified as exact polynomial identities: the
 "residual" functions return the equation's left-hand side with denominators
@@ -240,20 +241,26 @@ def xj_quotient_residual_coeffs(f: np.ndarray, k: float, j: int,
     Returns (x+k)^(j+2) * [x g'' + (k+1-x) g' + (c - A/(x+k) - B/(x+k)^2) g]
     as a float coefficient array; all-zero (to roundoff) iff the identity holds.
     """
-    pp = np.polynomial.polynomial
     f = np.asarray(f, dtype=float)
-    fp, fpp = pp.polyder(f), pp.polyder(f, 2)
+    powers = np.arange(len(f))
+    # f' and f'' padded with zeros to len(f), so every product below has a
+    # fixed length and the top coefficient of the result is exactly 0
+    fp = np.append(f[1:] * powers[1:], 0.0)
+    fpp = np.append(fp[1:] * powers[1:], 0.0)
     t = np.array([k, 1.0])  # x + k
-    t2 = pp.polymul(t, t)
-    x = np.array([0.0, 1.0])
-    inner2 = pp.polysub(pp.polymul(fpp, t2),
-                        pp.polymul(2.0 * j * fp, t))
-    inner2 = pp.polyadd(inner2, j * (j + 1) * f)
-    inner1 = pp.polysub(pp.polymul(fp, t), j * f)
-    res = pp.polymul(x, inner2)
-    res = pp.polyadd(res, pp.polymul(pp.polymul(np.array([k + 1, -1.0]), t), inner1))
-    pot = pp.polysub(c * t2, pp.polyadd(A * t, np.array([B])))
-    return pp.polyadd(res, pp.polymul(pot, f))
+    t2 = np.convolve(t, t)
+    inner1 = np.convolve(fp, t)
+    inner2 = np.convolve(fpp, t2)  # (x+k)^2 f'' - 2j (x+k) f' + j(j+1) f
+    inner2[:-1] -= 2.0 * j * inner1
+    inner2[:-2] += j * (j + 1) * f
+    inner1[:-1] -= j * f  # (x+k) f' - j f
+    out = np.convolve(np.convolve(np.array([k + 1, -1.0]), t), inner1)
+    out[1:] += inner2  # x * inner2
+    pot = c * t2
+    pot[:2] -= A * t
+    pot[0] -= B
+    out[:-1] += np.convolve(pot, f)
+    return out[:-1]
 
 
 def xj_quotient_solve(k: float, j: int, n: int) -> list[dict]:
@@ -320,54 +327,67 @@ def xj_quotient_solve(k: float, j: int, n: int) -> list[dict]:
 # Gram-Schmidt route
 # ---------------------------------------------------------------------------
 
-def exceptional_seeds(weight: quad.WeightSpec, count: int) -> list[np.ndarray]:
-    """The seed sequence of the exceptional family, as float coefficient arrays.
+def _seed_functional(weight: quad.WeightSpec) -> tuple[float, float]:
+    """(z, d) with l(p) = p(z) - d p'(z) vanishing exactly on the seed span.
 
-    Laguerre: v_1 = x+k+1, v_i = (x+k)^i.  Jacobi: u_1 = x-c, u_i = (x-b)^i.
+    The seeds (Laguerre v_1 = x+k+1, v_i = (x+k)^i; Jacobi u_1 = x-c,
+    u_i = (x-b)^i) span the kernel of l (Gomez-Ullate, Kamran, Milson, J.
+    Approx. Theory 162, 2010): Laguerre l(p) = p(-k) - p'(-k), Jacobi
+    l(p) = p(b) - (b-c) p'(b).
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    seeds = []
     if weight.kind == "x1-laguerre":
-        kf = float(weight.k)
-        seeds.append(np.array([kf + 1.0, 1.0]))
-        base = np.array([kf, 1.0])
-    elif weight.kind == "x1-jacobi":
+        return float(weight.pole), 1.0
+    if weight.kind == "x1-jacobi":
         jc = JacobiConstants.from_parameters(weight.alpha, weight.beta)
-        seeds.append(np.array([-float(jc.c), 1.0]))
-        base = np.array([-float(jc.b), 1.0])
-    else:
-        raise ValueError("seeds are defined for the x1 weights only")
-    power = base.copy()
-    for _ in range(2, count + 1):
-        power = np.polynomial.polynomial.polymul(power, base)
-        seeds.append(power.copy())
-    return seeds
+        return float(jc.b), float(jc.b - jc.c)
+    raise ValueError("seeds are defined for the x1 weights only")
 
 
 def gram_schmidt_family(weight: quad.WeightSpec, count: int) -> list[np.ndarray]:
-    """First ``count`` members of the exceptional family by classical
-    Gram-Schmidt with one reorthogonalization pass.
+    """First ``count`` members of the exceptional family: the seed sequence
+    orthonormalized under the rational weight, in floating point.
 
-    Each pass projects the seed onto all earlier members with one
-    :func:`quad.gram_matrix` call (so convergence failures surface as
-    QuadratureError); the second pass removes the O(eps * kappa) residue of
-    the first.  Members are unit-norm with positive leading coefficient;
-    member i has degree i and depends only on seeds 1..i.
+    Works in the basis q_0..q_count of polynomials orthonormal for the weight,
+    from :func:`quad.weight_recurrence`, where the weight's inner product is
+    the Euclidean one.  phi_i = q_i - (l(q_i)/l(q_{i-1})) q_{i-1} has degree
+    i and l(phi_i) = 0, so phi_1..phi_n span the same flag as the seeds; one
+    QR of the bidiagonal matrix of the phi in q-coordinates is their
+    Gram-Schmidt under the weight, with no quadrature.  Members are unit-norm
+    with positive leading coefficient; member i has degree i and depends only
+    on phi_1..phi_i, so a shorter family is a prefix of a longer one.
+    Raises QuadratureError if the weight's recurrence does not settle or l
+    vanishes on some q_i.
     """
-    members: list[np.ndarray] = []
-    for w in exceptional_seeds(weight, count):
-        for _ in range(2 if members else 0):
-            proj = quad.gram_matrix([w], weight, others=members)[0]
-            for c, e in zip(proj, members):
-                w[: len(e)] -= c * e
-        nrm2 = quad.gram_matrix([w], weight)[0, 0]
-        if not nrm2 > 0:
-            raise quad.QuadratureError("Gram-Schmidt produced a null vector")
-        w = w / np.sqrt(nrm2)
-        if w[-1] < 0:
-            w = -w
-        members.append(w)
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    z, d = _seed_functional(weight)
+    rec = quad.weight_recurrence(weight, count + 1)
+    s = np.sqrt(rec.b)  # s[i] links q_{i-1} and q_i; s[0] is unused
+    # column i: ascending coefficients of q_i, then q_i(z) and q_i'(z), all
+    # carried by the orthonormal recurrence s_{i+1} q_{i+1} = (x-a_i) q_i - s_i q_{i-1}
+    Q = np.zeros((count + 3, count + 1))
+    Q[0, 0] = Q[-2, 0] = 1.0 / np.sqrt(rec.mu0)
+    for i in range(count):
+        q = Q[:, i]
+        xq = np.concatenate(([0.0], q[:count], [z * q[-2], q[-2] + z * q[-1]]))
+        nxt = xq - rec.a[i] * q
+        if i:
+            nxt -= s[i] * Q[:, i - 1]
+        Q[:, i + 1] = nxt / s[i + 1]
+    C, ell = Q[:-2], Q[-2] - d * Q[-1]
+    if not np.all(np.isfinite(ell)) or np.any(ell[:-1] == 0):
+        raise quad.QuadratureError("the seed functional vanishes on an orthonormal "
+                                   "polynomial of the weight")
+    # phi_i in q-coordinates: -l(q_i)/l(q_{i-1}) at q_{i-1}, 1 at q_i
+    cols = np.arange(count)
+    phi = np.zeros((count + 1, count))
+    phi[cols + 1, cols] = 1.0
+    phi[cols, cols] = -ell[1:] / ell[:-1]
+    U = np.linalg.qr(phi)[0]
+    members = []
+    for i in range(1, count + 1):
+        member = C[: i + 1, : i + 1] @ U[: i + 1, i - 1]
+        members.append(member if member[-1] > 0 else -member)
     return members
 
 

@@ -1,10 +1,14 @@
-"""Gauss rules and convergence-controlled integration for the rational weights."""
+"""Gauss rules of the classical and rational weights, and convergence-controlled
+integration."""
 
 import math
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as adaptive_quad
 
 from exopoly import quad
@@ -161,6 +165,20 @@ class TestGramMatrix:
             for j, q in enumerate(others):
                 assert abs(h[i, j] - ref(p, q)) <= 1e-13 * math.sqrt(norms[i] * other_norms[j])
 
+    def test_callable_rejected(self):
+        with pytest.raises(TypeError, match="polynomials only"):
+            gram_matrix([lambda x: x], WeightSpec.x1_laguerre(1))
+
+    def test_rule_size_is_exact_by_degree(self, monkeypatch):
+        sizes = []
+        rule_of = quad.weight_rule
+        monkeypatch.setattr(quad, "weight_rule",
+                            lambda w, n: sizes.append(n) or rule_of(w, n))
+        w = WeightSpec.x1_jacobi(F(1), F(2))
+        gram_matrix([np.ones(4), np.ones(6)], w)  # degrees 3 and 5
+        gram_matrix([np.ones(4)], w, others=[np.ones(3)])  # degrees 3 and 2
+        assert sizes == [6, 3]
+
     def test_symmetry_exact(self):
         k = F(1)
         polys = [np.array([1.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0, 2.0])]
@@ -188,3 +206,93 @@ class TestWeightSpec:
         z = np.array([-0.5, 0.0, 0.5])
         b = float(wj.b_constant)
         assert wj.density(z) == pytest.approx((1 - z) * (1 + z) ** 2 / (z - b) ** 2)
+
+
+def _mp(q: F):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _mpmath_moments(weight: WeightSpec, count: int) -> list[float]:
+    """int x^j W(x) dx for j < count by mpmath tanh-sinh at 30 digits."""
+    with mpmath.workdps(30):
+        if weight.kind == "x1-laguerre":
+            k = _mp(weight.k)
+            density = lambda x: x**k * mpmath.exp(-x) / (x + k) ** 2
+            pieces = [0, 1, 10, 40, mpmath.inf]
+        else:
+            a, b, z = _mp(weight.alpha), _mp(weight.beta), _mp(weight.b_constant)
+            density = lambda x: (1 - x) ** a * (1 + x) ** b / (x - z) ** 2
+            pieces = [-1, 0, 1]
+        return [float(mpmath.quad(lambda x: x**j * density(x), pieces))
+                for j in range(count)]
+
+
+RATIONAL_WEIGHTS = [WeightSpec.x1_laguerre(F(1, 2)), WeightSpec.x1_laguerre(F(1)),
+                    WeightSpec.x1_laguerre(F(7, 2)), WeightSpec.x1_jacobi(F(1), F(2)),
+                    WeightSpec.x1_jacobi(F(1, 2), F(3, 2)), WeightSpec.x1_jacobi(F(2), F(1))]
+
+
+class TestRationalWeightRule:
+    @pytest.mark.parametrize("weight", RATIONAL_WEIGHTS,
+                             ids=["k=1/2", "k=1", "k=7/2", "ab=1,2", "ab=1/2,3/2", "ab=2,1"])
+    def test_moments_against_mpmath(self, weight):
+        nu = 10
+        rule = quad.weight_rule(weight, nu)
+        assert rule.exact_degree == 2 * nu - 1
+        exact = _mpmath_moments(weight, 2 * nu)
+        for j, m in enumerate(exact):
+            approx = float(np.sum(rule.weights * rule.nodes**j))
+            # Laguerre moments are positive; on [-1, 1] |m_j| <= m_0 bounds them
+            scale = abs(m) if weight.kind == "x1-laguerre" else exact[0]
+            assert abs(approx - m) <= 1e-14 * scale, (j, approx, m)
+
+    def test_pole_of_each_default_pair(self):
+        assert [w.pole for w in RATIONAL_WEIGHTS] == [F(-1, 2), -1, F(-7, 2), 3, 2, -3]
+
+    def test_shorter_recurrence_is_a_prefix(self):
+        w = WeightSpec.x1_laguerre(F(1, 3))
+        quad._WEIGHT_RECURRENCE_CACHE.pop(w.cache_key(), None)
+        short = quad.weight_recurrence(w, 5)
+        quad._WEIGHT_RECURRENCE_CACHE.pop(w.cache_key(), None)
+        long = quad.weight_recurrence(w, 40)
+        assert short.mu0 == long.mu0
+        assert np.array_equal(short.a, long.a[:5]) and np.array_equal(short.b, long.b[:5])
+
+    def test_unsettled_continued_fraction_is_loud(self, monkeypatch):
+        monkeypatch.setattr(quad, "_CF_MAX", 2**10)
+        w = WeightSpec.x1_laguerre(F(1, 100))  # needs 2^15 steps to settle
+        quad._WEIGHT_RECURRENCE_CACHE.pop(w.cache_key(), None)
+        with pytest.raises(QuadratureError, match="did not settle"):
+            quad.weight_recurrence(w, 4)
+
+    def test_classical_kinds_use_the_classical_rule(self):
+        w = WeightSpec.laguerre(F(3, 2))
+        assert quad.weight_rule(w, 8) is quad.gauss_rule(w, 8)
+
+
+rationals = st.builds(F, st.integers(1, 5000), st.just(100))
+
+
+def _positive_rule_or_error(weight: WeightSpec, nu: int):
+    try:
+        rule = quad.weight_rule(weight, nu)
+    except QuadratureError:
+        return
+    lo, hi = weight.domain
+    assert np.all(rule.weights > 0) and np.all(np.isfinite(rule.weights))
+    assert np.all(np.diff(rule.nodes) > 0)
+    assert lo < rule.nodes[0] and rule.nodes[-1] < hi
+
+
+class TestRationalWeightSweep:
+    @given(rationals, st.integers(1, 24))
+    @settings(max_examples=40, deadline=None)
+    def test_laguerre(self, k, nu):
+        _positive_rule_or_error(WeightSpec.x1_laguerre(k), nu)
+
+    @given(st.builds(F, st.integers(-99, 5000), st.just(100)),
+           st.builds(F, st.integers(-99, 5000), st.just(100)), st.integers(1, 24))
+    @settings(max_examples=40, deadline=None)
+    def test_jacobi(self, alpha, beta, nu):
+        assume(alpha != beta and abs((beta + alpha) / (beta - alpha)) > 1)
+        _positive_rule_or_error(WeightSpec.x1_jacobi(alpha, beta), nu)

@@ -242,16 +242,16 @@ class TestCliVerify:
     def test_unreadable_config_exits_two(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
 
-    def test_n_max_13_raises_quadrature_error(self, tmp_path):
-        # The quadrature of the Gram-Schmidt route stops converging at n_max 13
-        # on the default grid, by numerical accident rather than design: any
-        # change to the quadrature or to Gram-Schmidt must re-check this edge.  bench/selftest.py counts on this
-        # campaign failing with QuadratureError escaping cli.main; ROADMAP
-        # item 4 maps the error to exit 3 and must change both together.
+    def test_n_max_13_passes(self, tmp_path):
+        # n_max 13 used to raise QuadratureError: the node-doubling quadrature
+        # of the rational weights stopped converging.  Gauss rules of the
+        # weights themselves and the recurrence-built float route removed
+        # that edge; the next one is the orthogonality check from n_max 15.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_max": 13}))
-        with pytest.raises(quad.QuadratureError):
-            main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        out = tmp_path / "r.json"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["failures"] == 0
 
 
 class TestCliPoly:
@@ -351,6 +351,13 @@ class TestCliSpectrum:
                          "--domain=-1,1", "--grid-n", "17", "--levels", "2"])
         assert code == 3
         assert capsys.readouterr().err.startswith("error: potential is not finite")
+
+    def test_bad_node_printed_as_plain_float(self, capsys):
+        with np.errstate(divide="ignore"):
+            code = main(["spectrum", "--preset", "oscillator3d", "--l", "1",
+                         "--domain=-1,1", "--grid-n", "17"])
+        assert code == 3
+        assert capsys.readouterr().err.strip().endswith("at grid node x=0.0")
 
     @pytest.mark.parametrize("levels,grid_n", [("0", "2000"), ("17", "16")])
     def test_level_count_outside_the_grid_exits_two(self, levels, grid_n, capsys):

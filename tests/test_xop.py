@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import sympy
 
-from exopoly.polycore import Poly
+from exopoly.polycore import JacobiConstants, Poly
 from exopoly.quad import WeightSpec, gram_matrix
 from exopoly.verify import VerificationConfig
 from exopoly.xop import (
@@ -18,7 +18,6 @@ from exopoly.xop import (
     best_approximation_errors,
     coefficient_rel_diff,
     emit_family_csv,
-    exceptional_seeds,
     family_by_route,
     gram_schmidt_family,
     operator_family,
@@ -229,12 +228,23 @@ class TestGramSchmidtRoute:
         fam = gram_schmidt_family(w, 1)
         assert fam[0] / fam[0][-1] == pytest.approx([-3.0, 1.0], abs=1e-13)
 
-    def test_seed_shapes(self):
-        w = WeightSpec.x1_laguerre(F(2))
-        seeds = exceptional_seeds(w, 4)
-        assert [len(s) - 1 for s in seeds] == [1, 2, 3, 4]
-        assert seeds[0] == pytest.approx([3.0, 1.0])
-        assert seeds[1] == pytest.approx([4.0, 4.0, 1.0])  # (x+2)^2
+    @pytest.mark.parametrize("weight", [WeightSpec.x1_laguerre(F(2)),
+                                        WeightSpec.x1_jacobi(F(1, 2), F(3, 2))],
+                             ids=["x1-laguerre", "x1-jacobi"])
+    def test_members_lie_in_the_seed_span(self, weight):
+        # the seeds span the kernel of l(p) = p(z) - d p'(z): Laguerre z = -k,
+        # d = 1; Jacobi z = b, d = b - c
+        if weight.kind == "x1-laguerre":
+            z, d = -float(weight.k), 1.0
+        else:
+            jc = JacobiConstants.from_parameters(weight.alpha, weight.beta)
+            z, d = float(jc.b), float(jc.b - jc.c)
+        pp = np.polynomial.polynomial
+        for member in gram_schmidt_family(weight, 12):
+            ell = pp.polyval(z, member) - d * pp.polyval(z, pp.polyder(member))
+            scale = pp.polyval(abs(z), np.abs(member)) + abs(d) * pp.polyval(
+                abs(z), np.abs(pp.polyder(member)))
+            assert abs(ell) <= 1e-13 * scale
 
     def test_orthonormality_k1(self):
         w = WeightSpec.x1_laguerre(F(1))
