@@ -61,12 +61,10 @@ from .potentials import (  # noqa: F401
     Oscillator3D,
     CoulombRadial,
     ScarfTrig,
-    closed_form_eigenstate,
     make_preset,
     quotient_identity_check,
     ve_jacobi,
     ve_laguerre,
-    ve_preset,
 )
 from .susy import (  # noqa: F401
     Superpotential,

@@ -47,7 +47,10 @@ def cmd_verify(args) -> int:
         cfg = VerificationConfig.from_dict(raw)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_BAD_CONFIG)
-    report = run_verification(cfg)
+    try:
+        report = run_verification(cfg)
+    except (quad.QuadratureError, SolverError) as exc:
+        return _fail(str(exc), EXIT_SOLVER)
     text = report.to_json()
     if args.out:
         write_atomic(args.out, text + "\n")

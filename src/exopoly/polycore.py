@@ -96,10 +96,6 @@ class Poly:
     def x() -> "Poly":
         return Poly((0, 1))
 
-    @staticmethod
-    def constant(c: RationalLike) -> "Poly":
-        return Poly((c,))
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         den = self._den

@@ -62,14 +62,10 @@ class EigenstateClosedForm:
     1/(z - b) divisor, so __call__ gives the full wavefunction.
     """
 
-    preset: str
-    kind: str  # "classical" | "exceptional"
-    quantum_numbers: dict
     energy: float
     polynomial: Poly
     variable: Callable[[np.ndarray], np.ndarray]
     prefactor: Callable[[np.ndarray], np.ndarray]
-    variable_name: str = "x"
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -112,8 +108,6 @@ class Oscillator3D:
     def __post_init__(self):
         if self.l < 0:
             raise PotentialError("angular momentum l must be >= 0")
-
-    name = "oscillator3d"
 
     @property
     def k(self) -> Fraction:
@@ -160,11 +154,9 @@ class Oscillator3D:
             return x**lp1 * np.exp(-(x**2) / 4)
 
         return EigenstateClosedForm(
-            preset=self.name, kind="classical",
-            quantum_numbers={"n": n, "l": self.l},
             energy=self.classical_energy(n),
             polynomial=laguerre_classical(n, self.k),
-            variable=self.variable, prefactor=pref, variable_name="u",
+            variable=self.variable, prefactor=pref,
         )
 
     def exceptional_state(self, n: int) -> EigenstateClosedForm:
@@ -178,11 +170,9 @@ class Oscillator3D:
             return x**lp1 * np.exp(-(x**2) / 4) / (x**2 / 2 + kf)
 
         return EigenstateClosedForm(
-            preset=self.name, kind="exceptional",
-            quantum_numbers={"n": n, "l": self.l},
             energy=self.exceptional_energy(n),
             polynomial=x1_laguerre_op_route(n - 1, self.k),
-            variable=self.variable, prefactor=pref, variable_name="u",
+            variable=self.variable, prefactor=pref,
         )
 
 
@@ -201,8 +191,6 @@ class CoulombRadial:
     def __post_init__(self):
         if self.l < 0:
             raise PotentialError("angular momentum l must be >= 0")
-
-    name = "coulomb"
 
     @property
     def k(self) -> Fraction:
@@ -258,11 +246,9 @@ class CoulombRadial:
             return t**lp1 * np.exp(-t / 2)
 
         return EigenstateClosedForm(
-            preset=self.name, kind="classical",
-            quantum_numbers={"n": n, "l": self.l, "principal": big_n},
             energy=self.classical_energy(n),
             polynomial=laguerre_classical(n, self.k),
-            variable=var, prefactor=pref, variable_name="t",
+            variable=var, prefactor=pref,
         )
 
     def exceptional_state(self, n: int) -> EigenstateClosedForm:
@@ -280,11 +266,9 @@ class CoulombRadial:
             return t**lp1 * np.exp(-t / 2) / (t + kf)
 
         return EigenstateClosedForm(
-            preset=self.name, kind="exceptional",
-            quantum_numbers={"n": n, "l": self.l, "principal": big_n},
             energy=self.exceptional_energy(n),
             polynomial=x1_laguerre_op_route(n - 1, self.k),
-            variable=var, prefactor=pref, variable_name="t",
+            variable=var, prefactor=pref,
         )
 
 
@@ -310,8 +294,6 @@ class Morse:
         object.__setattr__(self, "alpha", as_rational(self.alpha))
         if self.A <= 0 or self.B <= 0 or self.alpha <= 0:
             raise PotentialError("morse requires A, B, alpha > 0")
-
-    name = "morse"
 
     @property
     def s(self) -> Fraction:
@@ -379,11 +361,9 @@ class Morse:
             return y**exponent * np.exp(-y / 2)
 
         return EigenstateClosedForm(
-            preset=self.name, kind="classical",
-            quantum_numbers={"n": n},
             energy=self.classical_energy(n),
             polynomial=laguerre_classical(n, m),
-            variable=self.variable, prefactor=pref, variable_name="y",
+            variable=self.variable, prefactor=pref,
         )
 
     def exceptional_state(self, n: int) -> EigenstateClosedForm:
@@ -398,11 +378,9 @@ class Morse:
             return y**exponent * np.exp(-y / 2) / (y + mf)
 
         return EigenstateClosedForm(
-            preset=self.name, kind="exceptional",
-            quantum_numbers={"n": n},
             energy=self.classical_energy(n),
             polynomial=x1_laguerre_op_route(n, m),
-            variable=self.variable, prefactor=pref, variable_name="y",
+            variable=self.variable, prefactor=pref,
         )
 
 
@@ -431,8 +409,6 @@ class ScarfTrig:
             raise PotentialError("scarf exceptional extension needs B != 0")
         if not self.A > abs(self.B) + self.alpha / 2:
             raise PotentialError("scarf requires A > |B| + alpha/2")
-
-    name = "scarf"
 
     @property
     def s(self) -> Fraction:
@@ -521,11 +497,9 @@ class ScarfTrig:
             return (1 - z) ** p * (1 + z) ** q
 
         return EigenstateClosedForm(
-            preset=self.name, kind="classical",
-            quantum_numbers={"n": n},
             energy=self.classical_energy(n),
             polynomial=jacobi_classical(n, self.jacobi_alpha, self.jacobi_beta),
-            variable=self.variable, prefactor=pref, variable_name="z",
+            variable=self.variable, prefactor=pref,
         )
 
     def exceptional_state(self, n: int) -> EigenstateClosedForm:
@@ -541,11 +515,9 @@ class ScarfTrig:
             return (1 - z) ** p * (1 + z) ** q / (z - bq)
 
         return EigenstateClosedForm(
-            preset=self.name, kind="exceptional",
-            quantum_numbers={"n": n},
             energy=self.exceptional_energy(n),
             polynomial=x1_jacobi_op_route(n - 1, self.jacobi_alpha, self.jacobi_beta),
-            variable=self.variable, prefactor=pref, variable_name="z",
+            variable=self.variable, prefactor=pref,
         )
 
 
@@ -570,34 +542,6 @@ def make_preset(name: str, params: dict):
         return cls(**params)
     except TypeError as exc:
         raise PotentialError(f"bad parameters for preset {name}: {exc}") from exc
-
-
-def ve_preset(preset, coordinate, n: Optional[int] = None):
-    """The preset's extension term in its natural variable, exactly as printed.
-
-    ``preset`` is a preset object or registry id (default parameters).  The
-    Morse form needs the level index n; the others ignore it.  Poles inside
-    the domain raise with the pole location.
-    """
-    if isinstance(preset, str):
-        preset = make_preset(preset, {})
-    return preset.ve_printed(coordinate, n)
-
-
-def closed_form_eigenstate(preset, n: int, kind: str = "classical") -> EigenstateClosedForm:
-    """Closed-form bound state of a preset, classical or exceptional.
-
-    The exceptional kind divides the prefactor by (u + k) (Laguerre presets)
-    or (z - b) (Scarf) and carries the exceptional polynomial; inadmissible
-    quantum numbers raise.
-    """
-    if isinstance(preset, str):
-        preset = make_preset(preset, {})
-    if kind == "classical":
-        return preset.classical_state(n)
-    if kind == "exceptional":
-        return preset.exceptional_state(n)
-    raise PotentialError(f"kind must be classical or exceptional, got {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ class PartnerPair:
 
     v_plus: Callable[[np.ndarray], np.ndarray]
     v_minus: Callable[[np.ndarray], np.ndarray]
-    factorization_energy: float
 
 
 def partner_potentials(w: Superpotential, energy: float = 0.0) -> PartnerPair:
@@ -61,7 +60,7 @@ def partner_potentials(w: Superpotential, energy: float = 0.0) -> PartnerPair:
     def v_minus(x):
         return w.w(x) ** 2 + w.w_prime(x) + energy
 
-    return PartnerPair(v_plus=v_plus, v_minus=v_minus, factorization_energy=energy)
+    return PartnerPair(v_plus=v_plus, v_minus=v_minus)
 
 
 def _derivative(v: np.ndarray, h: float) -> np.ndarray:
@@ -234,13 +233,11 @@ def intertwining_operator_residual(w: Superpotential, grid: Grid,
 # claim audit
 # ---------------------------------------------------------------------------
 
-def _row(claim: str, params: dict, lhs_max: float, rhs_max: float,
-         dev: float, tol: Optional[float], status: str) -> dict:
+def _row(claim: str, params: dict, dev: float, tol: Optional[float],
+         status: str) -> dict:
     return {
         "claim": claim,
         "params": params,
-        "lhs_max": float(lhs_max),
-        "rhs_max": float(rhs_max),
         "max_abs_dev": float(dev),
         "tol": tol,
         "status": status,
@@ -291,36 +288,28 @@ def _oscillator_claims(grid_points: int) -> list[dict]:
     dev = float(np.max(np.abs(vdiff - two_wp)))
     scale = float(np.max(np.abs(two_wp)))
     rows.append(_row("partner-construction-difference", params,
-                     scale, scale, dev, 1e-10 * max(scale, 1.0),
+                     dev, 1e-10 * max(scale, 1.0),
                      "pass" if dev <= 1e-10 * max(scale, 1.0) else "fail"))
 
     w_printed = printed_superpotential_candidate(l, kf)
     direct = np.abs(w_printed.w(xw) - w_der.w(xw))
     rows.append(_row("superpotential-printed-direct-reading", params,
-                     float(np.max(np.abs(w_printed.w(xw)))),
-                     float(np.max(np.abs(w_der.w(xw)))),
                      float(np.max(direct)), None, "reported"))
     chain = np.abs(xw * w_printed.w(xw**2 / 2) - w_der.w(xw))
     rows.append(_row("superpotential-printed-chain-rule-reading", params,
-                     float(np.max(np.abs(xw * w_printed.w(xw**2 / 2)))),
-                     float(np.max(np.abs(w_der.w(xw)))),
                      float(np.max(chain)), None, "reported"))
 
     # printed claim: 2W' equals the oscillator extension term
     ext = 2.0 * ve_laguerre(xw**2 / 2, kf)
     rows.append(_row("oscillator-extension-vs-2wprime", params,
-                     float(np.max(np.abs(two_wp))), float(np.max(np.abs(ext))),
                      float(np.max(np.abs(two_wp - ext))), None, "reported"))
     # ... and the gap is exactly the centrifugal step 2l/x^2 - 1 between the
     # partner channels, which identifies the claim's missing terms
     gap = two_wp - ext - (2 * l / xw**2 - 1.0)
     rows.append(_row("oscillator-2wprime-extension-gap-structure", params,
-                     float(np.max(np.abs(two_wp - ext))),
-                     float(np.max(np.abs(2 * l / xw**2 - 1.0))),
                      float(np.max(np.abs(gap))), None, "reported"))
     printed_rhs = -l / xw**2 + 2 * xw**2 / (xw**2 + kf) ** 2 - 1.0 / (xw**2 + kf)
     rows.append(_row("oscillator-2wprime-printed-rhs", params,
-                     float(np.max(np.abs(two_wp))), float(np.max(np.abs(printed_rhs))),
                      float(np.max(np.abs(two_wp - printed_rhs))), None, "reported"))
 
     # does the conventional ground-state recipe recover the intertwiner? (it should not)
@@ -331,8 +320,6 @@ def _oscillator_claims(grid_points: int) -> list[dict]:
     w_gs = superpotential_from_ground_state(psi0)
     dev_gs = np.abs(w_gs.w(xw) - w_der.w(xw))
     rows.append(_row("ground-state-superpotential-diagnostic", params,
-                     float(np.max(np.abs(w_gs.w(xw)))),
-                     float(np.max(np.abs(w_der.w(xw)))),
                      float(np.max(dev_gs)), None, "reported"))
     return rows
 
@@ -354,7 +341,6 @@ def _coulomb_claims(grid_points: int) -> list[dict]:
         derived = ve_laguerre(rw / big_n, kf) / (big_n * rw)
         rows.append(_row(f"coulomb-mapped-2wprime-vs-level{n}-extension",
                          {**params, "n": n},
-                         float(np.max(np.abs(printed))), float(np.max(np.abs(derived))),
                          float(np.max(np.abs(printed - derived))), None, "reported"))
     return rows
 
@@ -372,10 +358,8 @@ def _scarf_claims(grid_points: int) -> list[dict]:
     derived = sc.extension(x)
     dev = printed - derived
     rows.append(_row("scarf-printed-extension-vs-derived", params,
-                     float(np.max(np.abs(printed))), float(np.max(np.abs(derived))),
                      float(np.max(np.abs(dev))), None, "reported"))
     rows.append(_row("scarf-printed-extension-offset", params,
-                     float(np.mean(dev)), 0.0,
                      float(np.max(dev) - np.min(dev)), None, "reported"))
 
     # raising-operator normalization: measured leading-coefficient ratio vs claim
@@ -387,5 +371,5 @@ def _scarf_claims(grid_points: int) -> list[dict]:
         claimed = float(2 * (be - al) * (be + n))
         rows.append(_row("jacobi-raising-constant",
                          {**params, "n": n, "measured": measured, "claimed": claimed},
-                         measured, claimed, abs(measured - claimed), None, "reported"))
+                         abs(measured - claimed), None, "reported"))
     return rows

@@ -6,6 +6,13 @@ rows are either hard checks (status "pass"/"fail" against a tolerance) or
 audits of printed formulas (status "reported": the measured deviation is the
 finding and never fails the run).  Suites run one after another, in the
 order given; report files are written atomically.
+
+Every row of a suite is made by one recorder, :class:`_Rows`.  A row's
+``runtime`` is the wall time since the previous row of its suite (since the
+suite began, for the first row), so a suite's runtimes add up to its wall
+time.  The claim-audit rows keep the runtimes :func:`susy.verify_claims`
+gives them by the same rule; the time around those calls goes to the next
+row.  ``runtime`` is the only field that differs between two runs.
 """
 
 from __future__ import annotations
@@ -186,27 +193,49 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
 
-def _check(cid: str, claim: str, params: dict, metric: float, tolerance,
-           status: str, t0: Optional[float] = None,
-           runtime: Optional[float] = None) -> dict:
-    """One report row; its runtime is given, or else the time since t0."""
-    if runtime is None:
-        runtime = time.perf_counter() - t0
-    return {
-        "id": cid,
-        "claim": claim,
-        "params": params,
-        "status": status,
-        "metric": float(metric),
-        "tolerance": tolerance,
-        "runtime": round(runtime, 6),
-    }
+class _Rows:
+    """The report rows of one suite, timed back to back.
 
+    A row's runtime is the wall time since the previous row was added, or
+    since the recorder was made for the first one, so a suite's runtimes add
+    up to its wall time.  A gate row (no status given) passes when metric <=
+    tolerance.
+    """
 
-def _gate(cid: str, claim: str, params: dict, metric: float, tolerance: float,
-          t0: float) -> dict:
-    status = "pass" if metric <= tolerance else "fail"
-    return _check(cid, claim, params, metric, tolerance, status, t0)
+    def __init__(self):
+        self.rows: list[dict] = []
+        self._last = time.perf_counter()
+
+    def add(self, cid: str, claim: str, params: dict, metric: float, tolerance,
+            status: Optional[str] = None) -> None:
+        now = time.perf_counter()
+        self._append(cid, claim, params, metric, tolerance,
+                     status or ("pass" if metric <= tolerance else "fail"),
+                     now - self._last)
+        self._last = now
+
+    def add_claims(self, preset: str, claims: list[dict]) -> None:
+        """The rows of one :func:`susy.verify_claims` call, with its runtimes.
+
+        The time around the call counts toward the next row of the suite.
+        """
+        for row in claims:
+            n = f"[n={row['params']['n']}]" if "n" in row["params"] else ""
+            self._append(f"claim-audit[{preset}:{row['claim']}]{n}", row["claim"],
+                         row["params"], row["max_abs_dev"], row["tol"],
+                         row["status"], row["runtime"])
+            self._last += row["runtime"]
+
+    def _append(self, cid, claim, params, metric, tolerance, status, runtime):
+        self.rows.append({
+            "id": cid,
+            "claim": claim,
+            "params": params,
+            "status": status,
+            "metric": float(metric),
+            "tolerance": tolerance,
+            "runtime": round(runtime, 6),
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +243,7 @@ def _gate(cid: str, claim: str, params: dict, metric: float, tolerance: float,
 # ---------------------------------------------------------------------------
 
 def suite_xop(cfg: VerificationConfig) -> list[dict]:
-    rows = []
+    rows = _Rows()
     tol = cfg.tolerances
     families = ([(xop.XFamilySpec(family="laguerre", k=k), {"k": str(k)})
                  for k in cfg.laguerre_k]
@@ -226,88 +255,79 @@ def suite_xop(cfg: VerificationConfig) -> list[dict]:
         tag = ",".join(f"{key}={val}" for key, val in params.items())
         with_n_max = {**params, "n_max": cfg.n_max}
 
-        t0 = time.perf_counter()
         # ops[n - 1] is the operator-route member of index n
         ops = xop.operator_family(spec, max(cfg.n_max, cfg.n_eigen_max))
         bad = sum(1 for n in range(1, cfg.n_eigen_max + 1)
                   if not spec.ode_residual(ops[n - 1], n).is_zero)
-        rows.append(_gate(f"x1-{fam}-eigenrelation[{tag}]",
-                          f"exceptional {fam.capitalize()} equation holds exactly "
-                          "on the operator route",
-                          {**params, "n": f"1..{cfg.n_eigen_max}"}, bad, 0, t0))
+        rows.add(f"x1-{fam}-eigenrelation[{tag}]",
+                 f"exceptional {fam.capitalize()} equation holds exactly "
+                 "on the operator route",
+                 {**params, "n": f"1..{cfg.n_eigen_max}"}, bad, 0)
 
-        t0 = time.perf_counter()
         exact_dev = 0.0
         for n in range(1, cfg.n_max + 1):
             op = ops[n - 1].monic()
             ns = xop.family_by_route(spec, n, "nullspace")
             if op != ns:
                 exact_dev = max(exact_dev, xop.coefficient_rel_diff(op, ns))
-        rows.append(_gate(f"route-agreement-exact[{fam},{tag}]",
-                          "operator and nullspace routes agree exactly",
-                          with_n_max, exact_dev, 0, t0))
+        rows.add(f"route-agreement-exact[{fam},{tag}]",
+                 "operator and nullspace routes agree exactly",
+                 with_n_max, exact_dev, 0)
 
-        t0 = time.perf_counter()
         # member n depends only on seeds 1..n, so one family serves every check
         gs_all = xop.gram_schmidt_family(
             spec.weight(), max(cfg.n_max, 10) if fam == "laguerre" else cfg.n_max)
         gs = gs_all[: cfg.n_max]
         dev = max(xop.coefficient_rel_diff(gs[n - 1], ops[n - 1])
                   for n in range(1, cfg.n_max + 1))
-        rows.append(_gate(f"route-agreement-gs[{fam},{tag}]",
-                          "Gram-Schmidt route matches the exact routes up to scale",
-                          with_n_max, dev, tol["route_agreement"], t0))
+        rows.add(f"route-agreement-gs[{fam},{tag}]",
+                 "Gram-Schmidt route matches the exact routes up to scale",
+                 with_n_max, dev, tol["route_agreement"])
 
-        t0 = time.perf_counter()
         gram = quad.gram_matrix(gs, spec.weight())
         d = np.sqrt(np.diag(gram))
         off = np.abs(gram - np.diag(np.diag(gram))) / np.outer(d, d)
-        rows.append(_gate(f"orthogonality[{fam},{tag}]",
-                          "Gram matrix off-diagonals vanish under the rational weight",
-                          with_n_max, float(np.max(off)), tol["orthogonality"], t0))
+        rows.add(f"orthogonality[{fam},{tag}]",
+                 "Gram matrix off-diagonals vanish under the rational weight",
+                 with_n_max, float(np.max(off)), tol["orthogonality"])
 
         if fam != "laguerre":
             continue
-        t0 = time.perf_counter()
         no_const = len(xop.xj_polynomial_solve(spec.k, 1, 0, 1)) == 0
         degrees_ok = all(ops[n - 1].degree == n for n in range(1, cfg.n_max + 1))
-        rows.append(_gate(f"degree-law[{fam},{tag}]",
-                          "member n has degree n and no degree-0 member exists",
-                          params, 0 if (no_const and degrees_ok) else 1, 0, t0))
+        rows.add(f"degree-law[{fam},{tag}]",
+                 "member n has degree n and no degree-0 member exists",
+                 params, 0 if (no_const and degrees_ok) else 1, 0)
 
-        t0 = time.perf_counter()
         errs = xop.best_approximation_errors(spec.weight(), gs_all[:10])
         decreasing = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
-        rows.append(_gate(f"completeness-proxy[{fam},{tag}]",
-                          "best approximation error of 1 strictly decreases with N",
-                          {**params, "errors": [round(e, 12) for e in errs]},
-                          0 if decreasing else 1, 0, t0))
-    return rows
+        rows.add(f"completeness-proxy[{fam},{tag}]",
+                 "best approximation error of 1 strictly decreases with N",
+                 {**params, "errors": [round(e, 12) for e in errs]},
+                 0 if decreasing else 1, 0)
+    return rows.rows
 
 
 def suite_theorem(cfg: VerificationConfig) -> list[dict]:
-    rows = []
+    rows = _Rows()
     tol = cfg.tolerances["quotient"]
     grid = Grid(0.01, 40.0, 2000)
     for k in cfg.laguerre_k:
-        t0 = time.perf_counter()
         worst = 0.0
         for n in (1, 2, 3):
             f = xop.x1_laguerre_op_route(n - 1, k)
             worst = max(worst, quotient_identity_check(f, k, grid))
-        rows.append(_gate(f"quotient-extension-x1[k={k}]",
-                          "f/(x+k) solves the extended equation when f is exceptional",
-                          {"k": str(k), "n": "1..3"}, worst, tol, t0))
+        rows.add(f"quotient-extension-x1[k={k}]",
+                 "f/(x+k) solves the extended equation when f is exceptional",
+                 {"k": str(k), "n": "1..3"}, worst, tol)
 
-        t0 = time.perf_counter()
         wrong = laguerre_classical(2, k)
         neg = quotient_identity_check(wrong, k, grid)
-        rows.append(_check(f"quotient-negative-control[k={k}]",
-                           "a classical polynomial fails the quotient identity loudly",
-                           {"k": str(k), "residual": neg}, neg, 1e-2,
-                           "pass" if neg > 1e-2 else "fail", t0))
+        rows.add(f"quotient-negative-control[k={k}]",
+                 "a classical polynomial fails the quotient identity loudly",
+                 {"k": str(k), "residual": neg}, neg, 1e-2,
+                 "pass" if neg > 1e-2 else "fail")
 
-        t0 = time.perf_counter()
         sols_n2 = xop.xj_quotient_solve(float(k), 2, 2)
         sols = sols_n2 + xop.xj_quotient_solve(float(k), 2, 3)
         if sols:
@@ -316,129 +336,117 @@ def suite_theorem(cfg: VerificationConfig) -> list[dict]:
                                         rational_coeffs=(s["A"], s["B"]))
                 for s in sols
             )
-            status_metric = worst
         else:
-            status_metric = float("inf")
-        rows.append(_gate(f"quotient-extension-xj[j=2,k={k}]",
-                          "degree-n quotients f/(x+k)^2 solve their rational extensions",
-                          {"k": str(k), "solutions": len(sols),
-                           "A_values": [round(s["A"], 10) for s in sols]},
-                          status_metric, tol, t0))
+            worst = float("inf")
+        rows.add(f"quotient-extension-xj[j=2,k={k}]",
+                 "degree-n quotients f/(x+k)^2 solve their rational extensions",
+                 {"k": str(k), "solutions": len(sols),
+                  "A_values": [round(s["A"], 10) for s in sols]},
+                 worst, tol)
 
-        t0 = time.perf_counter()
         measured = sorted(s["A"] for s in sols_n2)
-        rows.append(_check(f"xj-first-order-coefficient[j=2,k={k}]",
-                           "measured 1/(x+k) coefficients vs the printed value j",
-                           {"k": str(k), "printed": 2.0, "measured": measured,
-                            "second_order_coefficient": -6.0 * float(k)},
-                           min((abs(a - 2.0) for a in measured), default=float("nan")),
-                           None, "reported", t0))
+        rows.add(f"xj-first-order-coefficient[j=2,k={k}]",
+                 "measured 1/(x+k) coefficients vs the printed value j",
+                 {"k": str(k), "printed": 2.0, "measured": measured,
+                  "second_order_coefficient": -6.0 * float(k)},
+                 min((abs(a - 2.0) for a in measured), default=float("nan")),
+                 None, "reported")
 
-        t0 = time.perf_counter()
         scan = xop.xj_index_scan(k, 2, range(2, 7), 6)
-        rows.append(_check(f"xj-printed-equation-nullspace[j=2,k={k}]",
-                           "polynomial solutions of the printed codimension-2 equation",
-                           {"k": str(k), "indices_with_solutions": scan},
-                           float(len(scan)), None, "reported", t0))
+        rows.add(f"xj-printed-equation-nullspace[j=2,k={k}]",
+                 "polynomial solutions of the printed codimension-2 equation",
+                 {"k": str(k), "indices_with_solutions": scan},
+                 float(len(scan)), None, "reported")
 
-    t0 = time.perf_counter()
     mo = Morse(A=4, B=2)
     x = np.linspace(*mo.default_domain(0), 400)[1:-1]
     printed = mo.ve_printed(mo.variable(x), 0)
     derived = mo.extension(x, 0)
-    rows.append(_check("morse-printed-extension-vs-derived",
-                       "printed Morse extension (denominator y+s-n, level-dependent) vs derived",
-                       {"A": "4", "B": "2", "n": 0,
-                        "note": "printed parameter is s-n where the equation needs 2(s-n)"},
-                       float(np.max(np.abs(printed - derived))), None, "reported", t0))
-    return rows
+    rows.add("morse-printed-extension-vs-derived",
+             "printed Morse extension (denominator y+s-n, level-dependent) vs derived",
+             {"A": "4", "B": "2", "n": 0,
+              "note": "printed parameter is s-n where the equation needs 2(s-n)"},
+             float(np.max(np.abs(printed - derived))), None, "reported")
+    return rows.rows
 
 
 def suite_spectra(cfg: VerificationConfig) -> list[dict]:
-    rows = []
+    rows = _Rows()
     tol = cfg.tolerances
     npts = cfg.grid["spectrum_points"]
     for l in cfg.oscillator_l:
         osc = Oscillator3D(l=l)
         grid = Grid(*osc.default_domain(), npts)
-        t0 = time.perf_counter()
         levels = solver.lowest_levels(osc.potential, grid, 3)
         rel = max(
             abs(levels[n] - osc.classical_energy(n)) / osc.classical_energy(n)
             for n in range(3)
         )
-        rows.append(_gate(f"oscillator-spectrum[l={l}]",
-                          "grid solver reproduces E_n = 2n + l + 3/2",
-                          {"l": l, "N": npts,
-                           "levels": [round(e, 8) for e in levels]},
-                          rel, tol["spectrum_rel"], t0))
+        rows.add(f"oscillator-spectrum[l={l}]",
+                 "grid solver reproduces E_n = 2n + l + 3/2",
+                 {"l": l, "N": npts, "levels": [round(e, 8) for e in levels]},
+                 rel, tol["spectrum_rel"])
 
-        t0 = time.perf_counter()
         levels_ext = solver.lowest_levels(osc.extended_potential, grid, 3)
         mapping = solver.spectrum_compare(levels, levels_ext, 1e-2)
-        rows.append(_check(f"oscillator-isospectrality[l={l}]",
-                           "extended vs classical level mapping (missing states reported)",
-                           {"l": l, "mapping": mapping,
-                            "ground_state_unmatched": 0 in mapping["unmatched_a"]
-                            or 0 in mapping["unmatched_b"]},
-                           mapping["max_pair_diff"], None, "reported", t0))
+        rows.add(f"oscillator-isospectrality[l={l}]",
+                 "extended vs classical level mapping (missing states reported)",
+                 {"l": l, "mapping": mapping,
+                  "ground_state_unmatched": 0 in mapping["unmatched_a"]
+                  or 0 in mapping["unmatched_b"]},
+                 mapping["max_pair_diff"], None, "reported")
 
-    t0 = time.perf_counter()
     osc0 = Oscillator3D(l=0)
     order = solver.convergence_order(osc0.potential, osc0.default_domain(),
                                      osc0.classical_energy(0), (1000, 2000, 4000))
-    rows.append(_check("oscillator-convergence-order",
-                       "eigenvalue error scales as h^2",
-                       {"sizes": [1000, 2000, 4000], "order": round(order, 3)},
-                       order, [1.8, 2.2],
-                       "pass" if 1.8 <= order <= 2.2 else "fail", t0))
+    rows.add("oscillator-convergence-order", "eigenvalue error scales as h^2",
+             {"sizes": [1000, 2000, 4000], "order": round(order, 3)},
+             order, [1.8, 2.2], "pass" if 1.8 <= order <= 2.2 else "fail")
 
-    t0 = time.perf_counter()
     rq_grid = Grid(*osc0.default_domain(), cfg.grid["rayleigh_points"])
     worst = max(
         abs(state_rayleigh(osc0.exceptional_state(n), osc0.extended_potential, rq_grid)
             - osc0.exceptional_energy(n)) / osc0.exceptional_energy(n)
         for n in (1, 2, 3)
     )
-    rows.append(_gate("oscillator-exceptional-rayleigh",
-                      "exceptional closed forms sit at the classical levels",
-                      {"l": 0, "n": "1..3"}, worst, tol["rayleigh_rel"], t0))
+    rows.add("oscillator-exceptional-rayleigh",
+             "exceptional closed forms sit at the classical levels",
+             {"l": 0, "n": "1..3"}, worst, tol["rayleigh_rel"])
 
     sc = ScarfTrig(A=3, B=1, energy_shift=9.0)  # shift = A^2 keeps levels positive
     scgrid = Grid(*sc.default_domain(), max(npts, 12000))
-    t0 = time.perf_counter()
     worst = max(
         abs(state_rayleigh(sc.exceptional_state(n), sc.extended_potential, scgrid)
             - sc.exceptional_energy(n)) / sc.exceptional_energy(n)
         for n in (1, 2, 3)
     )
-    rows.append(_gate("scarf-exceptional-rayleigh",
-                      "exceptional Scarf closed forms sit at the classical levels",
-                      {"A": "3", "B": "1", "n": "1..3"}, worst,
-                      tol["rayleigh_rel"], t0))
+    rows.add("scarf-exceptional-rayleigh",
+             "exceptional Scarf closed forms sit at the classical levels",
+             {"A": "3", "B": "1", "n": "1..3"}, worst, tol["rayleigh_rel"])
 
-    t0 = time.perf_counter()
     levels_cl = solver.lowest_levels(sc.potential, scgrid, 4)
     levels_ext = solver.lowest_levels(sc.extended_potential, scgrid, 4)
     mapping = solver.spectrum_compare(levels_cl, levels_ext, 1e-2)
-    rows.append(_check("scarf-isospectrality",
-                       "extended vs classical level mapping (missing states reported)",
-                       {"mapping": mapping,
-                        "ground_state_unmatched": 0 in mapping["unmatched_a"]
-                        or 0 in mapping["unmatched_b"]},
-                       mapping["max_pair_diff"], None, "reported", t0))
-    return rows
+    rows.add("scarf-isospectrality",
+             "extended vs classical level mapping (missing states reported)",
+             {"mapping": mapping,
+              "ground_state_unmatched": 0 in mapping["unmatched_a"]
+              or 0 in mapping["unmatched_b"]},
+             mapping["max_pair_diff"], None, "reported")
+    return rows.rows
 
 
 def suite_susy(cfg: VerificationConfig) -> list[dict]:
-    rows = []
+    rows = _Rows()
+    # first, so the time around each audit call goes to a row of this suite
+    for preset in ("oscillator3d", "coulomb", "scarf"):
+        rows.add_claims(preset, susy.verify_claims(preset))
+
     tol = cfg.tolerances
     l = 1
     w_osc = susy.oscillator_intertwiner(l)
     w_lin = susy.Superpotential(w=lambda x: x, w_prime=lambda x: np.ones_like(x),
                                 label="W(x) = x")
-
-    t0 = time.perf_counter()
     worst = 0.0
     for w, dom in ((w_lin, (-8.0, 8.0)), (w_osc, (0.5, 12.0))):
         g = Grid(dom[0], dom[1], 3000)
@@ -447,22 +455,19 @@ def suite_susy(cfg: VerificationConfig) -> list[dict]:
         dev = np.max(np.abs(pair.v_minus(x) - pair.v_plus(x) - 2 * w.w_prime(x)))
         scale = max(1.0, float(np.max(np.abs(w.w_prime(x)))))
         worst = max(worst, float(dev / scale))
-    rows.append(_gate("partner-construction-identity",
-                      "V- - V+ = 2 W' to roundoff for every superpotential",
-                      {"superpotentials": ["W(x)=x", "oscillator intertwiner"]},
-                      worst, 1e-12, t0))
+    rows.add("partner-construction-identity",
+             "V- - V+ = 2 W' to roundoff for every superpotential",
+             {"superpotentials": ["W(x)=x", "oscillator intertwiner"]}, worst, 1e-12)
 
-    t0 = time.perf_counter()
     worst = 0.0
     for w, dom in ((w_lin, (-8.0, 8.0)), (w_osc, (0.8, 12.0))):
         g = Grid(dom[0], dom[1], 12000)
         for psi in susy.random_smooth_functions(g, 5, seed=7):
             worst = max(worst, susy.intertwining_operator_residual(w, g, psi))
-    rows.append(_gate("intertwining-operator-identity",
-                      "A H+ and H- A agree on random smooth states",
-                      {"test_functions": 5}, worst, tol["operator_identity"], t0))
+    rows.add("intertwining-operator-identity",
+             "A H+ and H- A agree on random smooth states",
+             {"test_functions": 5}, worst, tol["operator_identity"])
 
-    t0 = time.perf_counter()
     classical = Oscillator3D(l=l - 1)
     exceptional = Oscillator3D(l=l)
     g = Grid(0.0, 14.0, cfg.grid["rayleigh_points"])
@@ -478,34 +483,23 @@ def suite_susy(cfg: VerificationConfig) -> list[dict]:
         matched_worst = max(matched_worst, residuals[best])
         mismatch_best = min(mismatch_best,
                             min(r for i, r in enumerate(residuals) if i != best))
-    rows.append(_gate("intertwine-matched-pairings",
-                      "A maps each classical state onto one exceptional state",
-                      {"l": l, "pairings": {str(k): v for k, v in pairings.items()}},
-                      matched_worst, tol["intertwine"], t0))
-    t0 = time.perf_counter()
+    rows.add("intertwine-matched-pairings",
+             "A maps each classical state onto one exceptional state",
+             {"l": l, "pairings": {str(k): v for k, v in pairings.items()}},
+             matched_worst, tol["intertwine"])
     separation = mismatch_best / matched_worst if matched_worst else float("inf")
-    rows.append(_check("intertwine-separation",
-                       "mismatched pairings are rejected by orders of magnitude",
-                       {"mismatch_best": mismatch_best, "separation": separation},
-                       mismatch_best, 1e-1,
-                       "pass" if mismatch_best > 1e-1 and separation >= 1e4 else "fail",
-                       t0))
+    rows.add("intertwine-separation",
+             "mismatched pairings are rejected by orders of magnitude",
+             {"mismatch_best": mismatch_best, "separation": separation},
+             mismatch_best, 1e-1,
+             "pass" if mismatch_best > 1e-1 and separation >= 1e4 else "fail")
 
-    t0 = time.perf_counter()
     gz = Grid(-8.0, 8.0, 4000)
     zero_mode = susy.formal_zero_mode(w_lin, gz).normalized()
     res = susy.apply_A(w_lin, zero_mode).norm()
-    rows.append(_gate("zero-mode-annihilation",
-                      "A annihilates exp(-integral W)",
-                      {"W": "x"}, res, 1e-5, t0))
-
-    for preset in ("oscillator3d", "coulomb", "scarf"):
-        for row in susy.verify_claims(preset):
-            rows.append(_check(f"claim-audit[{preset}:{row['claim']}]"
-                               + (f"[n={row['params']['n']}]" if "n" in row["params"] else ""),
-                               row["claim"], row["params"], row["max_abs_dev"],
-                               row["tol"], row["status"], runtime=row["runtime"]))
-    return rows
+    rows.add("zero-mode-annihilation", "A annihilates exp(-integral W)",
+             {"W": "x"}, res, 1e-5)
+    return rows.rows
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +518,10 @@ def run_verification(cfg: VerificationConfig) -> VerificationReport:
     """Run the configured suites one after another and assemble the report."""
     checks = [row for suite in cfg.suites for row in _SUITE_FUNCS[suite](cfg)]
     if cfg.negative_control:
-        checks.append(_check("negative-control",
-                             "intentionally corrupted check (must fail)",
-                             {}, 1.0, 0.0, "fail", time.perf_counter()))
+        control = _Rows()
+        control.add("negative-control", "intentionally corrupted check (must fail)",
+                    {}, 1.0, 0.0, "fail")
+        checks += control.rows
     checks.sort(key=lambda c: c["id"])
     ids = [c["id"] for c in checks]
     if len(set(ids)) != len(ids):  # every executed check appears exactly once

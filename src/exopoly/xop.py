@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import quad
 from .polycore import (
@@ -41,17 +40,14 @@ from .polycore import (
 
 @dataclass(frozen=True)
 class XFamilySpec:
-    """Identifies one exceptional family: base family, codimension, parameters."""
+    """Identifies one X1 family: base family and parameters."""
 
     family: str  # "laguerre" | "jacobi"
-    j: int = 1
     k: Optional[Fraction] = None
     alpha: Optional[Fraction] = None
     beta: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.j < 1:
-            raise ValueError("codimension j must be >= 1")
         if self.family == "laguerre":
             if self.k is None or self.k <= 0:
                 raise ValueError("exceptional Laguerre requires k > 0")
@@ -297,7 +293,7 @@ def xj_quotient_solve(k: float, j: int, n: int) -> list[dict]:
             m[i - 1, i] = -kf * q - B
         if i + 1 < size:
             m[i + 1, i] = n - i
-    vals, vecs = scipy.linalg.eig(m)
+    vals, vecs = np.linalg.eig(m)
     out = []
     for idx in np.argsort(vals.real):
         a_val = vals[idx]

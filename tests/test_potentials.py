@@ -12,14 +12,12 @@ from exopoly.potentials import (
     Oscillator3D,
     PotentialError,
     ScarfTrig,
-    closed_form_eigenstate,
     hamiltonian_residual,
     make_preset,
     quotient_identity_check,
     state_rayleigh,
     ve_jacobi,
     ve_laguerre,
-    ve_preset,
 )
 from exopoly.solver import Grid
 from exopoly.xop import x1_laguerre_op_route, xj_quotient_solve
@@ -152,15 +150,13 @@ class TestClosedFormStates:
 
 class TestPresetRegistry:
     def test_dispatchers(self):
-        assert ve_preset("oscillator3d", 0.5) == pytest.approx(0.0)
-        assert ve_preset(Morse(A=4, B=2), 1.0, n=0) == pytest.approx(
-            1 / 5 - 8 / 25)
+        assert Oscillator3D().ve_printed(0.5) == pytest.approx(0.0)
+        assert Morse(A=4, B=2).ve_printed(1.0, n=0) == pytest.approx(1 / 5 - 8 / 25)
         with pytest.raises(PotentialError):
-            ve_preset("morse", 1.0)  # needs the level index
-        st = closed_form_eigenstate("oscillator3d", 1, "exceptional")
-        assert st.kind == "exceptional"
-        with pytest.raises(PotentialError):
-            closed_form_eigenstate("oscillator3d", 1, "mystery")
+            Morse(A=4, B=2).ve_printed(1.0)  # needs the level index
+        st = Oscillator3D().exceptional_state(1)
+        assert st.polynomial == x1_laguerre_op_route(0, F(1, 2))
+        assert st.energy == Oscillator3D().exceptional_energy(1)
 
     @pytest.mark.parametrize("preset,coordinate", [
         (Oscillator3D(), 0.7), (CoulombRadial(), 1.3), (ScarfTrig(A=4, B=1), 0.2)])

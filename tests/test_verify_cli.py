@@ -17,6 +17,7 @@ from exopoly.verify import (
     run_verification,
     suite_spectra,
     suite_susy,
+    suite_theorem,
     suite_xop,
     write_atomic,
 )
@@ -161,6 +162,27 @@ class TestCampaign:
         assert (rows["intertwine-separation"]["runtime"]
                 < rows["intertwine-matched-pairings"]["runtime"])
 
+    def test_runtimes_tile_each_suite(self, monkeypatch):
+        # a clock that advances one tick per read: every read inside a suite
+        # must fall on a row boundary, so the runtimes add up to the span
+        reads = []
+
+        def tick():
+            reads.append(float(len(reads)))
+            return reads[-1]
+
+        monkeypatch.setattr(time, "perf_counter", tick)
+        cfg = VerificationConfig.from_dict(
+            {"laguerre_k": ["1"], "jacobi_alpha_beta": [["1", "2"]], "n_max": 3,
+             "n_eigen_max": 3,
+             "grid": {"spectrum_points": 2000, "rayleigh_points": 2000}})
+        for suite in (suite_xop, suite_theorem, suite_spectra, suite_susy):
+            first = len(reads)
+            rows = suite(cfg)
+            assert len(reads) - first > len(rows), suite.__name__
+            assert sum(c["runtime"] for c in rows) == reads[-1] - reads[first], \
+                suite.__name__
+
     def test_spectra_suite_solves_for_eigenvalues_only(self, monkeypatch):
         def no_vectors(*args, **kwargs):
             raise AssertionError("the verify path computed eigenvectors")
@@ -252,6 +274,15 @@ class TestCliVerify:
         out = tmp_path / "r.json"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["failures"] == 0
+
+    def test_unsettled_weight_exits_three(self, tmp_path, capsys):
+        # the weight's continued fraction does not settle within 2^17 steps
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"laguerre_k": ["1/1000"], "suites": ["xop"]}))
+        out = tmp_path / "r.json"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: x1-laguerre recurrence")
+        assert not out.exists()
 
 
 class TestCliPoly:

@@ -295,6 +295,11 @@ class TestRouteAgreement:
         with pytest.raises(ValueError):
             family_by_route(spec, 0, "operator")
 
+    def test_spec_has_no_codimension(self):
+        # every route builds X1 members, so a codimension is not accepted
+        with pytest.raises(TypeError):
+            XFamilySpec(family="laguerre", k=F(1), j=2)
+
 
 class TestCompletenessProxy:
     def test_strictly_decreasing_errors(self):
