@@ -4,7 +4,8 @@ that construction.
 
 Layers, bottom up:
 
-* :mod:`exopoly.polycore` -- exact rational polynomial arithmetic and the
+* :mod:`exopoly.polycore` -- exact rational polynomial arithmetic, exact
+  differential operators with polynomial coefficients (``DiffOp``), and the
   classical Laguerre/Jacobi families.
 * :mod:`exopoly.xop` -- the exceptional families by three independent routes
   (ladder operator, exact ODE nullspace, Gram-Schmidt under the rational
@@ -25,6 +26,7 @@ Layers, bottom up:
 __version__ = "0.1.0"
 
 from .polycore import (  # noqa: F401
+    DiffOp,
     JacobiConstants,
     Poly,
     as_rational,

@@ -2,19 +2,23 @@
 
 Everything in this module is exact: a polynomial is a tuple of integer
 numerators over one positive common denominator (``coeffs`` shows them as
-`fractions.Fraction`), the nullspace solver eliminates on integers, no
-floating point ever enters, and an identity that holds here holds as a
-theorem, not as a numerical coincidence.  The rest of the package builds the
-exceptional families out of these primitives and only drops to floats at the
-quadrature/eigensolver layer.
+`fractions.Fraction`), a differential operator with polynomial coefficients
+(`DiffOp`) is a set of integer terms over one denominator, the nullspace
+solver eliminates on integers, no floating point ever enters, and an
+identity that holds here holds as a theorem, not as a numerical
+coincidence.  The rest of the package builds the exceptional families out
+of these primitives and only drops to floats at the quadrature/eigensolver
+layer.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[Fraction, int, str, float]
 
@@ -235,12 +239,75 @@ def _ratio(value) -> tuple[int, int]:
 
 def _clear(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     """Integer numerators over the least common denominator of ``values``."""
+    values = list(values)
+    if all(type(v) is int for v in values):
+        return values, 1
     pairs = [_ratio(v) for v in values]
     den = math.lcm(*(d for _, d in pairs)) if pairs else 1
     return [n * (den // d) for n, d in pairs], den
 
 
 X = Poly.x()
+
+
+class DiffOp:
+    """Exact linear differential operator with polynomial coefficients.
+
+    L = sum of terms (c/den) x^s D^o, D = d/dx, built from a table
+    ``{(s, o): c}`` of exact scalars and stored as integer numerators over one
+    positive common denominator (zero terms dropped, content and denominator
+    coprime).  The cleared equations of this package are second order,
+    a0 + a1 D + a2 D^2 with a_o = sum_s c_(s,o) x^s, but any order works.
+    ``L(f)`` is one integer pass over f's numerators and one normalization;
+    ``L.monomial_matrix(size)`` is den*L on 1, x, ..., x^(size-1) as an
+    integer matrix, read straight off the terms.
+    """
+
+    __slots__ = ("_by_order", "_den", "_reach")
+
+    def __init__(self, table: Mapping[tuple[int, int], RationalLike]):
+        if any(s < 0 or o < 0 for s, o in table):
+            raise ValueError("term shifts and orders must be >= 0")
+        nums, den = _clear(table.values())
+        terms = [(o, s, c) for (s, o), c in zip(table, nums) if c]
+        g = math.gcd(den, *(c for _, _, c in terms))
+        by_order: dict[int, list[tuple[int, int]]] = {}
+        for o, s, c in sorted(terms):
+            by_order.setdefault(o, []).append((s, c // g))
+        self._by_order = tuple((o, tuple(shifts)) for o, shifts in by_order.items())
+        self._den = den // g
+        # the largest rise in degree, s - o, over the terms
+        self._reach = max((s - o for o, s, _ in terms), default=0)
+
+    @property
+    def den(self) -> int:
+        """The common denominator of the terms."""
+        return self._den
+
+    def __call__(self, f: Poly) -> Poly:
+        fn = f._num
+        out = [0] * max(len(fn) + self._reach, 0)
+        for o, shifts in self._by_order:
+            # D^o x^d = perm(d, o) x^(d-o); g[i] is the image of f's x^(i+o) term
+            g = [math.perm(d, o) * fn[d] for d in range(o, len(fn))] if o else fn
+            for s, c in shifts:
+                for i, v in enumerate(g, s):
+                    out[i] += c * v
+        return Poly._from_ints(out, self._den * f._den)
+
+    def monomial_matrix(self, size: int) -> list[list[int]]:
+        """Integer matrix of den*L on the monomials 1..x^(size-1): column d
+        holds the numerators of den*L(x^d), row r the power x^r.  Trailing
+        zero rows are dropped; at least one row is kept."""
+        rows = [[0] * size for _ in range(max(size + self._reach, 1))]
+        for o, shifts in self._by_order:
+            for d in range(o, size):
+                w = math.perm(d, o)
+                for s, c in shifts:
+                    rows[d - o + s][d] += c * w
+        while len(rows) > 1 and not any(rows[-1]):
+            rows.pop()
+        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -335,18 +402,26 @@ def classical_ode_residual(g: Poly, family: str, params, eig: RationalLike) -> P
     when g is an eigenpolynomial at that eigenvalue.
     """
     lam = as_rational(eig)
-    gp, gpp = g.derivative(), g.derivative().derivative()
     if family == "laguerre":
-        m = as_rational(params)
-        return X * gpp + Poly((m + 1, -1)) * gp + lam * g
+        return DiffOp(_classical_laguerre_table(as_rational(params), lam))(g)
     if family == "jacobi":
-        alpha, beta = (as_rational(params[0]), as_rational(params[1]))
-        return (
-            Poly((1, 0, -1)) * gpp
-            + Poly((beta - alpha, -(alpha + beta + 2))) * gp
-            + lam * g
-        )
+        alpha, beta = as_rational(params[0]), as_rational(params[1])
+        return DiffOp(_classical_jacobi_table(alpha, beta, lam))(g)
     raise ValueError(f"unknown family {family!r}")
+
+
+# Operator tables {(shift, order): coefficient}, one term c x^shift D^order
+# each: plain arithmetic on the parameters, so they also expand symbolically.
+
+def _classical_laguerre_table(m, lam) -> dict:
+    """x D^2 + (m+1-x) D + lam."""
+    return {(1, 2): 1, (0, 1): m + 1, (1, 1): -1, (0, 0): lam}
+
+
+def _classical_jacobi_table(alpha, beta, lam) -> dict:
+    """(1-z^2) D^2 + [beta-alpha-(alpha+beta+2) z] D + lam."""
+    return {(0, 2): 1, (2, 2): -1, (0, 1): beta - alpha,
+            (1, 1): -(alpha + beta + 2), (0, 0): lam}
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +432,19 @@ def rational_nullspace(rows: list[list[RationalLike]]) -> list[list[Fraction]]:
     """Exact basis of the nullspace of a small rational matrix.
 
     One vector per free (non-pivot) column, with 1 in that column and 0 in
-    the other free columns.  Each row is cleared to integers, then reduced by
-    fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968)
-    565-578): every entry stays an integer minor of the cleared matrix, each
-    division by the previous pivot is exact, and at the end every pivot
-    equals the last one, ``d``, so the reduced row echelon form is M / d.
+    the other free columns: the basis read off the reduced row echelon form,
+    so it is unique.  Each row is cleared to integers and the matrix brought
+    to echelon form by fraction-free elimination below the pivots, every new
+    row divided by the gcd of its entries; each basis vector is then solved
+    for by integer back substitution over one common denominator.  Only rows
+    with a nonzero entry under a pivot are touched, so a banded matrix (an
+    operator on monomials) costs little more than its band.
     """
     if not rows:
         return []
     mat = [_clear(row)[0] for row in rows]
     nrows, ncols = len(mat), len(mat[0])
     pivots: list[int] = []
-    prev = 1
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -379,22 +455,28 @@ def rational_nullspace(rows: list[list[RationalLike]]) -> list[list[Fraction]]:
         mat[r], mat[pivot] = mat[pivot], mat[r]
         top = mat[r]
         p = top[c]
-        for i in range(nrows):
-            if i == r:
-                continue
-            row, f = mat[i], mat[i][c]
+        for i in range(r + 1, nrows):
+            f = mat[i][c]
             if f:
-                mat[i] = [(p * v - f * w) // prev for v, w in zip(row, top)]
-            elif p != prev:
-                mat[i] = [p * v // prev for v in row]
+                row = [p * v - f * w for v, w in zip(mat[i], top)]
+                g = math.gcd(*row)
+                mat[i] = [v // g for v in row] if g > 1 else row
         pivots.append(c)
-        prev = p
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = Fraction(-mat[r][fc], prev)
-        basis.append(vec)
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        # the vector is num / den on columns 0..fc; the rest is 0
+        num, den = [0] * fc + [1], 1
+        for r in range(bisect.bisect(pivots, fc) - 1, -1, -1):
+            pc, row = pivots[r], mat[r]
+            s = sum(map(operator.mul, row[pc + 1:fc + 1], num[pc + 1:]))
+            if s:
+                p = row[pc]
+                num = [v * p for v in num]
+                num[pc] = -s
+                den *= p
+                g = math.gcd(den, *num)
+                if g > 1:
+                    num = [v // g for v in num]
+                    den //= g
+        basis.append([Fraction(v, den) for v in num] + [Fraction(0)] * (ncols - fc - 1))
     return basis

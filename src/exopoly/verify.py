@@ -123,6 +123,18 @@ class VerificationConfig:
             raise ConfigError(f"jacobi_alpha_beta: {exc}") from exc
         if not ab or any(a == b or a <= -1 or b <= -1 for a, b in ab):
             raise ConfigError("jacobi_alpha_beta: need pairs with alpha,beta > -1, alpha != beta")
+        if "xop" in expanded:
+            # the xop suite integrates against each family's weight, whose
+            # mass and recurrence must fit a float; three coefficients reach
+            # every branch of the recurrence formulas
+            weights = ([("laguerre_k", quad.WeightSpec.laguerre(k)) for k in kvals]
+                       + [("jacobi_alpha_beta", quad.WeightSpec.jacobi(a, b))
+                          for a, b in ab])
+            for key, weight in weights:
+                try:
+                    quad.recurrence_coefficients(weight, 3)
+                except ValueError as exc:
+                    raise ConfigError(f"{key}: {exc}") from exc
         lvals = merged["oscillator_l"]
         if not lvals or any(not _is_int(l) or l < 0 for l in lvals):
             raise ConfigError("oscillator_l: need a nonempty list of ints >= 0")

@@ -9,9 +9,13 @@ Three independent construction routes are provided and cross-checked:
   weight (floating point, in the orthonormal basis of the weight's own
   recurrence).
 
-The defining equations are verified as exact polynomial identities: the
-"residual" functions return the equation's left-hand side with denominators
-cleared, which is the zero polynomial precisely on eigenpolynomials.
+The defining equations are verified as exact polynomial identities: each
+cleared equation, and each first-order ladder, is a `polycore.DiffOp` built
+from its parameters by a coefficient table; the "residual" functions apply
+it and return the equation's left-hand side with denominators cleared,
+which is the zero polynomial precisely on eigenpolynomials, and the
+nullspace route hands the operator's integer matrix on monomials to the
+exact nullspace solver.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ import numpy as np
 
 from . import quad
 from .polycore import (
+    DiffOp,
     JacobiConstants,
     Poly,
     RationalLike,
-    X,
     as_rational,
     jacobi_classical,
     jacobi_family,
@@ -70,6 +74,13 @@ class XFamilySpec:
             return x1_laguerre_ode_residual(f, self.k, n)
         return x1_jacobi_ode_residual(f, self.alpha, self.beta, n)
 
+    def operator(self, n: RationalLike) -> DiffOp:
+        """The cleared operator of this family's X1 equation at index n; its
+        value on f is :meth:`ode_residual`."""
+        if self.family == "laguerre":
+            return _laguerre_operator(self.k, 1, n)
+        return _jacobi_operator(self.alpha, self.beta, n)
+
 
 # ---------------------------------------------------------------------------
 # operator routes
@@ -84,7 +95,7 @@ def x1_laguerre_op_route(nu: int, k: RationalLike) -> Poly:
     kq = as_rational(k)
     if kq <= 0:
         raise ValueError("requires k > 0")
-    return _laguerre_ladder(laguerre_classical(nu, kq - 1), kq)
+    return DiffOp(_laguerre_ladder_table(kq))(laguerre_classical(nu, kq - 1))
 
 
 def x1_jacobi_op_route(n: int, alpha: RationalLike, beta: RationalLike) -> Poly:
@@ -96,7 +107,7 @@ def x1_jacobi_op_route(n: int, alpha: RationalLike, beta: RationalLike) -> Poly:
     constant is whatever it is -- measured, never assumed.
     """
     al, be = _jacobi_ladder_params(alpha, beta)
-    return _jacobi_ladder(jacobi_classical(n, al - 1, be + 1), al, be)
+    return DiffOp(_jacobi_ladder_table(al, be))(jacobi_classical(n, al - 1, be + 1))
 
 
 def operator_family(spec: XFamilySpec, n_max: int) -> list[Poly]:
@@ -106,14 +117,13 @@ def operator_family(spec: XFamilySpec, n_max: int) -> list[Poly]:
         raise ValueError("exceptional families have no degree-0 member")
     if spec.family == "laguerre":
         kq = as_rational(spec.k)
-        return [_laguerre_ladder(L, kq) for L in laguerre_family(n_max - 1, kq - 1)]
-    al, be = _jacobi_ladder_params(spec.alpha, spec.beta)
-    return [_jacobi_ladder(P, al, be) for P in jacobi_family(n_max - 1, al - 1, be + 1)]
-
-
-def _laguerre_ladder(L: Poly, k: Fraction) -> Poly:
-    """(x+k)(d/dx - 1) - 1 applied to L."""
-    return Poly((k, 1)) * (L.derivative() - L) - L
+        table, seeds = _laguerre_ladder_table(kq), laguerre_family(n_max - 1, kq - 1)
+    else:
+        al, be = _jacobi_ladder_params(spec.alpha, spec.beta)
+        table = _jacobi_ladder_table(al, be)
+        seeds = jacobi_family(n_max - 1, al - 1, be + 1)
+    ladder = DiffOp(table)
+    return [ladder(p) for p in seeds]
 
 
 def _jacobi_ladder_params(alpha: RationalLike,
@@ -126,12 +136,22 @@ def _jacobi_ladder_params(alpha: RationalLike,
     return al, be
 
 
-def _jacobi_ladder(P: Poly, al: Fraction, be: Fraction) -> Poly:
-    """[alpha+beta-(beta-alpha)x]((1+x) d/dx + beta + 1) + (beta-alpha)(1+x)
-    applied to P."""
-    one_plus_x = Poly((1, 1))
-    return Poly((al + be, -(be - al))) * (one_plus_x * P.derivative() + (be + 1) * P) \
-        + (be - al) * one_plus_x * P
+# Operator tables {(shift, order): coefficient}, one term c x^shift D^order
+# each: plain arithmetic on the parameters, so they also expand symbolically.
+
+def _laguerre_ladder_table(k) -> dict:
+    """The Laguerre ladder (x+k)(d/dx - 1) - 1 = (x+k) D - (x+k+1)."""
+    return {(0, 1): k, (1, 1): 1, (0, 0): -(k + 1), (1, 0): -1}
+
+
+def _jacobi_ladder_table(al, be) -> dict:
+    """The Jacobi ladder
+    [alpha+beta-(beta-alpha)x]((1+x) d/dx + beta + 1) + (beta-alpha)(1+x);
+    with p = alpha+beta and q = beta-alpha it is
+    (p + (p-q) x - q x^2) D + p(beta+1) + q - q beta x."""
+    p, q = al + be, be - al
+    return {(0, 1): p, (1, 1): p - q, (2, 1): -q, (0, 0): p * (be + 1) + q,
+            (1, 0): -q * be}
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +166,7 @@ def x1_laguerre_ode_residual(f: Poly, k: RationalLike, n: int) -> Poly:
     polynomial iff f is the index-n eigenpolynomial (the eigenvalue being
     n-1 in the uncleared equation).
     """
-    return _laguerre_residual(f, k, 1, n)
+    return _laguerre_operator(k, 1, n)(f)
 
 
 def x1_jacobi_ode_residual(f: Poly, alpha: RationalLike, beta: RationalLike,
@@ -156,16 +176,24 @@ def x1_jacobi_ode_residual(f: Poly, alpha: RationalLike, beta: RationalLike,
     (b-x)(x^2-1) f'' + 2a(1-bx)[(x-c) f' - f] - lambda (b-x) f with
     lambda = (n-1)(alpha+beta+n) and a, b, c the derived constants.
     """
+    return _jacobi_operator(alpha, beta, n)(f)
+
+
+def _jacobi_operator(alpha: RationalLike, beta: RationalLike,
+                     n: RationalLike) -> DiffOp:
+    """The cleared X1 Jacobi operator at index n."""
     al, be = as_rational(alpha), as_rational(beta)
     jc = JacobiConstants.from_parameters(al, be)
     lam = (as_rational(n) - 1) * (al + be + n)
-    fp, fpp = f.derivative(), f.derivative().derivative()
-    b_minus_x = Poly((jc.b, -1))
-    return (
-        b_minus_x * Poly((-1, 0, 1)) * fpp
-        + 2 * jc.a * Poly((1, -jc.b)) * (Poly((-jc.c, 1)) * fp - f)
-        - lam * b_minus_x * f
-    )
+    return DiffOp(_jacobi_table(jc.a, jc.b, jc.c, lam))
+
+
+def _jacobi_table(a, b, c, lam) -> dict:
+    """The X1 Jacobi operator
+    (b-x)(x^2-1) D^2 + 2a(1-bx)(x-c) D - 2a(1-bx) - lam (b-x)."""
+    return {(0, 2): -b, (1, 2): 1, (2, 2): b, (3, 2): -1,
+            (0, 1): -2 * a * c, (1, 1): 2 * a * (1 + b * c), (2, 1): -2 * a * b,
+            (0, 0): -2 * a - lam * b, (1, 0): 2 * a * b + lam}
 
 
 def xj_laguerre_ode_residual(f: Poly, k: RationalLike, j: int, n: RationalLike) -> Poly:
@@ -176,20 +204,23 @@ def xj_laguerre_ode_residual(f: Poly, k: RationalLike, j: int, n: RationalLike) 
     accepted as a free rational: which n admit polynomial solutions is a
     question for :func:`xj_polynomial_solve`, not an assumption.
     """
+    return _laguerre_operator(k, j, n)(f)
+
+
+def _laguerre_operator(k: RationalLike, j: int, n: RationalLike) -> DiffOp:
+    """The one operator of both Laguerre residuals (private, so a traced
+    public name never calls the other)."""
     if j < 1:
         raise ValueError("codimension j must be >= 1")
-    return _laguerre_residual(f, k, j, n)
+    return DiffOp(_laguerre_table(as_rational(k), j, as_rational(n)))
 
 
-def _laguerre_residual(f: Poly, k: RationalLike, j: int, n: RationalLike) -> Poly:
-    """The one body of both Laguerre residuals (private, so a traced public
-    name never calls the other)."""
-    kq, nq = as_rational(k), as_rational(n)
-    fp = f.derivative()
-    first_order = Poly((-kq, 1)) * Poly((kq + 1, 1)) - (2 * (j - 1)) * X
-    # j(x-k) + (n-j)(x+k) collected into one factor: one product with f, not two
-    zeroth_order = Poly(((nq - 2 * j) * kq, nq))
-    return -(X * Poly((kq, 1))) * fp.derivative() + first_order * fp - zeroth_order * f
+def _laguerre_table(k, j, n) -> dict:
+    """The codimension-j Laguerre operator
+    -x(x+k) D^2 + [(x-k)(x+k+1) - 2(j-1)x] D - [j(x-k) + (n-j)(x+k)]."""
+    return {(1, 2): -k, (2, 2): -1,
+            (0, 1): -k * (k + 1), (1, 1): 3 - 2 * j, (2, 1): 1,
+            (0, 0): (2 * j - n) * k, (1, 0): -n}
 
 
 def xj_polynomial_solve(k: RationalLike, j: int, n: RationalLike,
@@ -203,16 +234,13 @@ def xj_polynomial_solve(k: RationalLike, j: int, n: RationalLike,
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    return _monomial_nullspace(lambda f: xj_laguerre_ode_residual(f, k, j, n),
-                               max_degree)
+    return _monomial_nullspace(_laguerre_operator(k, j, n), max_degree)
 
 
-def _monomial_nullspace(residual, max_degree: int) -> list[Poly]:
+def _monomial_nullspace(op: DiffOp, max_degree: int) -> list[Poly]:
     """Monic exact basis of the polynomials of degree <= max_degree that the
-    linear map ``residual`` sends to the zero polynomial."""
-    images = [residual(Poly([0] * d + [1])) for d in range(max_degree + 1)]
-    nrows = max(1, max(img.degree for img in images) + 1)
-    rows = [[img.coefficient(r) for img in images] for r in range(nrows)]
+    operator ``op`` sends to the zero polynomial."""
+    rows = op.monomial_matrix(max_degree + 1)
     return [Poly(vec).monic() for vec in rational_nullspace(rows)]
 
 
@@ -431,7 +459,7 @@ def family_by_route(spec: XFamilySpec, n: int, route: str):
             return x1_laguerre_op_route(n - 1, spec.k)
         return x1_jacobi_op_route(n - 1, spec.alpha, spec.beta)
     if route == "nullspace":
-        sols = _monomial_nullspace(lambda f: spec.ode_residual(f, n), n)
+        sols = _monomial_nullspace(spec.operator(n), n)
         if len(sols) != 1:
             raise ValueError(
                 f"nullspace route expected exactly one solution, got {len(sols)}"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exopoly.polycore import (
+    DiffOp,
     JacobiConstants,
     Poly,
     X,
@@ -20,6 +21,8 @@ from exopoly.polycore import (
     laguerre_family,
     rational_nullspace,
     rational_str,
+    _classical_jacobi_table,
+    _classical_laguerre_table,
 )
 
 from oracles import jacobi_by_ode_system, laguerre_by_ode_system
@@ -336,3 +339,90 @@ class TestNullspaceAgainstSympy:
 
     def test_empty_matrix(self):
         assert rational_nullspace([]) == []
+
+
+# operator coefficients a0, a1, a2 of degree <= 3, and f of degree <= 10
+coefficient_polys = st.lists(rationals, min_size=0, max_size=4).map(Poly)
+operand_polys = st.lists(rationals, min_size=0, max_size=11).map(Poly)
+
+
+def diffop_of(*coefficients: Poly) -> DiffOp:
+    """a0 + a1 D + a2 D^2 + ... as a DiffOp, one term per coefficient."""
+    return DiffOp({(s, o): a.coefficient(s)
+                   for o, a in enumerate(coefficients) for s in range(a.degree + 1)})
+
+
+def monomial(d: int) -> Poly:
+    return Poly([0] * d + [1])
+
+
+def expand_table(table: dict, g, x):
+    """sum of c x^s g^(o) over the table's terms, for a sympy expression g."""
+    return sum(c * x**s * sympy.diff(g, x, o) for (s, o), c in table.items())
+
+
+class TestDiffOp:
+    @given(coefficient_polys, coefficient_polys, coefficient_polys, operand_polys)
+    @settings(max_examples=80, deadline=None)
+    def test_apply_matches_the_poly_expression(self, a0, a1, a2, f):
+        fp = f.derivative()
+        out = diffop_of(a0, a1, a2)(f)
+        assert out == a2 * fp.derivative() + a1 * fp + a0 * f
+        assert_canonical(out)
+
+    @given(coefficient_polys, coefficient_polys, coefficient_polys, st.integers(1, 11))
+    @settings(max_examples=80, deadline=None)
+    def test_monomial_matrix_columns(self, a0, a1, a2, size):
+        op = diffop_of(a0, a1, a2)
+        rows = op.monomial_matrix(size)
+        assert all(len(row) == size and all(type(v) is int for v in row) for row in rows)
+        assert len(rows) == 1 or any(rows[-1])
+        for d in range(size):
+            assert Poly(row[d] for row in rows) == op(monomial(d)).scale(op.den)
+
+    def test_zero_operator(self):
+        zero = DiffOp({})
+        assert zero.den == 1
+        assert zero(Poly((1, 2, 3))).is_zero
+        assert zero.monomial_matrix(3) == [[0, 0, 0]]
+        assert DiffOp({(0, 0): 0, (3, 2): F(0)}).monomial_matrix(2) == [[0, 0]]
+
+    def test_zero_operand_and_lowering_operators(self):
+        op = DiffOp({(1, 2): F(1, 2), (0, 0): 3})
+        assert op(Poly.zero()).is_zero
+        assert DiffOp({(0, 2): 1})(X) == Poly.zero()
+        assert DiffOp({(0, 1): F(2, 3)})(Poly((5, 6, 9))) == Poly((4, 12))
+        # D on a constant: every column maps to x^-1 or lower, so one zero row
+        assert DiffOp({(0, 1): 1}).monomial_matrix(1) == [[0]]
+
+    def test_terms_share_one_reduced_denominator(self):
+        op = DiffOp({(0, 0): F(2, 3), (1, 1): F(4, 9)})
+        assert op.den == 9
+        assert DiffOp({(0, 0): F(2, 3), (1, 1): F(4, 3)}).den == 3
+        assert DiffOp({(0, 0): 6, (2, 1): 4}).den == 1
+
+    def test_negative_shift_or_order_rejected(self):
+        with pytest.raises(ValueError):
+            DiffOp({(-1, 0): 1})
+        with pytest.raises(ValueError):
+            DiffOp({(0, -1): 1})
+
+
+class TestClassicalTablesAgainstSympy:
+    """The tables behind :func:`classical_ode_residual` expand to the
+    equations its docstring prints, for symbolic parameters."""
+
+    def test_laguerre(self):
+        m, lam = sympy.symbols("m lam")
+        g = sympy.Function("g")(SX)
+        printed = SX * g.diff(SX, 2) + (m + 1 - SX) * g.diff(SX) + lam * g
+        table = _classical_laguerre_table(m, lam)
+        assert sympy.expand(expand_table(table, g, SX) - printed) == 0
+
+    def test_jacobi(self):
+        alpha, beta, lam = sympy.symbols("alpha beta lam")
+        g = sympy.Function("g")(SX)
+        printed = ((1 - SX**2) * g.diff(SX, 2)
+                   + (beta - alpha - (alpha + beta + 2) * SX) * g.diff(SX) + lam * g)
+        table = _classical_jacobi_table(alpha, beta, lam)
+        assert sympy.expand(expand_table(table, g, SX) - printed) == 0

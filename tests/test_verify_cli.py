@@ -65,6 +65,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             VerificationConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("key", ["laguerre_k", "jacobi_alpha_beta"])
+    def test_empty_family_list_rejected(self, key):
+        # `suites` is the way to skip a family; an empty list is an error
+        for suites in (["all"], ["spectra"]):
+            with pytest.raises(ConfigError, match=f"^{key}: need"):
+                VerificationConfig.from_dict({key: [], "suites": suites})
+
+    def test_overflowing_weight_accepted_without_xop(self):
+        # only the xop suite integrates against the weight
+        cfg = VerificationConfig.from_dict({"laguerre_k": ["200"], "suites": ["theorem"]})
+        assert cfg.laguerre_k == [200]
+
     def test_roundtrip(self):
         cfg = VerificationConfig.from_dict({"suites": ["xop"], "n_max": 4})
         again = VerificationConfig.from_dict(cfg.to_dict())
@@ -274,6 +286,21 @@ class TestCliVerify:
         out = tmp_path / "r.json"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["failures"] == 0
+
+    @pytest.mark.parametrize("raw, key, name", [
+        ({"laguerre_k": ["200"]}, "laguerre_k", "k"),
+        ({"jacobi_alpha_beta": [["1", "2000"]]}, "jacobi_alpha_beta", "beta"),
+    ], ids=["laguerre", "jacobi"])
+    def test_weight_overflowing_a_float_exits_two(self, raw, key, name, tmp_path, capsys):
+        # the same weights make `exopoly quad` exit 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**raw, "suites": ["xop"]}))
+        out = tmp_path / "r.json"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ")
+        assert f"parameter {name} is too large" in err
+        assert not out.exists()
 
     def test_unsettled_weight_exits_three(self, tmp_path, capsys):
         # the weight's continued fraction does not settle within 2^17 steps

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,13 @@ from exopoly.xop import (
     xj_polynomial_solve,
     xj_quotient_residual_coeffs,
     xj_quotient_solve,
+    _jacobi_ladder_table,
+    _jacobi_table,
+    _laguerre_ladder_table,
+    _laguerre_table,
 )
+
+from oracles import frac_nullspace
 
 K_SAMPLES = (F(1), F(2), F(7, 2))
 AB_SAMPLES = ((F(1), F(2)), (F(2), F(5)), (F(1, 2), F(3, 2)))
@@ -353,3 +360,117 @@ class TestPinnedOperatorCoefficients:
         assert [family_by_route(spec, n, "operator") for n in range(1, 41)] == members
         text = json.dumps([p.to_json() for p in members])
         assert hashlib.sha256(text.encode()).hexdigest() == OPERATOR_DIGESTS[key]
+
+
+# ---------------------------------------------------------------------------
+# the operator tables, and the nullspace route against the Poly-image oracle
+# ---------------------------------------------------------------------------
+
+SX = sympy.Symbol("x")
+SF = sympy.Function("f")(SX)
+
+
+def _expand_table(table: dict):
+    """sum of c x^s f^(o) over the table's terms."""
+    return sum(c * SX**s * sympy.diff(SF, SX, o) for (s, o), c in table.items())
+
+
+def _d(order: int):
+    return sympy.diff(SF, SX, order)
+
+
+class TestOperatorTablesAgainstSympy:
+    """Each table expands to the equation printed in its function's
+    docstring, for symbolic parameters."""
+
+    def test_codimension_j_laguerre(self):
+        k, j, n = sympy.symbols("k j n")
+        printed = (-SX * (SX + k) * _d(2)
+                   + ((SX - k) * (k + SX + 1) - 2 * SX * (j - 1)) * _d(1)
+                   - j * (SX - k) * SF - (n - j) * (SX + k) * SF)
+        assert sympy.expand(_expand_table(_laguerre_table(k, j, n)) - printed) == 0
+
+    def test_x1_jacobi(self):
+        alpha, beta, n = sympy.symbols("alpha beta n")
+        a = (beta - alpha) / 2
+        b = (beta + alpha) / (beta - alpha)
+        c = b + 1 / a
+        lam = (n - 1) * (alpha + beta + n)
+        printed = ((b - SX) * (SX**2 - 1) * _d(2)
+                   + 2 * a * (1 - b * SX) * ((SX - c) * _d(1) - SF)
+                   - lam * (b - SX) * SF)
+        table = _jacobi_table(a, b, c, lam)
+        assert sympy.simplify(_expand_table(table) - printed) == 0
+
+    def test_laguerre_ladder(self):
+        k = sympy.Symbol("k")
+        printed = (SX + k) * (_d(1) - SF) - SF
+        assert sympy.expand(_expand_table(_laguerre_ladder_table(k)) - printed) == 0
+
+    def test_jacobi_ladder(self):
+        alpha, beta = sympy.symbols("alpha beta")
+        printed = ((alpha + beta - (beta - alpha) * SX)
+                   * ((1 + SX) * _d(1) + (beta + 1) * SF)
+                   + (beta - alpha) * (1 + SX) * SF)
+        table = _jacobi_ladder_table(alpha, beta)
+        assert sympy.expand(_expand_table(table) - printed) == 0
+
+
+def _laguerre_residual_by_products(f: Poly, k, j: int, n) -> Poly:
+    """The codimension-j Laguerre residual from Poly products alone."""
+    x, fp = Poly.x(), f.derivative()
+    first = Poly((-k, 1)) * Poly((k + 1, 1)) - (2 * (j - 1)) * x
+    zeroth = j * Poly((-k, 1)) + (n - j) * Poly((k, 1))
+    return -(x * Poly((k, 1))) * fp.derivative() + first * fp - zeroth * f
+
+
+def _jacobi_residual_by_products(f: Poly, alpha, beta, n) -> Poly:
+    """The X1 Jacobi residual from Poly products alone."""
+    jc = JacobiConstants.from_parameters(alpha, beta)
+    lam = (n - 1) * (alpha + beta + n)
+    fp = f.derivative()
+    b_minus_x = Poly((jc.b, -1))
+    return (b_minus_x * Poly((-1, 0, 1)) * fp.derivative()
+            + 2 * jc.a * Poly((1, -jc.b)) * (Poly((-jc.c, 1)) * fp - f)
+            - lam * b_minus_x * f)
+
+
+def _nullspace_by_images(residual, max_degree: int) -> list[Poly]:
+    """Monic nullspace basis from the Poly image of each monomial, solved by
+    the test oracle's own Gauss-Jordan elimination."""
+    images = [residual(Poly([0] * d + [1])) for d in range(max_degree + 1)]
+    nrows = max(1, max(img.degree for img in images) + 1)
+    rows = [[img.coefficient(r) for img in images] for r in range(nrows)]
+    return [Poly(vec).monic() for vec in frac_nullspace(rows)]
+
+
+_POOL = json.loads((Path(__file__).resolve().parent.parent / "bench" / "workloads.json")
+                   .read_text())["pool"]
+POOL_K = [F(k) for k in _POOL["laguerre_k"]]
+POOL_AB = [(F(a), F(b)) for a, b in _POOL["jacobi_alpha_beta"]]
+
+
+class TestNullspaceRouteAgainstImageOracle:
+    @pytest.mark.parametrize("k", POOL_K, ids=str)
+    def test_laguerre_route(self, k):
+        spec = XFamilySpec(family="laguerre", k=k)
+        for n in range(1, 13):
+            oracle = _nullspace_by_images(
+                lambda f: _laguerre_residual_by_products(f, k, 1, n), n)
+            assert [family_by_route(spec, n, "nullspace")] == oracle, n
+
+    @pytest.mark.parametrize("ab", POOL_AB, ids=lambda ab: f"{ab[0]},{ab[1]}")
+    def test_jacobi_route(self, ab):
+        spec = XFamilySpec(family="jacobi", alpha=ab[0], beta=ab[1])
+        for n in range(1, 13):
+            oracle = _nullspace_by_images(
+                lambda f: _jacobi_residual_by_products(f, *ab, n), n)
+            assert [family_by_route(spec, n, "nullspace")] == oracle, n
+
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("k", POOL_K, ids=str)
+    def test_xj_polynomial_solve(self, k, j):
+        for n in range(0, 13):
+            oracle = _nullspace_by_images(
+                lambda f: _laguerre_residual_by_products(f, k, j, n), 12)
+            assert xj_polynomial_solve(k, j, n, 12) == oracle, n
