@@ -1,11 +1,15 @@
 """Preset potentials, their rational extensions, and closed-form eigenstates.
 
 Conventions: natural units with Hamiltonian H = -d^2/dx^2 + V(x) throughout
-(matching the grid discretizer).  Each preset knows its classical potential,
-the derived rational extension that makes the exceptional closed forms exact
-eigenstates, the extension formula in its printed textbook variable (kept
-verbatim for auditing, even where it disagrees with the derived one), and
-closed-form eigenstates of both kinds.
+(matching the grid discretizer).  Each preset knows its classical potential
+and energies, the derived rational extension that makes the exceptional
+closed forms exact eigenstates, the extension formula in its printed
+textbook variable (kept verbatim for auditing, even where it disagrees with
+the derived one), and the frame of each classical level: the variable z(x),
+the prefactor, and the Laguerre or Jacobi parameters.  The eigenstates of
+both kinds are built once from the frame (:class:`_Preset`): the exceptional
+partner of a level is its prefactor over (z - pole) of the X1 weight, times
+the X1 member, at that level's energy.
 
 The extension enters the physical potential with a preset-specific energy
 scale (e.g. a factor 2 for the oscillator from the d/dx -> d/dxi chain rule);
@@ -16,13 +20,14 @@ level-dependent, which is flagged rather than hidden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .polycore import Poly, RationalLike, as_rational, laguerre_classical, jacobi_classical
+from .polycore import (JacobiConstants, Poly, RationalLike, as_rational, jacobi_classical,
+                       laguerre_classical)
 from .solver import Grid, GridFunction, discretize, eigen_residual, rayleigh_quotient
 from .xop import x1_jacobi_op_route, x1_laguerre_op_route, xj_quotient_residual_coeffs
 
@@ -56,20 +61,26 @@ def ve_jacobi(z, b: float):
 
 @dataclass
 class EigenstateClosedForm:
-    """A bound state as prefactor(x) * polynomial(variable(x)).
+    """A bound state prefactor(x, z) / (z - pole) * polynomial(z), z = variable(x).
 
-    For exceptional states the prefactor already carries the 1/(u + k) or
-    1/(z - b) divisor, so __call__ gives the full wavefunction.
+    Classical states have no pole; an exceptional state's pole is that of its
+    X1 weight, -k (Laguerre) or b (Jacobi), so __call__ gives the full
+    wavefunction of either kind.
     """
 
     energy: float
     polynomial: Poly
     variable: Callable[[np.ndarray], np.ndarray]
-    prefactor: Callable[[np.ndarray], np.ndarray]
+    prefactor: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    pole: Optional[float] = None
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return self.prefactor(x) * self.polynomial(self.variable(x))
+        z = self.variable(x)
+        pref = self.prefactor(x, z)
+        if self.pole is not None:
+            pref = pref / (z - self.pole)
+        return pref * self.polynomial(z)
 
     def on_grid(self, grid: Grid, normalize: bool = True) -> GridFunction:
         gf = GridFunction(grid, self(grid.points()))
@@ -93,8 +104,74 @@ def state_rayleigh(state: EigenstateClosedForm, potential, grid: Grid) -> float:
 # presets
 # ---------------------------------------------------------------------------
 
+class _Frame(NamedTuple):
+    """Classical level nu: psi = prefactor(x, z) * P_nu(z) with z = variable(x).
+
+    ``params`` are the classical family's parameters: (m,) for the Laguerre
+    L^(m), (alpha, beta) for the Jacobi P^(alpha, beta).
+    """
+
+    variable: Callable[[np.ndarray], np.ndarray]
+    prefactor: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    params: tuple
+
+
+class _Preset:
+    """The closed-form eigenstates of a preset, built once from its ``_frame``.
+
+    Classical level nu is the frame's prefactor times the classical member of
+    degree nu.  Its exceptional partner keeps the frame of level nu, divides
+    the prefactor by (z - pole) of the X1 weight (pole -m for Laguerre, b of
+    :class:`JacobiConstants` for Jacobi) and carries the X1 member of degree
+    nu + 1, at the classical energy of level nu.  Exceptional state n is the
+    partner of level n - 1, except where a preset overrides ``_partner``.
+    """
+
+    def _frame(self, nu: int) -> _Frame:
+        raise NotImplementedError
+
+    def _check_level(self, n) -> None:
+        if n < 0:
+            raise PotentialError("quantum number must be >= 0")
+
+    def _partner(self, n: int) -> int:
+        """The classical level whose frame and energy exceptional state n shares."""
+        if n < 1:
+            raise PotentialError("exceptional family has no degree-0 member")
+        return n - 1
+
+    def params(self) -> dict:
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: str(v) if isinstance(v, Fraction) else v for k, v in values.items()}
+
+    def extended_potential(self, x, n: Optional[int] = None):
+        return self.potential(x) + self.extension(x, n)
+
+    def exceptional_energy(self, n: int) -> float:
+        return self.classical_energy(self._partner(n))
+
+    def classical_state(self, n: int) -> EigenstateClosedForm:
+        self._check_level(n)
+        variable, prefactor, params = self._frame(n)
+        family = laguerre_classical if len(params) == 1 else jacobi_classical
+        return EigenstateClosedForm(self.classical_energy(n), family(n, *params),
+                                    variable, prefactor)
+
+    def exceptional_state(self, n: int) -> EigenstateClosedForm:
+        nu = self._partner(n)
+        self._check_level(nu)
+        variable, prefactor, params = self._frame(nu)
+        if len(params) == 1:
+            pole, polynomial = -params[0], x1_laguerre_op_route(nu, *params)
+        else:
+            pole = JacobiConstants.from_parameters(*params).b
+            polynomial = x1_jacobi_op_route(nu, *params)
+        return EigenstateClosedForm(self.classical_energy(nu), polynomial, variable,
+                                    prefactor, float(pole))
+
+
 @dataclass(frozen=True)
-class Oscillator3D:
+class Oscillator3D(_Preset):
     """Radial isotropic oscillator: V = x^2/4 + l(l+1)/x^2, E_n = 2n + l + 3/2.
 
     Laguerre variable u = x^2/2 with parameter k = l + 1/2.  The rational
@@ -113,9 +190,6 @@ class Oscillator3D:
     def k(self) -> Fraction:
         return Fraction(2 * self.l + 1, 2)
 
-    def params(self) -> dict:
-        return {"l": self.l, "energy_shift": self.energy_shift}
-
     def default_domain(self) -> tuple[float, float]:
         return (0.0, 14.0)
 
@@ -132,9 +206,6 @@ class Oscillator3D:
     def extension(self, x, n: Optional[int] = None):
         return 2.0 * ve_laguerre(self.variable(x), self.k)
 
-    def extended_potential(self, x, n: Optional[int] = None):
-        return self.potential(x) + self.extension(x)
-
     def ve_printed(self, u, n: Optional[int] = None):
         """The extension in its printed form, as a function of u = x^2/2."""
         return ve_laguerre(u, self.k)
@@ -142,42 +213,17 @@ class Oscillator3D:
     def classical_energy(self, n: int) -> float:
         return 2 * n + self.l + 1.5 + self.energy_shift
 
-    def exceptional_energy(self, n: int) -> float:
-        return 2 * (n - 1) + self.l + 1.5 + self.energy_shift
-
-    def classical_state(self, n: int) -> EigenstateClosedForm:
-        if n < 0:
-            raise PotentialError("radial quantum number must be >= 0")
+    def _frame(self, nu: int) -> _Frame:
         lp1 = self.l + 1
 
-        def pref(x):
+        def pref(x, u):
             return x**lp1 * np.exp(-(x**2) / 4)
 
-        return EigenstateClosedForm(
-            energy=self.classical_energy(n),
-            polynomial=laguerre_classical(n, self.k),
-            variable=self.variable, prefactor=pref,
-        )
-
-    def exceptional_state(self, n: int) -> EigenstateClosedForm:
-        if n < 1:
-            raise PotentialError("exceptional family has no degree-0 member")
-        kf = float(self.k)
-        lp1 = self.l + 1
-
-        def pref(x):
-            x = np.asarray(x, dtype=float)
-            return x**lp1 * np.exp(-(x**2) / 4) / (x**2 / 2 + kf)
-
-        return EigenstateClosedForm(
-            energy=self.exceptional_energy(n),
-            polynomial=x1_laguerre_op_route(n - 1, self.k),
-            variable=self.variable, prefactor=pref,
-        )
+        return _Frame(self.variable, pref, (self.k,))
 
 
 @dataclass(frozen=True)
-class CoulombRadial:
+class CoulombRadial(_Preset):
     """Radial Coulomb problem: V = -1/x + l(l+1)/x^2, E_N = -1/(4 N^2).
 
     The Laguerre variable of the level-N state is t = x/N, so the exact
@@ -195,9 +241,6 @@ class CoulombRadial:
     @property
     def k(self) -> Fraction:
         return Fraction(2 * self.l + 1)
-
-    def params(self) -> dict:
-        return {"l": self.l, "energy_shift": self.energy_shift}
 
     def default_domain(self, max_principal: int = 3) -> tuple[float, float]:
         return (0.0, 60.0 * max_principal)
@@ -217,9 +260,6 @@ class CoulombRadial:
         x = np.asarray(x, dtype=float)
         return ve_laguerre(x / big_n, self.k) / (big_n * x)
 
-    def extended_potential(self, x, n: int):
-        return self.potential(x) + self.extension(x, n)
-
     def ve_printed(self, r, n: Optional[int] = None):
         """Printed form: ve in the variable r with parameter 2l+1."""
         return ve_laguerre(r, self.k)
@@ -228,59 +268,29 @@ class CoulombRadial:
         big_n = n + self.l + 1
         return -1.0 / (4 * big_n**2) + self.energy_shift
 
-    def exceptional_energy(self, n: int) -> float:
-        big_n = n + self.l
-        return -1.0 / (4 * big_n**2) + self.energy_shift
-
-    def classical_state(self, n: int) -> EigenstateClosedForm:
-        if n < 0:
-            raise PotentialError("radial quantum number must be >= 0")
-        big_n = n + self.l + 1
+    def _frame(self, nu: int) -> _Frame:
+        big_n = nu + self.l + 1
         lp1 = self.l + 1
 
         def var(x):
             return np.asarray(x, dtype=float) / big_n
 
-        def pref(x):
-            t = var(x)
+        def pref(x, t):
             return t**lp1 * np.exp(-t / 2)
 
-        return EigenstateClosedForm(
-            energy=self.classical_energy(n),
-            polynomial=laguerre_classical(n, self.k),
-            variable=var, prefactor=pref,
-        )
-
-    def exceptional_state(self, n: int) -> EigenstateClosedForm:
-        if n < 1:
-            raise PotentialError("exceptional family has no degree-0 member")
-        big_n = n + self.l
-        kf = float(self.k)
-        lp1 = self.l + 1
-
-        def var(x):
-            return np.asarray(x, dtype=float) / big_n
-
-        def pref(x):
-            t = var(x)
-            return t**lp1 * np.exp(-t / 2) / (t + kf)
-
-        return EigenstateClosedForm(
-            energy=self.exceptional_energy(n),
-            polynomial=x1_laguerre_op_route(n - 1, self.k),
-            variable=var, prefactor=pref,
-        )
+        return _Frame(var, pref, (self.k,))
 
 
 @dataclass(frozen=True)
-class Morse:
+class Morse(_Preset):
     """Morse potential A^2 + B^2 e^(-2 a x) - 2B(A + a/2) e^(-a x) on the line.
 
     Laguerre variable y = (2B/a) e^(-a x), s = A/a; level n (with n < s) has
     parameter 2(s-n) and energy A^2 - (A - n a)^2.  The printed extension
     carries the denominator (y + s - n): kept verbatim for auditing, while the
     derived extension uses the consistent parameter 2(s-n) and is
-    level-dependent (both oddities are flagged in reports).
+    level-dependent (both oddities are flagged in reports).  Exceptional
+    state n is the partner of level n (same energy, degree n+1).
     """
 
     A: Fraction
@@ -298,10 +308,6 @@ class Morse:
     @property
     def s(self) -> Fraction:
         return self.A / self.alpha
-
-    def params(self) -> dict:
-        return {"A": str(self.A), "B": str(self.B), "alpha": str(self.alpha),
-                "energy_shift": self.energy_shift}
 
     def variable(self, x):
         af, bf = float(self.alpha), float(self.B)
@@ -328,9 +334,6 @@ class Morse:
         m = 2 * (self.s - n)
         return float(self.alpha) ** 2 * y * ve_laguerre(y, m)
 
-    def extended_potential(self, x, n: int):
-        return self.potential(x) + self.extension(x, n)
-
     def ve_printed(self, y, n: Optional[int] = None):
         """Printed form 1/(y+s-n) - 2(s-n)/(y+s-n)^2, verbatim (pole checked).
 
@@ -347,45 +350,24 @@ class Morse:
         if n is None or n < 0 or n >= float(self.s):
             raise PotentialError(f"morse bound level needs 0 <= n < s = {self.s}")
 
+    def _partner(self, n: int) -> int:
+        return n
+
     def classical_energy(self, n: int) -> float:
         a_, af = float(self.A), float(self.alpha)
         return a_**2 - (a_ - n * af) ** 2 + self.energy_shift
 
-    def classical_state(self, n: int) -> EigenstateClosedForm:
-        self._check_level(n)
-        m = 2 * (self.s - n)
-        exponent = float(self.s) - n
+    def _frame(self, nu: int) -> _Frame:
+        exponent = float(self.s) - nu
 
-        def pref(x):
-            y = self.variable(x)
+        def pref(x, y):
             return y**exponent * np.exp(-y / 2)
 
-        return EigenstateClosedForm(
-            energy=self.classical_energy(n),
-            polynomial=laguerre_classical(n, m),
-            variable=self.variable, prefactor=pref,
-        )
-
-    def exceptional_state(self, n: int) -> EigenstateClosedForm:
-        """Exceptional partner of classical level n (same energy, degree n+1)."""
-        self._check_level(n)
-        m = 2 * (self.s - n)
-        exponent = float(self.s) - n
-        mf = float(m)
-
-        def pref(x):
-            y = self.variable(x)
-            return y**exponent * np.exp(-y / 2) / (y + mf)
-
-        return EigenstateClosedForm(
-            energy=self.classical_energy(n),
-            polynomial=x1_laguerre_op_route(n, m),
-            variable=self.variable, prefactor=pref,
-        )
+        return _Frame(self.variable, pref, (2 * (self.s - nu),))
 
 
 @dataclass(frozen=True)
-class ScarfTrig:
+class ScarfTrig(_Preset):
     """Trigonometric Scarf potential on (-pi/2a, pi/2a).
 
     V = -A^2 + (A^2 + B^2 - A a) sec^2(a x) - B(2A - a) tan(a x) sec(a x),
@@ -430,10 +412,6 @@ class ScarfTrig:
     def b_constant(self) -> Fraction:
         return (2 * self.s - 1) / (2 * self.lam)
 
-    def params(self) -> dict:
-        return {"A": str(self.A), "B": str(self.B), "alpha": str(self.alpha),
-                "energy_shift": self.energy_shift}
-
     def default_domain(self, margin: float = 1e-8) -> tuple[float, float]:
         """Box between the sec^2 singularities, ends pulled inward by ``margin``.
 
@@ -461,9 +439,6 @@ class ScarfTrig:
         z = self.variable(x)
         return -2 * af**2 * (bq / (z - bq) + (bq**2 - 1) / (z - bq) ** 2)
 
-    def extended_potential(self, x, n: Optional[int] = None):
-        return self.potential(x) + self.extension(x)
-
     def ve_printed(self, z, n: Optional[int] = None):
         """Printed extension A(2A-1)/(2A-1-2Bz) - (A(2A-1)^2-4B^2)/(2A-1-2Bz)^2.
 
@@ -482,43 +457,14 @@ class ScarfTrig:
         a_, af = float(self.A), float(self.alpha)
         return (a_ + n * af) ** 2 - a_**2 + self.energy_shift
 
-    def exceptional_energy(self, n: int) -> float:
-        return self.classical_energy(n - 1)
-
-    def classical_state(self, n: int) -> EigenstateClosedForm:
-        if n < 0:
-            raise PotentialError("quantum number must be >= 0")
+    def _frame(self, nu: int) -> _Frame:
         p = float(self.s - self.lam) / 2
         q = float(self.s + self.lam) / 2
-        af = float(self.alpha)
 
-        def pref(x):
-            z = np.sin(af * np.asarray(x, dtype=float))
+        def pref(x, z):
             return (1 - z) ** p * (1 + z) ** q
 
-        return EigenstateClosedForm(
-            energy=self.classical_energy(n),
-            polynomial=jacobi_classical(n, self.jacobi_alpha, self.jacobi_beta),
-            variable=self.variable, prefactor=pref,
-        )
-
-    def exceptional_state(self, n: int) -> EigenstateClosedForm:
-        if n < 1:
-            raise PotentialError("exceptional family has no degree-0 member")
-        p = float(self.s - self.lam) / 2
-        q = float(self.s + self.lam) / 2
-        af = float(self.alpha)
-        bq = float(self.b_constant)
-
-        def pref(x):
-            z = np.sin(af * np.asarray(x, dtype=float))
-            return (1 - z) ** p * (1 + z) ** q / (z - bq)
-
-        return EigenstateClosedForm(
-            energy=self.exceptional_energy(n),
-            polynomial=x1_jacobi_op_route(n - 1, self.jacobi_alpha, self.jacobi_beta),
-            variable=self.variable, prefactor=pref,
-        )
+        return _Frame(self.variable, pref, (self.jacobi_alpha, self.jacobi_beta))
 
 
 PRESETS = {

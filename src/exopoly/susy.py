@@ -31,16 +31,10 @@ from .xop import x1_jacobi_op_route
 
 @dataclass(frozen=True)
 class Superpotential:
-    """Evaluable W and W' with a provenance tag.
-
-    provenance: "printed-candidate" (taken verbatim from the source under
-    audit), "ground-state-derived" (from -psi0'/psi0), or "user".
-    """
+    """Evaluable W and W'."""
 
     w: Callable[[np.ndarray], np.ndarray]
     w_prime: Callable[[np.ndarray], np.ndarray]
-    provenance: str = "user"
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -136,8 +130,7 @@ def superpotential_from_ground_state(psi0: GridFunction) -> Superpotential:
     def w_prime(x):
         return np.interp(x, x0, dw)
 
-    return Superpotential(w=w, w_prime=w_prime, provenance="ground-state-derived",
-                          label="-psi0'/psi0 from grid samples")
+    return Superpotential(w=w, w_prime=w_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +160,7 @@ def oscillator_intertwiner(l: int) -> Superpotential:
         u = x**2 / 2 + kf
         return l / x**2 - 0.5 - 1.0 / u + x**2 / u**2
 
-    return Superpotential(w=w, w_prime=w_prime, provenance="user",
-                          label=f"oscillator ladder intertwiner, l={l}")
+    return Superpotential(w=w, w_prime=w_prime)
 
 
 def printed_superpotential_candidate(l: int, k: float) -> Superpotential:
@@ -188,8 +180,7 @@ def printed_superpotential_candidate(l: int, k: float) -> Superpotential:
         x = np.asarray(x, dtype=float)
         return l / x**2 + 1.0 / (x + kf) ** 2
 
-    return Superpotential(w=w, w_prime=w_prime, provenance="printed-candidate",
-                          label=f"printed candidate, l={l}, k={kf}")
+    return Superpotential(w=w, w_prime=w_prime)
 
 
 def random_smooth_functions(grid: Grid, count: int, seed: int = 0) -> list[GridFunction]:

@@ -121,8 +121,10 @@ class VerificationConfig:
             ab = [(as_rational(a), as_rational(b)) for a, b in merged["jacobi_alpha_beta"]]
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"jacobi_alpha_beta: {exc}") from exc
-        if not ab or any(a == b or a <= -1 or b <= -1 for a, b in ab):
-            raise ConfigError("jacobi_alpha_beta: need pairs with alpha,beta > -1, alpha != beta")
+        if not ab or any(a == b or a <= 0 or b <= 0 for a, b in ab):
+            # P^(alpha-1, beta+1) must exist, and alpha*beta > 0 keeps the
+            # pole b of the X1 weight outside [-1, 1]
+            raise ConfigError("jacobi_alpha_beta: need pairs with alpha,beta > 0, alpha != beta")
         if "xop" in expanded:
             # the xop suite integrates against each family's weight, whose
             # mass and recurrence must fit a float; three coefficients reach
@@ -138,6 +140,12 @@ class VerificationConfig:
         lvals = merged["oscillator_l"]
         if not lvals or any(not _is_int(l) or l < 0 for l in lvals):
             raise ConfigError("oscillator_l: need a nonempty list of ints >= 0")
+        for key, values in (("laguerre_k", kvals), ("jacobi_alpha_beta", ab),
+                            ("oscillator_l", lvals)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigError(f"{key}: entry {json.dumps(merged[key][i], default=str)}"
+                                      " repeats an earlier value")
         for key in ("n_max", "n_eigen_max"):
             if not _is_int(merged[key]) or merged[key] < 1:
                 raise ConfigError(f"{key}: must be a positive integer")
@@ -457,8 +465,7 @@ def suite_susy(cfg: VerificationConfig) -> list[dict]:
     tol = cfg.tolerances
     l = 1
     w_osc = susy.oscillator_intertwiner(l)
-    w_lin = susy.Superpotential(w=lambda x: x, w_prime=lambda x: np.ones_like(x),
-                                label="W(x) = x")
+    w_lin = susy.Superpotential(w=lambda x: x, w_prime=lambda x: np.ones_like(x))
     worst = 0.0
     for w, dom in ((w_lin, (-8.0, 8.0)), (w_osc, (0.5, 12.0))):
         g = Grid(dom[0], dom[1], 3000)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from exopoly.polycore import Poly
+from exopoly.polycore import Poly, jacobi_classical, laguerre_classical
 from exopoly.potentials import (
     CoulombRadial,
     Morse,
@@ -20,7 +20,7 @@ from exopoly.potentials import (
     ve_laguerre,
 )
 from exopoly.solver import Grid
-from exopoly.xop import x1_laguerre_op_route, xj_quotient_solve
+from exopoly.xop import x1_jacobi_op_route, x1_laguerre_op_route, xj_quotient_solve
 
 
 class TestExtensionTerms:
@@ -205,3 +205,97 @@ class TestQuotientIdentity:
     def test_j2_requires_coefficients(self):
         with pytest.raises(PotentialError):
             quotient_identity_check(Poly((1, 1)), F(1), Grid(0.01, 10.0, 100), j=2)
+
+
+class TestStatesPinnedToExplicitForms:
+    """The shared frame builder against each preset's states written out in full.
+
+    Every expression keeps the order of operations of the written-out form,
+    so the arrays agree bit for bit, not merely to roundoff.
+    """
+
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_oscillator(self, l):
+        osc, k, lp1 = Oscillator3D(l=l), F(2 * l + 1, 2), l + 1
+        x = np.linspace(0.05, 14.0, 701)
+        u = x**2 / 2
+        for n in range(4):
+            st = osc.classical_state(n)
+            assert st.polynomial == laguerre_classical(n, k)
+            assert st.energy == 2 * n + l + 1.5
+            assert np.array_equal(st(x), x**lp1 * np.exp(-(x**2) / 4) * st.polynomial(u))
+        for n in range(1, 5):
+            st = osc.exceptional_state(n)
+            assert st.polynomial == x1_laguerre_op_route(n - 1, k)
+            assert st.energy == osc.exceptional_energy(n) == 2 * (n - 1) + l + 1.5
+            expect = x**lp1 * np.exp(-(x**2) / 4) / (x**2 / 2 + float(k)) * st.polynomial(u)
+            assert np.array_equal(st(x), expect)
+
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_coulomb(self, l):
+        cou, k, lp1 = CoulombRadial(l=l), F(2 * l + 1), l + 1
+        x = np.linspace(0.05, 180.0, 701)
+        for n in range(4):
+            st = cou.classical_state(n)
+            t = x / (n + l + 1)
+            assert st.polynomial == laguerre_classical(n, k)
+            assert st.energy == -1.0 / (4 * (n + l + 1) ** 2)
+            assert np.array_equal(st(x), t**lp1 * np.exp(-t / 2) * st.polynomial(t))
+        for n in range(1, 5):
+            st = cou.exceptional_state(n)
+            t = x / (n + l)
+            assert st.polynomial == x1_laguerre_op_route(n - 1, k)
+            assert st.energy == cou.exceptional_energy(n) == -1.0 / (4 * (n + l) ** 2)
+            expect = t**lp1 * np.exp(-t / 2) / (t + float(k)) * st.polynomial(t)
+            assert np.array_equal(st(x), expect)
+
+    def test_morse_partner_shares_the_level(self):
+        mo = Morse(A=4, B=2)
+        x = np.linspace(-3.0, 12.0, 701)
+        y = (2 * 2.0 / 1.0) * np.exp(-1.0 * x)
+        for n in range(4):  # the bound levels n < s = 4
+            m, energy = 2 * (4 - n), 4.0**2 - (4.0 - n * 1.0) ** 2
+            pref = y ** (4.0 - n) * np.exp(-y / 2)
+            st = mo.classical_state(n)
+            assert st.polynomial == laguerre_classical(n, m)
+            assert st.energy == energy
+            assert np.array_equal(st(x), pref * st.polynomial(y))
+            st = mo.exceptional_state(n)
+            assert st.polynomial == x1_laguerre_op_route(n, m)
+            assert st.energy == mo.exceptional_energy(n) == energy
+            assert np.array_equal(st(x), pref / (y + float(m)) * st.polynomial(y))
+        with pytest.raises(PotentialError):
+            mo.exceptional_state(4)
+
+    def test_scarf(self):
+        sc = ScarfTrig(A=3, B=1)  # s = 3, L = 1: (alpha, beta) = (3/2, 7/2), b = 5/2
+        x = np.linspace(-1.5, 1.5, 701)
+        z = np.sin(1.0 * x)
+        pref = (1 - z) ** 1.0 * (1 + z) ** 2.0
+        for n in range(4):
+            st = sc.classical_state(n)
+            assert st.polynomial == jacobi_classical(n, F(3, 2), F(7, 2))
+            assert st.energy == (3.0 + n * 1.0) ** 2 - 3.0**2
+            assert np.array_equal(st(x), pref * st.polynomial(z))
+        for n in range(1, 5):
+            st = sc.exceptional_state(n)
+            assert st.polynomial == x1_jacobi_op_route(n - 1, F(3, 2), F(7, 2))
+            assert st.energy == sc.exceptional_energy(n) == sc.classical_energy(n - 1)
+            assert np.array_equal(st(x), pref / (z - 2.5) * st.polynomial(z))
+
+    def test_levels_outside_the_families_rejected(self):
+        for preset in (Oscillator3D(), CoulombRadial(), ScarfTrig(A=3, B=1)):
+            with pytest.raises(PotentialError):
+                preset.classical_state(-1)
+            with pytest.raises(PotentialError):
+                preset.exceptional_state(0)
+        with pytest.raises(PotentialError):
+            Morse(A=4, B=2).exceptional_state(-1)
+
+    def test_params_read_from_the_fields(self):
+        assert Oscillator3D(l=1).params() == {"l": 1, "energy_shift": 0.0}
+        assert CoulombRadial(energy_shift=0.5).params() == {"l": 0, "energy_shift": 0.5}
+        assert list(Morse(A=4, B=2).params().items()) == [
+            ("A", "4"), ("B", "2"), ("alpha", "1"), ("energy_shift", 0.0)]
+        assert ScarfTrig(A="7/2", B=-1, alpha="1/2").params() == {
+            "A": "7/2", "B": "-1", "alpha": "1/2", "energy_shift": 0.0}

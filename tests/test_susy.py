@@ -23,8 +23,7 @@ from exopoly.susy import (
 )
 from exopoly.xop import x1_jacobi_op_route, x1_laguerre_op_route
 
-W_LINEAR = Superpotential(w=lambda x: x, w_prime=lambda x: np.ones_like(x),
-                          label="W(x)=x")
+W_LINEAR = Superpotential(w=lambda x: x, w_prime=lambda x: np.ones_like(x))
 
 
 class TestPartnerPotentials:
@@ -173,7 +172,6 @@ class TestGroundStateDiagnostic:
         assert w.w(inner) == pytest.approx(inner, abs=1e-4)
         tight = np.linspace(-2, 2, 100)
         assert w.w(tight) == pytest.approx(tight, abs=5e-6)
-        assert w.provenance == "ground-state-derived"
 
     def test_state_with_node_rejected(self):
         g = Grid(-6.0, 6.0, 500)

@@ -72,6 +72,23 @@ class TestConfig:
             with pytest.raises(ConfigError, match=f"^{key}: need"):
                 VerificationConfig.from_dict({key: [], "suites": suites})
 
+    @pytest.mark.parametrize("pair", [["-1/2", "2"], ["1", "-1/2"], ["0", "2"]], ids=repr)
+    def test_jacobi_pair_outside_the_x1_domain_rejected(self, pair):
+        # alpha, beta > 0: P^(alpha-1, beta+1) exists and |b| > 1
+        for suites in (["xop"], ["theorem"]):
+            with pytest.raises(ConfigError, match="^jacobi_alpha_beta: need"):
+                VerificationConfig.from_dict({"jacobi_alpha_beta": [pair], "suites": suites})
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"laguerre_k": ["1", "2/2"]}, "laguerre_k"),
+        ({"laguerre_k": ["1", "1"]}, "laguerre_k"),
+        ({"jacobi_alpha_beta": [["1", "2"], ["2/2", "4/2"]]}, "jacobi_alpha_beta"),
+        ({"oscillator_l": [0, 1, 0]}, "oscillator_l"),
+    ], ids=["k-rational", "k-literal", "jacobi", "oscillator"])
+    def test_repeated_family_value_rejected(self, raw, key):
+        with pytest.raises(ConfigError, match=f"^{key}: .*repeats an earlier value"):
+            VerificationConfig.from_dict(raw)
+
     def test_overflowing_weight_accepted_without_xop(self):
         # only the xop suite integrates against the weight
         cfg = VerificationConfig.from_dict({"laguerre_k": ["200"], "suites": ["theorem"]})
@@ -300,6 +317,21 @@ class TestCliVerify:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}: ")
         assert f"parameter {name} is too large" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"jacobi_alpha_beta": [["-1/2", "2"]], "suites": ["xop"]}, "jacobi_alpha_beta"),
+        ({"jacobi_alpha_beta": [["1", "-1/2"]], "suites": ["xop"]}, "jacobi_alpha_beta"),
+        ({"laguerre_k": ["1", "2/2"]}, "laguerre_k"),
+        ({"jacobi_alpha_beta": [["1", "2"], ["1", "2"]]}, "jacobi_alpha_beta"),
+        ({"oscillator_l": [0, 0]}, "oscillator_l"),
+    ], ids=["jacobi-alpha", "jacobi-beta", "repeated-k", "repeated-pair", "repeated-l"])
+    def test_config_outside_the_domain_exits_two(self, raw, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "r.json"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
         assert not out.exists()
 
     def test_unsettled_weight_exits_three(self, tmp_path, capsys):
