@@ -41,7 +41,6 @@ from .solver import (  # noqa: F401
     GridFunction,
     SpectrumReport,
     discretize,
-    eigen_lowest,
     lowest_levels,
     rayleigh_quotient,
     solve_spectrum,

@@ -250,7 +250,7 @@ def golub_welsch(rec: Recurrence, n: int) -> QuadratureRule:
         raise QuadratureError("recurrence coefficients are not from a positive measure")
     diag = np.asarray(rec.a[:n], dtype=float)
     off = np.sqrt(np.asarray(rec.b[1:n], dtype=float))
-    nodes = np.atleast_1d(tridiagonal_eigh(diag, off, values_only=True))
+    nodes = np.atleast_1d(tridiagonal_eigh(diag, off))
     weights = _christoffel_weights(rec, nodes, n)
     if np.any(weights < 0) or not np.all(np.isfinite(weights)):
         raise QuadratureError("negative quadrature weight produced")

@@ -2,18 +2,36 @@
 
 The Hamiltonian convention everywhere is H = -d^2/dx^2 + V(x) with Dirichlet
 boundaries at both ends of the (truncated) domain, discretized with the
-standard 3-point Laplacian.  The symmetric tridiagonal eigenproblems go
-through LAPACK's bisection (scipy ``eigh_tridiagonal``), which also serves
-the Golub-Welsch construction in :mod:`exopoly.quad`.  Eigenvectors, by
-inverse iteration, are computed only when asked for: the verify path's
-spectrum checks read eigenvalues alone (:func:`lowest_levels`), and
-:func:`solve_spectrum` adds vectors and residuals for ``exopoly spectrum``.
+standard 3-point Laplacian.  Full symmetric tridiagonal eigenproblems go
+through LAPACK's bisection (scipy ``eigh_tridiagonal``, values only), which
+also serves the Golub-Welsch construction in :mod:`exopoly.quad`.
+
+The lowest levels on a grid (:func:`lowest_levels`, and :func:`solve_spectrum`
+for ``exopoly spectrum``) come from one coarse-to-fine path.  Bisection on a
+grid with 1/16 of the points gives a shift per level.  Shifted inverse /
+Rayleigh-quotient iteration on the requested grid refines it, one O(N)
+LAPACK ``dgtsv`` solve a step; two steps usually bring the residual
+r = ||T x - rho x|| of the unit iterate x down to about eps*||T||, and
+|lambda - rho| <= r for some eigenvalue lambda (Parlett, *The Symmetric
+Eigenvalue Problem*, SIAM 1998, ch. 4).  The result is accepted only when
+these intervals [rho - r, rho + r] are disjoint and ascending and one Sturm
+count (LAPACK ``dstebz`` with an infinite tolerance, which only counts) finds
+exactly ``count`` eigenvalues up to the top one: then each interval holds
+exactly one of the lowest ``count`` eigenvalues.  Otherwise (a coarse grid
+that misses a state, near-degenerate levels, a potential that is singular at
+a coarse node, a grid too small to coarsen) the levels come from bisection on
+the full grid.  At 64000 points (2 vCPU, median of 7) the oscillator's 3
+levels take 25 ms against 62 ms by full-grid bisection, Scarf's 4 levels
+32 ms against 69 ms; ``exopoly spectrum`` reads its residuals from the same
+iterates, 24 ms against 80-236 ms (min and median) for bisection plus
+LAPACK ``stein`` vectors, which run threaded BLAS.
 
 Inner products and norms of grid vectors are numpy reductions, not
 ``np.dot``/``np.linalg.norm``.  Those hand vectors of more than about ten
 thousand elements to BLAS ``ddot``, which OpenBLAS runs on its thread pool;
 on a 2-vCPU machine each such call cost about 8 ms, against microseconds for
-the reduction, and inverse iteration makes the same threaded calls.
+the reduction.  The start vector is a fixed pseudo-random one, so the levels
+are bit-identical from run to run.
 """
 
 from __future__ import annotations
@@ -24,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 
 
 class SolverError(RuntimeError):
@@ -126,22 +144,15 @@ def discretize(potential: Callable[[np.ndarray], np.ndarray], grid: Grid) -> Tri
     return Tridiagonal(diag=2.0 / h2 + v, off=np.full(grid.n - 1, -1.0 / h2))
 
 
-def tridiagonal_eigh(
-    diag: np.ndarray,
-    off: np.ndarray,
-    count: Optional[int] = None,
-    values_only: bool = False,
-):
-    """Eigen-decomposition of a symmetric tridiagonal matrix, ascending.
+def tridiagonal_eigh(diag: np.ndarray, off: np.ndarray, count: Optional[int] = None):
+    """Eigenvalues of a symmetric tridiagonal matrix, ascending.
 
-    With ``count`` set, only the lowest ``count`` eigenvalues are computed, by
-    bisection on Sturm sequences; otherwise the full spectrum.  Eigenvectors
-    (inverse iteration for ``count``) are returned alongside unless
-    ``values_only``, which returns the eigenvalues alone.
+    With ``count`` set, only the lowest ``count`` are computed, by bisection
+    on Sturm sequences; otherwise the full spectrum.
     """
     select, select_range = ("a", None) if count is None else ("i", (0, count - 1))
     try:
-        return eigh_tridiagonal(diag, off, eigvals_only=values_only,
+        return eigh_tridiagonal(diag, off, eigvals_only=True,
                                 select=select, select_range=select_range)
     except Exception as exc:  # pragma: no cover - LAPACK failures are exotic
         raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
@@ -152,36 +163,117 @@ def _check_count(count: int, op: Tridiagonal) -> None:
         raise ValueError("count must be between 1 and the matrix size")
 
 
+_COARSE = 16  # the coarse grid has 1/_COARSE of the points
+_STEPS = 4  # shifted solves per level, at most
+_FLOOR = 8.0  # a residual below _FLOOR * eps * ||T|| is at round-off
+_EPS = float(np.finfo(float).eps)
+
+
+def _sturm_count(op: Tridiagonal, upper: float) -> int:
+    """Number of eigenvalues <= ``upper``: LAPACK dstebz on (lower bound, upper]
+    with an infinite tolerance, which counts and stops."""
+    lower = float(np.min(op.diag)) - 2.0 * float(np.max(np.abs(op.off)))
+    lower -= abs(lower) + 1.0  # strictly below the Gershgorin bound
+    if upper <= lower:
+        return 0
+    m, *_, info = lapack.dstebz(op.diag, op.off, 1, lower, upper, 0, 0, math.inf, b"B")
+    if info:
+        raise SolverError(f"Sturm count failed (dstebz info={info})")
+    return int(m)
+
+
+def _shifted_solve(op: Tridiagonal, shift: float, x: np.ndarray) -> np.ndarray:
+    """(T - shift) y = x by LAPACK dgtsv (elimination with partial pivoting),
+    O(N), with y in x's memory."""
+    *_, y, info = lapack.dgtsv(op.off, op.diag - shift, op.off, x,
+                               overwrite_d=1, overwrite_b=1)
+    if info:
+        raise SolverError(f"shifted tridiagonal solve failed (dgtsv info={info})")
+    return y
+
+
+def _refine(op: Tridiagonal, shifts, rayleigh: bool) -> tuple[list[float], list[float]]:
+    """Value and residual ||T x - value x|| of a unit vector x for each shift.
+
+    Each level runs shifted inverse iteration from the same fixed
+    pseudo-random start.  With ``rayleigh`` the shift moves to each
+    iterate's Rayleigh quotient (Rayleigh-quotient iteration) and is the
+    returned value; otherwise the shift stays put and only the vector is
+    refined.  A level stops once its residual is at round-off, or after
+    ``_STEPS`` solves.
+
+    Each right-hand side is made orthogonal to the vectors of the levels
+    below before the solve, not after it: the solve then damps the round-off
+    the projection leaves, so a near-degenerate partner does not hand its own
+    residual on (deflating after the solve left 1.8e-5 on the second level
+    of a double well, against 1.5e-8 this way).  The vectors are dropped on
+    return, before anything else allocates grid-sized work arrays.
+    """
+    floor = _FLOOR * _EPS * (float(np.max(np.abs(op.diag))) + 2.0 * float(np.max(np.abs(op.off))))
+    values, residuals, vectors = [], [], []
+    for shift in shifts:
+        shift = float(shift)
+        x = np.random.default_rng(0).random(op.n) - 0.5  # the same start for every level
+        for _ in range(_STEPS):
+            for v in vectors:
+                x -= _dot(v, x) * v
+            x = _shifted_solve(op, shift, x)
+            x /= math.sqrt(_dot(x, x))
+            tx = op.matvec(x)
+            if rayleigh:
+                shift = _dot(x, tx)
+            tx -= shift * x
+            res = math.sqrt(_dot(tx, tx))
+            if res <= floor:
+                break
+        values.append(shift)
+        residuals.append(res)
+        vectors.append(x)
+    return values, residuals
+
+
+def _certified(op: Tridiagonal, values: list[float], residuals: list[float]) -> bool:
+    """True when the residual intervals are disjoint and ascending and a
+    Sturm count finds exactly len(values) eigenvalues up to the top one."""
+    lo = [e - r for e, r in zip(values, residuals)]
+    hi = [e + r for e, r in zip(values, residuals)]
+    if not all(h < l for h, l in zip(hi, lo[1:])):
+        return False
+    return _sturm_count(op, hi[-1]) == len(values)
+
+
+def _lowest(potential: Callable[[np.ndarray], np.ndarray], grid: Grid, count: int,
+            residuals: bool) -> tuple[list[float], Optional[list[float]]]:
+    """The lowest ``count`` levels on ``grid`` and their residuals.
+
+    Coarse bisection, refinement on ``grid`` and a certificate; any input the
+    certificate does not accept gets bisection on the full grid instead, and
+    then residuals (of refined vectors) only when ``residuals`` asks for them.
+    """
+    op = discretize(potential, grid)
+    _check_count(count, op)
+    n_coarse = grid.n // _COARSE
+    if n_coarse >= 8 * max(2, count):  # 8 coarse points a level, a 16-point grid at least
+        try:
+            cop = discretize(potential, Grid(grid.a, grid.b, n_coarse))
+            refined = _refine(op, tridiagonal_eigh(cop.diag, cop.off, count=count), rayleigh=True)
+            if _certified(op, *refined):
+                return refined
+        except SolverError:
+            pass
+    values = tridiagonal_eigh(op.diag, op.off, count=count)
+    if not residuals:
+        return [float(e) for e in values], None
+    return _refine(op, values, rayleigh=False)
+
+
 def lowest_levels(potential: Callable[[np.ndarray], np.ndarray], grid: Grid,
                   count: int) -> list[float]:
     """Lowest ``count`` eigenvalues of -d^2/dx^2 + V on ``grid``, ascending.
 
-    The same numbers as :func:`solve_spectrum`'s, without eigenvectors.
+    The same numbers as :func:`solve_spectrum`'s, without residuals.
     """
-    op = discretize(potential, grid)
-    _check_count(count, op)
-    w = tridiagonal_eigh(op.diag, op.off, count=count, values_only=True)
-    return [float(e) for e in w]
-
-
-def eigen_lowest(op: Tridiagonal, count: int, grid: Optional[Grid] = None):
-    """Lowest ``count`` eigenpairs of a tridiagonal operator, ascending.
-
-    Eigenvectors are normalized (in the h-weighted grid norm when ``grid`` is
-    given, Euclidean otherwise).  Returns a list of (eigenvalue, vector) with
-    vector a GridFunction when ``grid`` is given, else a plain array.
-    """
-    _check_count(count, op)
-    w, v = tridiagonal_eigh(op.diag, op.off, count=count)
-    pairs = []
-    for i in range(count):
-        vec = v[:, i]
-        if grid is not None:
-            gf = GridFunction(grid, vec / math.sqrt(grid.h * _dot(vec, vec)))
-            pairs.append((float(w[i]), gf))
-        else:
-            pairs.append((float(w[i]), vec / math.sqrt(_dot(vec, vec))))
-    return pairs
+    return _lowest(potential, grid, count, residuals=False)[0]
 
 
 def eigen_residual(op: Tridiagonal, value: float, vec: np.ndarray) -> float:
@@ -245,16 +337,17 @@ def solve_spectrum(
     preset: str = "custom",
     params: Optional[dict] = None,
 ) -> SpectrumReport:
-    """Discretize, solve for the lowest ``count`` levels, and package a report."""
-    op = discretize(potential, grid)
-    pairs = eigen_lowest(op, count, grid=grid)
-    eigs = [e for e, _ in pairs]
-    residuals = [eigen_residual(op, e, gf.values) for e, gf in pairs]
+    """Discretize, solve for the lowest ``count`` levels, and package a report.
+
+    The levels are :func:`lowest_levels`'; the residuals are those of the
+    refined eigenvectors.
+    """
+    eigenvalues, residuals = _lowest(potential, grid, count, residuals=True)
     return SpectrumReport(
         preset=preset,
         params=dict(params or {}),
         grid=grid,
-        eigenvalues=eigs,
+        eigenvalues=eigenvalues,
         residuals=residuals,
     )
 

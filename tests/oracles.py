@@ -118,3 +118,28 @@ def jacobi_moment(alpha, beta, p: int) -> float:
     return float(jacobi_moment_ratio(alpha, beta, p)) * jacobi_mass(
         float(alpha), float(beta)
     )
+
+
+def eigen_lowest(op, count, grid=None):
+    """Lowest ``count`` eigenpairs of a tridiagonal operator by LAPACK bisection
+    and inverse iteration (``stein``, through scipy ``eigh_tridiagonal``).
+
+    The solver's reference for its coarse-to-fine levels and refined vectors.
+    Vectors are normalized in the h-weighted grid norm when ``grid`` is given
+    (as GridFunctions), in the Euclidean norm otherwise.
+    """
+    import numpy as np
+    from scipy.linalg import eigh_tridiagonal
+
+    from exopoly.solver import GridFunction
+
+    if count < 1 or count > op.n:
+        raise ValueError("count must be between 1 and the matrix size")
+    w, v = eigh_tridiagonal(op.diag, op.off, select="i", select_range=(0, count - 1))
+    pairs = []
+    for i in range(count):
+        vec = v[:, i] / math.sqrt(math.fsum(v[:, i] ** 2))
+        if grid is not None:
+            vec = GridFunction(grid, vec / math.sqrt(grid.h))
+        pairs.append((float(w[i]), vec))
+    return pairs

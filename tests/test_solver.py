@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from exopoly import solver
 from exopoly.solver import (
     Grid,
     GridFunction,
@@ -12,7 +15,6 @@ from exopoly.solver import (
     Tridiagonal,
     convergence_order,
     discretize,
-    eigen_lowest,
     eigen_residual,
     lowest_levels,
     rayleigh_quotient,
@@ -20,6 +22,8 @@ from exopoly.solver import (
     spectrum_compare,
     tridiagonal_eigh,
 )
+
+from oracles import eigen_lowest
 
 
 class TestDiscretize:
@@ -54,39 +58,35 @@ class TestDiscretize:
 class TestEigenLowest:
     def test_particle_in_a_box(self):
         g = Grid(0.0, math.pi, 4000)
-        op = discretize(lambda x: np.zeros_like(x), g)
-        pairs = eigen_lowest(op, 3, grid=g)
-        for m, (e, _) in enumerate(pairs, start=1):
+        levels = lowest_levels(lambda x: np.zeros_like(x), g, 3)
+        for m, e in enumerate(levels, start=1):
             assert abs(e - m**2) / m**2 < 5e-5
 
     def test_diagonal_matrix_exact(self):
         op = Tridiagonal(diag=np.array([1.0, 2.0, 3.0]), off=np.zeros(2))
-        pairs = eigen_lowest(op, 3)
-        assert [e for e, _ in pairs] == pytest.approx([1.0, 2.0, 3.0])
+        assert list(tridiagonal_eigh(op.diag, op.off, count=3)) == pytest.approx([1.0, 2.0, 3.0])
 
     def test_discrete_residual_invariant(self):
         g = Grid(0.0, 10.0, 800)
-        op = discretize(lambda x: x**2 / 4, g)
-        for e, gf in eigen_lowest(op, 5, grid=g):
-            assert eigen_residual(op, e, gf.values) < 1e-9
+        rep = solve_spectrum(lambda x: x**2 / 4, g, 5)
+        assert max(rep.residuals) < 1e-9
 
     def test_ascending_order_and_count_validation(self):
         g = Grid(0.0, 10.0, 200)
-        op = discretize(lambda x: x, g)
-        eigs = [e for e, _ in eigen_lowest(op, 6)]
+        eigs = lowest_levels(lambda x: x, g, 6)
         assert eigs == sorted(eigs)
         with pytest.raises(ValueError):
-            eigen_lowest(op, 0)
+            lowest_levels(lambda x: x, g, 0)
 
 
 class TestValuesOnly:
     def test_bit_equal_to_the_eigenpair_path(self):
         g = Grid(0.0, 10.0, 3000)
         op = discretize(lambda x: x**2 / 4 + 2 / x**2, g)
-        w_only = tridiagonal_eigh(op.diag, op.off, count=5, values_only=True)
-        w, v = tridiagonal_eigh(op.diag, op.off, count=5)
-        assert w_only.shape == (5,) and v.shape == (3000, 5)
-        assert np.array_equal(w_only, w)
+        w_only = tridiagonal_eigh(op.diag, op.off, count=5)
+        pairs = eigen_lowest(op, 5)
+        assert w_only.shape == (5,) and pairs[0][1].shape == (3000,)
+        assert np.array_equal(w_only, [e for e, _ in pairs])
 
     def test_lowest_levels_are_the_spectrum_report_levels(self):
         g = Grid(0.0, 12.0, 2000)
@@ -94,6 +94,151 @@ class TestValuesOnly:
         assert lowest_levels(potential, g, 4) == solve_spectrum(potential, g, 4).eigenvalues
         with pytest.raises(ValueError):
             lowest_levels(potential, g, 0)
+
+
+def _bisection(potential, grid, count):
+    op = discretize(potential, grid)
+    return [float(e) for e in tridiagonal_eigh(op.diag, op.off, count=count)]
+
+
+def _coarse(grid):
+    return Grid(grid.a, grid.b, grid.n // solver._COARSE)
+
+
+smooth_potentials = st.builds(
+    lambda length, a2, a1, bump, centre: (length, lambda x: (
+        a2 * (x - centre * length) ** 2 + a1 * x
+        + bump * np.exp(-((x - centre * length) ** 2)))),
+    st.floats(4.0, 16.0), st.floats(0.0, 2.0), st.floats(-1.0, 1.0),
+    st.floats(-5.0, 5.0), st.floats(0.1, 0.9))
+
+
+class TestCoarseToFine:
+    """Coarse bisection, refinement on the full grid, certificate, fallback."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(smooth_potentials, st.integers(256, 6000), st.integers(1, 4))
+    def test_agrees_with_full_grid_bisection_within_the_residual_bound(self, case, n, count):
+        length, potential = case
+        g = Grid(0.0, length, n)
+        rep = solve_spectrum(potential, g, count)
+        op = discretize(potential, g)
+        scale = np.max(np.abs(op.diag)) + 2 * np.max(np.abs(op.off))
+        # each certified value lies within its residual of an eigenvalue, and
+        # bisection within its tolerance (a few eps * ||T||) of the same one
+        for e, r, w in zip(rep.eigenvalues, rep.residuals, _bisection(potential, g, count)):
+            assert abs(e - w) <= r + 4 * np.finfo(float).eps * scale
+        assert rep.eigenvalues == sorted(rep.eigenvalues)
+
+    @settings(max_examples=10, deadline=None)
+    @given(smooth_potentials, st.integers(256, 6000), st.integers(1, 4))
+    def test_two_calls_are_bit_identical(self, case, n, count):
+        length, potential = case
+        g = Grid(0.0, length, n)
+        first, second = solve_spectrum(potential, g, count), solve_spectrum(potential, g, count)
+        assert first.eigenvalues == second.eigenvalues == lowest_levels(potential, g, count)
+        assert first.residuals == second.residuals
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n),
+        st.lists(st.floats(-3.0, 3.0), min_size=n - 1, max_size=n - 1),
+        st.integers(0, n))))
+    def test_sturm_count_matches_a_dense_eigensolve(self, case):
+        diag, off, k = case
+        op = Tridiagonal(diag=np.array(diag), off=np.array(off))
+        dense = np.diag(op.diag) + np.diag(op.off, 1) + np.diag(op.off, -1)
+        w = np.linalg.eigvalsh(dense)
+        spread = 1.0 + np.max(np.abs(w))
+        if k == 0:
+            upper = w[0] - spread
+        elif k == op.n:
+            upper = w[-1] + spread
+        else:
+            assume(w[k] - w[k - 1] > 1e-8 * spread)
+            upper = (w[k - 1] + w[k]) / 2
+        assert solver._sturm_count(op, upper) == np.count_nonzero(w <= upper) == k
+
+    def test_sturm_count_zero_and_all(self):
+        op = discretize(lambda x: x**2 / 4, Grid(0.0, 10.0, 500))
+        assert solver._sturm_count(op, -1.0) == 0
+        assert solver._sturm_count(op, np.max(op.diag) + 2 * abs(op.off[0])) == 500
+
+    def test_spectral_workload_levels_are_certified(self, monkeypatch):
+        # the workload's potentials never reach the full-grid bisection
+        from exopoly.potentials import Oscillator3D, ScarfTrig
+
+        sizes = []
+        eigh = solver.tridiagonal_eigh
+
+        def recording(diag, off, count=None):
+            sizes.append(len(diag))
+            return eigh(diag, off, count=count)
+
+        monkeypatch.setattr(solver, "tridiagonal_eigh", recording)
+        osc, sc = Oscillator3D(l=1), ScarfTrig(A=3, B=1, energy_shift=9.0)
+        for preset, count in ((osc, 3), (sc, 4)):
+            g = Grid(*preset.default_domain(), 64000)
+            for potential in (preset.potential, preset.extended_potential):
+                levels = lowest_levels(potential, g, count)
+                assert levels == sorted(levels)
+        assert sizes == [4000] * 4
+
+
+class TestForcedFallback:
+    """Inputs the certificate must refuse: the result is exactly the full-grid
+    bisection's."""
+
+    def test_narrow_well_between_coarse_nodes(self):
+        g = Grid(0.0, 10.0, 4000)
+        nodes = _coarse(g).points()
+        x0 = (nodes[212] + nodes[213]) / 2  # midway between two coarse nodes
+
+        def potential(x):
+            return (x - 5.0) ** 2 / 4 - 700.0 * np.exp(-(((x - x0) / 0.004) ** 2))
+
+        # the coarse grid sees the oscillator alone; the full grid binds a
+        # state near -3, out in the oscillator's tail, so the refined levels
+        # stay apart and only the Sturm count notices the missing one
+        assert lowest_levels(potential, _coarse(g), 1)[0] > 0.4
+        levels = lowest_levels(potential, g, 3)
+        assert levels[0] < 0
+        assert levels == _bisection(potential, g, 3)
+        assert solve_spectrum(potential, g, 3).eigenvalues == levels
+
+    def test_near_degenerate_double_well(self):
+        g = Grid(-10.0, 10.0, 64000)
+
+        def potential(x):
+            return (x**2 - 25) ** 2 / 50
+
+        levels = lowest_levels(potential, g, 4)
+        assert levels == _bisection(potential, g, 4)
+        assert levels[1] - levels[0] < 1e-8  # the tunnelling pair
+        rep = solve_spectrum(potential, g, 4)
+        assert rep.eigenvalues == levels
+        assert max(rep.residuals) < 1e-6
+
+    def test_singular_at_a_coarse_node_only(self):
+        g = Grid(0.0, 10.0, 4000)
+        xc = _coarse(g).points()[100]
+        assert not np.any(g.points() == xc)
+
+        def potential(x):
+            return (x - 5.0) ** 2 / 4 + 0.1 / np.abs(x - xc)
+
+        with np.errstate(divide="ignore"):
+            with pytest.raises(SolverError):
+                discretize(potential, _coarse(g))
+            levels = lowest_levels(potential, g, 3)
+            assert solve_spectrum(potential, g, 3).eigenvalues == levels
+        assert levels == _bisection(potential, g, 3)
+
+    def test_grid_too_small_to_coarsen(self):
+        g = Grid(0.0, 10.0, 200)
+        potential = lambda x: x**2 / 4  # noqa: E731
+        assert lowest_levels(potential, g, 3) == _bisection(potential, g, 3)
+        assert max(solve_spectrum(potential, g, 3).residuals) < 1e-9
 
 
 class TestGridInnerProducts:
@@ -120,7 +265,7 @@ class TestGridInnerProducts:
         psi.normalized().inner(psi)
         rayleigh_quotient(op, psi)
         eigen_residual(op, 1.5, psi.values)
-        eigen_lowest(op, 1, grid=self.g)
+        solve_spectrum(lambda x: x**2 / 4, self.g, 2)
 
 
 class TestRayleigh:
@@ -134,8 +279,8 @@ class TestRayleigh:
     def test_bounded_by_spectrum(self):
         rng = np.random.default_rng(5)
         op = Tridiagonal(diag=np.array([1.0, 2.0, 3.0, 4.0]), off=-np.ones(3) / 3)
-        lo = eigen_lowest(op, 4)
-        emin, emax = lo[0][0], lo[-1][0]
+        lo = tridiagonal_eigh(op.diag, op.off)
+        emin, emax = lo[0], lo[-1]
         for _ in range(20):
             v = rng.standard_normal(4)
             rq = rayleigh_quotient(op, v)

@@ -113,15 +113,13 @@ class TestIntertwining:
         assert worst < 1e-5
 
     def test_factorized_operators_nearly_positive(self):
-        from exopoly.solver import discretize, eigen_lowest
+        from exopoly.solver import lowest_levels
 
         w = oscillator_intertwiner(1)
         g = Grid(0.0, 12.0, 4000)
         pair = partner_potentials(w, 0.0)
         for v in (pair.v_plus, pair.v_minus):
-            op = discretize(v, g)
-            lowest = eigen_lowest(op, 1, grid=g)[0][0]
-            assert lowest > -1e-6
+            assert lowest_levels(v, g, 1)[0] > -1e-6
 
     def test_grid_mismatch_rejected(self):
         g1, g2 = Grid(0.0, 1.0, 64), Grid(0.0, 1.0, 65)

@@ -213,18 +213,19 @@ class TestCampaign:
                 suite.__name__
 
     def test_spectra_suite_solves_for_eigenvalues_only(self, monkeypatch):
-        def no_vectors(*args, **kwargs):
-            raise AssertionError("the verify path computed eigenvectors")
+        def blas(*args, **kwargs):
+            raise AssertionError("the verify path reduced a grid vector through BLAS")
 
-        flags = []
-        eigh = solver.tridiagonal_eigh
+        calls = []
+        eigh = solver.eigh_tridiagonal
 
-        def recording(diag, off, count=None, values_only=False):
-            flags.append(values_only)
-            return eigh(diag, off, count=count, values_only=values_only)
+        def recording(diag, off, eigvals_only=False, **kwargs):
+            calls.append((len(diag), eigvals_only))
+            return eigh(diag, off, eigvals_only=eigvals_only, **kwargs)
 
-        monkeypatch.setattr(solver, "eigen_lowest", no_vectors)
-        monkeypatch.setattr(solver, "tridiagonal_eigh", recording)
+        monkeypatch.setattr(solver, "eigh_tridiagonal", recording)
+        monkeypatch.setattr(np, "dot", blas)
+        monkeypatch.setattr(np.linalg, "norm", blas)
         cfg = VerificationConfig.from_dict(
             {"suites": ["spectra"],
              "grid": {"spectrum_points": 2000, "rayleigh_points": 4000}})
@@ -235,8 +236,11 @@ class TestCampaign:
             "oscillator-convergence-order", "oscillator-exceptional-rayleigh",
             "scarf-exceptional-rayleigh", "scarf-isospectrality",
         ])
-        # 2 levels x 2 potentials for the oscillator, 3 convergence sizes, 2 for Scarf
-        assert flags == [True] * 9
+        # values only (no inverse iteration by stein), and every bisection on a
+        # grid 1/16 the size: 2 levels x 2 potentials for the oscillator at
+        # 2000 points, the convergence sizes 1000/2000/4000, 2 for Scarf at 12000
+        assert calls == [(125, True)] * 4 + [(62, True), (125, True), (250, True)] \
+            + [(750, True)] * 2
 
 
 class TestWriteAtomic:
