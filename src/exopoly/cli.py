@@ -125,6 +125,8 @@ def cmd_spectrum(args) -> int:
         params = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as exc:
         return _fail(f"--params is not valid JSON: {exc}", EXIT_BAD_CONFIG)
+    if not isinstance(params, dict):
+        return _fail("--params must be a JSON object", EXIT_BAD_CONFIG)
     if args.l is not None:
         params["l"] = args.l
     try:

@@ -20,7 +20,7 @@ level-dependent, which is flagged rather than hidden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -183,8 +183,8 @@ class Oscillator3D(_Preset):
     energy_shift: float = 0.0
 
     def __post_init__(self):
-        if self.l < 0:
-            raise PotentialError("angular momentum l must be >= 0")
+        if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 0:
+            raise PotentialError(f"angular momentum l must be an int >= 0, not {self.l!r}")
 
     @property
     def k(self) -> Fraction:
@@ -235,8 +235,8 @@ class CoulombRadial(_Preset):
     energy_shift: float = 0.0
 
     def __post_init__(self):
-        if self.l < 0:
-            raise PotentialError("angular momentum l must be >= 0")
+        if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 0:
+            raise PotentialError(f"angular momentum l must be an int >= 0, not {self.l!r}")
 
     @property
     def k(self) -> Fraction:
@@ -408,10 +408,6 @@ class ScarfTrig(_Preset):
     def jacobi_beta(self) -> Fraction:
         return self.s + self.lam - Fraction(1, 2)
 
-    @property
-    def b_constant(self) -> Fraction:
-        return (2 * self.s - 1) / (2 * self.lam)
-
     def default_domain(self, margin: float = 1e-8) -> tuple[float, float]:
         """Box between the sec^2 singularities, ends pulled inward by ``margin``.
 
@@ -434,7 +430,7 @@ class ScarfTrig(_Preset):
 
     def extension(self, x, n: Optional[int] = None):
         """Derived extension -2 a^2 [ b/(z-b) + (b^2-1)/(z-b)^2 ]."""
-        bq = float(self.b_constant)
+        bq = float(JacobiConstants.from_parameters(self.jacobi_alpha, self.jacobi_beta).b)
         af = float(self.alpha)
         z = self.variable(x)
         return -2 * af**2 * (bq / (z - bq) + (bq**2 - 1) / (z - bq) ** 2)
@@ -484,6 +480,10 @@ def make_preset(name: str, params: dict):
     cls = PRESETS.get(name)
     if cls is None:
         raise PotentialError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in params]
+    if missing:
+        raise PotentialError(f"preset {name} needs parameters {', '.join(missing)} "
+                             "in --params")
     try:
         return cls(**params)
     except TypeError as exc:

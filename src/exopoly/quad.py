@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .polycore import Poly, RationalLike, as_rational
+from .polycore import JacobiConstants, Poly, RationalLike, as_rational
 from .solver import tridiagonal_eigh
 
 MAX_NODES_DEFAULT = 2**13
@@ -65,13 +65,11 @@ class WeightSpec:
                 raise ValueError(f"{self.kind} weight needs alpha and beta")
             if self.alpha <= -1 or self.beta <= -1:
                 raise ValueError("jacobi weight requires alpha, beta > -1")
-            if self.kind == "x1-jacobi":
-                if self.alpha == self.beta:
-                    raise ValueError("x1-jacobi requires alpha != beta")
-                if abs(self.b_constant) <= 1:
-                    raise ValueError(
-                        "x1-jacobi weight has a pole inside [-1,1]: |b| <= 1"
-                    )
+            # the pole raises ValueError for alpha == beta, where b is undefined
+            if self.kind == "x1-jacobi" and abs(self.pole) <= 1:
+                raise ValueError(
+                    "x1-jacobi weight has a pole inside [-1,1]: |b| <= 1"
+                )
         else:
             raise ValueError(f"unknown weight kind {self.kind!r}")
 
@@ -104,13 +102,6 @@ class WeightSpec:
         return (-1.0, 1.0)
 
     @property
-    def b_constant(self) -> Fraction:
-        """The pole location b = (beta+alpha)/(beta-alpha) of the x1-jacobi factor."""
-        if self.alpha is None or self.beta is None or self.alpha == self.beta:
-            raise ValueError("b is defined only for jacobi kinds with alpha != beta")
-        return (self.beta + self.alpha) / (self.beta - self.alpha)
-
-    @property
     def is_rational_extension(self) -> bool:
         return self.kind.startswith("x1-")
 
@@ -124,11 +115,11 @@ class WeightSpec:
 
     @property
     def pole(self) -> Fraction:
-        """The double pole z of the x1 factor 1/(x-z)^2: -k resp. b."""
+        """The double pole z of the x1 factor 1/(x-z)^2: -k resp. JacobiConstants.b."""
         if self.kind == "x1-laguerre":
             return -self.k
         if self.kind == "x1-jacobi":
-            return self.b_constant
+            return JacobiConstants.from_parameters(self.alpha, self.beta).b
         raise ValueError("only the x1 kinds have a pole")
 
     def rational_factor(self, x: np.ndarray) -> np.ndarray:
@@ -145,9 +136,6 @@ class WeightSpec:
         else:
             base = (1 - x) ** float(self.alpha) * (1 + x) ** float(self.beta)
         return base * self.rational_factor(x)
-
-    def cache_key(self) -> tuple:
-        return (self.kind, str(self.k), str(self.alpha), str(self.beta))
 
 
 @dataclass(frozen=True)
@@ -293,7 +281,7 @@ _RULE_CACHE: dict[tuple, QuadratureRule] = {}
 
 def gauss_rule(weight: WeightSpec, n: int) -> QuadratureRule:
     """Cached n-point Gauss rule for the classical base of ``weight``."""
-    key = weight.classical_base().cache_key() + (n,)
+    key = (weight.classical_base(), n)
     rule = _RULE_CACHE.get(key)
     if rule is None:
         rule = golub_welsch(recurrence_coefficients(weight, n), n)
@@ -370,7 +358,7 @@ def integrate(f, weight: WeightSpec, max_nodes: int = MAX_NODES_DEFAULT) -> floa
 _CF_START = 128
 _CF_MAX = 2**17
 
-_WEIGHT_RECURRENCE_CACHE: dict[tuple, Recurrence] = {}
+_WEIGHT_RECURRENCE_CACHE: dict[WeightSpec, Recurrence] = {}
 
 
 def _divide_linear(a: np.ndarray, b: np.ndarray, mu0: float,
@@ -415,11 +403,10 @@ def weight_recurrence(weight: WeightSpec, n: int) -> Recurrence:
     """
     if n < 1:
         raise ValueError(f"recurrence needs n >= 1 coefficients, got n={n}")
-    key = weight.cache_key()
-    rec = _WEIGHT_RECURRENCE_CACHE.get(key)
+    rec = _WEIGHT_RECURRENCE_CACHE.get(weight)
     if rec is None or len(rec.a) < n:
         rec = _divided_recurrence(weight, n)
-        _WEIGHT_RECURRENCE_CACHE[key] = rec
+        _WEIGHT_RECURRENCE_CACHE[weight] = rec
     return Recurrence(a=rec.a[:n], b=rec.b[:n], mu0=rec.mu0)
 
 

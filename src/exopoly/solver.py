@@ -392,18 +392,17 @@ def convergence_order(
     domain: tuple[float, float],
     exact: float,
     sizes: Sequence[int],
-    level: int = 0,
 ) -> float:
-    """Measured eigenvalue convergence exponent p in error ~ h^p.
+    """Measured convergence exponent p in error ~ h^p of the lowest eigenvalue.
 
-    Solves the same problem on each grid size and fits log|E - exact| against
-    log h by least squares.
+    Solves the same problem on each grid size and fits log|E_0 - exact|
+    against log h by least squares.
     """
     hs, errs = [], []
     for n in sizes:
         g = Grid(domain[0], domain[1], n)
         hs.append(g.h)
-        errs.append(abs(lowest_levels(potential, g, level + 1)[level] - exact))
+        errs.append(abs(lowest_levels(potential, g, 1)[0] - exact))
     if any(e == 0 for e in errs):
         raise SolverError("exact eigenvalue hit to roundoff; cannot fit an order")
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]

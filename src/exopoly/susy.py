@@ -204,16 +204,15 @@ def random_smooth_functions(grid: Grid, count: int, seed: int = 0) -> list[GridF
 
 
 def intertwining_operator_residual(w: Superpotential, grid: Grid,
-                                   psi: GridFunction,
-                                   energy: float = 0.0) -> float:
+                                   psi: GridFunction) -> float:
     """||(A H+ - H- A) psi|| / ||psi|| with H+/- built from the same W.
 
     The continuum identity A H+ = H- A holds exactly for any W; on the grid
     the residual is O(h^2) for smooth boundary-compatible psi.
     """
-    pair = partner_potentials(w, energy)
-    h_plus = discretize(lambda x: pair.v_plus(x) - energy, grid)
-    h_minus = discretize(lambda x: pair.v_minus(x) - energy, grid)
+    pair = partner_potentials(w)
+    h_plus = discretize(pair.v_plus, grid)
+    h_minus = discretize(pair.v_minus, grid)
     lhs = apply_A(w, GridFunction(grid, h_plus.matvec(psi.values)))
     rhs = GridFunction(grid, h_minus.matvec(apply_A(w, psi).values))
     diff = GridFunction(grid, lhs.values - rhs.values)

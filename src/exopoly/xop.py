@@ -16,6 +16,12 @@ it and return the equation's left-hand side with denominators cleared,
 which is the zero polynomial precisely on eigenpolynomials, and the
 nullspace route hands the operator's integer matrix on monomials to the
 exact nullspace solver.
+
+Each family fact has one home that every route reads: the Jacobi constants
+a, b, c in :class:`polycore.JacobiConstants`, the pole in ``quad.WeightSpec.pole``,
+the ladder in :meth:`XFamilySpec.ladder`, the cleared equation in
+:meth:`XFamilySpec.operator`, and the seed functional, read off the pole, in
+:func:`gram_schmidt_family`.
 """
 
 from __future__ import annotations
@@ -81,6 +87,15 @@ class XFamilySpec:
             return _laguerre_operator(self.k, 1, n)
         return _jacobi_operator(self.alpha, self.beta, n)
 
+    def ladder(self) -> DiffOp:
+        """The first-order ladder from the classical L^(k-1) resp.
+        P^(alpha-1, beta+1): degree nu goes to the member of index nu+1."""
+        if self.family == "laguerre":
+            return DiffOp(_laguerre_ladder_table(self.k))
+        if self.alpha <= 0:
+            raise ValueError("requires alpha > 0 so P^(alpha-1, beta+1) exists")
+        return DiffOp(_jacobi_ladder_table(self.alpha, self.beta))
+
 
 # ---------------------------------------------------------------------------
 # operator routes
@@ -92,10 +107,8 @@ def x1_laguerre_op_route(nu: int, k: RationalLike) -> Poly:
     Applies (x+k)(d/dx - 1) - 1 to the classical L_nu^(k-1); the result has
     degree nu+1 and satisfies the exceptional equation at index n = nu+1.
     """
-    kq = as_rational(k)
-    if kq <= 0:
-        raise ValueError("requires k > 0")
-    return DiffOp(_laguerre_ladder_table(kq))(laguerre_classical(nu, kq - 1))
+    spec = XFamilySpec(family="laguerre", k=as_rational(k))
+    return spec.ladder()(laguerre_classical(nu, spec.k - 1))
 
 
 def x1_jacobi_op_route(n: int, alpha: RationalLike, beta: RationalLike) -> Poly:
@@ -106,8 +119,8 @@ def x1_jacobi_op_route(n: int, alpha: RationalLike, beta: RationalLike) -> Poly:
     proportional to the exceptional member of index n+1.  The proportionality
     constant is whatever it is -- measured, never assumed.
     """
-    al, be = _jacobi_ladder_params(alpha, beta)
-    return DiffOp(_jacobi_ladder_table(al, be))(jacobi_classical(n, al - 1, be + 1))
+    spec = XFamilySpec(family="jacobi", alpha=as_rational(alpha), beta=as_rational(beta))
+    return spec.ladder()(jacobi_classical(n, spec.alpha - 1, spec.beta + 1))
 
 
 def operator_family(spec: XFamilySpec, n_max: int) -> list[Poly]:
@@ -115,25 +128,12 @@ def operator_family(spec: XFamilySpec, n_max: int) -> list[Poly]:
     one pass over the classical family."""
     if n_max < 1:
         raise ValueError("exceptional families have no degree-0 member")
+    ladder = spec.ladder()
     if spec.family == "laguerre":
-        kq = as_rational(spec.k)
-        table, seeds = _laguerre_ladder_table(kq), laguerre_family(n_max - 1, kq - 1)
+        seeds = laguerre_family(n_max - 1, spec.k - 1)
     else:
-        al, be = _jacobi_ladder_params(spec.alpha, spec.beta)
-        table = _jacobi_ladder_table(al, be)
-        seeds = jacobi_family(n_max - 1, al - 1, be + 1)
-    ladder = DiffOp(table)
+        seeds = jacobi_family(n_max - 1, spec.alpha - 1, spec.beta + 1)
     return [ladder(p) for p in seeds]
-
-
-def _jacobi_ladder_params(alpha: RationalLike,
-                          beta: RationalLike) -> tuple[Fraction, Fraction]:
-    al, be = as_rational(alpha), as_rational(beta)
-    if al == be:
-        raise ValueError("requires alpha != beta")
-    if al - 1 <= -1 or be + 1 <= -1:
-        raise ValueError("requires alpha > 0 so P^(alpha-1, beta+1) exists")
-    return al, be
 
 
 # Operator tables {(shift, order): coefficient}, one term c x^shift D^order
@@ -351,40 +351,27 @@ def xj_quotient_solve(k: float, j: int, n: int) -> list[dict]:
 # Gram-Schmidt route
 # ---------------------------------------------------------------------------
 
-def _seed_functional(weight: quad.WeightSpec) -> tuple[float, float]:
-    """(z, d) with l(p) = p(z) - d p'(z) vanishing exactly on the seed span.
-
-    The seeds (Laguerre v_1 = x+k+1, v_i = (x+k)^i; Jacobi u_1 = x-c,
-    u_i = (x-b)^i) span the kernel of l (Gomez-Ullate, Kamran, Milson, J.
-    Approx. Theory 162, 2010): Laguerre l(p) = p(-k) - p'(-k), Jacobi
-    l(p) = p(b) - (b-c) p'(b).
-    """
-    if weight.kind == "x1-laguerre":
-        return float(weight.pole), 1.0
-    if weight.kind == "x1-jacobi":
-        jc = JacobiConstants.from_parameters(weight.alpha, weight.beta)
-        return float(jc.b), float(jc.b - jc.c)
-    raise ValueError("seeds are defined for the x1 weights only")
-
-
 def gram_schmidt_family(weight: quad.WeightSpec, count: int) -> list[np.ndarray]:
     """First ``count`` members of the exceptional family: the seed sequence
     orthonormalized under the rational weight, in floating point.
 
     Works in the basis q_0..q_count of polynomials orthonormal for the weight,
     from :func:`quad.weight_recurrence`, where the weight's inner product is
-    the Euclidean one.  phi_i = q_i - (l(q_i)/l(q_{i-1})) q_{i-1} has degree
-    i and l(phi_i) = 0, so phi_1..phi_n span the same flag as the seeds; one
-    QR of the bidiagonal matrix of the phi in q-coordinates is their
-    Gram-Schmidt under the weight, with no quadrature.  Members are unit-norm
-    with positive leading coefficient; member i has degree i and depends only
-    on phi_1..phi_i, so a shorter family is a prefix of a longer one.
-    Raises QuadratureError if the weight's recurrence does not settle or l
-    vanishes on some q_i.
+    the Euclidean one.  The seeds span the kernel of l(p) = p(z) - d p'(z), z
+    the pole and d = 1 (Laguerre) or b - c = -2/(beta-alpha) (Jacobi)
+    (Gomez-Ullate, Kamran, Milson, J. Approx. Theory 162, 2010).  phi_i =
+    q_i - (l(q_i)/l(q_{i-1})) q_{i-1} has degree i and l(phi_i) = 0, so
+    phi_1..phi_n span the same flag as the seeds; one QR of the bidiagonal
+    matrix of the phi in q-coordinates is their Gram-Schmidt under the
+    weight, with no quadrature.  Members are unit-norm with positive leading
+    coefficient; member i has degree i and depends only on phi_1..phi_i, so a
+    shorter family is a prefix of a longer one.  Raises QuadratureError if the
+    weight's recurrence does not settle or l vanishes on some q_i.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    z, d = _seed_functional(weight)
+    z = float(weight.pole)
+    d = 1.0 if weight.kind == "x1-laguerre" else float(-2 / (weight.beta - weight.alpha))
     rec = quad.weight_recurrence(weight, count + 1)
     s = np.sqrt(rec.b)  # s[i] links q_{i-1} and q_i; s[0] is unused
     # column i: ascending coefficients of q_i, then q_i(z) and q_i'(z), all

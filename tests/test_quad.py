@@ -117,7 +117,7 @@ class TestIntegrate:
 
     def test_x1_jacobi_nodes_clear_the_pole(self):
         w = WeightSpec.x1_jacobi(F(1), F(2))
-        b = float(w.b_constant)
+        b = float(w.pole)
         rule = quad.gauss_rule(w, 64)
         assert np.min(np.abs(rule.nodes - b)) > abs(b) - 1 > 0
 
@@ -204,7 +204,7 @@ class TestWeightSpec:
         assert w.density(x) == pytest.approx(x**2 * np.exp(-x) / (x + 2) ** 2)
         wj = WeightSpec.x1_jacobi(F(1), F(2))
         z = np.array([-0.5, 0.0, 0.5])
-        b = float(wj.b_constant)
+        b = float(wj.pole)
         assert wj.density(z) == pytest.approx((1 - z) * (1 + z) ** 2 / (z - b) ** 2)
 
 
@@ -220,7 +220,7 @@ def _mpmath_moments(weight: WeightSpec, count: int) -> list[float]:
             density = lambda x: x**k * mpmath.exp(-x) / (x + k) ** 2
             pieces = [0, 1, 10, 40, mpmath.inf]
         else:
-            a, b, z = _mp(weight.alpha), _mp(weight.beta), _mp(weight.b_constant)
+            a, b, z = _mp(weight.alpha), _mp(weight.beta), _mp(weight.pole)
             density = lambda x: (1 - x) ** a * (1 + x) ** b / (x - z) ** 2
             pieces = [-1, 0, 1]
         return [float(mpmath.quad(lambda x: x**j * density(x), pieces))
@@ -251,17 +251,25 @@ class TestRationalWeightRule:
 
     def test_shorter_recurrence_is_a_prefix(self):
         w = WeightSpec.x1_laguerre(F(1, 3))
-        quad._WEIGHT_RECURRENCE_CACHE.pop(w.cache_key(), None)
+        quad._WEIGHT_RECURRENCE_CACHE.pop(w, None)
         short = quad.weight_recurrence(w, 5)
-        quad._WEIGHT_RECURRENCE_CACHE.pop(w.cache_key(), None)
+        quad._WEIGHT_RECURRENCE_CACHE.pop(w, None)
         long = quad.weight_recurrence(w, 40)
         assert short.mu0 == long.mu0
         assert np.array_equal(short.a, long.a[:5]) and np.array_equal(short.b, long.b[:5])
 
+    def test_equal_specs_share_one_cached_recurrence(self):
+        w, same = WeightSpec.x1_laguerre("1/2"), WeightSpec.x1_laguerre(F(1, 2))
+        quad._WEIGHT_RECURRENCE_CACHE.pop(w, None)
+        quad.weight_recurrence(w, 6)
+        cached = quad._WEIGHT_RECURRENCE_CACHE[w]
+        assert quad._WEIGHT_RECURRENCE_CACHE[same] is cached
+        assert np.array_equal(quad.weight_recurrence(same, 6).a, cached.a)
+
     def test_unsettled_continued_fraction_is_loud(self, monkeypatch):
         monkeypatch.setattr(quad, "_CF_MAX", 2**10)
         w = WeightSpec.x1_laguerre(F(1, 100))  # needs 2^15 steps to settle
-        quad._WEIGHT_RECURRENCE_CACHE.pop(w.cache_key(), None)
+        quad._WEIGHT_RECURRENCE_CACHE.pop(w, None)
         with pytest.raises(QuadratureError, match="did not settle"):
             quad.weight_recurrence(w, 4)
 

@@ -386,6 +386,15 @@ class TestCliPoly:
         assert code == 0
         assert "gram-schmidt" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("route,code", [("operator", 2), ("nullspace", 0),
+                                            ("gram-schmidt", 0)])
+    def test_jacobi_alpha_below_zero_only_the_operator_route_refuses(self, route,
+                                                                      code, capsys):
+        assert main(["poly", "--family", "x1-jacobi", "--alpha=-1/2", "--beta=-1/4",
+                     "--n", "4", "--route", route]) == code
+        if code:
+            assert "P^(alpha-1, beta+1)" in capsys.readouterr().err
+
     def test_quadrature_failure_exits_three(self, monkeypatch, capsys):
         def fail(weight, count):
             raise quad.QuadratureError("integral did not converge")
@@ -430,6 +439,28 @@ class TestCliSpectrum:
     def test_bad_params_exit_two(self):
         assert main(["spectrum", "--preset", "scarf", "--params",
                      '{"A": "1", "B": "1"}', "--grid-n", "2000"]) == 2
+
+    @pytest.mark.parametrize("preset,names", [("scarf", "A, B"), ("morse", "A, B")])
+    def test_missing_preset_parameters_named(self, preset, names, capsys):
+        code = main(["spectrum", "--preset", preset, "--grid-n", "2000"])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: preset {preset} needs parameters {names} in --params")
+
+    def test_params_not_an_object_exits_two(self, capsys):
+        code = main(["spectrum", "--preset", "oscillator3d", "--l", "1",
+                     "--params", "[1]", "--grid-n", "2000"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --params must be a JSON object")
+
+    @pytest.mark.parametrize("preset,params", [("oscillator3d", '{"l": 1.5}'),
+                                               ("coulomb", '{"l": true}'),
+                                               ("coulomb", '{"l": 2.0}')])
+    def test_non_int_angular_momentum_exits_two(self, preset, params, capsys):
+        code = main(["spectrum", "--preset", preset, "--params", params, "--extended",
+                     "--grid-n", "2000"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: angular momentum l must be an int")
 
     def test_inadmissible_exc_level_exits_two(self, capsys):
         # the coulomb extension needs a valid level index; 0 is a bad argument

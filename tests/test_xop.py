@@ -236,8 +236,9 @@ class TestGramSchmidtRoute:
         assert fam[0] / fam[0][-1] == pytest.approx([-3.0, 1.0], abs=1e-13)
 
     @pytest.mark.parametrize("weight", [WeightSpec.x1_laguerre(F(2)),
-                                        WeightSpec.x1_jacobi(F(1, 2), F(3, 2))],
-                             ids=["x1-laguerre", "x1-jacobi"])
+                                        WeightSpec.x1_jacobi(F(1, 2), F(3, 2)),
+                                        WeightSpec.x1_jacobi(F(2), F(1))],
+                             ids=["x1-laguerre", "x1-jacobi", "x1-jacobi-negative-pole"])
     def test_members_lie_in_the_seed_span(self, weight):
         # the seeds span the kernel of l(p) = p(z) - d p'(z): Laguerre z = -k,
         # d = 1; Jacobi z = b, d = b - c
@@ -296,6 +297,21 @@ class TestRouteAgreement:
             ns = family_by_route(spec, n, "nullspace")
             assert op.monic() == ns
             assert coefficient_rel_diff(gs[n - 1], op) < 1e-9
+
+    def test_alpha_below_zero_splits_the_routes(self):
+        # 0 >= alpha > -1: P^(alpha-1, beta+1) does not exist, so the ladder
+        # refuses, while the weight (pole b = -3) and both other routes stand
+        spec = XFamilySpec(family="jacobi", alpha=F(-1, 2), beta=F(-1, 4))
+        for build in (lambda: x1_jacobi_op_route(0, spec.alpha, spec.beta),
+                      lambda: operator_family(spec, 4)):
+            with pytest.raises(ValueError, match=r"P\^\(alpha-1, beta\+1\) exists"):
+                build()
+        gs = gram_schmidt_family(spec.weight(), 4)
+        for n in range(1, 5):
+            ns = family_by_route(spec, n, "nullspace")
+            assert ns.degree == n
+            assert x1_jacobi_ode_residual(ns, spec.alpha, spec.beta, n).is_zero
+            assert coefficient_rel_diff(gs[n - 1], ns) < 1e-9
 
     def test_no_degree_zero_member_via_routes(self):
         spec = XFamilySpec(family="laguerre", k=F(1))
