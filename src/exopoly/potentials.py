@@ -127,6 +127,10 @@ class _Preset:
     partner of level n - 1, except where a preset overrides ``_partner``.
     """
 
+    def __post_init__(self):
+        # the one float field: parsed like every numeric parameter, kept as a float
+        object.__setattr__(self, "energy_shift", float(as_rational(self.energy_shift)))
+
     def _frame(self, nu: int) -> _Frame:
         raise NotImplementedError
 
@@ -183,6 +187,7 @@ class Oscillator3D(_Preset):
     energy_shift: float = 0.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 0:
             raise PotentialError(f"angular momentum l must be an int >= 0, not {self.l!r}")
 
@@ -235,6 +240,7 @@ class CoulombRadial(_Preset):
     energy_shift: float = 0.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 0:
             raise PotentialError(f"angular momentum l must be an int >= 0, not {self.l!r}")
 
@@ -299,6 +305,7 @@ class Morse(_Preset):
     energy_shift: float = 0.0
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "A", as_rational(self.A))
         object.__setattr__(self, "B", as_rational(self.B))
         object.__setattr__(self, "alpha", as_rational(self.alpha))
@@ -382,6 +389,7 @@ class ScarfTrig(_Preset):
     energy_shift: float = 0.0
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "A", as_rational(self.A))
         object.__setattr__(self, "B", as_rational(self.B))
         object.__setattr__(self, "alpha", as_rational(self.alpha))
@@ -475,18 +483,26 @@ def make_preset(name: str, params: dict):
     """Build a preset from its registry id and a parameter dict.
 
     Numeric parameters may be given as ints, decimals, or exact "num/den"
-    strings.
+    strings.  An unknown key, a missing one, or a value that is not a number
+    raises :class:`PotentialError`.
     """
     cls = PRESETS.get(name)
     if cls is None:
         raise PotentialError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
+    accepted = [f.name for f in fields(cls)]
+    unknown = [key for key in params if key not in accepted]
+    if unknown:
+        raise PotentialError(f"preset {name} has no parameter {', '.join(unknown)}; "
+                             f"it accepts {', '.join(accepted)}")
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in params]
     if missing:
         raise PotentialError(f"preset {name} needs parameters {', '.join(missing)} "
                              "in --params")
     try:
         return cls(**params)
-    except TypeError as exc:
+    except PotentialError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise PotentialError(f"bad parameters for preset {name}: {exc}") from exc
 
 

@@ -7,31 +7,37 @@ through LAPACK's bisection (scipy ``eigh_tridiagonal``, values only), which
 also serves the Golub-Welsch construction in :mod:`exopoly.quad`.
 
 The lowest levels on a grid (:func:`lowest_levels`, and :func:`solve_spectrum`
-for ``exopoly spectrum``) come from one coarse-to-fine path.  Bisection on a
-grid with 1/16 of the points gives a shift per level.  Shifted inverse /
-Rayleigh-quotient iteration on the requested grid refines it, one O(N)
-LAPACK ``dgtsv`` solve a step; two steps usually bring the residual
-r = ||T x - rho x|| of the unit iterate x down to about eps*||T||, and
-|lambda - rho| <= r for some eigenvalue lambda (Parlett, *The Symmetric
-Eigenvalue Problem*, SIAM 1998, ch. 4).  The result is accepted only when
-these intervals [rho - r, rho + r] are disjoint and ascending and one Sturm
-count (LAPACK ``dstebz`` with an infinite tolerance, which only counts) finds
-exactly ``count`` eigenvalues up to the top one: then each interval holds
-exactly one of the lowest ``count`` eigenvalues.  Otherwise (a coarse grid
-that misses a state, near-degenerate levels, a potential that is singular at
-a coarse node, a grid too small to coarsen) the levels come from bisection on
-the full grid.  At 64000 points (2 vCPU, median of 7) the oscillator's 3
-levels take 25 ms against 62 ms by full-grid bisection, Scarf's 4 levels
-32 ms against 69 ms; ``exopoly spectrum`` reads its residuals from the same
-iterates, 24 ms against 80-236 ms (min and median) for bisection plus
-LAPACK ``stein`` vectors, which run threaded BLAS.
+for ``exopoly spectrum``) come from one recursive coarse-to-fine path.  The
+levels on a grid give the shifts and start vectors on the grid with 16 times
+as many points: each unit vector is carried up by linear interpolation, zero
+at the Dirichlet ends.  Shifted inverse / Rayleigh-quotient iteration then
+refines each level on the finer grid, one O(N) LAPACK ``dgtsv`` solve a step.
+From such a start one step usually brings the residual
+r = ||T x - rho x|| of the unit iterate x down to the round-off floor, a few
+eps*||T||, and |lambda - rho| <= r for some eigenvalue lambda (Parlett, *The
+Symmetric Eigenvalue Problem*, SIAM 1998, ch. 4).  Bisection runs only at the
+bottom, on a grid too small to coarsen (1/16 of its points would leave fewer
+than 8 a level, or fewer than 16), e.g. 250 points under a 64000-point grid.
+Every refined grid's levels are accepted only when the intervals
+[rho - r, rho + r] are disjoint and ascending and one Sturm count (LAPACK
+``dstebz`` with an infinite tolerance, which only counts) finds exactly
+``count`` eigenvalues up to the top one: then each interval holds exactly
+one of the lowest ``count`` eigenvalues.  Otherwise (a coarser grid that
+misses a state, near-degenerate levels, a potential that is singular at a
+coarser node) the levels on that grid come from bisection on its own
+points, and the grid above starts from those.  At 64000 points (2 vCPU,
+median of 7) the oscillator's 3 levels take 18 ms against 63 ms by
+full-grid bisection, Scarf's 4 levels 22 ms against 74 ms; ``exopoly
+spectrum`` reads its residuals from the same iterates, 19 ms against
+83-102 ms for bisection plus LAPACK ``stein`` vectors, which run threaded
+BLAS.
 
 Inner products and norms of grid vectors are numpy reductions, not
 ``np.dot``/``np.linalg.norm``.  Those hand vectors of more than about ten
 thousand elements to BLAS ``ddot``, which OpenBLAS runs on its thread pool;
 on a 2-vCPU machine each such call cost about 8 ms, against microseconds for
-the reduction.  The start vector is a fixed pseudo-random one, so the levels
-are bit-identical from run to run.
+the reduction.  Levels whose shifts come from bisection start from a fixed
+pseudo-random vector, so the levels are bit-identical from run to run.
 """
 
 from __future__ import annotations
@@ -163,7 +169,7 @@ def _check_count(count: int, op: Tridiagonal) -> None:
         raise ValueError("count must be between 1 and the matrix size")
 
 
-_COARSE = 16  # the coarse grid has 1/_COARSE of the points
+_COARSE = 16  # a grid starts from the levels on 1/_COARSE of its points
 _STEPS = 4  # shifted solves per level, at most
 _FLOOR = 8.0  # a residual below _FLOOR * eps * ||T|| is at round-off
 _EPS = float(np.finfo(float).eps)
@@ -192,28 +198,33 @@ def _shifted_solve(op: Tridiagonal, shift: float, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _refine(op: Tridiagonal, shifts, rayleigh: bool) -> tuple[list[float], list[float]]:
-    """Value and residual ||T x - value x|| of a unit vector x for each shift.
+def _refine(op: Tridiagonal, shifts, rayleigh: bool, starts=None,
+            keep: bool = False) -> tuple[list[float], list[float], Optional[list[np.ndarray]]]:
+    """Value and residual ||T x - value x|| of a unit vector x for each shift,
+    and the vectors themselves when ``keep`` asks for them.
 
-    Each level runs shifted inverse iteration from the same fixed
-    pseudo-random start.  With ``rayleigh`` the shift moves to each
-    iterate's Rayleigh quotient (Rayleigh-quotient iteration) and is the
-    returned value; otherwise the shift stays put and only the vector is
-    refined.  A level stops once its residual is at round-off, or after
-    ``_STEPS`` solves.
+    Each level runs shifted inverse iteration from its own start in
+    ``starts`` (an iterable, read one vector at a time), or, without
+    ``starts``, from the same fixed pseudo-random vector.  With ``rayleigh``
+    the shift moves to each iterate's Rayleigh quotient (Rayleigh-quotient
+    iteration) and is the returned value; otherwise the shift stays put and
+    only the vector is refined.  A level stops once its residual is at
+    round-off, or after ``_STEPS`` solves.
 
     Each right-hand side is made orthogonal to the vectors of the levels
     below before the solve, not after it: the solve then damps the round-off
     the projection leaves, so a near-degenerate partner does not hand its own
     residual on (deflating after the solve left 1.8e-5 on the second level
-    of a double well, against 1.5e-8 this way).  The vectors are dropped on
-    return, before anything else allocates grid-sized work arrays.
+    of a double well, against 1.5e-8 this way).  Without ``keep`` the vectors
+    are dropped on return, before anything else allocates grid-sized work
+    arrays; only a coarse grid's vectors are kept, as the next grid's starts.
     """
     floor = _FLOOR * _EPS * (float(np.max(np.abs(op.diag))) + 2.0 * float(np.max(np.abs(op.off))))
+    if starts is None:  # the same start for every level
+        starts = (np.random.default_rng(0).random(op.n) - 0.5 for _ in shifts)
     values, residuals, vectors = [], [], []
-    for shift in shifts:
+    for shift, x in zip(shifts, starts):
         shift = float(shift)
-        x = np.random.default_rng(0).random(op.n) - 0.5  # the same start for every level
         for _ in range(_STEPS):
             for v in vectors:
                 x -= _dot(v, x) * v
@@ -229,7 +240,16 @@ def _refine(op: Tridiagonal, shifts, rayleigh: bool) -> tuple[list[float], list[
         values.append(shift)
         residuals.append(res)
         vectors.append(x)
-    return values, residuals
+    return values, residuals, (vectors if keep else None)
+
+
+def _carried(coarse: Grid, vectors: list[np.ndarray], grid: Grid):
+    """Each coarse vector linearly interpolated onto ``grid`` (the same ends),
+    with zero at the Dirichlet ends; one vector at a time."""
+    nodes = np.concatenate(([coarse.a], coarse.points(), [coarse.b]))
+    points = grid.points()
+    for v in vectors:
+        yield np.interp(points, nodes, np.concatenate(([0.0], v, [0.0])))
 
 
 def _certified(op: Tridiagonal, values: list[float], residuals: list[float]) -> bool:
@@ -243,28 +263,34 @@ def _certified(op: Tridiagonal, values: list[float], residuals: list[float]) -> 
 
 
 def _lowest(potential: Callable[[np.ndarray], np.ndarray], grid: Grid, count: int,
-            residuals: bool) -> tuple[list[float], Optional[list[float]]]:
-    """The lowest ``count`` levels on ``grid`` and their residuals.
+            residuals: bool, inner: bool = False):
+    """The lowest ``count`` levels on ``grid``, their residuals and, for an
+    ``inner`` (coarse) call, their unit vectors.
 
-    Coarse bisection, refinement on ``grid`` and a certificate; any input the
-    certificate does not accept gets bisection on the full grid instead, and
-    then residuals (of refined vectors) only when ``residuals`` asks for them.
+    A grid with at least 8 points a level on 1/``_COARSE`` of its points gets
+    its shifts and start vectors from the same solve on that coarser grid,
+    which recurses in turn; refinement on ``grid`` and a certificate follow.
+    A grid too small to coarsen, and any input the certificate does not
+    accept, gets bisection on its own points instead, and then residuals and
+    vectors (refined from the fixed start) only when the caller needs them.
     """
     op = discretize(potential, grid)
     _check_count(count, op)
     n_coarse = grid.n // _COARSE
     if n_coarse >= 8 * max(2, count):  # 8 coarse points a level, a 16-point grid at least
         try:
-            cop = discretize(potential, Grid(grid.a, grid.b, n_coarse))
-            refined = _refine(op, tridiagonal_eigh(cop.diag, cop.off, count=count), rayleigh=True)
-            if _certified(op, *refined):
+            coarse = Grid(grid.a, grid.b, n_coarse)
+            shifts, _, vectors = _lowest(potential, coarse, count, residuals=True, inner=True)
+            refined = _refine(op, shifts, rayleigh=True, starts=_carried(coarse, vectors, grid),
+                              keep=inner)
+            if _certified(op, *refined[:2]):
                 return refined
         except SolverError:
             pass
     values = tridiagonal_eigh(op.diag, op.off, count=count)
-    if not residuals:
-        return [float(e) for e in values], None
-    return _refine(op, values, rayleigh=False)
+    if not (residuals or inner):
+        return [float(e) for e in values], None, None
+    return _refine(op, values, rayleigh=False, keep=inner)
 
 
 def lowest_levels(potential: Callable[[np.ndarray], np.ndarray], grid: Grid,
@@ -342,7 +368,7 @@ def solve_spectrum(
     The levels are :func:`lowest_levels`'; the residuals are those of the
     refined eigenvectors.
     """
-    eigenvalues, residuals = _lowest(potential, grid, count, residuals=True)
+    eigenvalues, residuals, _ = _lowest(potential, grid, count, residuals=True)
     return SpectrumReport(
         preset=preset,
         params=dict(params or {}),

@@ -181,6 +181,26 @@ class TestPresetRegistry:
             make_preset("morse", {"A": "4", "B": "2", "bogus": 1})
 
 
+    @pytest.mark.parametrize("given,stored", [
+        (9.0, 9.0), (1, 1.0), ("1/2", 0.5), ("0.25", 0.25), (F(3, 4), 0.75)])
+    def test_energy_shift_parsed_and_stored_as_float(self, given, stored):
+        for preset in (Oscillator3D(energy_shift=given), CoulombRadial(energy_shift=given),
+                       make_preset("scarf", {"A": 3, "B": 1, "energy_shift": given}),
+                       make_preset("morse", {"A": 4, "B": 2, "energy_shift": given})):
+            assert type(preset.energy_shift) is float and preset.energy_shift == stored
+
+    @pytest.mark.parametrize("params", [{"A": "x", "B": 2}, {"A": 4, "B": 2, "energy_shift": "x"},
+                                        {"A": 4, "B": 2, "energy_shift": True},
+                                        {"A": 4, "B": 2, "energy_shift": None}])
+    def test_non_numeric_parameters_rejected(self, params):
+        with pytest.raises(PotentialError, match="bad parameters for preset morse"):
+            make_preset("morse", params)
+
+    def test_unknown_parameter_named_with_the_accepted_fields(self):
+        with pytest.raises(PotentialError, match="no parameter bogus; it accepts l, energy_shift"):
+            make_preset("oscillator3d", {"bogus": 1})
+
+
 class TestQuotientIdentity:
     def test_x1_members_pass(self):
         grid = Grid(0.01, 40.0, 2000)

@@ -1,6 +1,7 @@
 """Finite-difference eigensolver: discretization, spectra, comparisons."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -165,7 +166,8 @@ class TestCoarseToFine:
         assert solver._sturm_count(op, np.max(op.diag) + 2 * abs(op.off[0])) == 500
 
     def test_spectral_workload_levels_are_certified(self, monkeypatch):
-        # the workload's potentials never reach the full-grid bisection
+        # the workload's potentials never reach a bisection above the bottom
+        # grid: 64000 -> 4000 -> 250 points, values only
         from exopoly.potentials import Oscillator3D, ScarfTrig
 
         sizes = []
@@ -182,7 +184,91 @@ class TestCoarseToFine:
             for potential in (preset.potential, preset.extended_potential):
                 levels = lowest_levels(potential, g, count)
                 assert levels == sorted(levels)
-        assert sizes == [4000] * 4
+        assert sizes == [250] * 4
+
+
+@st.composite
+def nested_cases(draw):
+    """A recursion depth of 1, 2 or 3 coarsenings, a level count, and a grid
+    size that reaches exactly that depth."""
+    depth = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 2 if depth == 3 else 4))
+    low = 8 * max(2, count) * solver._COARSE ** depth  # the smallest such size
+    return depth, count, draw(st.integers(low, low + 2000))
+
+
+def _recording(sizes, function):
+    """``function``, appending the size of its operator (or diagonal) to ``sizes``."""
+    def recording(first, *args, **kwargs):
+        sizes.append(len(getattr(first, "diag", first)))
+        return function(first, *args, **kwargs)
+    return recording
+
+
+def _assert_within_the_residual_bound(rep, potential, grid, count):
+    op = discretize(potential, grid)
+    scale = np.max(np.abs(op.diag)) + 2 * np.max(np.abs(op.off))
+    for e, r, w in zip(rep.eigenvalues, rep.residuals, _bisection(potential, grid, count)):
+        assert abs(e - w) <= r + 4 * np.finfo(float).eps * scale
+
+
+class TestNestedLevels:
+    """Each grid takes its shifts and start vectors from the certified solve
+    on the grid with 1/_COARSE of its points; bisection only at the bottom."""
+
+    def test_one_full_grid_solve_per_level(self):
+        from exopoly.potentials import Oscillator3D, ScarfTrig
+
+        osc, sc = Oscillator3D(l=1), ScarfTrig(A=3, B=1, energy_shift=9.0)
+
+        def solve_sizes():
+            sizes = []
+            with patch.object(solver, "_shifted_solve", _recording(sizes, solver._shifted_solve)):
+                for preset, count in ((osc, 3), (sc, 4)):
+                    g = Grid(*preset.default_domain(), 64000)
+                    for potential in (preset.potential, preset.extended_potential):
+                        lowest_levels(potential, g, count)
+            return sizes
+
+        first = solve_sizes()
+        assert first.count(64000) == 3 + 3 + 4 + 4
+        assert solve_sizes() == first
+
+    @settings(max_examples=12, deadline=None)
+    @given(smooth_potentials, nested_cases())
+    def test_every_depth_agrees_with_full_grid_bisection(self, case, nested):
+        length, potential = case
+        depth, count, n = nested
+        g = Grid(0.0, length, n)
+        bisections = []
+        with patch.object(solver, "tridiagonal_eigh",
+                          _recording(bisections, solver.tridiagonal_eigh)):
+            rep = solve_spectrum(potential, g, count)
+        assert bisections[0] == n // solver._COARSE**depth  # the bottom comes first
+        _assert_within_the_residual_bound(rep, potential, g, count)
+        again = solve_spectrum(potential, g, count)
+        assert again.eigenvalues == rep.eigenvalues == lowest_levels(potential, g, count)
+        assert again.residuals == rep.residuals
+
+    def test_refusal_at_an_inner_grid(self):
+        g = Grid(0.0, 10.0, 64000)  # 64000 -> 4000 -> 250 points
+        nodes = Grid(0.0, 10.0, 250).points()
+        x0 = (nodes[212] + nodes[213]) / 2  # midway between two bottom-grid nodes
+
+        def potential(x):
+            return (x - 5.0) ** 2 / 4 - 700.0 * np.exp(-(((x - x0) / 0.004) ** 2))
+
+        # the bottom grid sees the oscillator alone and the 4000-point grid the
+        # well's bound state too, so that grid refuses its refined levels and
+        # takes bisection, whose vectors then start the full grid's levels
+        bisections = []
+        with patch.object(solver, "tridiagonal_eigh",
+                          _recording(bisections, solver.tridiagonal_eigh)):
+            rep = solve_spectrum(potential, g, 3)
+        assert bisections == [250, 4000]
+        assert rep.eigenvalues[0] < 0
+        _assert_within_the_residual_bound(rep, potential, g, 3)
+        assert lowest_levels(potential, g, 3) == rep.eigenvalues
 
 
 class TestForcedFallback:

@@ -236,11 +236,13 @@ class TestCampaign:
             "oscillator-convergence-order", "oscillator-exceptional-rayleigh",
             "scarf-exceptional-rayleigh", "scarf-isospectrality",
         ])
-        # values only (no inverse iteration by stein), and every bisection on a
-        # grid 1/16 the size: 2 levels x 2 potentials for the oscillator at
-        # 2000 points, the convergence sizes 1000/2000/4000, 2 for Scarf at 12000
+        # values only (no inverse iteration by stein), and every bisection on
+        # the bottom grid of the coarse-to-fine recursion: 2 levels x 2
+        # potentials for the oscillator at 2000 -> 125 points, the convergence
+        # sizes 1000/2000/4000 -> 62/125/250, 2 for Scarf at 12000 -> 750 -> 46
         assert calls == [(125, True)] * 4 + [(62, True), (125, True), (250, True)] \
-            + [(750, True)] * 2
+            + [(46, True)] * 2
+        assert not {n for n, _ in calls} & {1000, 2000, 4000, 12000}
 
 
 class TestWriteAtomic:
@@ -461,6 +463,33 @@ class TestCliSpectrum:
                      "--grid-n", "2000"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: angular momentum l must be an int")
+
+    @pytest.mark.parametrize("preset,params", [
+        ("morse", '{"A": "x", "B": 2}'),
+        ("morse", '{"A": 4, "B": 2, "energy_shift": "x"}'),
+        ("oscillator3d", '{"energy_shift": true}'),
+        ("oscillator3d", '{"energy_shift": [1]}')])
+    def test_non_numeric_preset_parameters_exit_two(self, preset, params, capsys):
+        code = main(["spectrum", "--preset", preset, "--params", params, "--grid-n", "2000"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: bad parameters for preset {preset}")
+
+    def test_unknown_preset_parameter_named(self, capsys):
+        code = main(["spectrum", "--preset", "morse", "--params",
+                     '{"A": 4, "B": 2, "bogus": 1}', "--grid-n", "2000"])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: preset morse has no parameter bogus; it accepts A, B, alpha, energy_shift")
+
+    def test_energy_shift_string_runs(self, tmp_path):
+        out = tmp_path / "spec.json"
+        code = main(["spectrum", "--preset", "oscillator3d", "--params",
+                     '{"energy_shift": "1"}', "--grid-n", "2000", "--levels", "2",
+                     "--out", str(out)])
+        assert code == 0
+        data = json.loads(out.read_text())
+        assert data["params"]["energy_shift"] == 1.0
+        assert data["levels"][0]["E"] == pytest.approx(2.5, abs=1e-4)
 
     def test_inadmissible_exc_level_exits_two(self, capsys):
         # the coulomb extension needs a valid level index; 0 is a bad argument
