@@ -29,9 +29,9 @@ print("unmatched      :", mapping["unmatched_a"], mapping["unmatched_b"],
 
 print("\nclosed-form exceptional states under the extended potential:")
 fine = Grid(*osc.default_domain(), 16000)
-for n in (1, 2, 3):
-    state = osc.exceptional_state(n)
-    rq = state_rayleigh(state, osc.extended_potential, fine)
+states = [osc.exceptional_state(n) for n in (1, 2, 3)]
+quotients = state_rayleigh(states, osc.extended_potential, fine)
+for n, state, rq in zip((1, 2, 3), states, quotients):
     print(f"  n={n}: Rayleigh quotient {rq:.8f} vs classical level "
           f"{osc.exceptional_energy(n)} (polynomial degree {state.polynomial.degree})")
 

@@ -36,7 +36,7 @@ exceptional = Oscillator3D(l=l)
 targets = [exceptional.exceptional_state(n).on_grid(grid) for n in range(1, 6)]
 for nu in range(4):
     src = classical.classical_state(nu).on_grid(grid)
-    residuals = [intertwine_check(w, src, t)["rel_residual"] for t in targets]
+    residuals = [m["rel_residual"] for m in intertwine_check(w, src, targets)]
     best = int(np.argmin(residuals))
     runner_up = sorted(residuals)[1]
     print(f"  A psi[nu={nu}] -> exceptional n={best + 1}: "

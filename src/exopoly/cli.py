@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -51,11 +52,7 @@ def cmd_verify(args) -> int:
         report = run_verification(cfg)
     except (quad.QuadratureError, SolverError) as exc:
         return _fail(str(exc), EXIT_SOLVER)
-    text = report.to_json()
-    if args.out:
-        write_atomic(args.out, text + "\n")
-    else:
-        print(text)
+    _emit(report.to_json(), args.out)
     for check in report.checks:
         print(f"[{check['status']:8s}] {check['id']}  metric={check['metric']:.3e}",
               file=sys.stderr)
@@ -199,10 +196,22 @@ def cmd_quad(args) -> int:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout.
+
+    A reader that closes stdout early (``| head``) is not an error: stdout is
+    pointed at the null device, so the flush at interpreter exit does not
+    raise again, and the command keeps its own exit code.
+    """
     if out:
         write_atomic(out, text if text.endswith("\n") else text + "\n")
-    else:
+        return
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -119,11 +119,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return Fraction(self._num[-1], self._den)
 
-    def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self._num):
-            return Fraction(self._num[power], self._den)
-        return Fraction(0)
-
     # ring operations ------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -168,16 +163,16 @@ class Poly:
         n, d = _ratio(c)
         return Poly._from_ints([n * a for a in self._num], self._den * d)
 
-    def derivative(self) -> "Poly":
-        return Poly._from_ints([i * c for i, c in enumerate(self._num) if i], self._den)
-
     # evaluation -----------------------------------------------------------
 
     def __call__(self, value):
         """Horner evaluation: exact for Fraction/int input, float for float.
 
         Also evaluates on anything supporting * and + (e.g. numpy arrays),
-        with coefficients coerced to float in that case.
+        with coefficients coerced to float in that case.  An array is
+        evaluated in one work array, ``acc *= value; acc += c`` per
+        coefficient: the same IEEE operations in the same order as
+        ``acc = acc * value + c``, without two new arrays a degree.
         """
         if isinstance(value, (Fraction, int)):
             p, q = _ratio(value)
@@ -187,9 +182,10 @@ class Poly:
                 qpow *= q
             # acc = q^deg * den * f(p/q), and qpow = q^(deg+1)
             return Fraction(acc * q, self._den * qpow)
-        acc = 0.0 * value
+        acc = 0.0 * value  # a new array, or an immutable scalar rebound below
         for c in reversed(self.to_floats()):
-            acc = acc * value + c
+            acc *= value
+            acc += c
         return acc
 
     def monic(self) -> "Poly":
@@ -245,9 +241,6 @@ def _clear(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     pairs = [_ratio(v) for v in values]
     den = math.lcm(*(d for _, d in pairs)) if pairs else 1
     return [n * (den // d) for n, d in pairs], den
-
-
-X = Poly.x()
 
 
 class DiffOp:

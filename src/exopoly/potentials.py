@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -75,12 +75,21 @@ class EigenstateClosedForm:
     pole: Optional[float] = None
 
     def __call__(self, x):
+        """The wavefunction at x: (prefactor / (z - pole)) * polynomial(z).
+
+        The division and the product run in place, on the arrays this call
+        made (z - pole, and the polynomial's values), never on the
+        prefactor's.
+        """
         x = np.asarray(x, dtype=float)
         z = self.variable(x)
         pref = self.prefactor(x, z)
         if self.pole is not None:
-            pref = pref / (z - self.pole)
-        return pref * self.polynomial(z)
+            den = z - self.pole
+            pref = np.divide(pref, den, out=den if np.ndim(den) else None)
+        out = self.polynomial(z)
+        out *= pref
+        return out
 
     def on_grid(self, grid: Grid, normalize: bool = True) -> GridFunction:
         gf = GridFunction(grid, self(grid.points()))
@@ -94,10 +103,12 @@ def hamiltonian_residual(state: EigenstateClosedForm, potential, grid: Grid) -> 
     return eigen_residual(op, state.energy, psi.values)
 
 
-def state_rayleigh(state: EigenstateClosedForm, potential, grid: Grid) -> float:
-    """Rayleigh quotient of a closed-form state under a (possibly extended) potential."""
+def state_rayleigh(states: Sequence[EigenstateClosedForm], potential,
+                   grid: Grid) -> list[float]:
+    """Rayleigh quotient of each closed-form state under one (possibly
+    extended) potential, in order; the potential is discretized once."""
     op = discretize(potential, grid)
-    return rayleigh_quotient(op, state.on_grid(grid, normalize=False))
+    return [rayleigh_quotient(op, state.on_grid(grid, normalize=False)) for state in states]
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +139,17 @@ class _Preset:
     """
 
     def __post_init__(self):
-        # the one float field: parsed like every numeric parameter, kept as a float
-        object.__setattr__(self, "energy_shift", float(as_rational(self.energy_shift)))
+        # numeric fields take ints, decimals and "num/den" strings: Fraction
+        # fields keep the exact value, energy_shift (the float field) a float
+        for f in fields(self):
+            if f.type not in ("Fraction", "float"):
+                continue
+            value = getattr(self, f.name)
+            try:
+                q = as_rational(value)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(f"{f.name}: {value!r} is not a number") from None
+            object.__setattr__(self, f.name, float(q) if f.type == "float" else q)
 
     def _frame(self, nu: int) -> _Frame:
         raise NotImplementedError
@@ -306,9 +326,6 @@ class Morse(_Preset):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "A", as_rational(self.A))
-        object.__setattr__(self, "B", as_rational(self.B))
-        object.__setattr__(self, "alpha", as_rational(self.alpha))
         if self.A <= 0 or self.B <= 0 or self.alpha <= 0:
             raise PotentialError("morse requires A, B, alpha > 0")
 
@@ -390,9 +407,6 @@ class ScarfTrig(_Preset):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "A", as_rational(self.A))
-        object.__setattr__(self, "B", as_rational(self.B))
-        object.__setattr__(self, "alpha", as_rational(self.alpha))
         if self.alpha <= 0:
             raise PotentialError("scarf requires alpha > 0")
         if self.B == 0:
@@ -484,7 +498,8 @@ def make_preset(name: str, params: dict):
 
     Numeric parameters may be given as ints, decimals, or exact "num/den"
     strings.  An unknown key, a missing one, or a value that is not a number
-    raises :class:`PotentialError`.
+    raises :class:`PotentialError`; a bad value is named with its parameter
+    (``bad parameters for preset morse: A: 'x' is not a number``).
     """
     cls = PRESETS.get(name)
     if cls is None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -71,10 +71,15 @@ def _derivative(v: np.ndarray, h: float) -> np.ndarray:
 
 def apply_A(w: Superpotential, psi: GridFunction, dagger: bool = False) -> GridFunction:
     """(d/dx + W) psi, or (-d/dx + W) psi with dagger (see :func:`_derivative`)."""
+    return _apply_A(w.w(psi.grid.points()), psi, dagger)
+
+
+def _apply_A(wx: np.ndarray, psi: GridFunction, dagger: bool = False) -> GridFunction:
+    """:func:`apply_A` from W's values ``wx`` at psi's grid points."""
     d = _derivative(psi.values, psi.grid.h)
     if dagger:
         d = -d
-    return GridFunction(psi.grid, d + w.w(psi.grid.points()) * psi.values)
+    return GridFunction(psi.grid, d + wx * psi.values)
 
 
 def formal_zero_mode(w: Superpotential, grid: Grid) -> GridFunction:
@@ -87,23 +92,29 @@ def formal_zero_mode(w: Superpotential, grid: Grid) -> GridFunction:
 
 
 def intertwine_check(w: Superpotential, psi_source: GridFunction,
-                     psi_target: GridFunction) -> dict:
-    """Least-squares match of A psi_source against psi_target.
+                     targets: Sequence[GridFunction]) -> list[dict]:
+    """Least-squares match of A psi_source against each target, in order.
 
-    Returns the scale s minimizing ||A psi_source - s psi_target|| and the
-    relative residual ||A psi_source - s psi_target|| / ||psi_target||.  A
-    small residual certifies the classical -> exceptional mapping for this
-    pairing; mismatched pairings come out O(1).
+    For each target psi_t, the scale s minimizing ||A psi_source - s psi_t||
+    and the relative residual ||A psi_source - s psi_t|| / ||psi_t||, as
+    ``{"scale", "rel_residual"}``.  A psi_source and each target norm are
+    computed once.  A small residual certifies the classical -> exceptional
+    mapping for that pairing; mismatched pairings come out O(1).
     """
-    if psi_source.grid != psi_target.grid:
+    if any(t.grid != psi_source.grid for t in targets):
         raise ValueError("both functions must live on the same grid")
-    tgt_norm = psi_target.norm()
-    if tgt_norm == 0:
+    norms = [t.norm() for t in targets]
+    if 0 in norms:
         raise ValueError("target function is zero")
     phi = apply_A(w, psi_source)
-    scale = phi.inner(psi_target) / tgt_norm**2
-    diff = GridFunction(phi.grid, phi.values - scale * psi_target.values)
-    return {"scale": float(scale), "rel_residual": float(diff.norm() / tgt_norm)}
+
+    def match(target: GridFunction, tgt_norm: float) -> dict:
+        scale = phi.inner(target) / tgt_norm**2
+        diff = GridFunction(phi.grid, phi.values - scale * target.values)
+        return {"scale": float(scale), "rel_residual": float(diff.norm() / tgt_norm)}
+
+    # one target's work arrays at a time: each is freed when match returns
+    return [match(t, n) for t, n in zip(targets, norms)]
 
 
 def superpotential_from_ground_state(psi0: GridFunction) -> Superpotential:
@@ -204,19 +215,28 @@ def random_smooth_functions(grid: Grid, count: int, seed: int = 0) -> list[GridF
 
 
 def intertwining_operator_residual(w: Superpotential, grid: Grid,
-                                   psi: GridFunction) -> float:
-    """||(A H+ - H- A) psi|| / ||psi|| with H+/- built from the same W.
+                                   psis: Sequence[GridFunction]) -> list[float]:
+    """||(A H+ - H- A) psi|| / ||psi|| for each psi on ``grid``, in order, with
+    H+/- built from the same W.
 
-    The continuum identity A H+ = H- A holds exactly for any W; on the grid
-    the residual is O(h^2) for smooth boundary-compatible psi.
+    H+, H- and W's grid values are made once for all the psis.  The
+    continuum identity A H+ = H- A holds exactly for any W; on the grid the
+    residual is O(h^2) for smooth boundary-compatible psi.
     """
+    if any(psi.grid != grid for psi in psis):
+        raise ValueError("every test function must live on the given grid")
     pair = partner_potentials(w)
     h_plus = discretize(pair.v_plus, grid)
     h_minus = discretize(pair.v_minus, grid)
-    lhs = apply_A(w, GridFunction(grid, h_plus.matvec(psi.values)))
-    rhs = GridFunction(grid, h_minus.matvec(apply_A(w, psi).values))
-    diff = GridFunction(grid, lhs.values - rhs.values)
-    return diff.norm() / psi.norm()
+    wx = w.w(grid.points())
+
+    def residual(psi: GridFunction) -> float:
+        lhs = _apply_A(wx, GridFunction(grid, h_plus.matvec(psi.values)))
+        rhs = h_minus.matvec(_apply_A(wx, psi).values)
+        return GridFunction(grid, lhs.values - rhs).norm() / psi.norm()
+
+    # one function's work arrays at a time: each is freed when residual returns
+    return [residual(psi) for psi in psis]
 
 
 # ---------------------------------------------------------------------------

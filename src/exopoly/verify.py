@@ -424,22 +424,14 @@ def suite_spectra(cfg: VerificationConfig) -> list[dict]:
              order, [1.8, 2.2], "pass" if 1.8 <= order <= 2.2 else "fail")
 
     rq_grid = Grid(*osc0.default_domain(), cfg.grid["rayleigh_points"])
-    worst = max(
-        abs(state_rayleigh(osc0.exceptional_state(n), osc0.extended_potential, rq_grid)
-            - osc0.exceptional_energy(n)) / osc0.exceptional_energy(n)
-        for n in (1, 2, 3)
-    )
+    worst = _worst_rayleigh(osc0, rq_grid)
     rows.add("oscillator-exceptional-rayleigh",
              "exceptional closed forms sit at the classical levels",
              {"l": 0, "n": "1..3"}, worst, tol["rayleigh_rel"])
 
     sc = ScarfTrig(A=3, B=1, energy_shift=9.0)  # shift = A^2 keeps levels positive
     scgrid = Grid(*sc.default_domain(), max(npts, 12000))
-    worst = max(
-        abs(state_rayleigh(sc.exceptional_state(n), sc.extended_potential, scgrid)
-            - sc.exceptional_energy(n)) / sc.exceptional_energy(n)
-        for n in (1, 2, 3)
-    )
+    worst = _worst_rayleigh(sc, scgrid)
     rows.add("scarf-exceptional-rayleigh",
              "exceptional Scarf closed forms sit at the classical levels",
              {"A": "3", "B": "1", "n": "1..3"}, worst, tol["rayleigh_rel"])
@@ -454,6 +446,16 @@ def suite_spectra(cfg: VerificationConfig) -> list[dict]:
               or 0 in mapping["unmatched_b"]},
              mapping["max_pair_diff"], None, "reported")
     return rows.rows
+
+
+def _worst_rayleigh(preset, grid: Grid) -> float:
+    """Largest relative gap between the Rayleigh quotients of exceptional
+    states 1..3 under the extended potential and their energies."""
+    levels = (1, 2, 3)
+    quotients = state_rayleigh([preset.exceptional_state(n) for n in levels],
+                               preset.extended_potential, grid)
+    return max(abs(rq - preset.exceptional_energy(n)) / preset.exceptional_energy(n)
+               for n, rq in zip(levels, quotients))
 
 
 def suite_susy(cfg: VerificationConfig) -> list[dict]:
@@ -481,8 +483,8 @@ def suite_susy(cfg: VerificationConfig) -> list[dict]:
     worst = 0.0
     for w, dom in ((w_lin, (-8.0, 8.0)), (w_osc, (0.8, 12.0))):
         g = Grid(dom[0], dom[1], 12000)
-        for psi in susy.random_smooth_functions(g, 5, seed=7):
-            worst = max(worst, susy.intertwining_operator_residual(w, g, psi))
+        worst = max(worst, *susy.intertwining_operator_residual(
+            w, g, susy.random_smooth_functions(g, 5, seed=7)))
     rows.add("intertwining-operator-identity",
              "A H+ and H- A agree on random smooth states",
              {"test_functions": 5}, worst, tol["operator_identity"])
@@ -495,8 +497,7 @@ def suite_susy(cfg: VerificationConfig) -> list[dict]:
     pairings = {}
     for nu in range(0, 4):
         src = classical.classical_state(nu).on_grid(g)
-        residuals = [susy.intertwine_check(w_osc, src, t)["rel_residual"]
-                     for t in targets]
+        residuals = [m["rel_residual"] for m in susy.intertwine_check(w_osc, src, targets)]
         best = int(np.argmin(residuals))
         pairings[nu] = {"best_n": best + 1, "residual": residuals[best]}
         matched_worst = max(matched_worst, residuals[best])

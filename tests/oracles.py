@@ -9,6 +9,29 @@ generation it is used to check.
 from fractions import Fraction
 import math
 
+from exopoly.polycore import Poly
+
+X = Poly.x()
+
+
+def derivative(p: Poly) -> Poly:
+    """d/dx of an exact polynomial, term by term from its coefficients."""
+    return Poly([i * c for i, c in enumerate(p.coeffs) if i])
+
+
+def coefficient(p: Poly, power: int) -> Fraction:
+    """The coefficient of x^power in p (0 past the degree)."""
+    return p.coeffs[power] if 0 <= power <= p.degree else Fraction(0)
+
+
+def horner_reference(p: Poly, x):
+    """p at x by Horner with a new array per step, acc = acc * x + c, on the
+    correctly rounded float coefficients."""
+    acc = 0.0 * x
+    for c in reversed(p.coeffs):
+        acc = acc * x + float(c)
+    return acc
+
 
 def frac_nullspace(rows):
     """Nullspace basis of a small matrix of Fractions (local implementation)."""

@@ -134,14 +134,16 @@ def test_criterion_07_isospectrality_of_closed_forms():
     worst = 0.0
     osc = Oscillator3D(l=0)
     grid = Grid(*osc.default_domain(), 16000)
-    for n in (1, 2, 3):
-        rq = state_rayleigh(osc.exceptional_state(n), osc.extended_potential, grid)
+    quotients = state_rayleigh([osc.exceptional_state(n) for n in (1, 2, 3)],
+                               osc.extended_potential, grid)
+    for n, rq in zip((1, 2, 3), quotients):
         exact = osc.exceptional_energy(n)  # = classical level n-1
         worst = max(worst, abs(rq - exact) / exact)
     sc = ScarfTrig(A=3, B=1, energy_shift=9.0)  # shift A^2 keeps levels positive
     scgrid = Grid(*sc.default_domain(), 12000)
-    for n in (1, 2, 3):
-        rq = state_rayleigh(sc.exceptional_state(n), sc.extended_potential, scgrid)
+    quotients = state_rayleigh([sc.exceptional_state(n) for n in (1, 2, 3)],
+                               sc.extended_potential, scgrid)
+    for n, rq in zip((1, 2, 3), quotients):
         exact = sc.exceptional_energy(n)
         worst = max(worst, abs(rq - exact) / exact)
 
@@ -174,8 +176,9 @@ def test_criterion_08_susy_construction_identities():
     worst_op = 0.0
     for w, dom in ((w_lin, (-8.0, 8.0)), (w_osc, (0.8, 12.0))):
         g = Grid(dom[0], dom[1], 12000)
-        for psi in susy.random_smooth_functions(g, 5, seed=7):
-            worst_op = max(worst_op, susy.intertwining_operator_residual(w, g, psi))
+        psis = susy.random_smooth_functions(g, 5, seed=7)
+        for res in susy.intertwining_operator_residual(w, g, psis):
+            worst_op = max(worst_op, res)
     criterion(8, "partner difference equals 2W' and the factorized operators intertwine",
               worst_pair < 1e-12 and worst_op < 1e-5,
               f"construction {worst_pair:.1e}, operator identity {worst_op:.1e}")
@@ -191,7 +194,7 @@ def test_criterion_09_intertwining_level_mapping():
     mismatch_best = np.inf
     for nu in range(4):
         src = classical.classical_state(nu).on_grid(g)
-        residuals = [susy.intertwine_check(w, src, t)["rel_residual"] for t in targets]
+        residuals = [m["rel_residual"] for m in susy.intertwine_check(w, src, targets)]
         best = int(np.argmin(residuals))
         matched_worst = max(matched_worst, residuals[best])
         mismatch_best = min(mismatch_best,

@@ -8,6 +8,7 @@ import pytest
 from exopoly.polycore import Poly, jacobi_classical, laguerre_classical
 from exopoly.potentials import (
     CoulombRadial,
+    EigenstateClosedForm,
     Morse,
     Oscillator3D,
     PotentialError,
@@ -83,6 +84,34 @@ class TestClosedFormStates:
         x = np.array([0.5, 1.0, 2.0])
         assert st(x) == pytest.approx(x * np.exp(-(x**2) / 4))
 
+    @pytest.mark.parametrize("preset", [Oscillator3D(l=0), Oscillator3D(l=1),
+                                        ScarfTrig(A=3, B=1, energy_shift=9.0)])
+    def test_state_rayleigh_matches_one_state_at_a_time(self, preset):
+        grid = Grid(*preset.default_domain(), 3000)
+        states = ([preset.exceptional_state(n) for n in (1, 2, 3)]
+                  + [preset.classical_state(n) for n in (0, 1)])
+        together = state_rayleigh(states, preset.extended_potential, grid)
+        assert together == [state_rayleigh([s], preset.extended_potential, grid)[0]
+                            for s in states]
+        assert state_rayleigh([], preset.extended_potential, grid) == []
+
+    def test_evaluation_leaves_the_caller_arrays_alone(self):
+        # the in-place division and product touch only arrays the call made
+        shared = np.linspace(1.0, 2.0, 5)
+        x = np.linspace(0.0, 1.0, 5)
+        for pole in (None, -3.0):
+            st = EigenstateClosedForm(1.0, Poly((1, 2, 3)), lambda x: x,
+                                      lambda x, z: shared, pole)
+            first, second = st(x), st(x)
+            expect = shared if pole is None else shared / (x - pole)
+            assert np.array_equal(first, expect * st.polynomial(x))
+            assert np.array_equal(second, first)
+            assert np.array_equal(shared, np.linspace(1.0, 2.0, 5))
+            assert np.array_equal(x, np.linspace(0.0, 1.0, 5))
+        scalar = EigenstateClosedForm(1.0, Poly((1, 2, 3)), lambda x: x**2,
+                                      lambda x, z: np.exp(-z), -3.0)
+        assert scalar(0.5) == np.exp(-0.25) / 3.25 * 1.6875
+
     def test_morse_energies(self):
         mo = Morse(A=4, B=2)
         for n in range(4):  # the bound levels n < s = A / alpha = 4
@@ -95,7 +124,7 @@ class TestClosedFormStates:
         st = osc.exceptional_state(1)
         assert st.polynomial.monic() == Poly((F(1, 2) + 1, 1))  # u + k + 1, k = 1/2
         grid = Grid(0.0, 14.0, 16000)
-        rq = state_rayleigh(st, osc.extended_potential, grid)
+        (rq,) = state_rayleigh([st], osc.extended_potential, grid)
         assert abs(rq - 1.5) / 1.5 < 1e-6
 
     @pytest.mark.parametrize("n", [0, 1, 2])

@@ -91,7 +91,7 @@ class TestIntertwining:
     def test_zero_mode_maps_to_nothing(self):
         g = Grid(-8.0, 8.0, 4000)
         zm = formal_zero_mode(W_LINEAR, g).normalized()
-        out = intertwine_check(W_LINEAR, zm, zm)
+        (out,) = intertwine_check(W_LINEAR, zm, [zm])
         assert abs(out["scale"]) < 1e-4
         assert out["rel_residual"] < 1e-4
 
@@ -101,15 +101,15 @@ class TestIntertwining:
         classical = Oscillator3D(l=0)
         exceptional = Oscillator3D(l=1)
         src = classical.classical_state(1).on_grid(g)
-        matched = intertwine_check(w, src, exceptional.exceptional_state(2).on_grid(g))
-        mismatched = intertwine_check(w, src, exceptional.exceptional_state(3).on_grid(g))
+        matched, mismatched = intertwine_check(
+            w, src, [exceptional.exceptional_state(n).on_grid(g) for n in (2, 3)])
         assert matched["rel_residual"] < 1e-5
         assert mismatched["rel_residual"] > 1e-1
 
     def test_operator_identity_for_any_w(self):
         g = Grid(-8.0, 8.0, 8000)
-        worst = max(intertwining_operator_residual(W_LINEAR, g, psi)
-                    for psi in random_smooth_functions(g, 5, seed=11))
+        worst = max(intertwining_operator_residual(W_LINEAR, g,
+                                                   random_smooth_functions(g, 5, seed=11)))
         assert worst < 1e-5
 
     def test_factorized_operators_nearly_positive(self):
@@ -126,7 +126,48 @@ class TestIntertwining:
         a = GridFunction(g1, np.ones(64))
         b = GridFunction(g2, np.ones(65))
         with pytest.raises(ValueError):
-            intertwine_check(W_LINEAR, a, b)
+            intertwine_check(W_LINEAR, a, [b])
+
+
+class TestPluralForms:
+    """One call over many sources equals one call per source, bit for bit."""
+
+    def test_intertwine_check_matches_one_target_at_a_time(self):
+        w = oscillator_intertwiner(1)
+        g = Grid(0.0, 14.0, 3000)
+        exceptional = Oscillator3D(l=1)
+        targets = [exceptional.exceptional_state(n).on_grid(g) for n in range(1, 6)]
+        for nu in range(3):
+            src = Oscillator3D(l=0).classical_state(nu).on_grid(g)
+            together = intertwine_check(w, src, targets)
+            assert together == [intertwine_check(w, src, [t])[0] for t in targets]
+        assert intertwine_check(w, src, []) == []
+
+    @pytest.mark.parametrize("w,dom", [(W_LINEAR, (-8.0, 8.0)),
+                                       (oscillator_intertwiner(1), (0.8, 12.0))])
+    def test_operator_residual_matches_one_function_at_a_time(self, w, dom):
+        g = Grid(dom[0], dom[1], 3000)
+        psis = random_smooth_functions(g, 5, seed=7)
+        together = intertwining_operator_residual(w, g, psis)
+        assert together == [intertwining_operator_residual(w, g, [psi])[0] for psi in psis]
+
+    def test_apply_a_is_the_shared_body(self):
+        w = oscillator_intertwiner(1)
+        g = Grid(0.5, 12.0, 2000)
+        psi = random_smooth_functions(g, 1, seed=3)[0]
+        x = g.points()
+        d = np.empty_like(psi.values)
+        d[1:-1] = (psi.values[2:] - psi.values[:-2]) / (2 * g.h)
+        d[0] = (-3 * psi.values[0] + 4 * psi.values[1] - psi.values[2]) / (2 * g.h)
+        d[-1] = (3 * psi.values[-1] - 4 * psi.values[-2] + psi.values[-3]) / (2 * g.h)
+        assert np.array_equal(apply_A(w, psi).values, d + w.w(x) * psi.values)
+        assert np.array_equal(apply_A(w, psi, dagger=True).values, -d + w.w(x) * psi.values)
+
+    def test_function_off_the_grid_rejected(self):
+        g = Grid(-8.0, 8.0, 500)
+        psi = random_smooth_functions(Grid(-8.0, 9.0, 500), 1)[0]
+        with pytest.raises(ValueError):
+            intertwining_operator_residual(W_LINEAR, g, [psi])
 
 
 class TestPolynomialLadderComposition:

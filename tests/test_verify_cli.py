@@ -2,13 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from exopoly import quad, solver, susy, xop
+from exopoly import potentials, quad, solver, susy, xop
 from exopoly.cli import main
 from exopoly.polycore import Poly
 from exopoly.verify import (
@@ -243,6 +247,38 @@ class TestCampaign:
         assert calls == [(125, True)] * 4 + [(62, True), (125, True), (250, True)] \
             + [(46, True)] * 2
         assert not {n for n, _ in calls} & {1000, 2000, 4000, 12000}
+
+    def test_spectral_config_computes_each_grid_quantity_once(self, monkeypatch):
+        # A psi once per source in the pairings row (4 sources, 5 targets),
+        # and one discretization per potential in each Rayleigh row
+        discretized, sources = [], []
+        discretize, apply_a = solver.discretize, susy.apply_A
+
+        def counting_discretize(module):
+            def wrapped(potential, grid):
+                discretized.append((module, grid.n))
+                return discretize(potential, grid)
+            return wrapped
+
+        def counting_apply_a(w, psi, dagger=False):
+            sources.append(psi.grid.n)
+            return apply_a(w, psi, dagger)
+
+        for module in (solver, potentials, susy):
+            monkeypatch.setattr(module, "discretize", counting_discretize(module.__name__))
+        monkeypatch.setattr(susy, "apply_A", counting_apply_a)
+        cfg = VerificationConfig.from_dict(
+            {"suites": ["spectra", "susy"],
+             "grid": {"spectrum_points": 64000, "rayleigh_points": 64000}})
+        suite_spectra(cfg)
+        suite_susy(cfg)
+        assert sources == [64000] * 4 + [4000]  # the pairings, then the zero mode
+        rayleigh = [n for module, n in discretized if module == "exopoly.potentials"]
+        assert rayleigh == [64000, 64000]  # oscillator and Scarf
+        # H+ and H- once per superpotential in the operator identity
+        assert [n for module, n in discretized if module == "exopoly.susy"] == [12000] * 4
+        assert len(discretized) == 30
+        assert sum(n == 64000 for _, n in discretized) == 8
 
 
 class TestWriteAtomic:
@@ -480,6 +516,30 @@ class TestCliSpectrum:
         assert code == 2
         assert capsys.readouterr().err.strip() == (
             "error: preset morse has no parameter bogus; it accepts A, B, alpha, energy_shift")
+
+    @pytest.mark.parametrize("params,named", [
+        ('{"A": "x", "B": 2}', "A: 'x'"),
+        ('{"A": 4, "B": 2, "energy_shift": "x"}', "energy_shift: 'x'"),
+        ('{"A": 4, "B": "1/0"}', "B: '1/0'"),
+        ('{"A": 4, "B": 2, "energy_shift": [1]}', "energy_shift: [1]")])
+    def test_bad_preset_value_named_with_its_parameter(self, params, named, capsys):
+        code = main(["spectrum", "--preset", "morse", "--params", params, "--grid-n", "2000"])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: bad parameters for preset morse: {named} is not a number")
+
+    def test_reader_closing_the_pipe_early_is_not_an_error(self):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "exopoly.cli", "spectrum", "--preset", "oscillator3d",
+             "--grid-n", "2000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # before the child's first write: that write hits EPIPE
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+        assert err == ""
 
     def test_energy_shift_string_runs(self, tmp_path):
         out = tmp_path / "spec.json"
