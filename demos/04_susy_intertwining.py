@@ -49,5 +49,5 @@ print(f"printed candidate W at x=1: {candidate.w(np.array([1.0]))[0]:+.4f}   "
       f"derived intertwiner at x=1: {w.w(np.array([1.0]))[0]:+.4f}")
 for preset in ("oscillator3d", "coulomb", "scarf"):
     print(f"-- {preset} --")
-    for row in verify_claims(preset, grid_points=2000):
+    for row in verify_claims(preset):
         print(f"  [{row['status']:8s}] {row['claim']:45s} max dev {row['max_abs_dev']:.3e}")

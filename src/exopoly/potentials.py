@@ -140,7 +140,8 @@ class _Preset:
 
     def __post_init__(self):
         # numeric fields take ints, decimals and "num/den" strings: Fraction
-        # fields keep the exact value, energy_shift (the float field) a float
+        # fields keep the exact value, energy_shift (the float field) a float;
+        # every value must fit a float, as the grid functions use it as one
         for f in fields(self):
             if f.type not in ("Fraction", "float"):
                 continue
@@ -149,7 +150,11 @@ class _Preset:
                 q = as_rational(value)
             except (TypeError, ValueError, ZeroDivisionError):
                 raise ValueError(f"{f.name}: {value!r} is not a number") from None
-            object.__setattr__(self, f.name, float(q) if f.type == "float" else q)
+            try:
+                qf = float(q)
+            except OverflowError:
+                raise ValueError(f"{f.name}: {value!r} does not fit a float") from None
+            object.__setattr__(self, f.name, qf if f.type == "float" else q)
 
     def _frame(self, nu: int) -> _Frame:
         raise NotImplementedError
@@ -268,8 +273,8 @@ class CoulombRadial(_Preset):
     def k(self) -> Fraction:
         return Fraction(2 * self.l + 1)
 
-    def default_domain(self, max_principal: int = 3) -> tuple[float, float]:
-        return (0.0, 60.0 * max_principal)
+    def default_domain(self) -> tuple[float, float]:
+        return (0.0, 180.0)  # 60 per principal quantum number, up to N = 3
 
     def potential(self, x):
         x = np.asarray(x, dtype=float)
@@ -337,11 +342,11 @@ class Morse(_Preset):
         af, bf = float(self.alpha), float(self.B)
         return (2 * bf / af) * np.exp(-af * np.asarray(x, dtype=float))
 
-    def default_domain(self, n: int = 0) -> tuple[float, float]:
+    def default_domain(self) -> tuple[float, float]:
+        """From y = 80 to where the ground state's y^s falls to 1e-14."""
         af, bf = float(self.alpha), float(self.B)
         x_left = -math.log(af * 80.0 / (2 * bf)) / af  # y(x_left) = 80
-        s_minus_n = float(self.s) - n
-        y_right = 10.0 ** (-14.0 / max(s_minus_n, 0.5))
+        y_right = 10.0 ** (-14.0 / max(float(self.s), 0.5))
         x_right = -math.log(af * y_right / (2 * bf)) / af
         return (x_left, x_right)
 
@@ -430,15 +435,13 @@ class ScarfTrig(_Preset):
     def jacobi_beta(self) -> Fraction:
         return self.s + self.lam - Fraction(1, 2)
 
-    def default_domain(self, margin: float = 1e-8) -> tuple[float, float]:
-        """Box between the sec^2 singularities, ends pulled inward by ``margin``.
-
-        The margin must stay far below h^2: the true states vanish only at the
-        singularities themselves, so a larger shift plants an O(psi(b)/h^2)
-        boundary residual that grows under refinement.
-        """
+    def default_domain(self) -> tuple[float, float]:
+        """Box between the sec^2 singularities, ends pulled inward by 1e-8."""
+        # the margin must stay far below h^2: the true states vanish only at
+        # the singularities themselves, so a larger shift plants an
+        # O(psi(b)/h^2) boundary residual that grows under refinement
         half = math.pi / (2 * float(self.alpha))
-        return (-half + margin, half - margin)
+        return (-half + 1e-8, half - 1e-8)
 
     def variable(self, x):
         return np.sin(float(self.alpha) * np.asarray(x, dtype=float))

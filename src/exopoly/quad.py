@@ -411,12 +411,13 @@ def weight_recurrence(weight: WeightSpec, n: int) -> Recurrence:
 
 
 def _divided_recurrence(weight: WeightSpec, n: int) -> Recurrence:
-    z = float(weight.pole)
     length, prev = _CF_START, None
     while length < n + 2:
         length *= 2
     while length <= _CF_MAX:
         base = recurrence_coefficients(weight, length)
+        # after the overflow check of the first base, which names the parameter
+        z = float(weight.pole)
         a, b, mu0 = _divide_linear(*_divide_linear(base.a, base.b, base.mu0, z), z)
         cur = np.concatenate([a[:n], b[:n], [mu0]])
         if prev is not None and np.array_equal(prev, cur):

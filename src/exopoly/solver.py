@@ -263,7 +263,7 @@ def _certified(op: Tridiagonal, values: list[float], residuals: list[float]) -> 
 
 
 def _lowest(potential: Callable[[np.ndarray], np.ndarray], grid: Grid, count: int,
-            residuals: bool, inner: bool = False):
+            inner: bool = False):
     """The lowest ``count`` levels on ``grid``, their residuals and, for an
     ``inner`` (coarse) call, their unit vectors.
 
@@ -271,8 +271,9 @@ def _lowest(potential: Callable[[np.ndarray], np.ndarray], grid: Grid, count: in
     its shifts and start vectors from the same solve on that coarser grid,
     which recurses in turn; refinement on ``grid`` and a certificate follow.
     A grid too small to coarsen, and any input the certificate does not
-    accept, gets bisection on its own points instead, and then residuals and
-    vectors (refined from the fixed start) only when the caller needs them.
+    accept, gets bisection on its own points instead; the residuals and
+    vectors then come from refinement at the bisection values, from the fixed
+    start, which leaves the values as they are.
     """
     op = discretize(potential, grid)
     _check_count(count, op)
@@ -280,7 +281,7 @@ def _lowest(potential: Callable[[np.ndarray], np.ndarray], grid: Grid, count: in
     if n_coarse >= 8 * max(2, count):  # 8 coarse points a level, a 16-point grid at least
         try:
             coarse = Grid(grid.a, grid.b, n_coarse)
-            shifts, _, vectors = _lowest(potential, coarse, count, residuals=True, inner=True)
+            shifts, _, vectors = _lowest(potential, coarse, count, inner=True)
             refined = _refine(op, shifts, rayleigh=True, starts=_carried(coarse, vectors, grid),
                               keep=inner)
             if _certified(op, *refined[:2]):
@@ -288,8 +289,6 @@ def _lowest(potential: Callable[[np.ndarray], np.ndarray], grid: Grid, count: in
         except SolverError:
             pass
     values = tridiagonal_eigh(op.diag, op.off, count=count)
-    if not (residuals or inner):
-        return [float(e) for e in values], None, None
     return _refine(op, values, rayleigh=False, keep=inner)
 
 
@@ -299,7 +298,7 @@ def lowest_levels(potential: Callable[[np.ndarray], np.ndarray], grid: Grid,
 
     The same numbers as :func:`solve_spectrum`'s, without residuals.
     """
-    return _lowest(potential, grid, count, residuals=False)[0]
+    return _lowest(potential, grid, count)[0]
 
 
 def eigen_residual(op: Tridiagonal, value: float, vec: np.ndarray) -> float:
@@ -368,7 +367,7 @@ def solve_spectrum(
     The levels are :func:`lowest_levels`'; the residuals are those of the
     refined eigenvectors.
     """
-    eigenvalues, residuals, _ = _lowest(potential, grid, count, residuals=True)
+    eigenvalues, residuals, _ = _lowest(potential, grid, count)
     return SpectrumReport(
         preset=preset,
         params=dict(params or {}),

@@ -243,6 +243,9 @@ def intertwining_operator_residual(w: Superpotential, grid: Grid,
 # claim audit
 # ---------------------------------------------------------------------------
 
+_CLAIM_POINTS = 4000  # points of each preset's audit grid
+
+
 def _row(claim: str, params: dict, dev: float, tol: Optional[float],
          status: str) -> dict:
     return {
@@ -255,7 +258,7 @@ def _row(claim: str, params: dict, dev: float, tol: Optional[float],
     }
 
 
-def verify_claims(preset: str, grid_points: int = 4000) -> list[dict]:
+def verify_claims(preset: str) -> list[dict]:
     """Evaluate the preset-specific printed identities and report deviations.
 
     Every row carries the measured numbers; construction identities that hold
@@ -272,7 +275,7 @@ def verify_claims(preset: str, grid_points: int = 4000) -> list[dict]:
     if preset not in claims:
         raise ValueError(f"claim audit covers oscillator3d, coulomb, scarf; got {preset!r}")
     t0 = time.perf_counter()
-    rows = claims[preset](grid_points)
+    rows = claims[preset]()
     for row in rows:
         done = row.pop("done")
         row["runtime"] = done - t0
@@ -280,10 +283,10 @@ def verify_claims(preset: str, grid_points: int = 4000) -> list[dict]:
     return rows
 
 
-def _oscillator_claims(grid_points: int) -> list[dict]:
+def _oscillator_claims() -> list[dict]:
     l = 1
     kf = l + 0.5
-    grid = Grid(0.0, 12.0, grid_points)
+    grid = Grid(0.0, 12.0, _CLAIM_POINTS)
     # audit window away from the centrifugal singularity
     x = grid.points()
     win = x > 0.25
@@ -334,10 +337,10 @@ def _oscillator_claims(grid_points: int) -> list[dict]:
     return rows
 
 
-def _coulomb_claims(grid_points: int) -> list[dict]:
+def _coulomb_claims() -> list[dict]:
     l = 0
     kf = 2 * l + 1
-    grid = Grid(0.0, 80.0, grid_points)
+    grid = Grid(0.0, 80.0, _CLAIM_POINTS)
     r = grid.points()
     win = r > 0.5
     rw = r[win]
@@ -355,10 +358,10 @@ def _coulomb_claims(grid_points: int) -> list[dict]:
     return rows
 
 
-def _scarf_claims(grid_points: int) -> list[dict]:
+def _scarf_claims() -> list[dict]:
     sc = ScarfTrig(A=3, B=1)
     a, b = sc.default_domain()
-    grid = Grid(a, b, grid_points)
+    grid = Grid(a, b, _CLAIM_POINTS)
     x = grid.points()
     z = sc.variable(x)
     params = {"preset": "scarf", "A": str(sc.A), "B": str(sc.B)}

@@ -7,6 +7,12 @@ audits of printed formulas (status "reported": the measured deviation is the
 finding and never fails the run).  Suites run one after another, in the
 order given; report files are written atomically.
 
+A config sets the suites, the family parameters (``laguerre_k``,
+``jacobi_alpha_beta``), the degrees (``n_max``, ``n_eigen_max``), the grid
+sizes and the negative control, and nothing else.  The gates are fixed in
+this module (``_TOLERANCES``, and the oscillator levels l = 0, 1 of the
+spectra suite): a config that names them is rejected as an unknown field.
+
 Every row of a suite is made by one recorder, :class:`_Rows`.  A row's
 ``runtime`` is the wall time since the previous row of its suite (since the
 suite began, for the first row), so a suite's runtimes add up to its wall
@@ -50,20 +56,21 @@ _DEFAULTS = {
     "suites": ["all"],
     "laguerre_k": ["1", "2", "7/2"],
     "jacobi_alpha_beta": [["1", "2"], ["2", "5"], ["1/2", "3/2"]],
-    "oscillator_l": [0, 1],
     "n_max": 8,
     "n_eigen_max": 10,
-    "tolerances": {
-        "route_agreement": 1e-9,
-        "orthogonality": 1e-10,
-        "quotient": 1e-8,
-        "spectrum_rel": 1e-4,
-        "rayleigh_rel": 1e-6,
-        "intertwine": 1e-5,
-        "operator_identity": 1e-5,
-    },
     "grid": {"spectrum_points": 8000, "rayleigh_points": 16000},
     "negative_control": False,
+}
+
+# the gates of the floating-point checks; fixed here, so no config moves them
+_TOLERANCES = {
+    "route_agreement": 1e-9,
+    "orthogonality": 1e-10,
+    "quotient": 1e-8,
+    "spectrum_rel": 1e-4,
+    "rayleigh_rel": 1e-6,
+    "intertwine": 1e-5,
+    "operator_identity": 1e-5,
 }
 
 
@@ -77,10 +84,8 @@ class VerificationConfig:
     suites: list[str]
     laguerre_k: list[Fraction]
     jacobi_alpha_beta: list[tuple[Fraction, Fraction]]
-    oscillator_l: list[int]
     n_max: int
     n_eigen_max: int
-    tolerances: dict
     grid: dict
     negative_control: bool
 
@@ -92,12 +97,11 @@ class VerificationConfig:
         if unknown:
             raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
         merged = {**_DEFAULTS, **raw}
-        for key in ("laguerre_k", "jacobi_alpha_beta", "oscillator_l"):
+        for key in ("laguerre_k", "jacobi_alpha_beta"):
             if not isinstance(merged[key], list):
                 raise ConfigError(f"{key}: must be a list")
-        for key in ("tolerances", "grid"):
-            if not isinstance(merged[key], dict):
-                raise ConfigError(f"{key}: must be an object")
+        if not isinstance(merged["grid"], dict):
+            raise ConfigError("grid: must be an object")
         suites = merged["suites"]
         if not isinstance(suites, list) or not suites:
             raise ConfigError("suites: must be a nonempty list")
@@ -137,11 +141,7 @@ class VerificationConfig:
                     quad.recurrence_coefficients(weight, 3)
                 except ValueError as exc:
                     raise ConfigError(f"{key}: {exc}") from exc
-        lvals = merged["oscillator_l"]
-        if not lvals or any(not _is_int(l) or l < 0 for l in lvals):
-            raise ConfigError("oscillator_l: need a nonempty list of ints >= 0")
-        for key, values in (("laguerre_k", kvals), ("jacobi_alpha_beta", ab),
-                            ("oscillator_l", lvals)):
+        for key, values in (("laguerre_k", kvals), ("jacobi_alpha_beta", ab)):
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ConfigError(f"{key}: entry {json.dumps(merged[key][i], default=str)}"
@@ -149,12 +149,6 @@ class VerificationConfig:
         for key in ("n_max", "n_eigen_max"):
             if not _is_int(merged[key]) or merged[key] < 1:
                 raise ConfigError(f"{key}: must be a positive integer")
-        tol = {**_DEFAULTS["tolerances"], **merged["tolerances"]}
-        for key, val in tol.items():
-            if key not in _DEFAULTS["tolerances"]:
-                raise ConfigError(f"tolerances: unknown entry {key!r}")
-            if isinstance(val, bool) or not (isinstance(val, (int, float)) and val > 0):
-                raise ConfigError(f"tolerances: {key} must be > 0")
         grid = {**_DEFAULTS["grid"], **merged["grid"]}
         for key, val in grid.items():
             if key not in _DEFAULTS["grid"]:
@@ -167,10 +161,8 @@ class VerificationConfig:
             suites=list(dict.fromkeys(expanded)),
             laguerre_k=kvals,
             jacobi_alpha_beta=ab,
-            oscillator_l=list(lvals),
             n_max=merged["n_max"],
             n_eigen_max=merged["n_eigen_max"],
-            tolerances=tol,
             grid=grid,
             negative_control=merged["negative_control"],
         )
@@ -180,10 +172,8 @@ class VerificationConfig:
             "suites": self.suites,
             "laguerre_k": [str(k) for k in self.laguerre_k],
             "jacobi_alpha_beta": [[str(a), str(b)] for a, b in self.jacobi_alpha_beta],
-            "oscillator_l": self.oscillator_l,
             "n_max": self.n_max,
             "n_eigen_max": self.n_eigen_max,
-            "tolerances": self.tolerances,
             "grid": self.grid,
             "negative_control": self.negative_control,
         }
@@ -193,8 +183,6 @@ class VerificationConfig:
 class VerificationReport:
     config: dict
     checks: list[dict]
-    tool: str = "exopoly"
-    version: str = ""
 
     @property
     def failures(self) -> int:
@@ -202,8 +190,8 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {
-            "tool": self.tool,
-            "version": self.version or __version__,
+            "tool": "exopoly",
+            "version": __version__,
             "config": self.config,
             "failures": self.failures,
             "checks": self.checks,
@@ -264,7 +252,6 @@ class _Rows:
 
 def suite_xop(cfg: VerificationConfig) -> list[dict]:
     rows = _Rows()
-    tol = cfg.tolerances
     families = ([(xop.XFamilySpec(family="laguerre", k=k), {"k": str(k)})
                  for k in cfg.laguerre_k]
                 + [(xop.XFamilySpec(family="jacobi", alpha=a, beta=b),
@@ -302,14 +289,14 @@ def suite_xop(cfg: VerificationConfig) -> list[dict]:
                   for n in range(1, cfg.n_max + 1))
         rows.add(f"route-agreement-gs[{fam},{tag}]",
                  "Gram-Schmidt route matches the exact routes up to scale",
-                 with_n_max, dev, tol["route_agreement"])
+                 with_n_max, dev, _TOLERANCES["route_agreement"])
 
         gram = quad.gram_matrix(gs, spec.weight())
         d = np.sqrt(np.diag(gram))
         off = np.abs(gram - np.diag(np.diag(gram))) / np.outer(d, d)
         rows.add(f"orthogonality[{fam},{tag}]",
                  "Gram matrix off-diagonals vanish under the rational weight",
-                 with_n_max, float(np.max(off)), tol["orthogonality"])
+                 with_n_max, float(np.max(off)), _TOLERANCES["orthogonality"])
 
         if fam != "laguerre":
             continue
@@ -330,7 +317,7 @@ def suite_xop(cfg: VerificationConfig) -> list[dict]:
 
 def suite_theorem(cfg: VerificationConfig) -> list[dict]:
     rows = _Rows()
-    tol = cfg.tolerances["quotient"]
+    tol = _TOLERANCES["quotient"]
     grid = Grid(0.01, 40.0, 2000)
     for k in cfg.laguerre_k:
         worst = 0.0
@@ -379,7 +366,7 @@ def suite_theorem(cfg: VerificationConfig) -> list[dict]:
                  float(len(scan)), None, "reported")
 
     mo = Morse(A=4, B=2)
-    x = np.linspace(*mo.default_domain(0), 400)[1:-1]
+    x = np.linspace(*mo.default_domain(), 400)[1:-1]
     printed = mo.ve_printed(mo.variable(x), 0)
     derived = mo.extension(x, 0)
     rows.add("morse-printed-extension-vs-derived",
@@ -392,9 +379,8 @@ def suite_theorem(cfg: VerificationConfig) -> list[dict]:
 
 def suite_spectra(cfg: VerificationConfig) -> list[dict]:
     rows = _Rows()
-    tol = cfg.tolerances
     npts = cfg.grid["spectrum_points"]
-    for l in cfg.oscillator_l:
+    for l in (0, 1):
         osc = Oscillator3D(l=l)
         grid = Grid(*osc.default_domain(), npts)
         levels = solver.lowest_levels(osc.potential, grid, 3)
@@ -405,7 +391,7 @@ def suite_spectra(cfg: VerificationConfig) -> list[dict]:
         rows.add(f"oscillator-spectrum[l={l}]",
                  "grid solver reproduces E_n = 2n + l + 3/2",
                  {"l": l, "N": npts, "levels": [round(e, 8) for e in levels]},
-                 rel, tol["spectrum_rel"])
+                 rel, _TOLERANCES["spectrum_rel"])
 
         levels_ext = solver.lowest_levels(osc.extended_potential, grid, 3)
         mapping = solver.spectrum_compare(levels, levels_ext, 1e-2)
@@ -427,14 +413,14 @@ def suite_spectra(cfg: VerificationConfig) -> list[dict]:
     worst = _worst_rayleigh(osc0, rq_grid)
     rows.add("oscillator-exceptional-rayleigh",
              "exceptional closed forms sit at the classical levels",
-             {"l": 0, "n": "1..3"}, worst, tol["rayleigh_rel"])
+             {"l": 0, "n": "1..3"}, worst, _TOLERANCES["rayleigh_rel"])
 
     sc = ScarfTrig(A=3, B=1, energy_shift=9.0)  # shift = A^2 keeps levels positive
     scgrid = Grid(*sc.default_domain(), max(npts, 12000))
     worst = _worst_rayleigh(sc, scgrid)
     rows.add("scarf-exceptional-rayleigh",
              "exceptional Scarf closed forms sit at the classical levels",
-             {"A": "3", "B": "1", "n": "1..3"}, worst, tol["rayleigh_rel"])
+             {"A": "3", "B": "1", "n": "1..3"}, worst, _TOLERANCES["rayleigh_rel"])
 
     levels_cl = solver.lowest_levels(sc.potential, scgrid, 4)
     levels_ext = solver.lowest_levels(sc.extended_potential, scgrid, 4)
@@ -464,7 +450,6 @@ def suite_susy(cfg: VerificationConfig) -> list[dict]:
     for preset in ("oscillator3d", "coulomb", "scarf"):
         rows.add_claims(preset, susy.verify_claims(preset))
 
-    tol = cfg.tolerances
     l = 1
     w_osc = susy.oscillator_intertwiner(l)
     w_lin = susy.Superpotential(w=lambda x: x, w_prime=lambda x: np.ones_like(x))
@@ -487,7 +472,7 @@ def suite_susy(cfg: VerificationConfig) -> list[dict]:
             w, g, susy.random_smooth_functions(g, 5, seed=7)))
     rows.add("intertwining-operator-identity",
              "A H+ and H- A agree on random smooth states",
-             {"test_functions": 5}, worst, tol["operator_identity"])
+             {"test_functions": 5}, worst, _TOLERANCES["operator_identity"])
 
     classical = Oscillator3D(l=l - 1)
     exceptional = Oscillator3D(l=l)
@@ -506,7 +491,7 @@ def suite_susy(cfg: VerificationConfig) -> list[dict]:
     rows.add("intertwine-matched-pairings",
              "A maps each classical state onto one exceptional state",
              {"l": l, "pairings": {str(k): v for k, v in pairings.items()}},
-             matched_worst, tol["intertwine"])
+             matched_worst, _TOLERANCES["intertwine"])
     separation = mismatch_best / matched_worst if matched_worst else float("inf")
     rows.add("intertwine-separation",
              "mismatched pairings are rejected by orders of magnitude",

@@ -370,9 +370,11 @@ def gram_schmidt_family(weight: quad.WeightSpec, count: int) -> list[np.ndarray]
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    # the recurrence first: its overflow check names the parameter that a
+    # pole too large for a float comes from
+    rec = quad.weight_recurrence(weight, count + 1)
     z = float(weight.pole)
     d = 1.0 if weight.kind == "x1-laguerre" else float(-2 / (weight.beta - weight.alpha))
-    rec = quad.weight_recurrence(weight, count + 1)
     s = np.sqrt(rec.b)  # s[i] links q_{i-1} and q_i; s[0] is unused
     # column i: ascending coefficients of q_i, then q_i(z) and q_i'(z), all
     # carried by the orthonormal recurrence s_{i+1} q_{i+1} = (x-a_i) q_i - s_i q_{i-1}

@@ -209,7 +209,7 @@ def test_criterion_09_intertwining_level_mapping():
 def test_criterion_10_claim_audit_rows_populated():
     rows = []
     for preset in ("oscillator3d", "coulomb", "scarf"):
-        rows.extend(susy.verify_claims(preset, grid_points=2000))
+        rows.extend(susy.verify_claims(preset))
     by_claim = {}
     for r in rows:
         by_claim.setdefault(r["claim"], []).append(r)

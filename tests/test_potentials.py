@@ -156,8 +156,8 @@ class TestClosedFormStates:
         assert r2x < 1e-5
 
         mo = Morse(A=4, B=2)
-        gm1 = Grid(*mo.default_domain(0), 10000)
-        gm2 = Grid(*mo.default_domain(0), 20000)
+        gm1 = Grid(*mo.default_domain(), 10000)
+        gm2 = Grid(*mo.default_domain(), 20000)
         r1 = hamiltonian_residual(mo.classical_state(0), mo.potential, gm1)
         r2 = hamiltonian_residual(mo.classical_state(0), mo.potential, gm2)
         assert r2 < 1e-5 and 3.0 < r1 / r2 < 5.0

@@ -222,14 +222,14 @@ class TestGroundStateDiagnostic:
 class TestClaimAudit:
     @pytest.mark.parametrize("preset", ["oscillator3d", "coulomb", "scarf"])
     def test_rows_are_populated(self, preset):
-        rows = verify_claims(preset, grid_points=1500)
+        rows = verify_claims(preset)
         assert rows
         for row in rows:
             assert row["status"] in ("pass", "fail", "reported")
             assert math.isfinite(row["max_abs_dev"])
 
     def test_oscillator_audit_structure(self):
-        rows = {r["claim"]: r for r in verify_claims("oscillator3d", grid_points=1500)}
+        rows = {r["claim"]: r for r in verify_claims("oscillator3d")}
         assert rows["partner-construction-difference"]["status"] == "pass"
         # the printed candidate does not coincide with the working intertwiner
         assert rows["superpotential-printed-direct-reading"]["max_abs_dev"] > 0.1
@@ -237,12 +237,12 @@ class TestClaimAudit:
         assert rows["oscillator-2wprime-extension-gap-structure"]["max_abs_dev"] < 1e-9
 
     def test_coulomb_printed_expression_is_the_level1_extension(self):
-        rows = {r["claim"]: r for r in verify_claims("coulomb", grid_points=1500)}
+        rows = {r["claim"]: r for r in verify_claims("coulomb")}
         assert rows["coulomb-mapped-2wprime-vs-level1-extension"]["max_abs_dev"] < 1e-12
         assert rows["coulomb-mapped-2wprime-vs-level2-extension"]["max_abs_dev"] > 1e-3
 
     def test_scarf_audit_measures_raising_constant(self):
-        rows = [r for r in verify_claims("scarf", grid_points=1500)
+        rows = [r for r in verify_claims("scarf")
                 if r["claim"] == "jacobi-raising-constant"]
         assert len(rows) == 5
         for row in rows:

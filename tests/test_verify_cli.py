@@ -87,8 +87,7 @@ class TestConfig:
         ({"laguerre_k": ["1", "2/2"]}, "laguerre_k"),
         ({"laguerre_k": ["1", "1"]}, "laguerre_k"),
         ({"jacobi_alpha_beta": [["1", "2"], ["2/2", "4/2"]]}, "jacobi_alpha_beta"),
-        ({"oscillator_l": [0, 1, 0]}, "oscillator_l"),
-    ], ids=["k-rational", "k-literal", "jacobi", "oscillator"])
+    ], ids=["k-rational", "k-literal", "jacobi"])
     def test_repeated_family_value_rejected(self, raw, key):
         with pytest.raises(ConfigError, match=f"^{key}: .*repeats an earlier value"):
             VerificationConfig.from_dict(raw)
@@ -366,14 +365,28 @@ class TestCliVerify:
         ({"jacobi_alpha_beta": [["1", "-1/2"]], "suites": ["xop"]}, "jacobi_alpha_beta"),
         ({"laguerre_k": ["1", "2/2"]}, "laguerre_k"),
         ({"jacobi_alpha_beta": [["1", "2"], ["1", "2"]]}, "jacobi_alpha_beta"),
-        ({"oscillator_l": [0, 0]}, "oscillator_l"),
-    ], ids=["jacobi-alpha", "jacobi-beta", "repeated-k", "repeated-pair", "repeated-l"])
+    ], ids=["jacobi-alpha", "jacobi-beta", "repeated-k", "repeated-pair"])
     def test_config_outside_the_domain_exits_two(self, raw, key, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "r.json"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw, field", [
+        ({"tolerances": {"orthogonality": 1}, "n_max": 15, "suites": ["xop"]}, "tolerances"),
+        ({"oscillator_l": [0]}, "oscillator_l"),
+    ], ids=["tolerances", "oscillator_l"])
+    def test_config_cannot_move_a_gate(self, raw, field, tmp_path, capsys):
+        # the gates are fixed in verify; without `tolerances` the first config
+        # fails orthogonality[laguerre,k=7/2] and exits 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "r.json"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: unknown config field(s): ['{field}']")
         assert not out.exists()
 
     def test_unsettled_weight_exits_three(self, tmp_path, capsys):
@@ -432,6 +445,13 @@ class TestCliPoly:
                      "--n", "4", "--route", route]) == code
         if code:
             assert "P^(alpha-1, beta+1)" in capsys.readouterr().err
+
+    def test_pole_overflowing_a_float_exits_two(self, capsys):
+        code = main(["poly", "--family", "x1-laguerre", "--k", "1e400", "--n", "2",
+                     "--route", "gram-schmidt"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: laguerre weight parameter k is too large")
 
     def test_quadrature_failure_exits_three(self, monkeypatch, capsys):
         def fail(weight, count):
@@ -509,6 +529,17 @@ class TestCliSpectrum:
         code = main(["spectrum", "--preset", preset, "--params", params, "--grid-n", "2000"])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: bad parameters for preset {preset}")
+
+    @pytest.mark.parametrize("preset,params,named", [
+        ("oscillator3d", '{"energy_shift": "1e400"}', "energy_shift: '1e400'"),
+        ("coulomb", '{"energy_shift": "1e400"}', "energy_shift: '1e400'"),
+        ("scarf", '{"A": "1e400", "B": 1}', "A: '1e400'"),
+        ("morse", '{"A": 4, "B": "1e400"}', "B: '1e400'")])
+    def test_preset_value_overflowing_a_float_named(self, preset, params, named, capsys):
+        code = main(["spectrum", "--preset", preset, "--params", params, "--grid-n", "2000"])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: bad parameters for preset {preset}: {named} does not fit a float")
 
     def test_unknown_preset_parameter_named(self, capsys):
         code = main(["spectrum", "--preset", "morse", "--params",
