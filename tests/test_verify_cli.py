@@ -83,13 +83,16 @@ class TestConfig:
             with pytest.raises(ConfigError, match="^jacobi_alpha_beta: need"):
                 VerificationConfig.from_dict({"jacobi_alpha_beta": [pair], "suites": suites})
 
-    @pytest.mark.parametrize("raw, key", [
-        ({"laguerre_k": ["1", "2/2"]}, "laguerre_k"),
-        ({"laguerre_k": ["1", "1"]}, "laguerre_k"),
-        ({"jacobi_alpha_beta": [["1", "2"], ["2/2", "4/2"]]}, "jacobi_alpha_beta"),
-    ], ids=["k-rational", "k-literal", "jacobi"])
-    def test_repeated_family_value_rejected(self, raw, key):
-        with pytest.raises(ConfigError, match=f"^{key}: .*repeats an earlier value"):
+    @pytest.mark.parametrize("raw, message", [
+        ({"laguerre_k": ["1", "2/2"]}, "^laguerre_k: .*repeats an earlier value"),
+        ({"laguerre_k": ["1", "1"]}, "^laguerre_k: .*repeats an earlier value"),
+        ({"jacobi_alpha_beta": [["1", "2"], ["2/2", "4/2"]]},
+         "^jacobi_alpha_beta: .*repeats an earlier value"),
+        # l = 0, 1 are fixed in the spectra suite: oscillator_l is not a field
+        ({"oscillator_l": [0, 0]}, r"^unknown config field\(s\): \['oscillator_l'\]$"),
+    ], ids=["k-rational", "k-literal", "jacobi", "oscillator"])
+    def test_repeated_family_value_rejected(self, raw, message):
+        with pytest.raises(ConfigError, match=message):
             VerificationConfig.from_dict(raw)
 
     def test_overflowing_weight_accepted_without_xop(self):
@@ -364,8 +367,9 @@ class TestCliVerify:
         ({"jacobi_alpha_beta": [["-1/2", "2"]], "suites": ["xop"]}, "jacobi_alpha_beta"),
         ({"jacobi_alpha_beta": [["1", "-1/2"]], "suites": ["xop"]}, "jacobi_alpha_beta"),
         ({"laguerre_k": ["1", "2/2"]}, "laguerre_k"),
+        ({"oscillator_l": [0, 0]}, "unknown config field(s)"),
         ({"jacobi_alpha_beta": [["1", "2"], ["1", "2"]]}, "jacobi_alpha_beta"),
-    ], ids=["jacobi-alpha", "jacobi-beta", "repeated-k", "repeated-pair"])
+    ], ids=["jacobi-alpha", "jacobi-beta", "repeated-k", "repeated-l", "repeated-pair"])
     def test_config_outside_the_domain_exits_two(self, raw, key, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
