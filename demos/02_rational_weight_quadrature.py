@@ -4,19 +4,18 @@ The exceptional families are orthogonal under classical densities divided by
 (x+k)^2 (Laguerre) or (x-b)^2 (Jacobi).  Dividing the classical recurrence
 twice by (x-z), z the pole, gives the recurrence of the rational weight
 itself, and so Gauss rules that integrate polynomials exactly by degree.
-For a general integrand, `integrate` folds the rational factor into the
-classical rule instead and doubles the node count until two estimates agree
--- the integrand is analytic near the domain, so convergence is geometric.
+`gram_matrix` is the one inner product on those rules, and `integrate` is its
+1x1 case.
 """
 
 import numpy as np
 
 from exopoly import WeightSpec, golub_welsch, gram_matrix, integrate
-from exopoly.quad import legendre_recurrence, recurrence_coefficients, weight_rule
+from exopoly.quad import recurrence_coefficients, weight_rule
 from exopoly.xop import best_approximation_errors, gram_schmidt_family
 
 print("== Golub-Welsch rules from the Jacobi (recurrence) matrix ==")
-rule = golub_welsch(legendre_recurrence(2), 2)
+rule = golub_welsch(recurrence_coefficients(WeightSpec.jacobi(0, 0), 2), 2)
 print(f"2-point Legendre: nodes {rule.nodes}, weights {rule.weights}")
 rule = golub_welsch(recurrence_coefficients(WeightSpec.laguerre("1/2"), 1), 1)
 print(f"1-point Laguerre (k=1/2): node {rule.nodes[0]:.6f} (= k+1), "
@@ -28,8 +27,8 @@ print(f"128-point Laguerre rule: smallest weight {w128.weights.min():.3e} "
 
 print("\n== integrating against the rational weight ==")
 w = WeightSpec.x1_laguerre(1)
-val = integrate(lambda x: np.ones_like(x), w)
-print(f"mass of x e^-x/(x+1)^2 on (0, inf), by node doubling: {val:.15f}")
+val = integrate(np.ones(1), w)
+print(f"mass of x e^-x/(x+1)^2 on (0, inf), by integrate: {val:.15f}")
 rule = weight_rule(w, 1)
 print(f"the same mass as the weight of the 1-point rule of the weight itself: "
       f"{rule.weights[0]:.15f}")

@@ -11,8 +11,8 @@ Layers, bottom up:
   (ladder operator, exact ODE nullspace, Gram-Schmidt under the rational
   weight), with the defining equations checked as exact identities.
 * :mod:`exopoly.quad` -- Gauss rules (Golub-Welsch) for the classical weights
-  and for the rational weights themselves, and convergence-controlled
-  integration of arbitrary integrands.
+  and for the rational weights themselves, and the one inner product of
+  polynomials under each weight, exact by degree.
 * :mod:`exopoly.solver` -- finite-difference Schrödinger eigensolver, the
   numerical referee for isospectrality claims.
 * :mod:`exopoly.potentials` -- oscillator/Coulomb/Morse/Scarf presets, their

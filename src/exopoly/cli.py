@@ -172,26 +172,22 @@ def cmd_spectrum(args) -> int:
 def cmd_quad(args) -> int:
     try:
         if args.rule == "legendre":
-            rec = quad.legendre_recurrence(args.n)
-            header = f"rule=legendre,n={args.n}"
+            weight, header = quad.WeightSpec.jacobi(0, 0), "rule=legendre"
         elif args.rule == "laguerre":
             if args.k is None:
                 return _fail("--k is required for the laguerre rule", EXIT_BAD_CONFIG)
-            rec = quad.recurrence_coefficients(quad.WeightSpec.laguerre(args.k), args.n)
-            header = f"rule=laguerre,k={args.k},n={args.n}"
-        elif args.rule == "jacobi":
+            weight = quad.WeightSpec.laguerre(args.k)
+            header = f"rule=laguerre,k={args.k}"
+        else:
             if args.alpha is None or args.beta is None:
                 return _fail("--alpha/--beta are required for the jacobi rule",
                              EXIT_BAD_CONFIG)
-            rec = quad.recurrence_coefficients(
-                quad.WeightSpec.jacobi(args.alpha, args.beta), args.n)
-            header = f"rule=jacobi,alpha={args.alpha},beta={args.beta},n={args.n}"
-        else:
-            return _fail(f"unknown rule {args.rule!r}", EXIT_BAD_CONFIG)
-        rule = quad.golub_welsch(rec, args.n)
-    except (ValueError, quad.QuadratureError) as exc:
+            weight = quad.WeightSpec.jacobi(args.alpha, args.beta)
+            header = f"rule=jacobi,alpha={args.alpha},beta={args.beta}"
+        rule = quad.gauss_rule(weight, args.n)
+    except (ValueError, ZeroDivisionError, quad.QuadratureError) as exc:
         return _fail(str(exc), EXIT_BAD_CONFIG)
-    _emit(rule.to_csv(header=header), args.out)
+    _emit(rule.to_csv(header=f"{header},n={args.n}"), args.out)
     return EXIT_OK
 
 

@@ -20,6 +20,7 @@ level-dependent, which is flagged rather than hidden.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -34,6 +35,9 @@ from .xop import x1_jacobi_op_route, x1_laguerre_op_route, xj_quotient_residual_
 
 class PotentialError(ValueError):
     """Inadmissible parameters, quantum numbers, or a pole inside the domain."""
+
+
+_FLOAT_MAX = Fraction(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +145,8 @@ class _Preset:
     def __post_init__(self):
         # numeric fields take ints, decimals and "num/den" strings: Fraction
         # fields keep the exact value, energy_shift (the float field) a float;
-        # every value must fit a float, as the grid functions use it as one
+        # every value must fit a float, as the grid functions use it as one,
+        # and so must the square of each Fraction field (A^2, B^2, alpha^2)
         for f in fields(self):
             if f.type not in ("Fraction", "float"):
                 continue
@@ -153,7 +158,11 @@ class _Preset:
             try:
                 qf = float(q)
             except OverflowError:
-                raise ValueError(f"{f.name}: {value!r} does not fit a float") from None
+                qf = 0.0
+            if q and not qf:  # overflowed, or underflowed to 0
+                raise ValueError(f"{f.name}: {value!r} does not fit a float")
+            if f.type == "Fraction" and q * q > _FLOAT_MAX:
+                raise ValueError(f"{f.name}: {value!r} squared does not fit a float")
             object.__setattr__(self, f.name, qf if f.type == "float" else q)
 
     def _frame(self, nu: int) -> _Frame:
@@ -333,6 +342,9 @@ class Morse(_Preset):
         super().__post_init__()
         if self.A <= 0 or self.B <= 0 or self.alpha <= 0:
             raise PotentialError("morse requires A, B, alpha > 0")
+        if 2 * self.s > _FLOAT_MAX:  # the level-0 Laguerre parameter, as a float
+            raise ValueError(f"alpha: {float(self.alpha)!r} makes 2A/alpha too large "
+                             "for a float")
 
     @property
     def s(self) -> Fraction:
@@ -418,6 +430,11 @@ class ScarfTrig(_Preset):
             raise PotentialError("scarf exceptional extension needs B != 0")
         if not self.A > abs(self.B) + self.alpha / 2:
             raise PotentialError("scarf requires A > |B| + alpha/2")
+        b = JacobiConstants.from_parameters(self.jacobi_alpha, self.jacobi_beta).b
+        if b * b > _FLOAT_MAX:
+            raise ValueError(f"B: {float(self.B)!r} puts the extension pole "
+                             "b = (2A - alpha)/(2B) out of range: b squared does not "
+                             "fit a float")
 
     @property
     def s(self) -> Fraction:

@@ -6,15 +6,11 @@ The rational weights  x^k e^-x / (x+k)^2  on (0, inf)  and
 dlambda and a pole z = -k resp. b outside the support.  Their own monic
 recurrence comes from the classical one by two linear-divisor modifications
 (:func:`weight_recurrence`), and Golub-Welsch turns it into Gauss rules of
-the weight itself (:func:`weight_rule`).  :func:`gram_matrix` integrates
-polynomials on one such rule, sized to be exact by degree.
+the weight itself (:func:`weight_rule`).
 
-:func:`integrate` is the integrator for any callable: it folds the rational
-factor into the integrand and applies the classical Gauss rule of the base
-weight, doubling the node count until two successive estimates agree.  The
-integrand is analytic in a neighbourhood of the domain (the poles at -k and
-b stay outside), so the estimates converge geometrically and the doubling
-test is a reliable error gauge.
+:func:`gram_matrix` is the one discrete inner product per weight: it
+integrates polynomials on one such rule, sized to be exact by degree.
+:func:`integrate` is its 1x1 case, one polynomial against the constant 1.
 """
 
 from __future__ import annotations
@@ -29,12 +25,9 @@ import numpy as np
 from .polycore import JacobiConstants, Poly, RationalLike, as_rational
 from .solver import tridiagonal_eigh
 
-MAX_NODES_DEFAULT = 2**13
-REL_TOL_DEFAULT = 1e-12
-
 
 class QuadratureError(RuntimeError):
-    """Raised when a rule cannot be built or an integral does not converge."""
+    """Raised when a recurrence or a Gauss rule cannot be built."""
 
 
 @dataclass(frozen=True)
@@ -122,12 +115,6 @@ class WeightSpec:
             return JacobiConstants.from_parameters(self.alpha, self.beta).b
         raise ValueError("only the x1 kinds have a pole")
 
-    def rational_factor(self, x: np.ndarray) -> np.ndarray:
-        """The factor multiplying the classical density (1 for classical kinds)."""
-        if self.is_rational_extension:
-            return 1.0 / (x - float(self.pole)) ** 2
-        return np.ones_like(np.asarray(x, dtype=float))
-
     def density(self, x: np.ndarray) -> np.ndarray:
         """Full weight density, for reference plots and direct oracles."""
         x = np.asarray(x, dtype=float)
@@ -135,7 +122,9 @@ class WeightSpec:
             base = x ** float(self.k) * np.exp(-x)
         else:
             base = (1 - x) ** float(self.alpha) * (1 + x) ** float(self.beta)
-        return base * self.rational_factor(x)
+        if self.is_rational_extension:
+            return base / (x - float(self.pole)) ** 2
+        return base
 
 
 @dataclass(frozen=True)
@@ -192,11 +181,6 @@ def recurrence_coefficients(weight: WeightSpec, n: int) -> Recurrence:
         raise ValueError(f"{w.kind} weight parameter {name} is too large: the mass or "
                          "recurrence coefficients overflow a float")
     return Recurrence(a=a, b=b, mu0=mu0)
-
-
-def legendre_recurrence(n: int) -> Recurrence:
-    """Legendre is the alpha = beta = 0 Jacobi weight."""
-    return recurrence_coefficients(WeightSpec.jacobi(0, 0), n)
 
 
 @dataclass(frozen=True)
@@ -276,79 +260,9 @@ def _christoffel_weights(rec: Recurrence, nodes: np.ndarray, n: int) -> np.ndarr
     return np.exp(-log_sum)
 
 
-_RULE_CACHE: dict[tuple, QuadratureRule] = {}
-
-
 def gauss_rule(weight: WeightSpec, n: int) -> QuadratureRule:
-    """Cached n-point Gauss rule for the classical base of ``weight``."""
-    key = (weight.classical_base(), n)
-    rule = _RULE_CACHE.get(key)
-    if rule is None:
-        rule = golub_welsch(recurrence_coefficients(weight, n), n)
-        _RULE_CACHE[key] = rule
-    return rule
-
-
-def _values(fs: Sequence[Union[Poly, np.ndarray, Callable]], x: np.ndarray) -> np.ndarray:
-    """Row i holds fs[i] at the nodes x.  A Poly or callable is called (a
-    constant result is broadcast); anything else is read as ascending float
-    coefficients."""
-    rows = []
-    for f in fs:
-        vals = f(x) if callable(f) else np.polynomial.polynomial.polyval(
-            x, np.asarray(f, dtype=float))
-        rows.append(np.broadcast_to(np.asarray(vals, dtype=float), x.shape))
-    return np.array(rows)
-
-
-def _converge(estimate: Callable[[QuadratureRule], tuple[np.ndarray, np.ndarray]],
-              weight: WeightSpec, max_nodes: int) -> np.ndarray:
-    """The node-doubling loop behind :func:`integrate`.
-
-    ``estimate(rule)`` returns an array of integral estimates and the array of
-    their L1 sizes sum_i w_i |g(x_i)| on one Gauss rule of the classical base.
-    The node count doubles from 16; each entry is frozen at the first doubling
-    where it moved by at most REL_TOL_DEFAULT relative to max(L1 size,
-    |estimate|) (so integrals that vanish by cancellation, e.g. orthogonality
-    cross terms, still converge sensibly), or where its L1 size is 0.  Never
-    silently returns: raises QuadratureError if any entry is unconverged past
-    ``max_nodes``.
-    """
-    n = 16
-    prev, _ = estimate(gauss_rule(weight, n))
-    result = np.zeros_like(prev)
-    done = np.zeros(prev.shape, dtype=bool)
-    while 2 * n <= max_nodes:
-        n *= 2
-        cur, scale = estimate(gauss_rule(weight, n))
-        tol = REL_TOL_DEFAULT * np.maximum(scale, np.abs(cur))
-        passed = ~done & ((scale == 0.0) | (np.abs(cur - prev) <= tol))
-        result = np.where(passed, cur, result)
-        done = done | passed
-        if done.all():
-            return result
-        prev = cur
-    raise QuadratureError(
-        f"integral did not converge to rel_tol={REL_TOL_DEFAULT} within {max_nodes} nodes"
-    )
-
-
-def integrate(f, weight: WeightSpec, max_nodes: int = MAX_NODES_DEFAULT) -> float:
-    """Integral of f (a Poly, callable or coefficient array) against the weight.
-
-    For the x1 kinds the rational factor is folded into the integrand and the
-    classical rule of the base weight is applied; the node count doubles as
-    described in :func:`_converge`.  This is the integrator for integrands
-    that are not polynomials; :func:`gram_matrix` integrates polynomials
-    exactly on one rule of the weight itself.
-    """
-    def estimate(rule):
-        vals = _values([f], rule.nodes)[0]
-        if weight.is_rational_extension:
-            vals = vals * weight.rational_factor(rule.nodes)
-        return np.dot(rule.weights, vals), np.dot(rule.weights, np.abs(vals))
-
-    return float(_converge(estimate, weight, max_nodes))
+    """n-point Gauss rule for the classical base of ``weight``."""
+    return golub_welsch(recurrence_coefficients(weight, n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +347,7 @@ def _divided_recurrence(weight: WeightSpec, n: int) -> Recurrence:
 
 def weight_rule(weight: WeightSpec, n: int) -> QuadratureRule:
     """n-point Gauss rule of the weight itself (exact through degree 2n-1):
-    the cached classical rule for classical kinds, the rule of
+    the classical rule for classical kinds, the rule of
     :func:`weight_recurrence` for the x1 kinds."""
     if not weight.is_rational_extension:
         return gauss_rule(weight, n)
@@ -445,8 +359,19 @@ def _degree(f) -> int:
         return max(f.degree, 0)
     if callable(f):
         raise TypeError("gram_matrix integrates polynomials only (a Poly or a "
-                        "coefficient array); use integrate for a callable")
+                        "coefficient array), not a callable")
     return max(len(np.atleast_1d(f)) - 1, 0)
+
+
+def _values(fs: Sequence[Union[Poly, np.ndarray]], x: np.ndarray) -> np.ndarray:
+    """Row i holds fs[i] at the nodes x.  A Poly is called (a constant result
+    is broadcast); anything else is read as ascending float coefficients."""
+    rows = []
+    for f in fs:
+        vals = f(x) if isinstance(f, Poly) else np.polynomial.polynomial.polyval(
+            x, np.asarray(f, dtype=float))
+        rows.append(np.broadcast_to(np.asarray(vals, dtype=float), x.shape))
+    return np.array(rows)
 
 
 def gram_matrix(
@@ -474,3 +399,10 @@ def gram_matrix(
         lower = np.tril_indices(len(polys), -1)
         gram[lower] = gram.T[lower]
     return gram
+
+
+def integrate(f: Union[Poly, np.ndarray], weight: WeightSpec) -> float:
+    """Integral of the polynomial f (a Poly or a coefficient array) against the
+    weight: the 1x1 :func:`gram_matrix` of f and the constant 1, exact by
+    degree.  A callable is refused with gram_matrix's TypeError."""
+    return float(gram_matrix([f], weight, others=[np.ones(1)])[0, 0])

@@ -78,6 +78,11 @@ class Grid:
             raise ValueError("grid requires a < b")
         if self.n < 16:
             raise ValueError("grid requires at least 16 interior points")
+        # the discretization divides by h^2: both it and 1/h^2 must be floats
+        h2 = self.h * self.h
+        if not (0 < h2 < math.inf and 1 / h2 < math.inf):
+            raise ValueError(f"grid spacing h={self.h!r} is outside the float range: "
+                             "h^2 or 1/h^2 does not fit a float")
 
     @property
     def h(self) -> float:

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .polycore import jacobi_classical
-from .potentials import Oscillator3D, ScarfTrig, ve_laguerre
+from .potentials import CoulombRadial, Oscillator3D, ScarfTrig
 from .solver import Grid, GridFunction, discretize
 from .xop import x1_jacobi_op_route
 
@@ -313,7 +313,8 @@ def _oscillator_claims() -> list[dict]:
                      float(np.max(chain)), None, "reported"))
 
     # printed claim: 2W' equals the oscillator extension term
-    ext = 2.0 * ve_laguerre(xw**2 / 2, kf)
+    osc = Oscillator3D(l=l)
+    ext = osc.extension(xw)
     rows.append(_row("oscillator-extension-vs-2wprime", params,
                      float(np.max(np.abs(two_wp - ext))), None, "reported"))
     # ... and the gap is exactly the centrifugal step 2l/x^2 - 1 between the
@@ -326,7 +327,6 @@ def _oscillator_claims() -> list[dict]:
                      float(np.max(np.abs(two_wp - printed_rhs))), None, "reported"))
 
     # does the conventional ground-state recipe recover the intertwiner? (it should not)
-    osc = Oscillator3D(l=l)
     psi0 = osc.exceptional_state(1).on_grid(grid)
     if psi0.values.sum() < 0:  # closed forms are defined up to sign
         psi0 = GridFunction(grid, -psi0.values)
@@ -350,8 +350,7 @@ def _coulomb_claims() -> list[dict]:
     # printed mapped expression: -l/r^2 + (1/r)(1/(r+k) - 2k/(r+k)^2)
     printed = -l / rw**2 + (1.0 / rw) * (1.0 / (rw + kf) - 2 * kf / (rw + kf) ** 2)
     for n in (1, 2):
-        big_n = n + l
-        derived = ve_laguerre(rw / big_n, kf) / (big_n * rw)
+        derived = CoulombRadial(l=l).extension(rw, n)
         rows.append(_row(f"coulomb-mapped-2wprime-vs-level{n}-extension",
                          {**params, "n": n},
                          float(np.max(np.abs(printed - derived))), None, "reported"))

@@ -1,5 +1,7 @@
 """Verification campaign configuration, report contract, CLI exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exopoly import potentials, quad, solver, susy, xop
 from exopoly.cli import main
@@ -538,7 +542,14 @@ class TestCliSpectrum:
         ("oscillator3d", '{"energy_shift": "1e400"}', "energy_shift: '1e400'"),
         ("coulomb", '{"energy_shift": "1e400"}', "energy_shift: '1e400'"),
         ("scarf", '{"A": "1e400", "B": 1}', "A: '1e400'"),
-        ("morse", '{"A": 4, "B": "1e400"}', "B: '1e400'")])
+        ("morse", '{"A": 4, "B": "1e400"}', "B: '1e400'"),
+        ("scarf", '{"A": 3, "B": 1, "alpha": "1e-400"}', "alpha: '1e-400'"),
+        # values that fit a float but whose squares, taken on the grid, do not
+        ("scarf", '{"A": "1e300", "B": 1}', "A: '1e300' squared"),
+        ("scarf", '{"A": 3, "B": "1e-300"}', "B: 1e-300 puts the extension pole "
+         "b = (2A - alpha)/(2B) out of range: b squared"),
+        ("morse", '{"A": 4, "B": "1e300"}', "B: '1e300' squared"),
+        ("morse", '{"A": "1e300", "B": 2}', "A: '1e300' squared")])
     def test_preset_value_overflowing_a_float_named(self, preset, params, named, capsys):
         code = main(["spectrum", "--preset", preset, "--params", params, "--grid-n", "2000"])
         assert code == 2
@@ -592,6 +603,14 @@ class TestCliSpectrum:
                      "--exc-level", "0", "--grid-n", "2000", "--domain", "0,80"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: coulomb extension needs")
+
+    @pytest.mark.parametrize("domain", ["0,1e-200", "0,1e200"])
+    def test_grid_spacing_outside_the_float_range_exits_two(self, domain, capsys):
+        # 1/h^2 overflows resp. h^2 overflows; the potential is finite on both
+        code = main(["spectrum", "--preset", "coulomb", f"--domain={domain}",
+                     "--grid-n", "64", "--levels", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: bad grid: grid spacing h=")
 
     def test_solver_failure_exits_three(self, capsys):
         # an odd node count on (-1, 1) puts a node on the l(l+1)/x^2 pole
@@ -659,7 +678,46 @@ class TestCliQuad:
         assert capsys.readouterr().err.startswith(f"error: recurrence needs n >= 1 "
                                                   f"coefficients, got n={n}")
 
+    def test_zero_denominator_parameter_exits_two(self, capsys):
+        assert main(["quad", "--rule", "laguerre", "--k", "1/0", "--n", "4"]) == 2
+        assert capsys.readouterr().err.strip() == "error: Fraction(1, 0)"
+
     def test_jacobi_rule(self, capsys):
         assert main(["quad", "--rule", "jacobi", "--alpha", "1/2", "--beta", "3/2",
                      "--n", "3"]) == 0
         assert "node,weight" in capsys.readouterr().out
+
+
+def _decimal(sign: bool):
+    """Decimal strings from 1e-300 to 1e300, spread over the exponents."""
+    digits = st.builds("{}.{:02d}e{}".format, st.integers(1, 9), st.integers(0, 99),
+                       st.integers(-300, 299))
+    magnitude = st.one_of(st.just("1e300"), digits)
+    if not sign:
+        return magnitude
+    return st.builds(lambda neg, m: "-" + m if neg else m, st.booleans(), magnitude)
+
+
+class TestPresetDomain:
+    """Any Scarf or Morse value from 1e-300 to 1e300 gives a documented exit
+    code: a spectrum (0), a named bad parameter or grid (2), a solver failure
+    (3), never an exception."""
+
+    @staticmethod
+    def _run(preset, params, extended):
+        argv = ["spectrum", "--preset", preset, "--params", json.dumps(params),
+                "--grid-n", "64", "--levels", "1", *(["--extended"] if extended else [])]
+        with (np.errstate(all="ignore"), contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(io.StringIO())):
+            code = main(argv)
+        assert code in (0, 2, 3), (argv, code)
+
+    @given(_decimal(False), _decimal(True), _decimal(False), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_scarf(self, a, b, alpha, extended):
+        self._run("scarf", {"A": a, "B": b, "alpha": alpha}, extended)
+
+    @given(_decimal(False), _decimal(False), _decimal(False), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_morse(self, a, b, alpha, extended):
+        self._run("morse", {"A": a, "B": b, "alpha": alpha}, extended)
