@@ -21,58 +21,41 @@ Layers, bottom up:
   operators, and the audit of the printed supersymmetry identities.
 * :mod:`exopoly.verify` / :mod:`exopoly.cli` -- verification campaigns and the
   command-line front end.
+
+The names below are imported on first use (PEP 562), so ``import
+exopoly.polycore`` loads no numpy, and the command-line front end can set
+up the environment before numpy loads.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .polycore import (  # noqa: F401
-    DiffOp,
-    JacobiConstants,
-    Poly,
-    as_rational,
-    classical_ode_residual,
-    jacobi_classical,
-    laguerre_classical,
-    rational_str,
-)
-from .quad import QuadratureRule, WeightSpec, golub_welsch, gram_matrix, integrate  # noqa: F401
-from .solver import (  # noqa: F401
-    Grid,
-    GridFunction,
-    SpectrumReport,
-    discretize,
-    lowest_levels,
-    rayleigh_quotient,
-    solve_spectrum,
-    spectrum_compare,
-)
-from .xop import (  # noqa: F401
-    XFamilySpec,
-    gram_schmidt_family,
-    x1_jacobi_ode_residual,
-    x1_jacobi_op_route,
-    x1_laguerre_ode_residual,
-    x1_laguerre_op_route,
-    xj_laguerre_ode_residual,
-    xj_polynomial_solve,
-)
-from .potentials import (  # noqa: F401
-    EigenstateClosedForm,
-    Morse,
-    Oscillator3D,
-    CoulombRadial,
-    ScarfTrig,
-    make_preset,
-    quotient_identity_check,
-    ve_jacobi,
-    ve_laguerre,
-)
-from .susy import (  # noqa: F401
-    Superpotential,
-    apply_A,
-    intertwine_check,
-    oscillator_intertwiner,
-    partner_potentials,
-    superpotential_from_ground_state,
-    verify_claims,
-)
+_EXPORTS = {
+    "polycore": ("DiffOp", "JacobiConstants", "Poly", "as_rational",
+                 "classical_ode_residual", "jacobi_classical", "laguerre_classical",
+                 "rational_str"),
+    "quad": ("QuadratureRule", "WeightSpec", "golub_welsch", "gram_matrix", "integrate"),
+    "solver": ("Grid", "GridFunction", "SpectrumReport", "discretize", "lowest_levels",
+               "rayleigh_quotient", "solve_spectrum", "spectrum_compare"),
+    "xop": ("XFamilySpec", "gram_schmidt_family", "x1_jacobi_ode_residual",
+            "x1_jacobi_op_route", "x1_laguerre_ode_residual", "x1_laguerre_op_route",
+            "xj_laguerre_ode_residual", "xj_polynomial_solve"),
+    "potentials": ("EigenstateClosedForm", "Morse", "Oscillator3D", "CoulombRadial",
+                   "ScarfTrig", "make_preset", "quotient_identity_check", "ve_jacobi",
+                   "ve_laguerre"),
+    "susy": ("Superpotential", "apply_A", "intertwine_check", "oscillator_intertwiner",
+             "partner_potentials", "superpotential_from_ground_state", "verify_claims"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule the eager imports used to bind
+        return importlib.import_module(f".{name}", __name__)
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

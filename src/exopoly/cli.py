@@ -16,14 +16,23 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
-import numpy as np
+# OpenBLAS starts a worker thread as it loads, which busy-waits for about
+# 50 ms of CPU (2-vCPU VM) and, after the short LAPACK import of `solver`,
+# competes with the first solve; exopoly runs no threaded BLAS kernel, so one
+# thread is enough.  This has to run before numpy loads; a value already set
+# wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__, quad, solver, xop
-from .polycore import Poly, as_rational, jacobi_family, laguerre_family
-from .potentials import PotentialError, make_preset
-from .solver import Grid, SolverError
-from .verify import ConfigError, VerificationConfig, run_verification, write_atomic
+import numpy as np  # noqa: E402
+
+from . import __version__, quad, solver, xop  # noqa: E402
+from .polycore import Poly, as_rational, jacobi_family, laguerre_family  # noqa: E402
+from .potentials import PotentialError, make_preset  # noqa: E402
+from .solver import Grid, SolverError  # noqa: E402
+from .verify import (  # noqa: E402
+    ConfigError, VerificationConfig, run_verification, write_atomic)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -61,20 +70,31 @@ def cmd_verify(args) -> int:
     return EXIT_CHECK_FAILED if report.failures else EXIT_OK
 
 
+def _rational(flag: str, text: str) -> Fraction:
+    """The exact value of a command-line parameter; a bad one is named."""
+    try:
+        return as_rational(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag}: {text!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"{flag}: {text!r} is not a number") from None
+
+
 def _family_table(args) -> list:
     fam = args.family
     if fam == "laguerre":
-        return laguerre_family(args.n, as_rational(args.k))
+        return laguerre_family(args.n, _rational("--k", args.k))
     if fam == "jacobi":
-        return jacobi_family(args.n, as_rational(args.alpha), as_rational(args.beta))
+        return jacobi_family(args.n, _rational("--alpha", args.alpha),
+                             _rational("--beta", args.beta))
     if fam in ("x1-laguerre", "x1-jacobi"):
         if args.n < 1:
             raise ValueError("no degree-0 member: exceptional families start at n=1")
         if fam == "x1-laguerre":
-            spec = xop.XFamilySpec(family="laguerre", k=as_rational(args.k))
+            spec = xop.XFamilySpec(family="laguerre", k=_rational("--k", args.k))
         else:
-            spec = xop.XFamilySpec(family="jacobi", alpha=as_rational(args.alpha),
-                                   beta=as_rational(args.beta))
+            spec = xop.XFamilySpec(family="jacobi", alpha=_rational("--alpha", args.alpha),
+                                   beta=_rational("--beta", args.beta))
         if args.route == "gram-schmidt":
             return xop.gram_schmidt_family(spec.weight(), args.n)
         if args.route == "operator":
@@ -176,13 +196,14 @@ def cmd_quad(args) -> int:
         elif args.rule == "laguerre":
             if args.k is None:
                 return _fail("--k is required for the laguerre rule", EXIT_BAD_CONFIG)
-            weight = quad.WeightSpec.laguerre(args.k)
+            weight = quad.WeightSpec.laguerre(_rational("--k", args.k))
             header = f"rule=laguerre,k={args.k}"
         else:
             if args.alpha is None or args.beta is None:
                 return _fail("--alpha/--beta are required for the jacobi rule",
                              EXIT_BAD_CONFIG)
-            weight = quad.WeightSpec.jacobi(args.alpha, args.beta)
+            weight = quad.WeightSpec.jacobi(_rational("--alpha", args.alpha),
+                                            _rational("--beta", args.beta))
             header = f"rule=jacobi,alpha={args.alpha},beta={args.beta}"
         rule = quad.gauss_rule(weight, args.n)
     except (ValueError, ZeroDivisionError, quad.QuadratureError) as exc:

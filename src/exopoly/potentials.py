@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+import numpy.polynomial  # noqa: F401 - loaded with the module, not inside the first call
 
 from .polycore import (JacobiConstants, Poly, RationalLike, as_rational, jacobi_classical,
                        laguerre_classical)
@@ -357,10 +358,19 @@ class Morse(_Preset):
     def default_domain(self) -> tuple[float, float]:
         """From y = 80 to where the ground state's y^s falls to 1e-14."""
         af, bf = float(self.alpha), float(self.B)
-        x_left = -math.log(af * 80.0 / (2 * bf)) / af  # y(x_left) = 80
         y_right = 10.0 ** (-14.0 / max(float(self.s), 0.5))
-        x_right = -math.log(af * y_right / (2 * bf)) / af
-        return (x_left, x_right)
+        ends = []
+        for y in (80.0, y_right):  # y(x) = y at x = -log(alpha * y / 2B) / alpha
+            ratio = af * y / (2 * bf)
+            if ratio == 0.0:
+                raise ValueError(f"alpha: {af!r} is too small against B: {bf!r}: "
+                                 "alpha/B underflows a float, so the default domain has "
+                                 "no end; give --domain")
+            ends.append(-math.log(ratio) / af)
+        if not all(map(math.isfinite, ends)):
+            raise ValueError(f"alpha: {af!r} is too small: the default domain ends "
+                             "overflow a float; give --domain")
+        return (ends[0], ends[1])
 
     def potential(self, x):
         x = np.asarray(x, dtype=float)

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+import numpy.polynomial  # noqa: F401 - loaded with the module, not inside the first call
 
 from .polycore import JacobiConstants, Poly, RationalLike, as_rational
 from .solver import tridiagonal_eigh

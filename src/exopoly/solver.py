@@ -2,9 +2,12 @@
 
 The Hamiltonian convention everywhere is H = -d^2/dx^2 + V(x) with Dirichlet
 boundaries at both ends of the (truncated) domain, discretized with the
-standard 3-point Laplacian.  Full symmetric tridiagonal eigenproblems go
-through LAPACK's bisection (scipy ``eigh_tridiagonal``, values only), which
-also serves the Golub-Welsch construction in :mod:`exopoly.quad`.
+standard 3-point Laplacian.  Symmetric tridiagonal eigenvalues come from
+LAPACK directly (:func:`tridiagonal_eigh`, values only): ``dstevd`` for the
+full spectrum, which serves the Golub-Welsch construction in
+:mod:`exopoly.quad`, and bisection by ``dstebz`` for the lowest levels.
+These are the routines scipy's ``eigh_tridiagonal`` picks for the same calls,
+so the values are bit for bit the same.
 
 The lowest levels on a grid (:func:`lowest_levels`, and :func:`solve_spectrum`
 for ``exopoly spectrum``) come from one recursive coarse-to-fine path.  The
@@ -38,17 +41,62 @@ thousand elements to BLAS ``ddot``, which OpenBLAS runs on its thread pool;
 on a 2-vCPU machine each such call cost about 8 ms, against microseconds for
 the reduction.  Levels whose shifts come from bisection start from a fixed
 pseudo-random vector, so the levels are bit-identical from run to run.
+
+The three LAPACK routines (``dstevd``, ``dstebz``, ``dgtsv``) come from
+scipy's compiled ``_flapack`` extension, loaded from its file under
+``scipy.__path__``.  ``import scipy.linalg`` would give the same routine
+objects, but it also loads scipy's array-API layer, which imports
+``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``; without them a cold
+``exopoly`` command is set up in 0.09 s instead of 0.21 s (2-vCPU VM, numpy
+2.4, scipy 1.17).  The loader falls back to ``scipy.linalg.lapack`` where
+the file is not found.
+With the short import, the spin of OpenBLAS's worker thread at load time
+would land inside the first solve instead of inside the import; the
+command-line front end pins OpenBLAS to one thread before numpy loads
+(nothing here runs a threaded BLAS kernel).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
+from importlib import machinery, util
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, lapack
+import numpy.random  # noqa: F401 - loaded with the module, not inside the first call
+import scipy
+
+
+def _flapack_file() -> Optional[str]:
+    """Path of scipy's compiled LAPACK extension, or None where it is not found."""
+    for root in scipy.__path__:
+        for suffix in machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_lapack():
+    """scipy's ``_flapack`` extension loaded from its file, without importing
+    ``scipy.linalg``; ``scipy.linalg.lapack`` where the file is not found.
+    Either way the routines are the same objects."""
+    path = _flapack_file()
+    if path is None:
+        from scipy.linalg import lapack
+        return lapack
+    name = "scipy.linalg._flapack"
+    spec = util.spec_from_file_location(name, path,
+                                        loader=machinery.ExtensionFileLoader(name, path))
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_LAPACK = _load_lapack()
 
 
 class SolverError(RuntimeError):
@@ -159,14 +207,29 @@ def tridiagonal_eigh(diag: np.ndarray, off: np.ndarray, count: Optional[int] = N
     """Eigenvalues of a symmetric tridiagonal matrix, ascending.
 
     With ``count`` set, only the lowest ``count`` are computed, by bisection
-    on Sturm sequences; otherwise the full spectrum.
+    on Sturm sequences (LAPACK ``dstebz``); otherwise the full spectrum
+    (``dstevd``, values only).
     """
-    select, select_range = ("a", None) if count is None else ("i", (0, count - 1))
-    try:
-        return eigh_tridiagonal(diag, off, eigvals_only=True,
-                                select=select, select_range=select_range)
-    except Exception as exc:  # pragma: no cover - LAPACK failures are exotic
-        raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
+    d = np.asarray(diag, dtype=float)
+    e = np.asarray(off, dtype=float)
+    if d.ndim != 1 or e.shape != (d.size - 1,):
+        raise SolverError(f"tridiagonal eigensolve needs n diagonal and n - 1 off-diagonal "
+                          f"entries, got shapes {d.shape} and {e.shape}")
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise SolverError("tridiagonal eigensolve needs finite entries")
+    if count is not None and not 1 <= count <= d.size:
+        raise SolverError(f"tridiagonal eigensolve: count must be between 1 and {d.size}, "
+                          f"got {count}")
+    if d.size == 1:
+        return d.copy()
+    if count is None:
+        w, _, info = _LAPACK.dstevd(d, e, compute_v=0)
+    else:  # by index: il = 1, iu = count, tol = 0, ordered by value
+        m, w, _, _, info = _LAPACK.dstebz(d, e, 2, 0.0, 1.0, 1, count, 0.0, b"E")
+        w = w[:m]
+    if info:
+        raise SolverError(f"tridiagonal eigensolve failed (LAPACK info={info})")
+    return w
 
 
 def _check_count(count: int, op: Tridiagonal) -> None:
@@ -187,7 +250,7 @@ def _sturm_count(op: Tridiagonal, upper: float) -> int:
     lower -= abs(lower) + 1.0  # strictly below the Gershgorin bound
     if upper <= lower:
         return 0
-    m, *_, info = lapack.dstebz(op.diag, op.off, 1, lower, upper, 0, 0, math.inf, b"B")
+    m, *_, info = _LAPACK.dstebz(op.diag, op.off, 1, lower, upper, 0, 0, math.inf, b"B")
     if info:
         raise SolverError(f"Sturm count failed (dstebz info={info})")
     return int(m)
@@ -196,8 +259,8 @@ def _sturm_count(op: Tridiagonal, upper: float) -> int:
 def _shifted_solve(op: Tridiagonal, shift: float, x: np.ndarray) -> np.ndarray:
     """(T - shift) y = x by LAPACK dgtsv (elimination with partial pivoting),
     O(N), with y in x's memory."""
-    *_, y, info = lapack.dgtsv(op.off, op.diag - shift, op.off, x,
-                               overwrite_d=1, overwrite_b=1)
+    *_, y, info = _LAPACK.dgtsv(op.off, op.diag - shift, op.off, x,
+                                overwrite_d=1, overwrite_b=1)
     if info:
         raise SolverError(f"shifted tridiagonal solve failed (dgtsv info={info})")
     return y

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401 - loaded with the module, not inside the first call
 
 from .polycore import jacobi_classical
 from .potentials import CoulombRadial, Oscillator3D, ScarfTrig

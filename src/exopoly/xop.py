@@ -31,6 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+import numpy.polynomial  # noqa: F401 - loaded with the module, not inside the first call
 
 from . import quad
 from .polycore import (

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from exopoly import solver
 from exopoly.solver import (
@@ -95,6 +96,52 @@ class TestValuesOnly:
         assert lowest_levels(potential, g, 4) == solve_spectrum(potential, g, 4).eigenvalues
         with pytest.raises(ValueError):
             lowest_levels(potential, g, 0)
+
+
+class TestTridiagonalLapack:
+    """tridiagonal_eigh calls LAPACK itself, with the routines scipy's
+    eigh_tridiagonal picks: the values are bit for bit the same."""
+
+    SIZES = [1, 2, 17, 300]
+
+    @staticmethod
+    def _matrix(n):
+        rng = np.random.default_rng(n)
+        return rng.standard_normal(n), rng.standard_normal(n - 1)
+
+    def _check(self, n):
+        d, e = self._matrix(n)
+        assert np.array_equal(tridiagonal_eigh(d, e), eigh_tridiagonal(d, e, eigvals_only=True))
+        for count in sorted({1, (n + 1) // 2, n}):
+            expect = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                      select_range=(0, count - 1))
+            got = tridiagonal_eigh(d, e, count=count)
+            assert got.shape == (count,) and np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_bit_equal_to_scipy(self, n):
+        self._check(n)
+
+    def test_fallback_loader_gives_the_same_values(self, monkeypatch):
+        monkeypatch.setattr(solver, "_flapack_file", lambda: None)
+        fallback = solver._load_lapack()
+        assert fallback.__name__ == "scipy.linalg.lapack"
+        assert fallback.dstebz is solver._LAPACK.dstebz
+        monkeypatch.setattr(solver, "_LAPACK", fallback)
+        for n in self.SIZES:
+            self._check(n)
+
+    @pytest.mark.parametrize("d,e", [
+        ([1.0, math.nan], [0.5]), ([1.0, 2.0], [math.inf]), ([-math.inf], []),
+        ([1.0, 2.0, 3.0], [0.5]), ([1.0, 2.0], [0.5, 0.5]), ([[1.0]], [])])
+    def test_non_finite_or_mismatched_input_raises(self, d, e):
+        with pytest.raises(SolverError):
+            tridiagonal_eigh(np.array(d), np.array(e))
+
+    @pytest.mark.parametrize("n,count", [(3, 0), (3, 4), (1, 0), (1, 2)])
+    def test_count_out_of_range_raises(self, n, count):
+        with pytest.raises(SolverError, match="count must be between 1 and"):
+            tridiagonal_eigh(np.ones(n), np.ones(n - 1), count=count)
 
 
 def _bisection(potential, grid, count):

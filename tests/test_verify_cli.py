@@ -227,13 +227,20 @@ class TestCampaign:
             raise AssertionError("the verify path reduced a grid vector through BLAS")
 
         calls = []
-        eigh = solver.eigh_tridiagonal
+        lapack = solver._LAPACK
 
-        def recording(diag, off, eigvals_only=False, **kwargs):
-            calls.append((len(diag), eigvals_only))
-            return eigh(diag, off, eigvals_only=eigvals_only, **kwargs)
+        class Recording:
+            """Each LAPACK routine the solver calls, by name, size and arguments."""
 
-        monkeypatch.setattr(solver, "eigh_tridiagonal", recording)
+            def __getattr__(self, name):
+                routine = getattr(lapack, name)
+
+                def call(*args, **kwargs):
+                    calls.append((name, len(args[0]), args, kwargs))
+                    return routine(*args, **kwargs)
+                return call
+
+        monkeypatch.setattr(solver, "_LAPACK", Recording())
         monkeypatch.setattr(np, "dot", blas)
         monkeypatch.setattr(np.linalg, "norm", blas)
         cfg = VerificationConfig.from_dict(
@@ -246,13 +253,18 @@ class TestCampaign:
             "oscillator-convergence-order", "oscillator-exceptional-rayleigh",
             "scarf-exceptional-rayleigh", "scarf-isospectrality",
         ])
-        # values only (no inverse iteration by stein), and every bisection on
-        # the bottom grid of the coarse-to-fine recursion: 2 levels x 2
-        # potentials for the oscillator at 2000 -> 125 points, the convergence
-        # sizes 1000/2000/4000 -> 62/125/250, 2 for Scarf at 12000 -> 750 -> 46
-        assert calls == [(125, True)] * 4 + [(62, True), (125, True), (250, True)] \
-            + [(46, True)] * 2
-        assert not {n for n, _ in calls} & {1000, 2000, 4000, 12000}
+        # values only: bisection (dstebz by index, values in order), Sturm
+        # counts (dstebz by value) and shifted solves (dgtsv); no eigenvectors
+        # (no stein, no dstevd with compute_v)
+        assert {name for name, *_ in calls} == {"dstebz", "dgtsv"}
+        bisections = [(n, args[-1]) for name, n, args, _ in calls
+                      if name == "dstebz" and args[2] == 2]
+        # every bisection on the bottom grid of the coarse-to-fine recursion:
+        # 2 levels x 2 potentials for the oscillator at 2000 -> 125 points, the
+        # convergence sizes 1000/2000/4000 -> 62/125/250, 2 for Scarf at
+        # 12000 -> 750 -> 46
+        assert bisections == [(n, b"E") for n in [125] * 4 + [62, 125, 250] + [46] * 2]
+        assert not {n for n, _ in bisections} & {1000, 2000, 4000, 12000}
 
     def test_spectral_config_computes_each_grid_quantity_once(self, monkeypatch):
         # A psi once per source in the pairings row (4 sources, 5 targets),
@@ -574,6 +586,18 @@ class TestCliSpectrum:
         assert capsys.readouterr().err.strip() == (
             f"error: bad parameters for preset morse: {named} is not a number")
 
+    @pytest.mark.parametrize("params,named", [
+        ('{"A": 1, "B": "1e100", "alpha": "1e-300"}',
+         "alpha: 1e-300 is too small against B: 1e+100: alpha/B underflows a float, so "
+         "the default domain has no end; give --domain"),
+        ('{"A": "1e-300", "B": "1e-100", "alpha": "1e-310"}',
+         "alpha: 1e-310 is too small: the default domain ends overflow a float; "
+         "give --domain")])
+    def test_morse_domain_out_of_float_range_named(self, params, named, capsys):
+        code = main(["spectrum", "--preset", "morse", "--params", params, "--grid-n", "64"])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: bad grid: {named}"
+
     def test_reader_closing_the_pipe_early_is_not_an_error(self):
         root = Path(__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(root / "src")}
@@ -678,9 +702,21 @@ class TestCliQuad:
         assert capsys.readouterr().err.startswith(f"error: recurrence needs n >= 1 "
                                                   f"coefficients, got n={n}")
 
-    def test_zero_denominator_parameter_exits_two(self, capsys):
-        assert main(["quad", "--rule", "laguerre", "--k", "1/0", "--n", "4"]) == 2
-        assert capsys.readouterr().err.strip() == "error: Fraction(1, 0)"
+    @pytest.mark.parametrize("argv,named", [
+        (["quad", "--rule", "laguerre", "--k", "1/0", "--n", "4"], "--k: '1/0'"),
+        (["quad", "--rule", "jacobi", "--alpha", "1", "--beta", "2/0", "--n", "4"],
+         "--beta: '2/0'"),
+        (["poly", "--family", "x1-laguerre", "--k", "1/0", "--n", "2"], "--k: '1/0'"),
+        (["poly", "--family", "jacobi", "--alpha=-1/0", "--beta", "1", "--n", "2"],
+         "--alpha: '-1/0'")])
+    def test_zero_denominator_parameter_exits_two(self, argv, named, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip() == f"error: {named} has a zero denominator"
+
+    def test_non_numeric_parameter_named(self, capsys):
+        assert main(["poly", "--family", "x1-jacobi", "--alpha", "x", "--beta", "2",
+                     "--n", "2"]) == 2
+        assert capsys.readouterr().err.strip() == "error: --alpha: 'x' is not a number"
 
     def test_jacobi_rule(self, capsys):
         assert main(["quad", "--rule", "jacobi", "--alpha", "1/2", "--beta", "3/2",
