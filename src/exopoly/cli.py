@@ -105,6 +105,13 @@ def _family_table(args) -> list:
 
 
 def cmd_poly(args) -> int:
+    if args.family in ("laguerre", "jacobi") and args.route is not None:
+        return _fail(f"--route {args.route} applies to the exceptional families "
+                     f"only; the classical {args.family} table has one construction, "
+                     "its three-term recurrence", EXIT_BAD_CONFIG)
+    # without the flag an exceptional family takes the operator route; the
+    # tables of a classical family keep their `operator` label
+    args.route = args.route or "operator"
     needs_k = args.family in ("laguerre", "x1-laguerre")
     if needs_k and args.k is None:
         return _fail("--k is required for Laguerre families", EXIT_BAD_CONFIG)
@@ -251,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--k", help='Laguerre parameter, decimal or "num/den"')
     pp.add_argument("--alpha", help='Jacobi parameter, decimal or "num/den"')
     pp.add_argument("--beta", help='Jacobi parameter, decimal or "num/den"')
-    pp.add_argument("--route", default="operator",
-                    choices=["operator", "nullspace", "gram-schmidt"])
+    pp.add_argument("--route", choices=["operator", "nullspace", "gram-schmidt"],
+                    help="construction route of an exceptional family "
+                         "(default: operator)")
     pp.add_argument("--format", default="csv", choices=["csv", "json"])
     pp.add_argument("--out")
     pp.set_defaults(func=cmd_poly)

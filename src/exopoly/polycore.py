@@ -262,7 +262,12 @@ class DiffOp:
         if any(s < 0 or o < 0 for s, o in table):
             raise ValueError("term shifts and orders must be >= 0")
         nums, den = _clear(table.values())
-        terms = [(o, s, c) for (s, o), c in zip(table, nums) if c]
+        self._set(zip(table, nums), den)
+
+    def _set(self, terms: Iterable[tuple[tuple[int, int], int]], den: int) -> None:
+        """Store the terms ``((s, o), c)``, the operator sum (c/den) x^s D^o
+        (den > 0), in canonical form."""
+        terms = [(o, s, c) for (s, o), c in terms if c]
         g = math.gcd(den, *(c for _, _, c in terms))
         by_order: dict[int, list[tuple[int, int]]] = {}
         for o, s, c in sorted(terms):
@@ -271,6 +276,15 @@ class DiffOp:
         self._den = den // g
         # the largest rise in degree, s - o, over the terms
         self._reach = max((s - o for o, s, _ in terms), default=0)
+
+    @classmethod
+    def _from_ints(cls, terms: Iterable[tuple[tuple[int, int], int]],
+                   den: int = 1) -> "DiffOp":
+        """The operator of integer terms ``((s, o), c)`` over ``den``; ``den``
+        must be positive and the shifts and orders >= 0."""
+        out = cls.__new__(cls)
+        out._set(terms, den)
+        return out
 
     @property
     def den(self) -> int:
@@ -312,19 +326,38 @@ def laguerre_family(n: int, m: RationalLike) -> list[Poly]:
 
     Standard normalization: leading coefficient (-1)^i / i!.  One pass of the
     three-term recurrence
-        (i+1) L_{i+1} = (2i + 1 + m - x) L_i - (i + m) L_{i-1}.
+        (i+1) L_{i+1} = (2i + 1 + m - x) L_i - (i + m) L_{i-1},
+    run on integers: with m = p/q cleared once, q times each coefficient is
+    an integer, and every step is one :func:`_three_term_step`.
     The parameter m may be any rational (non-integer values are first-class).
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    mq = as_rational(m)
-    fam = [Poly.one(), Poly((1 + mq, -1))]
+    p, q = _ratio(m)
+    fam = [Poly.one(), Poly._from_ints([q + p, -q], q)]
     for i in range(1, n):
-        nxt = (Poly((2 * i + 1 + mq, -1)) * fam[i] - (i + mq) * fam[i - 1]).scale(
-            Fraction(1, i + 1)
-        )
-        fam.append(nxt)
+        fam.append(_three_term_step(fam[i], fam[i - 1], (i + 1) * q,
+                                    (2 * i + 1) * q + p, -q, i * q + p))
     return fam[: n + 1]
+
+
+def _three_term_step(cur: Poly, prev: Poly, c1: int, c2: int, c3: int,
+                     c4: int) -> Poly:
+    """The next member ((c2 + c3 x) cur - c4 prev) / c1 of a three-term
+    recurrence with integer coefficients, c1 > 0: one integer pass over the
+    numerators of cur and prev, brought to their least common denominator,
+    and one normalization."""
+    a, b = cur._num, prev._num
+    g = math.gcd(cur._den, prev._den)
+    fa, fb = prev._den // g, cur._den // g
+    k2, k3, k4 = c2 * fa, c3 * fa, c4 * fb
+    out = [k2 * v for v in a]
+    out.append(0)
+    for i, v in enumerate(a, 1):
+        out[i] += k3 * v
+    for i, v in enumerate(b):
+        out[i] -= k4 * v
+    return Poly._from_ints(out, c1 * cur._den * fa)
 
 
 def laguerre_classical(n: int, m: RationalLike) -> Poly:
@@ -336,22 +369,30 @@ def jacobi_family(n: int, alpha: RationalLike, beta: RationalLike) -> list[Poly]
     """Jacobi polynomials P_0^(alpha,beta) .. P_n^(alpha,beta), exact coefficients.
 
     Standard normalization P_i(1) = binomial(i + alpha, i), from one pass of
-    the three-term recurrence.  Requires alpha, beta > -1 so the family is
+    the three-term recurrence c1 P_i = (c2 + c3 x) P_{i-1} - c4 P_{i-2} with
+    s = alpha + beta and
+        c1 = 2i (i+s) (2i+s-2),            c2 = (2i+s-1) (alpha^2 - beta^2),
+        c3 = (2i+s-1) (2i+s) (2i+s-2),     c4 = 2 (i+alpha-1) (i+beta-1) (2i+s),
+    run on integers: alpha = p/q and beta = r/q are cleared to one common q
+    once, so q^3 times each c is an integer, and every step is one
+    :func:`_three_term_step`.  Requires alpha, beta > -1 so the family is
     orthogonal under its weight.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    a, b = as_rational(alpha), as_rational(beta)
-    if a <= -1 or b <= -1:
+    (p, r), q = _clear((alpha, beta))
+    if p <= -q or r <= -q:
         raise ValueError("jacobi parameters must satisfy alpha, beta > -1")
-    s = a + b
-    fam = [Poly.one(), Poly((Fraction(a - b, 2), Fraction(s + 2, 2)))]
+    ab = p + r  # q (alpha + beta)
+    fam = [Poly.one(), Poly._from_ints([p - r, ab + 2 * q], 2 * q)]
     for i in range(2, n + 1):
-        c1 = 2 * i * (i + s) * (2 * i + s - 2)
-        c2 = (2 * i + s - 1) * (a * a - b * b)
-        c3 = (2 * i + s - 1) * (2 * i + s) * (2 * i + s - 2)
-        c4 = 2 * (i + a - 1) * (i + b - 1) * (2 * i + s)
-        fam.append((Poly((c2, c3)) * fam[i - 1] - c4 * fam[i - 2]).scale(1 / c1))
+        # q (2i+s-2), q (2i+s-1) and q (2i+s), all positive
+        t0, t1, t2 = 2 * (i - 1) * q + ab, (2 * i - 1) * q + ab, 2 * i * q + ab
+        c1 = 2 * i * q * (i * q + ab) * t0
+        c2 = t1 * (p * p - r * r)
+        c3 = t1 * t2 * t0
+        c4 = 2 * ((i - 1) * q + p) * ((i - 1) * q + r) * t2
+        fam.append(_three_term_step(fam[i - 1], fam[i - 2], c1, c2, c3, c4))
     return fam[: n + 1]
 
 

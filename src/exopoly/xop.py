@@ -15,7 +15,10 @@ from its parameters by a coefficient table; the "residual" functions apply
 it and return the equation's left-hand side with denominators cleared,
 which is the zero polynomial precisely on eigenpolynomials, and the
 nullspace route hands the operator's integer matrix on monomials to the
-exact nullspace solver.
+exact nullspace solver.  Each X1 operator is affine in its index, so the
+coefficient tables, which stay the one home of the coefficients, are read
+once per family at two index values, and every index's operator is combined
+from those two in integers (see "operator pencils" below).
 
 Each family fact has one home that every route reads: the Jacobi constants
 a, b, c in :class:`polycore.JacobiConstants`, the pole in ``quad.WeightSpec.pole``,
@@ -26,6 +29,7 @@ the ladder in :meth:`XFamilySpec.ladder`, the cleared equation in
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -39,6 +43,8 @@ from .polycore import (
     JacobiConstants,
     Poly,
     RationalLike,
+    _clear,
+    _ratio,
     as_rational,
     jacobi_classical,
     jacobi_family,
@@ -156,6 +162,35 @@ def _jacobi_ladder_table(al, be) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# operator pencils
+# ---------------------------------------------------------------------------
+
+# A cleared X1 operator is T_0 + t M, with t = n for Laguerre and
+# t = lam = (n-1)(alpha+beta+n) for Jacobi.  A pencil holds the term keys
+# (shift, order), the integer terms of T_0 and of M, and their common
+# denominator.
+_Pencil = tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...], int]
+# families whose pencils are kept; a campaign runs a handful
+_PENCILS = 64
+
+
+def _pencil(at0: dict, at1: dict) -> _Pencil:
+    """T_0 and M of an operator whose coefficient table is ``at0`` at index
+    value 0 and ``at1`` at 1, cleared to integers over one denominator."""
+    keys = tuple(at0)
+    nums, den = _clear([*(at0[key] for key in keys),
+                        *(at1[key] - at0[key] for key in keys)])
+    return keys, tuple(nums[:len(keys)]), tuple(nums[len(keys):]), den
+
+
+def _pencil_at(pencil: _Pencil, p: int, q: int) -> DiffOp:
+    """The operator T_0 + (p/q) M, q > 0."""
+    keys, t0, m, den = pencil
+    return DiffOp._from_ints(zip(keys, [q * a + p * b for a, b in zip(t0, m)]),
+                             q * den)
+
+
+# ---------------------------------------------------------------------------
 # cleared differential-equation residuals
 # ---------------------------------------------------------------------------
 
@@ -182,11 +217,25 @@ def x1_jacobi_ode_residual(f: Poly, alpha: RationalLike, beta: RationalLike,
 
 def _jacobi_operator(alpha: RationalLike, beta: RationalLike,
                      n: RationalLike) -> DiffOp:
-    """The cleared X1 Jacobi operator at index n."""
-    al, be = as_rational(alpha), as_rational(beta)
+    """The cleared X1 Jacobi operator at index n: T_0 + lam M with
+    lam = (n-1)(alpha+beta+n), combined in integers."""
+    pencil, s = _jacobi_pencil(_ratio(alpha), _ratio(beta))
+    p, r = _ratio(n)
+    # lam = (p/r - 1)(s + p/r) over the positive denominator s.den r^2
+    sn, sd = s.numerator, s.denominator
+    return _pencil_at(pencil, (p - r) * (sn * r + p * sd), sd * r * r)
+
+
+@functools.lru_cache(maxsize=_PENCILS)
+def _jacobi_pencil(alpha: tuple[int, int],
+                   beta: tuple[int, int]) -> tuple[_Pencil, Fraction]:
+    """The X1 Jacobi operator as T_0 + lam M, read off :func:`_jacobi_table`
+    at lam = 0 and 1, with alpha + beta; the parameters come as (numerator,
+    denominator), which hash faster than Fractions."""
+    al, be = Fraction(*alpha), Fraction(*beta)
     jc = JacobiConstants.from_parameters(al, be)
-    lam = (as_rational(n) - 1) * (al + be + n)
-    return DiffOp(_jacobi_table(jc.a, jc.b, jc.c, lam))
+    return (_pencil(_jacobi_table(jc.a, jc.b, jc.c, 0),
+                    _jacobi_table(jc.a, jc.b, jc.c, 1)), al + be)
 
 
 def _jacobi_table(a, b, c, lam) -> dict:
@@ -210,10 +259,19 @@ def xj_laguerre_ode_residual(f: Poly, k: RationalLike, j: int, n: RationalLike) 
 
 def _laguerre_operator(k: RationalLike, j: int, n: RationalLike) -> DiffOp:
     """The one operator of both Laguerre residuals (private, so a traced
-    public name never calls the other)."""
+    public name never calls the other): T_0 + n M, combined in integers."""
     if j < 1:
         raise ValueError("codimension j must be >= 1")
-    return DiffOp(_laguerre_table(as_rational(k), j, as_rational(n)))
+    return _pencil_at(_laguerre_pencil(_ratio(k), j), *_ratio(n))
+
+
+@functools.lru_cache(maxsize=_PENCILS)
+def _laguerre_pencil(k: tuple[int, int], j: int) -> _Pencil:
+    """The codimension-j Laguerre operator as T_0 + n M, read off
+    :func:`_laguerre_table` at n = 0 and 1; k comes as (numerator,
+    denominator)."""
+    kq = Fraction(*k)
+    return _pencil(_laguerre_table(kq, j, 0), _laguerre_table(kq, j, 1))
 
 
 def _laguerre_table(k, j, n) -> dict:

@@ -240,6 +240,40 @@ class TestClassicalFamilies:
             assert [sympy.Rational(c.numerator, c.denominator)
                     for c in member.coeffs] == list(theirs), n
 
+    @oracle_settings
+    @given(st.integers(0, 15),
+           st.one_of(st.fractions(min_value=-1, max_value=8, max_denominator=30)
+                     .filter(lambda m: m > -1),
+                     st.integers(-15, -1)))
+    def test_laguerre_integer_recurrence_against_sympy(self, n, m):
+        for i, member in enumerate(laguerre_family(n, m)):
+            theirs = sympy.laguerre_poly(i, SX, sympy.Rational(m.numerator, m.denominator),
+                                         polys=True)
+            assert member == from_sympy(theirs), (i, m)
+            assert_canonical(member)
+        if m == -n:
+            # L_n^(-n) = (-x)^n / n!
+            assert laguerre_classical(n, m) == Poly(
+                [0] * n + [F((-1) ** n, math.factorial(n))])
+
+    @oracle_settings
+    @given(st.integers(0, 15), st.data())
+    def test_jacobi_integer_recurrence_against_sympy(self, n, data):
+        param = st.fractions(min_value=-1, max_value=6,
+                             max_denominator=30).filter(lambda v: v > -1)
+        alpha, beta = data.draw(st.one_of(
+            st.tuples(param, param),
+            param.map(lambda a: (a, a)),
+            # alpha + beta = -1 needs both in (-1, 0)
+            param.filter(lambda a: a < 0).map(lambda a: (a, -1 - a)),
+            st.just((F(-1, 2), F(-1, 4)))))
+        sa = sympy.Rational(alpha.numerator, alpha.denominator)
+        sb = sympy.Rational(beta.numerator, beta.denominator)
+        for i, member in enumerate(jacobi_family(n, alpha, beta)):
+            theirs = sympy.jacobi_poly(i, sa, sb, SX, polys=True)
+            assert member == from_sympy(theirs), (i, alpha, beta)
+            assert_canonical(member)
+
     def test_single_member_is_the_family_member(self):
         lag, jac = laguerre_family(12, F(7, 3)), jacobi_family(12, F(1, 2), F(3, 2))
         assert len(lag) == len(jac) == 13

@@ -451,6 +451,23 @@ class TestCliPoly:
         data = json.loads(capsys.readouterr().out)
         assert [m["degree"] for m in data["members"]] == [0, 1]
 
+    @pytest.mark.parametrize("family", [["laguerre", "--k", "1"],
+                                        ["jacobi", "--alpha", "1", "--beta", "2"]],
+                             ids=["laguerre", "jacobi"])
+    def test_route_on_a_classical_family_exits_two(self, family, capsys):
+        for route in ("operator", "nullspace", "gram-schmidt"):
+            assert main(["poly", "--family", *family, "--n", "2", "--route", route]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: --route {route} applies"), route
+
+    def test_classical_table_without_route_keeps_its_label(self, capsys):
+        assert main(["poly", "--family", "laguerre", "--k", "1", "--n", "2"]) == 0
+        assert capsys.readouterr().out == (
+            'degree,coefficients,route,params\n'
+            '0,"1/1",operator,"k=1"\n'
+            '1,"2/1 -1/1",operator,"k=1"\n'
+            '2,"3/1 -3/1 1/2",operator,"k=1"\n\n')
+
     def test_gram_schmidt_route_emits_decimals(self, capsys):
         code = main(["poly", "--family", "x1-laguerre", "--k", "1", "--n", "2",
                      "--route", "gram-schmidt", "--format", "csv"])

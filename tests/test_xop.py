@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import sympy
 
-from exopoly.polycore import JacobiConstants, Poly
+from exopoly.polycore import DiffOp, JacobiConstants, Poly
 from exopoly.quad import WeightSpec, gram_matrix
 from exopoly.verify import VerificationConfig
 from exopoly.xop import (
@@ -363,6 +364,33 @@ def _default_families():
              for k in cfg.laguerre_k]
             + [(("jacobi", str(a), str(b)), XFamilySpec(family="jacobi", alpha=a, beta=b))
                for a, b in cfg.jacobi_alpha_beta])
+
+
+class TestOperatorPencil:
+    """The operators combined from T_0 and M equal the ones built straight
+    from the coefficient tables, term for term."""
+
+    SPECS = [spec for _, spec in _default_families()] + [
+        XFamilySpec(family="jacobi", alpha=F(-1, 2), beta=F(-1, 4)),
+        XFamilySpec(family="laguerre", k=F(1, 1000))]
+
+    @staticmethod
+    def _from_table(spec: XFamilySpec, n) -> DiffOp:
+        if spec.family == "laguerre":
+            return DiffOp(_laguerre_table(spec.k, 1, F(n)))
+        jc = JacobiConstants.from_parameters(spec.alpha, spec.beta)
+        lam = (F(n) - 1) * (spec.alpha + spec.beta + n)
+        return DiffOp(_jacobi_table(jc.a, jc.b, jc.c, lam))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: ",".join(
+        [spec.family] + [f"{key}={getattr(spec, key)}" for key in ("k", "alpha", "beta")
+                         if getattr(spec, key) is not None]))
+    def test_index_1_to_40_and_five_halves(self, spec):
+        for n in [*range(1, 41), F(5, 2)]:
+            ours, table = spec.operator(n), self._from_table(spec, n)
+            size = math.floor(n) + 3
+            assert ours.den == table.den, n
+            assert ours.monomial_matrix(size) == table.monomial_matrix(size), n
 
 
 class TestPinnedOperatorCoefficients:
