@@ -251,10 +251,9 @@ class TestClassicalFamilies:
                                          polys=True)
             assert member == from_sympy(theirs), (i, m)
             assert_canonical(member)
-        if m == -n:
-            # L_n^(-n) = (-x)^n / n!
-            assert laguerre_classical(n, m) == Poly(
-                [0] * n + [F((-1) ** n, math.factorial(n))])
+        # at the negative integer m = -n, L_n^(-n) = (-x)^n / n!
+        assert laguerre_classical(n, -n) == Poly(
+            [0] * n + [F((-1) ** n, math.factorial(n))])
 
     @oracle_settings
     @given(st.integers(0, 15), st.data())
