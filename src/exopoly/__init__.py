@@ -23,11 +23,17 @@ Layers, bottom up:
   command-line front end.
 
 The names below are imported on first use (PEP 562), so ``import
-exopoly.polycore`` loads no numpy, and the command-line front end can set
-up the environment before numpy loads.
+exopoly.polycore`` loads no numpy.
 """
 
 import importlib
+import os
+
+# OpenBLAS starts a worker thread as it loads, which busy-waits for about
+# 50 ms of CPU (2-vCPU VM) and competes with the first solve; exopoly runs no
+# threaded BLAS kernel, so one thread is enough.  This runs before any
+# submodule loads numpy; a value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

@@ -18,21 +18,11 @@ import os
 import sys
 from fractions import Fraction
 
-# OpenBLAS starts a worker thread as it loads, which busy-waits for about
-# 50 ms of CPU (2-vCPU VM) and, after the short LAPACK import of `solver`,
-# competes with the first solve; exopoly runs no threaded BLAS kernel, so one
-# thread is enough.  This has to run before numpy loads; a value already set
-# wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402
-
-from . import __version__, quad, solver, xop  # noqa: E402
-from .polycore import Poly, as_rational, jacobi_family, laguerre_family  # noqa: E402
-from .potentials import PotentialError, make_preset  # noqa: E402
-from .solver import Grid, SolverError  # noqa: E402
-from .verify import (  # noqa: E402
-    ConfigError, VerificationConfig, run_verification, write_atomic)
+from . import __version__, quad, solver, xop
+from .polycore import as_rational, jacobi_family, laguerre_family
+from .potentials import PotentialError, make_preset
+from .solver import Grid, SolverError
+from .verify import ConfigError, VerificationConfig, run_verification, write_atomic
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -130,13 +120,8 @@ def cmd_poly(args) -> int:
     else:
         payload = []
         for member in rows:
-            if isinstance(member, Poly):
-                payload.append({"degree": member.degree,
-                                "coefficients": member.to_json()})
-            else:
-                arr = np.asarray(member, dtype=float)
-                payload.append({"degree": len(arr) - 1,
-                                "coefficients": [float(c) for c in arr]})
+            coeffs = xop.member_coefficients(member)
+            payload.append({"degree": len(coeffs) - 1, "coefficients": coeffs})
         text = json.dumps({"family": args.family, "route": args.route,
                            "params": params, "members": payload},
                           sort_keys=True, indent=2)
@@ -168,6 +153,9 @@ def cmd_spectrum(args) -> int:
     if not 1 <= args.levels <= grid.n:
         return _fail(f"--levels must be between 1 and --grid-n ({grid.n}), "
                      f"got {args.levels}", EXIT_BAD_CONFIG)
+    if not 0 <= args.match_tol < float("inf"):  # NaN fails both comparisons
+        return _fail(f"--match-tol must be finite and >= 0, got {args.match_tol}",
+                     EXIT_BAD_CONFIG)
 
     def extended_v(x):
         return preset.extended_potential(x, args.exc_level)

@@ -6,10 +6,10 @@ and energies, the derived rational extension that makes the exceptional
 closed forms exact eigenstates, the extension formula in its printed
 textbook variable (kept verbatim for auditing, even where it disagrees with
 the derived one), and the frame of each classical level: the variable z(x),
-the prefactor, and the Laguerre or Jacobi parameters.  The eigenstates of
-both kinds are built once from the frame (:class:`_Preset`): the exceptional
-partner of a level is its prefactor over (z - pole) of the X1 weight, times
-the X1 member, at that level's energy.
+the prefactor, and the X1 family whose classical parameters the level
+carries.  The eigenstates of both kinds are built once from the frame
+(:class:`_Preset`): the exceptional partner of a level is its prefactor over
+(z - pole) of the X1 weight, times the X1 member, at that level's energy.
 
 The extension enters the physical potential with a preset-specific energy
 scale (e.g. a factor 2 for the oscillator from the d/dx -> d/dxi chain rule);
@@ -28,10 +28,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 import numpy.polynomial  # noqa: F401 - loaded with the module, not inside the first call
 
-from .polycore import (JacobiConstants, Poly, RationalLike, as_rational, jacobi_classical,
-                       laguerre_classical)
+from .polycore import JacobiConstants, Poly, RationalLike, as_rational
 from .solver import Grid, GridFunction, discretize, eigen_residual, rayleigh_quotient
-from .xop import x1_jacobi_op_route, x1_laguerre_op_route, xj_quotient_residual_coeffs
+from .xop import XFamilySpec, operator_family, xj_quotient_residual_coeffs
 
 
 class PotentialError(ValueError):
@@ -123,24 +122,24 @@ def state_rayleigh(states: Sequence[EigenstateClosedForm], potential,
 class _Frame(NamedTuple):
     """Classical level nu: psi = prefactor(x, z) * P_nu(z) with z = variable(x).
 
-    ``params`` are the classical family's parameters: (m,) for the Laguerre
-    L^(m), (alpha, beta) for the Jacobi P^(alpha, beta).
+    ``family`` is the X1 family of the level: P_nu is its
+    :meth:`XFamilySpec.classical` member, L^(k) or P^(alpha, beta).
     """
 
     variable: Callable[[np.ndarray], np.ndarray]
     prefactor: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    params: tuple
+    family: XFamilySpec
 
 
 class _Preset:
     """The closed-form eigenstates of a preset, built once from its ``_frame``.
 
-    Classical level nu is the frame's prefactor times the classical member of
-    degree nu.  Its exceptional partner keeps the frame of level nu, divides
-    the prefactor by (z - pole) of the X1 weight (pole -m for Laguerre, b of
-    :class:`JacobiConstants` for Jacobi) and carries the X1 member of degree
-    nu + 1, at the classical energy of level nu.  Exceptional state n is the
-    partner of level n - 1, except where a preset overrides ``_partner``.
+    Classical level nu is the frame's prefactor times ``family.classical(nu)``.
+    Its exceptional partner keeps the frame of level nu, divides the prefactor
+    by (z - pole), the pole of ``family.weight()``, and carries the family's
+    operator-route member of degree nu + 1, at the classical energy of level
+    nu.  Exceptional state n is the partner of level n - 1, except where a
+    preset overrides ``_partner``.
     """
 
     def __post_init__(self):
@@ -191,32 +190,23 @@ class _Preset:
 
     def classical_state(self, n: int) -> EigenstateClosedForm:
         self._check_level(n)
-        variable, prefactor, params = self._frame(n)
-        family = laguerre_classical if len(params) == 1 else jacobi_classical
-        return EigenstateClosedForm(self.classical_energy(n), family(n, *params),
+        variable, prefactor, family = self._frame(n)
+        return EigenstateClosedForm(self.classical_energy(n), family.classical(n),
                                     variable, prefactor)
 
     def exceptional_state(self, n: int) -> EigenstateClosedForm:
         nu = self._partner(n)
         self._check_level(nu)
-        variable, prefactor, params = self._frame(nu)
-        if len(params) == 1:
-            pole, polynomial = -params[0], x1_laguerre_op_route(nu, *params)
-        else:
-            pole = JacobiConstants.from_parameters(*params).b
-            polynomial = x1_jacobi_op_route(nu, *params)
-        return EigenstateClosedForm(self.classical_energy(nu), polynomial, variable,
-                                    prefactor, float(pole))
+        variable, prefactor, family = self._frame(nu)
+        return EigenstateClosedForm(self.classical_energy(nu),
+                                    operator_family(family, nu + 1)[nu], variable,
+                                    prefactor, float(family.weight().pole))
 
 
 @dataclass(frozen=True)
-class Oscillator3D(_Preset):
-    """Radial isotropic oscillator: V = x^2/4 + l(l+1)/x^2, E_n = 2n + l + 3/2.
-
-    Laguerre variable u = x^2/2 with parameter k = l + 1/2.  The rational
-    extension enters the physical potential as +2 * ve_laguerre(u, k); the
-    factor 2 is the chain-rule energy scale between the u-equation and x.
-    """
+class _Radial(_Preset):
+    """A radial channel: V = core(x) + energy_shift + l(l+1)/x^2, with the
+    Laguerre parameter k fixed by the angular momentum l."""
 
     l: int = 0
     energy_shift: float = 0.0
@@ -225,6 +215,28 @@ class Oscillator3D(_Preset):
         super().__post_init__()
         if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 0:
             raise PotentialError(f"angular momentum l must be an int >= 0, not {self.l!r}")
+
+    def potential(self, x):
+        x = np.asarray(x, dtype=float)
+        v = self._core(x) + self.energy_shift
+        if self.l:
+            v = v + self.l * (self.l + 1) / x**2
+        return v
+
+    def ve_printed(self, r, n: Optional[int] = None):
+        """The printed extension ve_laguerre(r, k) in the preset's Laguerre
+        variable r (u = x^2/2 for the oscillator, r itself for Coulomb)."""
+        return ve_laguerre(r, self.k)
+
+
+@dataclass(frozen=True)
+class Oscillator3D(_Radial):
+    """Radial isotropic oscillator: V = x^2/4 + l(l+1)/x^2, E_n = 2n + l + 3/2.
+
+    Laguerre variable u = x^2/2 with parameter k = l + 1/2.  The rational
+    extension enters the physical potential as +2 * ve_laguerre(u, k); the
+    factor 2 is the chain-rule energy scale between the u-equation and x.
+    """
 
     @property
     def k(self) -> Fraction:
@@ -236,19 +248,11 @@ class Oscillator3D(_Preset):
     def variable(self, x):
         return np.asarray(x, dtype=float) ** 2 / 2
 
-    def potential(self, x):
-        x = np.asarray(x, dtype=float)
-        v = x**2 / 4 + self.energy_shift
-        if self.l:
-            v = v + self.l * (self.l + 1) / x**2
-        return v
+    def _core(self, x):
+        return x**2 / 4
 
     def extension(self, x, n: Optional[int] = None):
         return 2.0 * ve_laguerre(self.variable(x), self.k)
-
-    def ve_printed(self, u, n: Optional[int] = None):
-        """The extension in its printed form, as a function of u = x^2/2."""
-        return ve_laguerre(u, self.k)
 
     def classical_energy(self, n: int) -> float:
         return 2 * n + self.l + 1.5 + self.energy_shift
@@ -259,25 +263,17 @@ class Oscillator3D(_Preset):
         def pref(x, u):
             return x**lp1 * np.exp(-(x**2) / 4)
 
-        return _Frame(self.variable, pref, (self.k,))
+        return _Frame(self.variable, pref, XFamilySpec("laguerre", k=self.k))
 
 
 @dataclass(frozen=True)
-class CoulombRadial(_Preset):
+class CoulombRadial(_Radial):
     """Radial Coulomb problem: V = -1/x + l(l+1)/x^2, E_N = -1/(4 N^2).
 
     The Laguerre variable of the level-N state is t = x/N, so the exact
     rational extension is level-dependent in the physical coordinate --
     flagged, and reported rather than asserted anywhere.
     """
-
-    l: int = 0
-    energy_shift: float = 0.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 0:
-            raise PotentialError(f"angular momentum l must be an int >= 0, not {self.l!r}")
 
     @property
     def k(self) -> Fraction:
@@ -286,12 +282,8 @@ class CoulombRadial(_Preset):
     def default_domain(self) -> tuple[float, float]:
         return (0.0, 180.0)  # 60 per principal quantum number, up to N = 3
 
-    def potential(self, x):
-        x = np.asarray(x, dtype=float)
-        v = -1.0 / x + self.energy_shift
-        if self.l:
-            v = v + self.l * (self.l + 1) / x**2
-        return v
+    def _core(self, x):
+        return -1.0 / x
 
     def extension(self, x, n: int):
         """Exact extension for the level-n exceptional state (level-dependent)."""
@@ -300,10 +292,6 @@ class CoulombRadial(_Preset):
         big_n = n + self.l
         x = np.asarray(x, dtype=float)
         return ve_laguerre(x / big_n, self.k) / (big_n * x)
-
-    def ve_printed(self, r, n: Optional[int] = None):
-        """Printed form: ve in the variable r with parameter 2l+1."""
-        return ve_laguerre(r, self.k)
 
     def classical_energy(self, n: int) -> float:
         big_n = n + self.l + 1
@@ -319,7 +307,7 @@ class CoulombRadial(_Preset):
         def pref(x, t):
             return t**lp1 * np.exp(-t / 2)
 
-        return _Frame(var, pref, (self.k,))
+        return _Frame(var, pref, XFamilySpec("laguerre", k=self.k))
 
 
 @dataclass(frozen=True)
@@ -414,7 +402,7 @@ class Morse(_Preset):
         def pref(x, y):
             return y**exponent * np.exp(-y / 2)
 
-        return _Frame(self.variable, pref, (2 * (self.s - nu),))
+        return _Frame(self.variable, pref, XFamilySpec("laguerre", k=2 * (self.s - nu)))
 
 
 @dataclass(frozen=True)
@@ -512,7 +500,8 @@ class ScarfTrig(_Preset):
         def pref(x, z):
             return (1 - z) ** p * (1 + z) ** q
 
-        return _Frame(self.variable, pref, (self.jacobi_alpha, self.jacobi_beta))
+        return _Frame(self.variable, pref, XFamilySpec("jacobi", alpha=self.jacobi_alpha,
+                                                       beta=self.jacobi_beta))
 
 
 PRESETS = {

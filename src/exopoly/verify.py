@@ -394,13 +394,8 @@ def suite_spectra(cfg: VerificationConfig) -> list[dict]:
                  rel, _TOLERANCES["spectrum_rel"])
 
         levels_ext = solver.lowest_levels(osc.extended_potential, grid, 3)
-        mapping = solver.spectrum_compare(levels, levels_ext, 1e-2)
-        rows.add(f"oscillator-isospectrality[l={l}]",
-                 "extended vs classical level mapping (missing states reported)",
-                 {"l": l, "mapping": mapping,
-                  "ground_state_unmatched": 0 in mapping["unmatched_a"]
-                  or 0 in mapping["unmatched_b"]},
-                 mapping["max_pair_diff"], None, "reported")
+        _isospectrality(rows, f"oscillator-isospectrality[l={l}]", {"l": l},
+                        levels, levels_ext)
 
     osc0 = Oscillator3D(l=0)
     order = solver.convergence_order(osc0.potential, osc0.default_domain(),
@@ -424,14 +419,18 @@ def suite_spectra(cfg: VerificationConfig) -> list[dict]:
 
     levels_cl = solver.lowest_levels(sc.potential, scgrid, 4)
     levels_ext = solver.lowest_levels(sc.extended_potential, scgrid, 4)
-    mapping = solver.spectrum_compare(levels_cl, levels_ext, 1e-2)
-    rows.add("scarf-isospectrality",
-             "extended vs classical level mapping (missing states reported)",
-             {"mapping": mapping,
+    _isospectrality(rows, "scarf-isospectrality", {}, levels_cl, levels_ext)
+    return rows.rows
+
+
+def _isospectrality(rows: _Rows, cid: str, params: dict, levels, levels_ext) -> None:
+    """The reported row that maps the extended levels onto the classical ones."""
+    mapping = solver.spectrum_compare(levels, levels_ext, 1e-2)
+    rows.add(cid, "extended vs classical level mapping (missing states reported)",
+             {**params, "mapping": mapping,
               "ground_state_unmatched": 0 in mapping["unmatched_a"]
               or 0 in mapping["unmatched_b"]},
              mapping["max_pair_diff"], None, "reported")
-    return rows.rows
 
 
 def _worst_rayleigh(preset, grid: Grid) -> float:

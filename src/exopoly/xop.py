@@ -22,9 +22,11 @@ from those two in integers (see "operator pencils" below).
 
 Each family fact has one home that every route reads: the Jacobi constants
 a, b, c in :class:`polycore.JacobiConstants`, the pole in ``quad.WeightSpec.pole``,
-the ladder in :meth:`XFamilySpec.ladder`, the cleared equation in
+the classical family the ladder raises in :meth:`XFamilySpec.seeds`, the ladder
+in :meth:`XFamilySpec.ladder`, the cleared equation in
 :meth:`XFamilySpec.operator`, and the seed functional, read off the pole, in
-:func:`gram_schmidt_family`.
+:func:`gram_schmidt_family`.  Every operator-route member, one at a time or a
+whole family, comes from :func:`operator_family`.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .polycore import (
     laguerre_classical,
     laguerre_family,
     rational_nullspace,
-    rational_str,
 )
 
 
@@ -94,9 +95,22 @@ class XFamilySpec:
             return _laguerre_operator(self.k, 1, n)
         return _jacobi_operator(self.alpha, self.beta, n)
 
+    def classical(self, n: int) -> Poly:
+        """The classical L_n^(k) resp. P_n^(alpha, beta) of this family's parameters."""
+        if self.family == "laguerre":
+            return laguerre_classical(n, self.k)
+        return jacobi_classical(n, self.alpha, self.beta)
+
+    def seeds(self, n: int) -> list[Poly]:
+        """The classical family the ladder raises, degrees 0..n: L^(k-1)
+        resp. P^(alpha-1, beta+1)."""
+        if self.family == "laguerre":
+            return laguerre_family(n, self.k - 1)
+        return jacobi_family(n, self.alpha - 1, self.beta + 1)
+
     def ladder(self) -> DiffOp:
-        """The first-order ladder from the classical L^(k-1) resp.
-        P^(alpha-1, beta+1): degree nu goes to the member of index nu+1."""
+        """The first-order ladder: degree nu of :meth:`seeds` goes to the
+        member of index nu+1."""
         if self.family == "laguerre":
             return DiffOp(_laguerre_ladder_table(self.k))
         if self.alpha <= 0:
@@ -114,8 +128,7 @@ def x1_laguerre_op_route(nu: int, k: RationalLike) -> Poly:
     Applies (x+k)(d/dx - 1) - 1 to the classical L_nu^(k-1); the result has
     degree nu+1 and satisfies the exceptional equation at index n = nu+1.
     """
-    spec = XFamilySpec(family="laguerre", k=as_rational(k))
-    return spec.ladder()(laguerre_classical(nu, spec.k - 1))
+    return operator_family(XFamilySpec(family="laguerre", k=as_rational(k)), nu + 1)[nu]
 
 
 def x1_jacobi_op_route(n: int, alpha: RationalLike, beta: RationalLike) -> Poly:
@@ -127,7 +140,7 @@ def x1_jacobi_op_route(n: int, alpha: RationalLike, beta: RationalLike) -> Poly:
     constant is whatever it is -- measured, never assumed.
     """
     spec = XFamilySpec(family="jacobi", alpha=as_rational(alpha), beta=as_rational(beta))
-    return spec.ladder()(jacobi_classical(n, spec.alpha - 1, spec.beta + 1))
+    return operator_family(spec, n + 1)[n]
 
 
 def operator_family(spec: XFamilySpec, n_max: int) -> list[Poly]:
@@ -136,11 +149,7 @@ def operator_family(spec: XFamilySpec, n_max: int) -> list[Poly]:
     if n_max < 1:
         raise ValueError("exceptional families have no degree-0 member")
     ladder = spec.ladder()
-    if spec.family == "laguerre":
-        seeds = laguerre_family(n_max - 1, spec.k - 1)
-    else:
-        seeds = jacobi_family(n_max - 1, spec.alpha - 1, spec.beta + 1)
-    return [ladder(p) for p in seeds]
+    return [ladder(p) for p in spec.seeds(n_max - 1)]
 
 
 # Operator tables {(shift, order): coefficient}, one term c x^shift D^order
@@ -503,9 +512,7 @@ def family_by_route(spec: XFamilySpec, n: int, route: str):
     if n < 1:
         raise ValueError("exceptional families have no degree-0 member")
     if route == "operator":
-        if spec.family == "laguerre":
-            return x1_laguerre_op_route(n - 1, spec.k)
-        return x1_jacobi_op_route(n - 1, spec.alpha, spec.beta)
+        return operator_family(spec, n)[n - 1]
     if route == "nullspace":
         sols = _monomial_nullspace(spec.operator(n), n)
         if len(sols) != 1:
@@ -518,20 +525,21 @@ def family_by_route(spec: XFamilySpec, n: int, route: str):
     raise ValueError(f"unknown route {route!r}")
 
 
+def member_coefficients(member) -> list:
+    """Ascending coefficients: "num/den" strings of a Poly, floats of an array."""
+    if isinstance(member, Poly):
+        return member.to_json()
+    return [float(c) for c in np.asarray(member, dtype=float)]
+
+
 def emit_family_csv(members, route: str, params: str) -> str:
     """CSV table: degree, coefficient list, route tag, params.
 
-    Exact routes serialize coefficients as "num/den"; numeric routes as
-    decimals.  Coefficients within a row are space-separated, ascending power.
+    Coefficients are written as :func:`member_coefficients` gives them
+    ("num/den" or decimals), space-separated within a row.
     """
     lines = ["degree,coefficients,route,params"]
     for member in members:
-        if isinstance(member, Poly):
-            coeffs = " ".join(rational_str(c) for c in member.coeffs)
-            deg = member.degree
-        else:
-            arr = np.asarray(member, dtype=float)
-            coeffs = " ".join(repr(float(c)) for c in arr)
-            deg = len(arr) - 1
-        lines.append(f'{deg},"{coeffs}",{route},"{params}"')
+        coeffs = member_coefficients(member)
+        lines.append(f'{len(coeffs) - 1},"{" ".join(map(str, coeffs))}",{route},"{params}"')
     return "\n".join(lines) + "\n"

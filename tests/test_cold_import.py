@@ -56,11 +56,13 @@ def test_exact_core_import_loads_no_numpy():
 
 @pytest.mark.parametrize("preset,value", [(None, "1"), ("2", "2")])
 def test_cli_pins_openblas_to_one_thread_unless_set(preset, value):
+    # every entry point, not only the command line: the pin is the package's
     env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
-    seen = _fresh("import json, os\n"
-                  "from exopoly import cli\n"
-                  "print(json.dumps(os.environ['OPENBLAS_NUM_THREADS']))", **env)
-    assert seen == value
+    for entry in ("from exopoly import cli", "from exopoly import verify",
+                  "import exopoly.xop"):
+        seen = _fresh(f"import json, os\n{entry}\n"
+                      "print(json.dumps(os.environ['OPENBLAS_NUM_THREADS']))", **env)
+        assert seen == value, entry
 
 
 def test_every_exported_name_still_imports():

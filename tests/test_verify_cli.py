@@ -469,10 +469,17 @@ class TestCliPoly:
             '2,"3/1 -3/1 1/2",operator,"k=1"\n\n')
 
     def test_gram_schmidt_route_emits_decimals(self, capsys):
-        code = main(["poly", "--family", "x1-laguerre", "--k", "1", "--n", "2",
-                     "--route", "gram-schmidt", "--format", "csv"])
-        assert code == 0
-        assert "gram-schmidt" in capsys.readouterr().out
+        args = ["poly", "--family", "x1-laguerre", "--k", "1", "--n", "2",
+                "--route", "gram-schmidt", "--format"]
+        assert main([*args, "csv"]) == 0
+        csv_rows = capsys.readouterr().out.splitlines()[1:-1]
+        assert main([*args, "json"]) == 0
+        members = json.loads(capsys.readouterr().out)["members"]
+        assert len(csv_rows) == len(members) == 2
+        for row, member in zip(csv_rows, members):
+            degree, coeffs, route, _ = row.split(",", 3)
+            assert (int(degree), route) == (member["degree"], "gram-schmidt")
+            assert coeffs == '"' + " ".join(map(repr, member["coefficients"])) + '"'
 
     @pytest.mark.parametrize("route,code", [("operator", 2), ("nullspace", 0),
                                             ("gram-schmidt", 0)])
@@ -674,6 +681,19 @@ class TestCliSpectrum:
                      "--grid-n", grid_n])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: --levels must be between 1")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-2"])
+    def test_match_tol_nan_infinite_or_negative_exits_two(self, tol, monkeypatch,
+                                                          capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved before --match-tol was checked")
+
+        monkeypatch.setattr(solver, "solve_spectrum", unreachable)
+        code = main(["spectrum", "--preset", "coulomb", "--compare", "--grid-n", "4000",
+                     "--levels", "3", "--exc-level", "2", f"--match-tol={tol}"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --match-tol must be finite and >= 0")
 
     def test_csv_format(self, capsys):
         code = main(["spectrum", "--preset", "oscillator3d", "--l", "1",
