@@ -26,7 +26,6 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-import numpy.polynomial  # noqa: F401 - loaded with the module, not inside the first call
 
 from .polycore import JacobiConstants, Poly, RationalLike, as_rational
 from .solver import Grid, GridFunction, discretize, eigen_residual, rayleigh_quotient
@@ -344,9 +343,23 @@ class Morse(_Preset):
         return (2 * bf / af) * np.exp(-af * np.asarray(x, dtype=float))
 
     def default_domain(self) -> tuple[float, float]:
-        """From y = 80 to where the ground state's y^s falls to 1e-14."""
+        """From y = 80 to where the top bound level's y^(s - n) falls to 1e-8.
+
+        Level n decays as y^(s - n) towards the right end, so the top bound
+        level n (the largest n < s) decays slowest and sets the end; the
+        Dirichlet cut moves a level by about the square of what it leaves,
+        1e-16; an end sized from the ground state's faster decay would clip
+        the top level, whose grid error then grows under refinement.  The
+        end may reach y = 1e-100 at most, which needs s - n >= 0.08.
+        """
         af, bf = float(self.alpha), float(self.B)
-        y_right = 10.0 ** (-14.0 / max(float(self.s), 0.5))
+        n_top = math.ceil(self.s) - 1
+        gap = self.s - n_top
+        if gap < Fraction(8, 100):
+            raise ValueError(f"the top bound level n = {n_top} decays only as "
+                             f"y^(s - n) = y^{float(gap):.3g}: the default domain would "
+                             "pass its limit y = 1e-100 (it needs s - n >= 0.08); give --domain")
+        y_right = 10.0 ** (-8.0 / float(gap))
         ends = []
         for y in (80.0, y_right):  # y(x) = y at x = -log(alpha * y / 2B) / alpha
             ratio = af * y / (2 * bf)
@@ -576,5 +589,5 @@ def quotient_identity_check(f, k: RationalLike, grid: Grid, j: int = 1,
         a_coef, b_coef = float(rational_coeffs[0]), float(rational_coeffs[1])
     cleared = xj_quotient_residual_coeffs(coeffs, kf, j, a_coef, b_coef, float(deg - j))
     x = grid.points()
-    res = np.polynomial.polynomial.polyval(x, cleared) / (x + kf) ** (j + 2)
+    res = np.polyval(cleared[::-1], x) / (x + kf) ** (j + 2)
     return float(np.max(np.abs(res)))

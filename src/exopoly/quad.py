@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import numpy.polynomial  # noqa: F401 - loaded with the module, not inside the first call
 
 from .polycore import JacobiConstants, Poly, RationalLike, as_rational
 from .solver import tridiagonal_eigh
@@ -369,8 +368,8 @@ def _values(fs: Sequence[Union[Poly, np.ndarray]], x: np.ndarray) -> np.ndarray:
     is broadcast); anything else is read as ascending float coefficients."""
     rows = []
     for f in fs:
-        vals = f(x) if isinstance(f, Poly) else np.polynomial.polynomial.polyval(
-            x, np.asarray(f, dtype=float))
+        vals = f(x) if isinstance(f, Poly) else np.polyval(
+            np.atleast_1d(np.asarray(f, dtype=float))[::-1], x)
         rows.append(np.broadcast_to(np.asarray(vals, dtype=float), x.shape))
     return np.array(rows)
 

@@ -40,16 +40,21 @@ Inner products and norms of grid vectors are numpy reductions, not
 thousand elements to BLAS ``ddot``, which OpenBLAS runs on its thread pool;
 on a 2-vCPU machine each such call cost about 8 ms, against microseconds for
 the reduction.  Levels whose shifts come from bisection start from a fixed
-pseudo-random vector, so the levels are bit-identical from run to run.
+pseudo-random vector, drawn by ``random.Random(0).random()``, whose sequence
+Python keeps the same across versions; so the levels are bit-identical from
+run to run.  (``numpy.random`` would load OpenSSL through ``secrets``, about
+6 MB of resident memory, for this one vector.)
 
 The three LAPACK routines (``dstevd``, ``dstebz``, ``dgtsv``) come from
-scipy's compiled ``_flapack`` extension, loaded from its file under
-``scipy.__path__``.  ``import scipy.linalg`` would give the same routine
-objects, but it also loads scipy's array-API layer, which imports
-``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``; without them a cold
-``exopoly`` command is set up in 0.09 s instead of 0.21 s (2-vCPU VM, numpy
-2.4, scipy 1.17).  The loader falls back to ``scipy.linalg.lapack`` where
-the file is not found.
+scipy's compiled ``_flapack`` extension, loaded from its file under the
+package directory that ``importlib.util.find_spec("scipy")`` names, so
+neither scipy's package ``__init__`` (its test utilities, ``subprocess``,
+``sysconfig``) nor ``scipy.linalg`` runs.  ``import scipy.linalg`` would
+give the same routine objects, but it also loads scipy's array-API layer,
+which imports ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``; without
+them a cold ``exopoly`` command is set up in 0.09 s instead of 0.21 s
+(2-vCPU VM, numpy 2.4, scipy 1.17).  The loader falls back to
+``scipy.linalg.lapack`` where the file is not found.
 With the short import, the spin of OpenBLAS's worker thread at load time
 would land inside the first solve instead of inside the import; the
 command-line front end pins OpenBLAS to one thread before numpy loads
@@ -61,18 +66,22 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 from dataclasses import dataclass
 from importlib import machinery, util
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import numpy.random  # noqa: F401 - loaded with the module, not inside the first call
-import scipy
 
 
 def _flapack_file() -> Optional[str]:
-    """Path of scipy's compiled LAPACK extension, or None where it is not found."""
-    for root in scipy.__path__:
+    """Path of scipy's compiled LAPACK extension, or None where it is not found.
+
+    The package is located by ``find_spec``, which does not run scipy's
+    ``__init__``."""
+    spec = util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec is not None else None
+    for root in roots or ():
         for suffix in machinery.EXTENSION_SUFFIXES:
             path = os.path.join(root, "linalg", "_flapack" + suffix)
             if os.path.isfile(path):
@@ -273,7 +282,10 @@ def _refine(op: Tridiagonal, shifts, rayleigh: bool, starts=None,
 
     Each level runs shifted inverse iteration from its own start in
     ``starts`` (an iterable, read one vector at a time), or, without
-    ``starts``, from the same fixed pseudo-random vector.  With ``rayleigh``
+    ``starts``, from the same fixed pseudo-random vector: entries
+    ``random.Random(0).random() - 0.5``, so the result is bit-identical from
+    run to run.  A smooth or low-discrepancy start would be nearly orthogonal
+    to some smooth eigenvectors and need more solves.  With ``rayleigh``
     the shift moves to each iterate's Rayleigh quotient (Rayleigh-quotient
     iteration) and is the returned value; otherwise the shift stays put and
     only the vector is refined.  A level stops once its residual is at
@@ -289,7 +301,9 @@ def _refine(op: Tridiagonal, shifts, rayleigh: bool, starts=None,
     """
     floor = _FLOOR * _EPS * (float(np.max(np.abs(op.diag))) + 2.0 * float(np.max(np.abs(op.off))))
     if starts is None:  # the same start for every level
-        starts = (np.random.default_rng(0).random(op.n) - 0.5 for _ in shifts)
+        rng = random.Random(0)
+        start = np.array([rng.random() for _ in range(op.n)]) - 0.5
+        starts = (start.copy() for _ in shifts)
     values, residuals, vectors = [], [], []
     for shift, x in zip(shifts, starts):
         shift = float(shift)

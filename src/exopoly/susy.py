@@ -17,12 +17,12 @@ polynomial ladder operator and carries that construction in
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import numpy.random  # noqa: F401 - loaded with the module, not inside the first call
 
 from .polycore import jacobi_classical
 from .potentials import CoulombRadial, Oscillator3D, ScarfTrig
@@ -201,15 +201,18 @@ def random_smooth_functions(grid: Grid, count: int, seed: int = 0) -> list[GridF
     sin^6 envelope times a random low-order trigonometric polynomial: smooth,
     deterministic, and boundary-compatible with the Dirichlet discretization
     through the fifth derivative, so one-sided end stencils composed with the
-    Laplacian stay O(h^2) accurate instead of injecting boundary jumps.
+    Laplacian stay O(h^2) accurate instead of injecting boundary jumps.  The
+    four coefficients of each function are uniform on [-1, 1), drawn by
+    ``random.Random(seed).random()``, whose sequence Python keeps the same
+    across versions, so the functions are the same from run to run.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     x = grid.points()
     s = (x - grid.a) / (grid.b - grid.a)
     window = np.sin(np.pi * s) ** 6
     out = []
     for _ in range(count):
-        c = rng.standard_normal(4)
+        c = [2.0 * rng.random() - 1.0 for _ in range(4)]
         bump = c[0] + c[1] * s + c[2] * np.sin(2 * np.pi * s) + c[3] * np.cos(np.pi * s)
         out.append(GridFunction(grid, window * bump).normalized())
     return out

@@ -37,7 +37,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-import numpy.polynomial  # noqa: F401 - loaded with the module, not inside the first call
 
 from . import quad
 from .polycore import (
@@ -406,7 +405,7 @@ def xj_quotient_solve(k: float, j: int, n: int) -> list[dict]:
         powk = np.array([1.0])
         for p in range(size):
             fcoef[: len(powk)] += phi[p] * powk
-            powk = np.polynomial.polynomial.polymul(powk, np.array([kf, 1.0]))
+            powk = np.convolve(powk, [kf, 1.0])
         resid = xj_quotient_residual_coeffs(fcoef, kf, j, float(a_val.real), B, c)
         if np.max(np.abs(resid)) > 1e-7 * max(1.0, float(np.max(np.abs(fcoef)))):
             continue

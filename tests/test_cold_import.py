@@ -37,13 +37,33 @@ def _fresh(code: str, **env) -> dict:
     return json.loads(proc.stdout)
 
 
+# modules no command needs: scipy's package __init__, numpy.random (which
+# loads OpenSSL through secrets/hmac) and numpy's polynomial classes
+UNUSED = ["scipy", "scipy.linalg", "numpy.f2py", "numpy.random", "numpy.polynomial",
+          "_hashlib"]
+
+
 def test_cli_import_leaves_out_scipy_linalg_and_f2py():
     loaded = _fresh("import json, sys\n"
                     "from exopoly import cli\n"
                     "print(json.dumps(sorted(sys.modules)))")
     assert "exopoly.solver" in loaded and "numpy" in loaded
-    assert "scipy.linalg" not in loaded
-    assert "numpy.f2py" not in loaded
+    assert "scipy.linalg._flapack" in loaded
+    assert [name for name in UNUSED if name in loaded] == []
+
+
+def test_verify_run_loads_no_unused_module(tmp_path):
+    # the saving is not moved into the run: a whole campaign on {} loads none
+    (tmp_path / "cfg.json").write_text("{}")
+    loaded = _fresh("import contextlib, io, json, sys\n"
+                    "from exopoly import cli\n"
+                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                    f"    code = cli.main(['verify', '--config', {str(tmp_path / 'cfg.json')!r}, "
+                    f"'--out', {str(tmp_path / 'report.json')!r}])\n"
+                    "print(json.dumps([code, sorted(sys.modules)]))")
+    code, modules = loaded
+    assert code == 0
+    assert [name for name in UNUSED if name in modules] == []
 
 
 def test_exact_core_import_loads_no_numpy():

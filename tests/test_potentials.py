@@ -165,6 +165,26 @@ class TestClosedFormStates:
                                    lambda x: mo.extended_potential(x, 0), gm2)
         assert r2x < 1e-5
 
+    def test_morse_default_domain_keeps_the_top_level(self):
+        # level 3 of s = 4 decays only as y^1: an end sized from the ground
+        # state clipped it, and its gap grew from 1.5e-3 to 6.0e-3 here
+        mo = Morse(A=4, B=2)
+        gaps = []
+        for n in (16000, 64000):
+            grid = Grid(*mo.default_domain(), n)
+            (rq,) = state_rayleigh([mo.exceptional_state(3)],
+                                   lambda x: mo.extended_potential(x, 3), grid)
+            gaps.append(abs(rq - mo.exceptional_energy(3)))
+        assert gaps[1] < 1e-6
+        assert 12.0 < gaps[0] / gaps[1] < 20.0  # second order: h is 4 times smaller
+
+    @pytest.mark.parametrize("a", ["4.05", "1/100"])
+    def test_morse_default_domain_names_its_limit(self, a):
+        # s - n = 0.05 resp. 0.01: the top level's tail would pass y = 1e-100
+        with pytest.raises(ValueError, match=r"limit y = 1e-100 \(it needs s - n >= 0.08\)"):
+            Morse(A=a, B=2).default_domain()
+        assert Morse(A="4.1", B=2).default_domain()[1] < 200.0  # s - n = 0.1 is inside
+
     def test_square_integrability_stable_under_domain_growth(self):
         osc = Oscillator3D(l=1)
         st = osc.exceptional_state(2)

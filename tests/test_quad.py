@@ -83,7 +83,9 @@ class TestGolubWelsch:
 
 class TestIntegrate:
     def test_plain_exponential_mass(self):
-        assert integrate(np.ones(1), WeightSpec.laguerre(0)) == pytest.approx(1.0)
+        mass = integrate(np.ones(1), WeightSpec.laguerre(0))
+        assert mass == pytest.approx(1.0)
+        assert integrate(2.0, WeightSpec.laguerre(0)) == 2 * mass  # a scalar is a constant
 
     def test_x1_laguerre_against_adaptive_oracle(self):
         val = integrate(np.ones(1), WeightSpec.x1_laguerre(1))

@@ -127,6 +127,13 @@ class TestTridiagonalLapack:
         fallback = solver._load_lapack()
         assert fallback.__name__ == "scipy.linalg.lapack"
         assert fallback.dstebz is solver._LAPACK.dstebz
+        # the three routines the solver calls, on one small matrix
+        d, e = self._matrix(6)
+        rhs = np.arange(1.0, 7.0)
+        for call in (lambda lapack: lapack.dstevd(d, e, compute_v=0)[0],
+                     lambda lapack: lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 3, 0.0, b"E")[1],
+                     lambda lapack: lapack.dgtsv(e, d - 0.5, e, rhs)[3]):
+            assert np.array_equal(call(fallback), call(solver._LAPACK))
         monkeypatch.setattr(solver, "_LAPACK", fallback)
         for n in self.SIZES:
             self._check(n)
