@@ -38,9 +38,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "polycore": ("DiffOp", "JacobiConstants", "Poly", "as_rational",
-                 "classical_ode_residual", "jacobi_classical", "laguerre_classical",
-                 "rational_str"),
+    "polycore": ("DiffOp", "JacobiConstants", "Poly", "as_rational", "jacobi_classical",
+                 "laguerre_classical", "rational_str"),
     "quad": ("QuadratureRule", "WeightSpec", "golub_welsch", "gram_matrix", "integrate"),
     "solver": ("Grid", "GridFunction", "SpectrumReport", "discretize", "lowest_levels",
                "rayleigh_quotient", "solve_spectrum", "spectrum_compare"),
@@ -48,8 +47,7 @@ _EXPORTS = {
             "x1_jacobi_op_route", "x1_laguerre_ode_residual", "x1_laguerre_op_route",
             "xj_laguerre_ode_residual", "xj_polynomial_solve"),
     "potentials": ("EigenstateClosedForm", "Morse", "Oscillator3D", "CoulombRadial",
-                   "ScarfTrig", "make_preset", "quotient_identity_check", "ve_jacobi",
-                   "ve_laguerre"),
+                   "ScarfTrig", "make_preset", "quotient_identity_check", "ve_laguerre"),
     "susy": ("Superpotential", "apply_A", "intertwine_check", "oscillator_intertwiner",
              "partner_potentials", "superpotential_from_ground_state", "verify_claims"),
 }

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 RationalLike = Union[Fraction, int, str, float]
 
@@ -29,18 +30,20 @@ def as_rational(value) -> Fraction:
 
     Floats are read as their shortest decimal literal (0.1 -> 1/10), not as
     the underlying binary value; exact work should still prefer strings or
-    Fractions.
+    Fractions.  Other integers and reals (numpy scalars among them) are read
+    as the int or float they convert to.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational scalar")
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, numbers.Integral):
+        return Fraction(int(value))
     if isinstance(value, str):
         return Fraction(value)
-    if isinstance(value, float):
-        if not value == value or value in (float("inf"), float("-inf")):
+    if isinstance(value, numbers.Real):
+        value = float(value)
+        if not math.isfinite(value):
             raise ValueError("non-finite value is not rational")
         return Fraction(repr(value))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
@@ -191,6 +194,27 @@ class Poly:
     def monic(self) -> "Poly":
         return self.scale(1 / self.leading)
 
+    def shift(self, s: RationalLike) -> "Poly":
+        """p(x + s), by an integer Taylor shift.
+
+        With s = a/b and degree d, b^d p(x + a/b) = P(b x + a) for the
+        integer polynomial P whose coefficient i is b^(d-i) times p's; P is
+        shifted by a in integer Horner steps, and coefficient i of the result
+        is then scaled by b^i.
+        """
+        a, b = _ratio(s)
+        d = len(self._num) - 1
+        if d < 1 or not a:
+            return self
+        bpow = [1]
+        for _ in range(d):
+            bpow.append(bpow[-1] * b)
+        c = [v * bpow[d - i] for i, v in enumerate(self._num)]
+        for i in range(d):
+            for m in range(d - 1, i - 1, -1):
+                c[m] += a * c[m + 1]
+        return Poly._from_ints([v * w for v, w in zip(c, bpow)], self._den * bpow[d])
+
     def to_floats(self) -> list[float]:
         # int / int is correctly rounded, the same value float(Fraction) gives
         den = self._den
@@ -201,10 +225,6 @@ class Poly:
     def to_json(self) -> list[str]:
         """JSON form: array of "num/den" strings, ascending power."""
         return [rational_str(c) for c in self.coeffs]
-
-    @staticmethod
-    def from_json(items: Sequence[str]) -> "Poly":
-        return Poly(Fraction(s) for s in items)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly) and self._den == other._den
@@ -422,40 +442,6 @@ class JacobiConstants:
         a = (be - al) / 2
         b = (be + al) / (be - al)
         return JacobiConstants(a=a, b=b, c=b + 1 / a)
-
-
-def classical_ode_residual(g: Poly, family: str, params, eig: RationalLike) -> Poly:
-    """Exact residual of the classical Laguerre/Jacobi differential equation.
-
-    family="laguerre": params is m, residual = x g'' + (m+1-x) g' + eig*g.
-    family="jacobi":   params is (alpha, beta),
-                       residual = (1-z^2) g'' + [beta-alpha-(alpha+beta+2) z] g' + eig*g.
-
-    ``eig`` is the degree-based eigenvalue: n for Laguerre and
-    n(n+alpha+beta+1) for Jacobi.  The residual is the zero polynomial exactly
-    when g is an eigenpolynomial at that eigenvalue.
-    """
-    lam = as_rational(eig)
-    if family == "laguerre":
-        return DiffOp(_classical_laguerre_table(as_rational(params), lam))(g)
-    if family == "jacobi":
-        alpha, beta = as_rational(params[0]), as_rational(params[1])
-        return DiffOp(_classical_jacobi_table(alpha, beta, lam))(g)
-    raise ValueError(f"unknown family {family!r}")
-
-
-# Operator tables {(shift, order): coefficient}, one term c x^shift D^order
-# each: plain arithmetic on the parameters, so they also expand symbolically.
-
-def _classical_laguerre_table(m, lam) -> dict:
-    """x D^2 + (m+1-x) D + lam."""
-    return {(1, 2): 1, (0, 1): m + 1, (1, 1): -1, (0, 0): lam}
-
-
-def _classical_jacobi_table(alpha, beta, lam) -> dict:
-    """(1-z^2) D^2 + [beta-alpha-(alpha+beta+2) z] D + lam."""
-    return {(0, 2): 1, (2, 2): -1, (0, 1): beta - alpha,
-            (1, 1): -(alpha + beta + 2), (0, 0): lam}
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 
 from .polycore import JacobiConstants, Poly, RationalLike, as_rational
 from .solver import Grid, GridFunction, discretize, eigen_residual, rayleigh_quotient
-from .xop import XFamilySpec, operator_family, xj_quotient_residual_coeffs
+from .xop import XFamilySpec, operator_family, xj_quotient_residual
 
 
 class PotentialError(ValueError):
@@ -48,14 +48,6 @@ def ve_laguerre(x, k, j: int = 1):
     kf = float(k) if isinstance(k, float) else float(as_rational(k))
     x = np.asarray(x, dtype=float)
     return j / (x + kf) - j * (j + 1) * kf / (x + kf) ** 2
-
-
-def ve_jacobi(z, b: float):
-    """Rational Jacobi extension 2/(z-b) - 2b/(z-b)^2; needs |b| > 1."""
-    if abs(b) <= 1:
-        raise PotentialError(f"pole z=b={b} lies inside [-1,1]")
-    z = np.asarray(z, dtype=float)
-    return 2.0 / (z - b) - 2.0 * b / (z - b) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +335,17 @@ class Morse(_Preset):
         return (2 * bf / af) * np.exp(-af * np.asarray(x, dtype=float))
 
     def default_domain(self) -> tuple[float, float]:
-        """From y = 80 to where the top bound level's y^(s - n) falls to 1e-8.
+        """Between the y where the levels' shared envelope y^s e^(-y/2) falls
+        to 1e-8 of its peak (never inside y = 80), and where the top bound
+        level's y^(s - n) falls to 1e-8.
 
-        Level n decays as y^(s - n) towards the right end, so the top bound
-        level n (the largest n < s) decays slowest and sets the end; the
-        Dirichlet cut moves a level by about the square of what it leaves,
-        1e-16; an end sized from the ground state's faster decay would clip
-        the top level, whose grid error then grows under refinement.  The
-        end may reach y = 1e-100 at most, which needs s - n >= 0.08.
+        Level n is y^(s-n) e^(-y/2) times a polynomial of degree n, so the
+        envelope y^s e^(-y/2), peaked at y = 2s, bounds every level's left
+        tail; a deep well (large s) puts that tail beyond y = 80.  Level n
+        decays as y^(s - n) towards the right end, so the top bound level n
+        (the largest n < s) decays slowest and sets that end.  The Dirichlet
+        cut moves a level by about the square of what it leaves, 1e-16.  The
+        right end may reach y = 1e-100 at most, which needs s - n >= 0.08.
         """
         af, bf = float(self.alpha), float(self.B)
         n_top = math.ceil(self.s) - 1
@@ -361,7 +356,8 @@ class Morse(_Preset):
                              "pass its limit y = 1e-100 (it needs s - n >= 0.08); give --domain")
         y_right = 10.0 ** (-8.0 / float(gap))
         ends = []
-        for y in (80.0, y_right):  # y(x) = y at x = -log(alpha * y / 2B) / alpha
+        for y in (max(80.0, self._envelope_end()), y_right):
+            # y(x) = y at x = -log(alpha * y / 2B) / alpha
             ratio = af * y / (2 * bf)
             if ratio == 0.0:
                 raise ValueError(f"alpha: {af!r} is too small against B: {bf!r}: "
@@ -372,6 +368,20 @@ class Morse(_Preset):
             raise ValueError(f"alpha: {af!r} is too small: the default domain ends "
                              "overflow a float; give --domain")
         return (ends[0], ends[1])
+
+    def _envelope_end(self) -> float:
+        """The y > 2s where y^s e^(-y/2) is 1e-8 of its peak: with y = 2s(1+v),
+        the root of v - log(1+v) = 8 log(10)/s, by Newton steps from above
+        (the left side is convex and increasing in v, so they fall monotonically)."""
+        s = float(self.s)
+        r = 8 * math.log(10) / s
+        v = r + math.sqrt(2 * r)  # above the root, as e^z > 1 + z + z^2/2
+        for _ in range(100):
+            step = (v - math.log1p(v) - r) * (1 + v) / v
+            if not step > 0:
+                break
+            v -= step
+        return 2 * s * (1 + v)
 
     def potential(self, x):
         x = np.asarray(x, dtype=float)
@@ -558,36 +568,32 @@ def make_preset(name: str, params: dict):
 # ---------------------------------------------------------------------------
 
 def quotient_identity_check(f, k: RationalLike, grid: Grid, j: int = 1,
-                            rational_coeffs: Optional[tuple[float, float]] = None) -> float:
+                            A: Optional[RationalLike] = None) -> float:
     """Max grid residual of the quotient form of the extended Laguerre equation.
 
     Evaluates  x g'' + (k+1-x) g' + (c - A/(x+k) - B/(x+k)^2) g  with
-    g = f/(x+k)^j and c = deg(f) - j, as the cleared polynomial of
-    :func:`exopoly.xop.xj_quotient_residual_coeffs` divided by (x+k)^(j+2) on
-    the grid.  For j = 1 the coefficients default to the exceptional-family
-    values (A, B) = (1, -2k); for j >= 2 they must be supplied (see
-    :func:`exopoly.xop.xj_quotient_solve`, which also explains why no
-    n-independent choice exists).  A small residual confirms the identity for
-    this f; a wrong polynomial fails loudly.  The cancellation happens in the
-    cleared coefficients, before any grid value is formed, so a member with
-    small exact coefficients can read exactly 0; otherwise the roundoff floor
-    is about 1e-16 * max_i |r_i x^i| / (x+k)^(j+2) for the cleared polynomial
-    sum_i r_i x^i, which grows with the degree and the grid width.
+    g = f/(x+k)^j, c = deg(f) - j and B = -j(j+1)k (the only B an f with
+    f(-k) != 0 admits), as the exact cleared polynomial of
+    :func:`exopoly.xop.xj_quotient_residual` divided by (x+k)^(j+2) on the
+    grid.  For j = 1, A defaults to the exceptional-family value 1; for
+    j >= 2 it must be supplied (see :func:`exopoly.xop.xj_quotient_solve`,
+    which also explains why no n-independent choice exists).  Float input
+    (coefficients of f, A) is read as its exact binary value.  A small
+    residual confirms the identity for this f; a wrong polynomial fails
+    loudly.  The cancellation is exact, so an f that satisfies the identity
+    reads exactly 0; a float f carries its rounding into the cleared
+    polynomial sum_i r_i x^i, whose float evaluation then reads about
+    1e-16 * max_i |r_i x^i| / (x+k)^(j+2) at most.
     """
-    kf = float(k) if isinstance(k, float) else float(as_rational(k))
-    if isinstance(f, Poly):
-        coeffs = np.array(f.to_floats())
-        deg = f.degree
-    else:
-        coeffs = np.asarray(f, dtype=float)
-        deg = len(coeffs) - 1
-    if rational_coeffs is None:
+    kf = float(as_rational(k))
+    if not isinstance(f, Poly):
+        f = Poly(map(Fraction, np.asarray(f, dtype=float)))
+    if A is None:
         if j != 1:
-            raise PotentialError("j >= 2 needs explicit rational coefficients (A, B)")
-        a_coef, b_coef = 1.0, -2.0 * kf
-    else:
-        a_coef, b_coef = float(rational_coeffs[0]), float(rational_coeffs[1])
-    cleared = xj_quotient_residual_coeffs(coeffs, kf, j, a_coef, b_coef, float(deg - j))
+            raise PotentialError("j >= 2 needs an explicit coefficient A")
+        A = 1
+    elif isinstance(A, float):
+        A = Fraction(A)
     x = grid.points()
-    res = np.polyval(cleared[::-1], x) / (x + kf) ** (j + 2)
+    res = xj_quotient_residual(f, k, j, A)(x) / (x + kf) ** (j + 2)
     return float(np.max(np.abs(res)))

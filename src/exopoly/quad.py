@@ -115,17 +115,6 @@ class WeightSpec:
             return JacobiConstants.from_parameters(self.alpha, self.beta).b
         raise ValueError("only the x1 kinds have a pole")
 
-    def density(self, x: np.ndarray) -> np.ndarray:
-        """Full weight density, for reference plots and direct oracles."""
-        x = np.asarray(x, dtype=float)
-        if self.kind in ("laguerre", "x1-laguerre"):
-            base = x ** float(self.k) * np.exp(-x)
-        else:
-            base = (1 - x) ** float(self.alpha) * (1 + x) ** float(self.beta)
-        if self.is_rational_extension:
-            return base / (x - float(self.pole)) ** 2
-        return base
-
 
 @dataclass(frozen=True)
 class Recurrence:

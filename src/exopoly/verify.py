@@ -335,14 +335,11 @@ def suite_theorem(cfg: VerificationConfig) -> list[dict]:
                  {"k": str(k), "residual": neg}, neg, 1e-2,
                  "pass" if neg > 1e-2 else "fail")
 
-        sols_n2 = xop.xj_quotient_solve(float(k), 2, 2)
-        sols = sols_n2 + xop.xj_quotient_solve(float(k), 2, 3)
+        sols_n2 = xop.xj_quotient_solve(k, 2, 2)
+        sols = sols_n2 + xop.xj_quotient_solve(k, 2, 3)
         if sols:
-            worst = max(
-                quotient_identity_check(s["f"], k, grid, j=2,
-                                        rational_coeffs=(s["A"], s["B"]))
-                for s in sols
-            )
+            worst = max(quotient_identity_check(s["f"], k, grid, j=2, A=s["A"])
+                        for s in sols)
         else:
             worst = float("inf")
         rows.add(f"quotient-extension-xj[j=2,k={k}]",

@@ -20,6 +20,12 @@ coefficient tables, which stay the one home of the coefficients, are read
 once per family at two index values, and every index's operator is combined
 from those two in integers (see "operator pencils" below).
 
+The quotient identity of the codimension-j extensions, for g = f/(x+k)^j,
+is one more table, written in the shifted variable t = x + k: the exact
+:func:`xj_quotient_residual` applies it to f shifted by -k and shifts the
+result back, and :func:`xj_quotient_solve` reads its eigenproblem off the
+same operator's matrix on t-monomials.
+
 Each family fact has one home that every route reads: the Jacobi constants
 a, b, c in :class:`polycore.JacobiConstants`, the pole in ``quad.WeightSpec.pole``,
 the classical family the ladder raises in :meth:`XFamilySpec.seeds`, the ladder
@@ -322,39 +328,45 @@ def xj_index_scan(k: RationalLike, j: int, n_values, max_degree: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# quotient-compatible Xj instances (tridiagonal eigenproblem in the shifted variable)
+# quotient-compatible Xj instances (an eigenproblem in the shifted variable)
 # ---------------------------------------------------------------------------
 
-def xj_quotient_residual_coeffs(f: np.ndarray, k: float, j: int,
-                                A: float, B: float, c: float) -> np.ndarray:
-    """Coefficients of the cleared quotient identity for g = f/(x+k)^j.
+def xj_quotient_residual(f: Poly, k: RationalLike, j: int, A: RationalLike) -> Poly:
+    """The cleared quotient identity for g = f/(x+k)^j, exactly.
 
-    Returns (x+k)^(j+2) * [x g'' + (k+1-x) g' + (c - A/(x+k) - B/(x+k)^2) g]
-    as a float coefficient array; all-zero (to roundoff) iff the identity holds.
+    (x+k)^(j+2) [x g'' + (k+1-x) g' + (c - A/(x+k) - B/(x+k)^2) g] with
+    c = deg(f) - j and B = -j(j+1)k, as a polynomial in x; the zero
+    polynomial iff the identity holds.  B is not free: the t^0 coefficient
+    of the identity in t = x + k is -(kj(j+1) + B) f(-k), so an f with
+    f(-k) != 0 forces this B.  f is shifted to F(t) = f(t-k), the operator
+    of :func:`_quotient_table` applied, A t F subtracted and the result
+    shifted back.
     """
-    f = np.asarray(f, dtype=float)
-    powers = np.arange(len(f))
-    # f' and f'' padded with zeros to len(f), so every product below has a
-    # fixed length and the top coefficient of the result is exactly 0
-    fp = np.append(f[1:] * powers[1:], 0.0)
-    fpp = np.append(fp[1:] * powers[1:], 0.0)
-    t = np.array([k, 1.0])  # x + k
-    t2 = np.convolve(t, t)
-    inner1 = np.convolve(fp, t)
-    inner2 = np.convolve(fpp, t2)  # (x+k)^2 f'' - 2j (x+k) f' + j(j+1) f
-    inner2[:-1] -= 2.0 * j * inner1
-    inner2[:-2] += j * (j + 1) * f
-    inner1[:-1] -= j * f  # (x+k) f' - j f
-    out = np.convolve(np.convolve(np.array([k + 1, -1.0]), t), inner1)
-    out[1:] += inner2  # x * inner2
-    pot = c * t2
-    pot[:2] -= A * t
-    pot[0] -= B
-    out[:-1] += np.convolve(pot, f)
-    return out[:-1]
+    if j < 1:
+        raise ValueError("codimension j must be >= 1")
+    kq = as_rational(k)
+    big_f = f.shift(-kq)
+    op = _quotient_operator((kq.numerator, kq.denominator), j, f.degree - j)
+    return (op(big_f) - Poly((0, A)) * big_f).shift(kq)
 
 
-def xj_quotient_solve(k: float, j: int, n: int) -> list[dict]:
+@functools.lru_cache(maxsize=_PENCILS)
+def _quotient_operator(k: tuple[int, int], j: int, c: int) -> DiffOp:
+    """The cleared quotient operator of :func:`_quotient_table` at A = 0; k
+    comes as (numerator, denominator)."""
+    return DiffOp(_quotient_table(Fraction(*k), j, c))
+
+
+def _quotient_table(k, j, c) -> dict:
+    """The quotient identity in t = x + k, cleared by t^(j+2), at A = 0 and
+    B = -j(j+1)k, on g = F/t^j:
+    (t-k) t^2 F'' + [(2k+1-t) t^2 - 2j t (t-k)] F' + [(c+j) t^2 + j(j-2k) t] F.
+    The A term is -A t F."""
+    return {(3, 2): 1, (2, 2): -k, (3, 1): -1, (2, 1): 2 * k + 1 - 2 * j,
+            (1, 1): 2 * j * k, (2, 0): c + j, (1, 0): j * (j - 2 * k)}
+
+
+def xj_quotient_solve(k: RationalLike, j: int, n: int) -> list[dict]:
     """Polynomials f of degree n for which f/(x+k)^j solves a rational extension
     of the Laguerre equation.
 
@@ -362,9 +374,11 @@ def xj_quotient_solve(k: float, j: int, n: int) -> list[dict]:
     g = f/(x+k)^j.  Writing F(t) = f(t-k) in the shifted variable t = x+k and
     matching powers of t forces c = n-j and, whenever f(-k) != 0 (the
     non-reducible case), B = -j(j+1)k; the remaining unknowns are exactly the
-    eigenpairs of a small tridiagonal matrix, with A the eigenvalue.  Each
-    returned entry {"f": ascending monic float coefficients, "A", "B", "c"}
-    has been re-verified against the cleared identity.
+    eigenpairs of a small tridiagonal matrix, with A the eigenvalue: rows
+    t^1..t^(n+1) of the :func:`_quotient_table` operator on t^0..t^n (rows
+    t^0 and t^(n+2) vanish by the choice of B and c).  Each returned entry
+    {"f": ascending monic float coefficients, "A", "B", "c"} has been
+    re-verified against the exact :func:`xj_quotient_residual`.
 
     Solutions with f(-k) = 0 are reducible (the quotient collapses to a lower
     codimension) and are dropped.  For j = 1 the branch A = 1
@@ -374,20 +388,12 @@ def xj_quotient_solve(k: float, j: int, n: int) -> list[dict]:
     """
     if j < 1 or n < j:
         raise ValueError("need j >= 1 and n >= j")
-    kf = float(k)
-    B = -j * (j + 1) * kf
-    c = float(n - j)
+    kq = as_rational(k)
     size = n + 1
-    # coefficient matrix of the identity in the t-monomial basis; the t^(i+1)
-    # row carries the -A t F term, so A is a plain eigenvalue
-    m = np.zeros((size, size))
-    for i in range(size):
-        q = (i - j) * (i - j - 1)  # from t^2 F'' - 2j t F' + j(j+1) F on t^i
-        m[i, i] = q + (i - j) * (2 * kf + 1)
-        if i >= 1:
-            m[i - 1, i] = -kf * q - B
-        if i + 1 < size:
-            m[i + 1, i] = n - i
+    op = _quotient_operator((kq.numerator, kq.denominator), j, n - j)
+    # the t^(i+1) row carries the -A t F term, so A is a plain eigenvalue
+    m = np.array([[v / op.den for v in row]
+                  for row in op.monomial_matrix(size)[1:size + 1]])
     vals, vecs = np.linalg.eig(m)
     out = []
     for idx in np.argsort(vals.real):
@@ -400,17 +406,16 @@ def xj_quotient_solve(k: float, j: int, n: int) -> list[dict]:
         phi = phi / phi[-1]
         if abs(phi[0]) < 1e-8 * np.max(np.abs(phi)):
             continue
-        # back to f(x) = sum_p phi_p (x+k)^p
-        fcoef = np.zeros(size)
-        powk = np.array([1.0])
-        for p in range(size):
-            fcoef[: len(powk)] += phi[p] * powk
-            powk = np.convolve(powk, [kf, 1.0])
-        resid = xj_quotient_residual_coeffs(fcoef, kf, j, float(a_val.real), B, c)
-        if np.max(np.abs(resid)) > 1e-7 * max(1.0, float(np.max(np.abs(fcoef)))):
+        # back to f(x) = F(x+k), read exactly and rounded once
+        fcoef = np.array(Poly(map(Fraction, phi)).shift(kq).to_floats())
+        a_real = float(a_val.real)
+        resid = xj_quotient_residual(Poly(map(Fraction, fcoef)), kq, j, Fraction(a_real))
+        if max(map(abs, resid.to_floats()), default=0.0) > 1e-7 * max(
+                1.0, float(np.max(np.abs(fcoef)))):
             continue
-        if not any(abs(e["A"] - a_val.real) < 1e-9 for e in out):
-            out.append({"f": fcoef, "A": float(a_val.real), "B": B, "c": c})
+        if not any(abs(e["A"] - a_real) < 1e-9 for e in out):
+            out.append({"f": fcoef, "A": a_real, "B": float(-j * (j + 1) * kq),
+                        "c": float(n - j)})
     return out
 
 

@@ -3,13 +3,14 @@
 Deliberately self-contained: the classical-polynomial oracle solves the
 differential equation's coefficient system directly with its own rational
 Gaussian elimination, so it shares no code path with the recurrence-based
-generation it is used to check.
+generation it is used to check.  The classical equations' residuals apply
+their coefficient tables with the package's ``DiffOp``.
 """
 
 from fractions import Fraction
 import math
 
-from exopoly.polycore import Poly
+from exopoly.polycore import DiffOp, Poly
 
 X = Poly.x()
 
@@ -102,6 +103,40 @@ def jacobi_by_ode_system(n, alpha, beta):
         target *= (a + i) / i
     scale = target / value_at_1
     return [c * scale for c in vec]
+
+
+def classical_ode_residual(g: Poly, family: str, params, eig) -> Poly:
+    """Exact residual of the classical Laguerre/Jacobi differential equation.
+
+    family="laguerre": params is m, residual = x g'' + (m+1-x) g' + eig*g.
+    family="jacobi":   params is (alpha, beta),
+                       residual = (1-z^2) g'' + [beta-alpha-(alpha+beta+2) z] g' + eig*g.
+
+    ``eig`` is the degree-based eigenvalue: n for Laguerre and
+    n(n+alpha+beta+1) for Jacobi.  The residual is the zero polynomial exactly
+    when g is an eigenpolynomial at that eigenvalue.
+    """
+    lam = Fraction(eig)
+    if family == "laguerre":
+        return DiffOp(classical_laguerre_table(Fraction(params), lam))(g)
+    if family == "jacobi":
+        alpha, beta = Fraction(params[0]), Fraction(params[1])
+        return DiffOp(classical_jacobi_table(alpha, beta, lam))(g)
+    raise ValueError(f"unknown family {family!r}")
+
+
+# Operator tables {(shift, order): coefficient}, one term c x^shift D^order
+# each: plain arithmetic on the parameters, so they also expand symbolically.
+
+def classical_laguerre_table(m, lam) -> dict:
+    """x D^2 + (m+1-x) D + lam."""
+    return {(1, 2): 1, (0, 1): m + 1, (1, 1): -1, (0, 0): lam}
+
+
+def classical_jacobi_table(alpha, beta, lam) -> dict:
+    """(1-z^2) D^2 + [beta-alpha-(alpha+beta+2) z] D + lam."""
+    return {(0, 2): 1, (2, 2): -1, (0, 1): beta - alpha,
+            (1, 1): -(alpha + beta + 2), (0, 0): lam}
 
 
 def laguerre_moment(k: float, p: int) -> float:

@@ -101,8 +101,8 @@ def test_criterion_05_quotient_identity_with_codimension_two():
         sols = xop.xj_quotient_solve(kf, 2, 2) + xop.xj_quotient_solve(kf, 2, 3)
         found &= bool(sols)
         for s in sols:
-            worst2 = max(worst2, quotient_identity_check(
-                s["f"], kf, grid, j=2, rational_coeffs=(s["A"], s["B"])))
+            worst2 = max(worst2, quotient_identity_check(s["f"], kf, grid, j=2,
+                                                         A=s["A"]))
     negative = min(
         quotient_identity_check(laguerre_classical(2, k), k, grid) for k in K_GRID
     )

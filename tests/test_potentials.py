@@ -17,10 +17,9 @@ from exopoly.potentials import (
     make_preset,
     quotient_identity_check,
     state_rayleigh,
-    ve_jacobi,
     ve_laguerre,
 )
-from exopoly.solver import Grid
+from exopoly.solver import Grid, lowest_levels
 from exopoly.xop import x1_jacobi_op_route, x1_laguerre_op_route, xj_quotient_solve
 
 
@@ -36,16 +35,6 @@ class TestExtensionTerms:
             k = float(rng.uniform(0.2, 5))
             expect = 1 / (x + k) - 2 * k / (x + k) ** 2
             assert ve_laguerre(x, k, 1) == pytest.approx(expect, rel=1e-14)
-
-    def test_jacobi_point_values_and_bound(self):
-        assert ve_jacobi(0.0, 2.0) == pytest.approx(-2.0)
-        assert ve_jacobi(1.0, 2.0) == pytest.approx(-6.0)
-        z = np.linspace(-1, 1, 20001)
-        assert np.max(np.abs(ve_jacobi(z, 2.0))) == pytest.approx(6.0)
-
-    def test_jacobi_pole_guard(self):
-        with pytest.raises(PotentialError):
-            ve_jacobi(0.0, 0.5)
 
 
 class TestPrintedForms:
@@ -178,6 +167,17 @@ class TestClosedFormStates:
         assert gaps[1] < 1e-6
         assert 12.0 < gaps[0] / gaps[1] < 20.0  # second order: h is 4 times smaller
 
+    def test_morse_default_domain_holds_a_deep_well(self):
+        # s = 20: the levels' envelope y^20 e^(-y/2) peaks at y = 40, so a
+        # left end at y = 80 clipped them and their errors did not shrink
+        mo = Morse(A=20, B=2)
+        assert mo.default_domain()[0] == pytest.approx(-3.4109, abs=1e-4)
+        errors = []
+        for n in (16000, 64000):
+            levels = lowest_levels(mo.potential, Grid(*mo.default_domain(), n), 20)
+            errors.append([abs(levels[i] - mo.classical_energy(i)) for i in (0, 9, 19)])
+        assert all(fine < coarse / 8 for coarse, fine in zip(*errors)), errors
+
     @pytest.mark.parametrize("a", ["4.05", "1/100"])
     def test_morse_default_domain_names_its_limit(self, a):
         # s - n = 0.05 resp. 0.01: the top level's tail would pass y = 1e-100
@@ -238,6 +238,11 @@ class TestPresetRegistry:
                        make_preset("morse", {"A": 4, "B": 2, "energy_shift": given})):
             assert type(preset.energy_shift) is float and preset.energy_shift == stored
 
+    def test_numpy_scalars_accepted(self):
+        assert Oscillator3D(energy_shift=np.float64(9.0)).energy_shift == 9.0
+        assert ScarfTrig(A=np.int64(3), B=1).A == 3
+        assert Morse(A=np.float64(4.5), B=2).A == F(9, 2)
+
     @pytest.mark.parametrize("params", [{"A": "x", "B": 2}, {"A": 4, "B": 2, "energy_shift": "x"},
                                         {"A": 4, "B": 2, "energy_shift": True},
                                         {"A": 4, "B": 2, "energy_shift": None}])
@@ -267,8 +272,7 @@ class TestQuotientIdentity:
     def test_j2_instances(self):
         grid = Grid(0.01, 40.0, 2000)
         for s in xj_quotient_solve(2.0, 2, 3):
-            res = quotient_identity_check(s["f"], 2.0, grid, j=2,
-                                          rational_coeffs=(s["A"], s["B"]))
+            res = quotient_identity_check(s["f"], 2.0, grid, j=2, A=s["A"])
             assert res < 1e-8
 
     def test_j2_requires_coefficients(self):

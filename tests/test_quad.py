@@ -206,15 +206,6 @@ class TestWeightSpec:
         with pytest.raises(ValueError):
             WeightSpec.x1_laguerre(0)
 
-    def test_density_matches_kind(self):
-        w = WeightSpec.x1_laguerre(F(2))
-        x = np.array([0.5, 1.0, 3.0])
-        assert w.density(x) == pytest.approx(x**2 * np.exp(-x) / (x + 2) ** 2)
-        wj = WeightSpec.x1_jacobi(F(1), F(2))
-        z = np.array([-0.5, 0.0, 0.5])
-        b = float(wj.pole)
-        assert wj.density(z) == pytest.approx((1 - z) * (1 + z) ** 2 / (z - b) ** 2)
-
 
 def _mp(q: F):
     return mpmath.mpf(q.numerator) / q.denominator

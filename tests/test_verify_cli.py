@@ -144,6 +144,13 @@ class TestCampaign:
         assert "x1-laguerre-eigenrelation[k=1]" in ids
         assert "quotient-extension-x1[k=1]" in ids
 
+    def test_quotient_identity_is_exact_at_a_non_dyadic_k(self):
+        # k = 1/3 has no float; the cleared identity is exact all the same
+        cfg = VerificationConfig.from_dict({"suites": ["theorem"], "laguerre_k": ["1/3"]})
+        rows = {c["id"]: c for c in suite_theorem(cfg)}
+        assert rows["quotient-extension-x1[k=1/3]"]["metric"] == 0.0
+        assert rows["quotient-extension-xj[j=2,k=1/3]"]["status"] == "pass"
+
     def test_xop_suite_id_set(self):
         cfg = VerificationConfig.from_dict(
             {"suites": ["xop"], "laguerre_k": ["7/2"],
@@ -439,7 +446,7 @@ class TestCliPoly:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         member = data["members"][0]
-        assert Poly.from_json(member["coefficients"]) == Poly((18, -6))
+        assert Poly(map(Fraction, member["coefficients"])) == Poly((18, -6))
 
     def test_missing_parameter_exits_two(self):
         assert main(["poly", "--family", "x1-laguerre", "--n", "2"]) == 2

@@ -30,7 +30,7 @@ from exopoly.xop import (
     xj_index_scan,
     xj_laguerre_ode_residual,
     xj_polynomial_solve,
-    xj_quotient_residual_coeffs,
+    xj_quotient_residual,
     xj_quotient_solve,
     _jacobi_ladder_table,
     _jacobi_table,
@@ -162,8 +162,8 @@ class TestXjEquation:
             sols = xj_quotient_solve(k, 2, 3)
             assert sols, "expected nontrivial codimension-2 instances"
             for s in sols:
-                res = xj_quotient_residual_coeffs(s["f"], k, 2, s["A"], s["B"], s["c"])
-                assert np.max(np.abs(res)) < 1e-9
+                res = xj_quotient_residual(Poly(map(F, s["f"])), k, 2, F(s["A"]))
+                assert max(map(abs, res.to_floats())) < 1e-9
                 assert s["B"] == pytest.approx(-6 * k)
                 assert s["c"] == pytest.approx(1.0)
 
@@ -172,6 +172,13 @@ class TestXjEquation:
         a3 = sorted(s["A"] for s in xj_quotient_solve(1.0, 2, 3))
         assert not np.isclose(a2, 2.0).any()  # the printed value j=2 never occurs
         assert min(abs(x - y) for x in a2 for y in a3) > 0.2
+
+    def test_quotient_solve_j2_coefficients_at_k1(self):
+        # the A values are the roots of A(A^2+A-14) at n = 2 and of
+        # (A-3)(A^3+A^2-30A-24) at n = 3 (sympy, from the exact matrix)
+        for n, char in ((2, [1, 1, -14, 0]), (3, np.polymul([1, -3], [1, 1, -30, -24]))):
+            found = sorted(s["A"] for s in xj_quotient_solve(F(1), 2, n))
+            assert found == pytest.approx(sorted(np.roots(char).real), abs=1e-9)
 
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -183,45 +190,31 @@ class TestQuotientIdentityAgainstSympy:
     xj_quotient_solve filter and the grid check, against sympy's expansion."""
 
     @given(st.lists(small_rationals, min_size=1, max_size=6), positive_k,
-           st.integers(min_value=1, max_value=3),
-           small_rationals, small_rationals, small_rationals)
+           st.integers(min_value=1, max_value=3), small_rationals)
     @settings(max_examples=40, deadline=None)  # sympy is the slow side
-    def test_cleared_coefficients(self, f, k, j, A, B, c):
+    def test_cleared_coefficients(self, f, k, j, A):
         x = sympy.Symbol("x")
-        q = [sympy.Rational(v.numerator, v.denominator) for v in (k, A, B, c)]
-        kq, aq, bq, cq = q
+        f = Poly(f)
+        kq, aq = (sympy.Rational(v.numerator, v.denominator) for v in (k, A))
+        bq, cq = -j * (j + 1) * kq, f.degree - j
         g = sum(sympy.Rational(v.numerator, v.denominator) * x**i
-                for i, v in enumerate(f)) / (x + kq) ** j
+                for i, v in enumerate(f.coeffs)) / (x + kq) ** j
         clear = (x + kq) ** (j + 2)
         # the bracket's three terms, each cleared to a polynomial on its own
-        terms = [sympy.Poly(sympy.cancel(clear * t), x).all_coeffs()[::-1]
-                 for t in (x * g.diff(x, 2), (kq + 1 - x) * g.diff(x),
-                           (cq - aq / (x + kq) - bq / (x + kq) ** 2) * g)]
-        size = max(map(len, terms))
-        terms = [t + [0] * (size - len(t)) for t in terms]
-        exact = np.array([float(sum(col)) for col in zip(*terms)])
-        ours = xj_quotient_residual_coeffs([float(v) for v in f], float(k), j,
-                                           float(A), float(B), float(c))
-        assert np.all(ours[size:] == 0)
-        ours = np.concatenate([ours, np.zeros(max(0, size - len(ours)))])[:size]
-        # relative to the largest term, so an identity that cancels to 0 is held
-        # to the same standard as one that does not
-        scale = max(float(sum(abs(v) for v in col)) for col in zip(*terms))
-        assert np.max(np.abs(ours - exact)) <= 1e-12 * scale
+        exact = sum(sympy.cancel(clear * t)
+                    for t in (x * g.diff(x, 2), (kq + 1 - x) * g.diff(x),
+                              (cq - aq / (x + kq) - bq / (x + kq) ** 2) * g))
+        coeffs = sympy.Poly(exact, x).all_coeffs()[::-1]
+        assert xj_quotient_residual(f, k, j, A) == Poly(F(int(v.p), int(v.q)) for v in coeffs)
 
-    @given(st.lists(small_rationals, min_size=1, max_size=6), positive_k,
-           st.integers(min_value=1, max_value=8))
+    @given(st.lists(small_rationals, min_size=1, max_size=6), positive_k)
     @settings(max_examples=40, deadline=None)
-    def test_j1_quotient_is_the_x1_equation(self, f, k, n):
-        # at A = 1, B = -2k, c = n-1 the cleared j=1 quotient identity is
-        # -(x+k) times the cleared X1 residual, for every f
-        exact = (-Poly((k, 1)) * x1_laguerre_ode_residual(Poly(f), k, n)).to_floats()
-        ours = xj_quotient_residual_coeffs([float(v) for v in f], float(k), 1,
-                                           1.0, -2.0 * float(k), float(n - 1))
-        size = max(len(exact), len(ours))
-        exact, ours = (np.concatenate([a, np.zeros(size - len(a))])
-                       for a in (np.asarray(exact, float), np.asarray(ours, float)))
-        assert np.max(np.abs(ours - exact)) <= 1e-12 * max(1.0, np.max(np.abs(exact)))
+    def test_j1_quotient_is_the_x1_equation(self, f, k):
+        # at A = 1 the cleared j=1 quotient identity of a degree-n f is
+        # -(x+k) times the cleared X1 residual at index n, for every f
+        f = Poly(f)
+        expect = -Poly((k, 1)) * x1_laguerre_ode_residual(f, k, f.degree)
+        assert xj_quotient_residual(f, k, 1, 1) == expect
 
 
 class TestGramSchmidtRoute:
