@@ -91,6 +91,15 @@ class Poly:
         out._set(nums, den)
         return out
 
+    @classmethod
+    def from_floats(cls, values: Iterable[float]) -> "Poly":
+        """The polynomial whose coefficients are the exact binary values of the
+        floats ``values`` (0.5 -> 1/2, 0.1 -> 3602879701896397/2^55), where
+        the constructor reads a float as its shortest decimal literal."""
+        pairs = [float(v).as_integer_ratio() for v in values]
+        den = math.lcm(*(d for _, d in pairs)) if pairs else 1
+        return cls._from_ints([n * (den // d) for n, d in pairs], den)
+
     @staticmethod
     def zero() -> "Poly":
         return Poly(())

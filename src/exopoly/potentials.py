@@ -580,14 +580,15 @@ def quotient_identity_check(f, k: RationalLike, grid: Grid, j: int = 1,
     which also explains why no n-independent choice exists).  Float input
     (coefficients of f, A) is read as its exact binary value.  A small
     residual confirms the identity for this f; a wrong polynomial fails
-    loudly.  The cancellation is exact, so an f that satisfies the identity
-    reads exactly 0; a float f carries its rounding into the cleared
-    polynomial sum_i r_i x^i, whose float evaluation then reads about
-    1e-16 * max_i |r_i x^i| / (x+k)^(j+2) at most.
+    loudly.  The cleared polynomial is exact, so an f that satisfies the
+    identity reads exactly 0 for every k; an f or A that satisfies it only to
+    rounding leaves a small cleared polynomial sum_i r_i x^i, which the grid
+    values measure, and their float evaluation adds about
+    1e-16 * max_i |r_i x^i| / (x+k)^(j+2).
     """
     kf = float(as_rational(k))
     if not isinstance(f, Poly):
-        f = Poly(map(Fraction, np.asarray(f, dtype=float)))
+        f = Poly.from_floats(f)
     if A is None:
         if j != 1:
             raise PotentialError("j >= 2 needs an explicit coefficient A")

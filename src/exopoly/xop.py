@@ -407,9 +407,9 @@ def xj_quotient_solve(k: RationalLike, j: int, n: int) -> list[dict]:
         if abs(phi[0]) < 1e-8 * np.max(np.abs(phi)):
             continue
         # back to f(x) = F(x+k), read exactly and rounded once
-        fcoef = np.array(Poly(map(Fraction, phi)).shift(kq).to_floats())
+        fcoef = np.array(Poly.from_floats(phi).shift(kq).to_floats())
         a_real = float(a_val.real)
-        resid = xj_quotient_residual(Poly(map(Fraction, fcoef)), kq, j, Fraction(a_real))
+        resid = xj_quotient_residual(Poly.from_floats(fcoef), kq, j, Fraction(a_real))
         if max(map(abs, resid.to_floats()), default=0.0) > 1e-7 * max(
                 1.0, float(np.max(np.abs(fcoef)))):
             continue

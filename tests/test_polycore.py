@@ -97,6 +97,9 @@ class TestPolyArithmetic:
         assert as_rational("7/2") == F(7, 2)
         with pytest.raises(TypeError):
             as_rational(True)
+        # from_floats reads the binary value instead
+        assert Poly.from_floats([0.1, np.float64(0.5)]) == Poly((F(0.1), F(1, 2)))
+        assert Poly((0.1,)) == Poly((F(1, 10),))
 
     def test_numpy_scalars_read_as_python_numbers(self):
         # numpy 2 prints np.float64(0.5) as its repr, which is no literal
