@@ -162,7 +162,7 @@ class TestXjEquation:
             sols = xj_quotient_solve(k, 2, 3)
             assert sols, "expected nontrivial codimension-2 instances"
             for s in sols:
-                res = xj_quotient_residual(Poly(map(F, s["f"])), k, 2, F(s["A"]))
+                res = xj_quotient_residual(Poly.from_floats(s["f"]), k, 2, F(s["A"]))
                 assert max(map(abs, res.to_floats())) < 1e-9
                 assert s["B"] == pytest.approx(-6 * k)
                 assert s["c"] == pytest.approx(1.0)
