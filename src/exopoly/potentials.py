@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .polycore import JacobiConstants, Poly, RationalLike, as_rational
-from .solver import Grid, GridFunction, discretize, eigen_residual, rayleigh_quotient
+from .solver import Grid, GridFunction, discretize, rayleigh_quotient
 from .xop import XFamilySpec, operator_family, xj_quotient_residual
 
 
@@ -89,13 +89,6 @@ class EigenstateClosedForm:
     def on_grid(self, grid: Grid, normalize: bool = True) -> GridFunction:
         gf = GridFunction(grid, self(grid.points()))
         return gf.normalized() if normalize else gf
-
-
-def hamiltonian_residual(state: EigenstateClosedForm, potential, grid: Grid) -> float:
-    """Relative grid residual ||(H - E) psi|| / ||psi|| of a closed-form state."""
-    op = discretize(potential, grid)
-    psi = state.on_grid(grid, normalize=False)
-    return eigen_residual(op, state.energy, psi.values)
 
 
 def state_rayleigh(states: Sequence[EigenstateClosedForm], potential,

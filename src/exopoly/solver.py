@@ -22,18 +22,28 @@ Symmetric Eigenvalue Problem*, SIAM 1998, ch. 4).  Bisection runs only at the
 bottom, on a grid too small to coarsen (1/16 of its points would leave fewer
 than 8 a level, or fewer than 16), e.g. 250 points under a 64000-point grid.
 Every refined grid's levels are accepted only when the intervals
-[rho - r, rho + r] are disjoint and ascending and one Sturm count (LAPACK
-``dstebz`` with an infinite tolerance, which only counts) finds exactly
-``count`` eigenvalues up to the top one: then each interval holds exactly
-one of the lowest ``count`` eigenvalues.  Otherwise (a coarser grid that
-misses a state, near-degenerate levels, a potential that is singular at a
-coarser node) the levels on that grid come from bisection on its own
+[rho - r, rho + r] are disjoint and ascending and one Sturm count finds
+exactly ``count`` eigenvalues up to the top one: then each interval holds
+exactly one of the lowest ``count`` eigenvalues.  Otherwise (a coarser grid
+that misses a state, near-degenerate levels, a potential that is singular
+at a coarser node) the levels on that grid come from bisection on its own
 points, and the grid above starts from those.  At 64000 points (2 vCPU,
 median of 7) the oscillator's 3 levels take 18 ms against 63 ms by
 full-grid bisection, Scarf's 4 levels 22 ms against 74 ms; ``exopoly
 spectrum`` reads its residuals from the same iterates, 19 ms against
 83-102 ms for bisection plus LAPACK ``stein`` vectors, which run threaded
 BLAS.
+
+The Sturm count is the inertia of T - upper: the number of non-positive
+pivots of its LDL^T factorization, one sweep down the matrix.  LAPACK
+``dpttrf`` runs the sweep and stops at the first pivot <= 0; the count
+eliminates the next row past that pivot by hand (a zero pivot taken as
+-pivmin, as LAPACK's bisection ``dlaebz`` takes it) and restarts ``dpttrf``
+there, once per non-positive pivot.  Its only work arrays are the two
+copies it factors in place, d - upper and e.  At 64000 points it takes
+0.70 ms against 2.72 ms for a ``dstebz`` count by value (best of 30, 2-vCPU
+VM), which allocates 5n doubles and 5n integers (3.84 MB) to return one
+integer.
 
 Inner products and norms of grid vectors are numpy reductions, not
 ``np.dot``/``np.linalg.norm``.  Those hand vectors of more than about ten
@@ -45,20 +55,28 @@ Python keeps the same across versions; so the levels are bit-identical from
 run to run.  (``numpy.random`` would load OpenSSL through ``secrets``, about
 6 MB of resident memory, for this one vector.)
 
-The three LAPACK routines (``dstevd``, ``dstebz``, ``dgtsv``) come from
-scipy's compiled ``_flapack`` extension, loaded from its file under the
-package directory that ``importlib.util.find_spec("scipy")`` names, so
-neither scipy's package ``__init__`` (its test utilities, ``subprocess``,
-``sysconfig``) nor ``scipy.linalg`` runs.  ``import scipy.linalg`` would
-give the same routine objects, but it also loads scipy's array-API layer,
-which imports ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``; without
-them a cold ``exopoly`` command is set up in 0.09 s instead of 0.21 s
-(2-vCPU VM, numpy 2.4, scipy 1.17).  The loader falls back to
-``scipy.linalg.lapack`` where the file is not found.
+The four LAPACK routines (``dstevd``, ``dstebz``, ``dgtsv``, ``dpttrf``)
+come from scipy's compiled ``_flapack`` extension, loaded from its file
+under the package directory that ``importlib.util.find_spec("scipy")``
+names, so neither scipy's package ``__init__`` (its test utilities,
+``subprocess``, ``sysconfig``) nor ``scipy.linalg`` runs.  ``import
+scipy.linalg`` would give the same routine objects, but it also loads
+scipy's array-API layer, which imports ``numpy.f2py``, ``numpy.testing``
+and ``numpy.ma``; without them a cold ``exopoly`` command is set up in
+0.09 s instead of 0.21 s (2-vCPU VM, numpy 2.4, scipy 1.17).  The loader
+falls back to ``scipy.linalg.lapack`` where the file is not found.
 With the short import, the spin of OpenBLAS's worker thread at load time
 would land inside the first solve instead of inside the import; the
-command-line front end pins OpenBLAS to one thread before numpy loads
+package's ``__init__`` pins OpenBLAS to one thread before numpy loads
 (nothing here runs a threaded BLAS kernel).
+
+Memory: the solves allocate their grid-sized work arrays afresh on every
+call, 512 KB each at 64000 points.  Under glibc's starting malloc thresholds
+each one is mapped fresh and unmapped on free, so all its pages fault in
+again: about 1.5 us a 4 KiB page, map and unmap included (2-vCPU VM).  The
+command-line front end (:mod:`exopoly.cli`) starts glibc at the ceiling of
+its sliding thresholds, so the freed arrays are reused; the solver, like any
+library import, leaves the allocator alone.
 """
 
 from __future__ import annotations
@@ -250,19 +268,37 @@ _COARSE = 16  # a grid starts from the levels on 1/_COARSE of its points
 _STEPS = 4  # shifted solves per level, at most
 _FLOOR = 8.0  # a residual below _FLOOR * eps * ||T|| is at round-off
 _EPS = float(np.finfo(float).eps)
+_SAFEMIN = float(np.finfo(float).tiny)  # LAPACK's safe minimum, dlamch("S")
+_MAX = float(np.finfo(float).max)
 
 
 def _sturm_count(op: Tridiagonal, upper: float) -> int:
-    """Number of eigenvalues <= ``upper``: LAPACK dstebz on (lower bound, upper]
-    with an infinite tolerance, which counts and stops."""
-    lower = float(np.min(op.diag)) - 2.0 * float(np.max(np.abs(op.off)))
-    lower -= abs(lower) + 1.0  # strictly below the Gershgorin bound
-    if upper <= lower:
-        return 0
-    m, *_, info = _LAPACK.dstebz(op.diag, op.off, 1, lower, upper, 0, 0, math.inf, b"B")
-    if info:
-        raise SolverError(f"Sturm count failed (dstebz info={info})")
-    return int(m)
+    """Number of eigenvalues <= ``upper``: the non-positive pivots of the
+    LDL^T factorization of T - upper, counted in one sweep.
+
+    LAPACK ``dpttrf`` factors until it meets a pivot <= 0.  The sweep counts
+    that pivot, eliminates the next row past it and restarts ``dpttrf`` on
+    the rest; a zero pivot is taken as -pivmin, ``dstebz``'s pivmin, as
+    LAPACK's bisection does.  A one-row tail is counted here (the wrapper
+    refuses an empty off-diagonal)."""
+    d = op.diag - upper
+    e = op.off.copy()
+    emax = max(1.0, float(e.max()), -float(e.min())) if e.size else 1.0
+    pivmin = min(_SAFEMIN * emax * emax, _MAX)  # no overflow where e^2 would
+    n, k, count = d.size, 0, 0
+    while n - k > 1:
+        *_, info = _LAPACK.dpttrf(d[k:], e[k:], overwrite_d=1, overwrite_e=1)
+        if info < 0:
+            raise SolverError(f"Sturm count failed (dpttrf info={info})")
+        if info == 0:
+            return count
+        count += 1
+        k += info  # the first row past the pivot it stopped at
+        if k == n:
+            return count
+        piv, ek = float(d[k - 1]) or -pivmin, float(e[k - 1])
+        d[k] -= ek / piv * ek  # Python floats: an overflow is inf, as in dpttrf
+    return count + int(d[k] <= 0.0)
 
 
 def _shifted_solve(op: Tridiagonal, shift: float, x: np.ndarray) -> np.ndarray:
@@ -381,12 +417,6 @@ def lowest_levels(potential: Callable[[np.ndarray], np.ndarray], grid: Grid,
     The same numbers as :func:`solve_spectrum`'s, without residuals.
     """
     return _lowest(potential, grid, count)[0]
-
-
-def eigen_residual(op: Tridiagonal, value: float, vec: np.ndarray) -> float:
-    """Discrete residual ||T psi - E psi|| / ||psi|| (norm-independent)."""
-    r = op.matvec(vec) - value * vec
-    return math.sqrt(_dot(r, r) / _dot(vec, vec))
 
 
 def rayleigh_quotient(op: Tridiagonal, psi) -> float:

@@ -201,3 +201,14 @@ def eigen_lowest(op, count, grid=None):
             vec = GridFunction(grid, vec / math.sqrt(grid.h))
         pairs.append((float(w[i]), vec))
     return pairs
+
+
+
+def hamiltonian_residual(state, potential, grid) -> float:
+    """Relative grid residual ||(H - E) psi|| / ||psi|| of a closed-form state,
+    with H the solver's 3-point discretization (norm-independent)."""
+    from exopoly.solver import discretize
+
+    psi = state.on_grid(grid, normalize=False).values
+    r = discretize(potential, grid).matvec(psi) - state.energy * psi
+    return math.sqrt(math.fsum(r * r) / math.fsum(psi * psi))

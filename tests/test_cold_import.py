@@ -1,9 +1,15 @@
-"""What a cold `exopoly` command imports, and the package's lazy exports."""
+"""What a cold `exopoly` command imports, how it sets up glibc's allocator,
+and the package's lazy exports."""
 
+import contextlib
+import ctypes
+import io
 import json
 import os
+import platform
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -98,3 +104,76 @@ def test_every_exported_name_still_imports():
     # a submodule is still an attribute of the package after a bare import
     assert _fresh("import json, exopoly\n"
                   "print(json.dumps(exopoly.quad.__name__))") == "exopoly.quad"
+
+
+def _verify(tmp_path) -> int:
+    from exopoly import cli
+
+    (tmp_path / "cfg.json").write_text(json.dumps({"suites": ["xop"], "n_max": 2,
+                                                  "n_eigen_max": 2}))
+    with contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(["verify", "--config", str(tmp_path / "cfg.json"),
+                         "--out", str(tmp_path / "report.json")])
+
+
+def test_cli_pins_malloc_thresholds(monkeypatch, tmp_path):
+    # M_MMAP_THRESHOLD (-3) at 32 MiB, M_TRIM_THRESHOLD (-1) at twice that
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    assert _verify(tmp_path) == 0
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+@pytest.mark.parametrize("cdll", ["no mallopt", "OSError"])
+def test_cli_runs_without_mallopt(monkeypatch, tmp_path, cdll):
+    def load(name):
+        if cdll == "OSError":
+            raise OSError("no process handle")
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", load)
+    assert _verify(tmp_path) == 0
+
+
+def test_library_imports_keep_the_host_allocator():
+    # the package and its modules call no mallopt; the command line does
+    calls = _fresh("import ctypes, contextlib, io, json\n"
+                   "calls = []\n"
+                   "class Recording(ctypes.CDLL):\n"
+                   "    def __getattr__(self, name):\n"
+                   "        calls.append(name)\n"
+                   "        return super().__getattr__(name)\n"
+                   "ctypes.CDLL = Recording\n"
+                   "import exopoly, exopoly.verify, exopoly.solver\n"
+                   "imported = list(calls)\n"
+                   "from exopoly import cli\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    cli.main(['quad', '--rule', 'legendre', '--n', '3'])\n"
+                   "print(json.dumps([imported, calls]))")
+    imported, after_main = calls
+    assert "mallopt" not in imported
+    assert "mallopt" in after_main
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc only")
+def test_fine_grid_compare_keeps_its_freed_arrays():
+    # two 64000-point solves: each grid array is 512 KB, above glibc's
+    # starting mmap threshold, so without the pin every one is mapped fresh
+    # and faults in page by page (about 5,800 minor faults, against 1,700)
+    faults = _fresh("import contextlib, io, json, resource\n"
+                    "from exopoly import cli\n"
+                    "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                    "params = json.dumps({'A': 3, 'B': 1})\n"
+                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                    "    code = cli.main(['spectrum', '--preset', 'scarf', '--params', params,\n"
+                    "                     '--grid-n', '64000', '--compare'])\n"
+                    "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                    "print(json.dumps([code, after - before]))")
+    code, minflt = faults
+    assert code == 0
+    assert minflt < 3000

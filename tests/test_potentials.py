@@ -13,7 +13,6 @@ from exopoly.potentials import (
     Oscillator3D,
     PotentialError,
     ScarfTrig,
-    hamiltonian_residual,
     make_preset,
     quotient_identity_check,
     state_rayleigh,
@@ -21,6 +20,8 @@ from exopoly.potentials import (
 )
 from exopoly.solver import Grid, lowest_levels
 from exopoly.xop import x1_jacobi_op_route, x1_laguerre_op_route, xj_quotient_solve
+
+from oracles import hamiltonian_residual
 
 
 class TestExtensionTerms:

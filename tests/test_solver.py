@@ -17,7 +17,6 @@ from exopoly.solver import (
     Tridiagonal,
     convergence_order,
     discretize,
-    eigen_residual,
     lowest_levels,
     rayleigh_quotient,
     solve_spectrum,
@@ -219,6 +218,90 @@ class TestCoarseToFine:
         assert solver._sturm_count(op, -1.0) == 0
         assert solver._sturm_count(op, np.max(op.diag) + 2 * abs(op.off[0])) == 500
 
+    @pytest.mark.parametrize("n", [3, 4, 6, 7, 9, 10, 99])
+    def test_sturm_count_through_exact_zero_pivots(self, n):
+        # T = tridiag(1, 1, 1) at upper = 0: the leading minors 1, 0, -1, -1,
+        # 0, 1, ... vanish at every third order, so the sweep meets exact zero
+        # pivots; the eigenvalues 1 + 2cos(j pi/(n+1)) miss 0 for these n
+        minors = [1, 1]
+        for _ in range(n - 1):
+            minors.append(minors[-1] - minors[-2])
+        assert 0 in minors
+        op = Tridiagonal(diag=np.ones(n), off=np.ones(n - 1))
+        w = 1 + 2 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+        assert solver._sturm_count(op, 0.0) == np.count_nonzero(w < 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1),
+        st.integers(-2, 2))))
+    def test_sturm_count_on_small_integer_matrices(self, case):
+        # small integers make pivots of T - upper vanish exactly, often
+        diag, off, upper = case
+        op = Tridiagonal(diag=np.array(diag, dtype=float), off=np.array(off, dtype=float))
+        w = np.linalg.eigvalsh(np.diag(op.diag) + np.diag(op.off, 1) + np.diag(op.off, -1))
+        assume(np.min(np.abs(w - upper)) > 1e-9)
+        assert solver._sturm_count(op, float(upper)) == np.count_nonzero(w < upper)
+
+    @pytest.mark.parametrize("d,upper,count", [
+        (2.0, 1.0, 0), (2.0, 2.0, 1), (2.0, 3.0, 1), (-0.0, 0.0, 1), (-1e300, -1e300, 1)])
+    def test_sturm_count_of_one_row(self, d, upper, count):
+        op = Tridiagonal(diag=np.array([d]), off=np.empty(0))
+        assert solver._sturm_count(op, upper) == count
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
+           st.floats(-5.0, 5.0), st.floats(-20.0, 20.0))
+    def test_sturm_count_of_two_rows(self, diag, off, upper):
+        mid, rad = (diag[0] + diag[1]) / 2, math.hypot((diag[0] - diag[1]) / 2, off)
+        assume(min(abs(upper - mid + rad), abs(upper - mid - rad)) > 1e-9 * (1 + abs(mid) + rad))
+        op = Tridiagonal(diag=np.array(diag), off=np.array([off]))
+        assert solver._sturm_count(op, upper) == int(upper > mid - rad) + int(upper > mid + rad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n),
+        st.lists(st.floats(0.5, 4.0), min_size=n - 1, max_size=n - 1),
+        st.floats(-4.0, 4.0),
+        st.sampled_from([2.0**520, 2.0**800, 2.0**990]))))
+    def test_sturm_count_where_the_off_diagonal_squares_overflow(self, case):
+        # T and upper scaled by a power of two, which is exact: every e^2
+        # overflows, the pivots and the count do not change
+        diag, off, upper, scale = case
+        w = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        assume(np.min(np.abs(w - upper)) > 1e-9 * (1 + np.max(np.abs(w))))
+        big = Tridiagonal(diag=np.array(diag) * scale, off=np.array(off) * scale)
+        with np.errstate(over="ignore"):
+            assert np.all(np.isinf(big.off**2))
+        assert solver._sturm_count(big, upper * scale) == np.count_nonzero(w < upper)
+
+    def test_sturm_count_agrees_with_dstebz_on_the_spectral_workload(self):
+        # the four 64000-point matrices of the spectral workload, at shifts
+        # between the lowest levels and 16 eps ||T|| or more off each side of
+        # them: the sweep, LAPACK's bisection count and the index agree
+        from exopoly.potentials import Oscillator3D, ScarfTrig
+
+        osc, sc = Oscillator3D(l=0), ScarfTrig(A=3, B=1, energy_shift=9.0)
+        for potential, domain in [(osc.potential, osc.default_domain()),
+                                  (osc.extended_potential, osc.default_domain()),
+                                  (sc.potential, sc.default_domain()),
+                                  (sc.extended_potential, sc.default_domain())]:
+            op = discretize(potential, Grid(*domain, 64000))
+            norm = float(np.max(np.abs(op.diag))) + 2 * float(np.max(np.abs(op.off)))
+            margin = 16 * np.finfo(float).eps * norm
+            w = tridiagonal_eigh(op.diag, op.off, count=8)
+            shifts = [w[0] - 1.0, *((w[:-1] + w[1:]) / 2)]
+            shifts += [e + side * m * margin for e in w[:-1] for side in (-1, 1)
+                       for m in (2, 4, 1000)]
+            lower = float(np.min(op.diag)) - 2 * float(np.max(np.abs(op.off)))
+            lower -= abs(lower) + 1
+            for upper in shifts:
+                assert np.min(np.abs(w - upper)) >= margin and upper < w[-1]
+                m, *_ = solver._LAPACK.dstebz(op.diag, op.off, 1, lower, upper, 0, 0,
+                                              math.inf, b"B")
+                assert solver._sturm_count(op, upper) == m == np.count_nonzero(w <= upper)
+
     def test_spectral_workload_levels_are_certified(self, monkeypatch):
         # the workload's potentials never reach a bisection above the bottom
         # grid: 64000 -> 4000 -> 250 points, values only
@@ -404,7 +487,6 @@ class TestGridInnerProducts:
         monkeypatch.setattr(np.linalg, "norm", blas)
         psi.normalized().inner(psi)
         rayleigh_quotient(op, psi)
-        eigen_residual(op, 1.5, psi.values)
         solve_spectrum(lambda x: x**2 / 4, self.g, 2)
 
 

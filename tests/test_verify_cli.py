@@ -261,9 +261,10 @@ class TestCampaign:
             "scarf-exceptional-rayleigh", "scarf-isospectrality",
         ])
         # values only: bisection (dstebz by index, values in order), Sturm
-        # counts (dstebz by value) and shifted solves (dgtsv); no eigenvectors
+        # counts (dpttrf sweeps) and shifted solves (dgtsv); no eigenvectors
         # (no stein, no dstevd with compute_v)
-        assert {name for name, *_ in calls} == {"dstebz", "dgtsv"}
+        assert {name for name, *_ in calls} == {"dstebz", "dgtsv", "dpttrf"}
+        assert all(args[2] == 2 for name, _, args, _ in calls if name == "dstebz")
         bisections = [(n, args[-1]) for name, n, args, _ in calls
                       if name == "dstebz" and args[2] == 2]
         # every bisection on the bottom grid of the coarse-to-fine recursion:
