@@ -31,8 +31,10 @@ import os
 
 # OpenBLAS starts a worker thread as it loads, which busy-waits for about
 # 50 ms of CPU (2-vCPU VM) and competes with the first solve; exopoly runs no
-# threaded BLAS kernel, so one thread is enough.  This runs before any
-# submodule loads numpy; a value already set wins.
+# threaded BLAS kernel, so one thread is enough.  The pin covers the one
+# OpenBLAS a process loads: numpy's, whose LAPACK the solver binds too, or,
+# where numpy ships none, scipy's.  This runs before any submodule loads
+# numpy; a value already set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

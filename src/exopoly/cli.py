@@ -280,7 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--grid-n", type=int, default=8000)
     ps.add_argument("--domain", help="a,b (defaults to the preset suggestion)")
     ps.add_argument("--levels", type=int, default=4)
-    ps.add_argument("--match-tol", type=float, default=1e-2)
+    # the default sits between the gaps of true and false level pairs at
+    # each command's grid size: at most 6.4e-7 and at least 6.9e-5 over the
+    # CI --compare commands (morse A=20 pairs (19, 19) at 9.4e-3)
+    ps.add_argument("--match-tol", type=float, default=1e-5,
+                    help="largest gap |E - E_ext| of a matched level pair "
+                         "(default: 1e-5)")
     ps.add_argument("--format", default="json", choices=["json", "csv"])
     ps.add_argument("--out")
     ps.set_defaults(func=cmd_spectrum)

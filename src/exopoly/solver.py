@@ -56,19 +56,21 @@ run to run.  (``numpy.random`` would load OpenSSL through ``secrets``, about
 6 MB of resident memory, for this one vector.)
 
 The four LAPACK routines (``dstevd``, ``dstebz``, ``dgtsv``, ``dpttrf``)
-come from scipy's compiled ``_flapack`` extension, loaded from its file
-under the package directory that ``importlib.util.find_spec("scipy")``
-names, so neither scipy's package ``__init__`` (its test utilities,
-``subprocess``, ``sysconfig``) nor ``scipy.linalg`` runs.  ``import
-scipy.linalg`` would give the same routine objects, but it also loads
-scipy's array-API layer, which imports ``numpy.f2py``, ``numpy.testing``
-and ``numpy.ma``; without them a cold ``exopoly`` command is set up in
-0.09 s instead of 0.21 s (2-vCPU VM, numpy 2.4, scipy 1.17).  The loader
-falls back to ``scipy.linalg.lapack`` where the file is not found.
-With the short import, the spin of OpenBLAS's worker thread at load time
-would land inside the first solve instead of inside the import; the
-package's ``__init__`` pins OpenBLAS to one thread before numpy loads
-(nothing here runs a threaded BLAS kernel).
+are plain functions of :mod:`exopoly._lapack`, called on arrays the solver
+owns.  Where numpy's wheel ships its own OpenBLAS (numpy >= 2), they are
+bound by ctypes from that library, which ``import numpy`` has already
+mapped, so the process holds one LAPACK.  Loading scipy's ``_flapack``
+instead mapped scipy's own OpenBLAS beside numpy's: ``import exopoly.cli``
+left 31.4 MB resident against 29.3 MB now, and a cold ``exopoly verify`` on
+``{}`` peaks at 36.7 MB against 33.6 MB (medians, 2-vCPU VM, numpy 2.4,
+scipy 1.17).  Finding and binding the library takes about 0.06 ms, and a
+call costs 2-4 us more than through f2py.  Where numpy ships no LAPACK
+of its own (Accelerate, distro or conda builds), the same four functions
+wrap scipy's ``_flapack``, loaded from its file so that neither scipy's
+package ``__init__`` nor ``scipy.linalg`` runs (``scipy.linalg`` loads
+``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``).  The package's
+``__init__`` pins OpenBLAS to one thread before numpy loads: its worker
+thread spins at load time, and nothing here runs a threaded BLAS kernel.
 
 Memory: the solves allocate their grid-sized work arrays afresh on every
 call, 512 KB each at 64000 points.  Under glibc's starting malloc thresholds
@@ -83,47 +85,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 from dataclasses import dataclass
-from importlib import machinery, util
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-
-def _flapack_file() -> Optional[str]:
-    """Path of scipy's compiled LAPACK extension, or None where it is not found.
-
-    The package is located by ``find_spec``, which does not run scipy's
-    ``__init__``."""
-    spec = util.find_spec("scipy")
-    roots = spec.submodule_search_locations if spec is not None else None
-    for root in roots or ():
-        for suffix in machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "linalg", "_flapack" + suffix)
-            if os.path.isfile(path):
-                return path
-    return None
-
-
-def _load_lapack():
-    """scipy's ``_flapack`` extension loaded from its file, without importing
-    ``scipy.linalg``; ``scipy.linalg.lapack`` where the file is not found.
-    Either way the routines are the same objects."""
-    path = _flapack_file()
-    if path is None:
-        from scipy.linalg import lapack
-        return lapack
-    name = "scipy.linalg._flapack"
-    spec = util.spec_from_file_location(name, path,
-                                        loader=machinery.ExtensionFileLoader(name, path))
-    module = util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_LAPACK = _load_lapack()
+from . import _lapack
 
 
 class SolverError(RuntimeError):
@@ -249,10 +217,12 @@ def tridiagonal_eigh(diag: np.ndarray, off: np.ndarray, count: Optional[int] = N
                           f"got {count}")
     if d.size == 1:
         return d.copy()
-    if count is None:
-        w, _, info = _LAPACK.dstevd(d, e, compute_v=0)
+    if count is None:  # dstevd overwrites both: the values land in w
+        w = d.copy()
+        info = _lapack.dstevd(w, e.copy())
     else:  # by index: il = 1, iu = count, tol = 0, ordered by value
-        m, w, _, _, info = _LAPACK.dstebz(d, e, 2, 0.0, 1.0, 1, count, 0.0, b"E")
+        d, e = np.require(d, requirements="CW"), np.require(e, requirements="CW")
+        m, w, info = _lapack.dstebz(d, e, 2, 0.0, 1.0, 1, count, 0.0, b"E")
         w = w[:m]
     if info:
         raise SolverError(f"tridiagonal eigensolve failed (LAPACK info={info})")
@@ -279,36 +249,33 @@ def _sturm_count(op: Tridiagonal, upper: float) -> int:
     LAPACK ``dpttrf`` factors until it meets a pivot <= 0.  The sweep counts
     that pivot, eliminates the next row past it and restarts ``dpttrf`` on
     the rest; a zero pivot is taken as -pivmin, ``dstebz``'s pivmin, as
-    LAPACK's bisection does.  A one-row tail is counted here (the wrapper
-    refuses an empty off-diagonal)."""
+    LAPACK's bisection does."""
     d = op.diag - upper
     e = op.off.copy()
     emax = max(1.0, float(e.max()), -float(e.min())) if e.size else 1.0
     pivmin = min(_SAFEMIN * emax * emax, _MAX)  # no overflow where e^2 would
-    n, k, count = d.size, 0, 0
-    while n - k > 1:
-        *_, info = _LAPACK.dpttrf(d[k:], e[k:], overwrite_d=1, overwrite_e=1)
+    k, count = 0, 0
+    while True:
+        info = _lapack.dpttrf(d[k:], e[k:])
         if info < 0:
             raise SolverError(f"Sturm count failed (dpttrf info={info})")
         if info == 0:
             return count
         count += 1
         k += info  # the first row past the pivot it stopped at
-        if k == n:
+        if k == d.size:
             return count
         piv, ek = float(d[k - 1]) or -pivmin, float(e[k - 1])
         d[k] -= ek / piv * ek  # Python floats: an overflow is inf, as in dpttrf
-    return count + int(d[k] <= 0.0)
 
 
 def _shifted_solve(op: Tridiagonal, shift: float, x: np.ndarray) -> np.ndarray:
     """(T - shift) y = x by LAPACK dgtsv (elimination with partial pivoting),
-    O(N), with y in x's memory."""
-    *_, y, info = _LAPACK.dgtsv(op.off, op.diag - shift, op.off, x,
-                                overwrite_d=1, overwrite_b=1)
+    O(N), with y in x's memory; dgtsv overwrites its copies of T too."""
+    info = _lapack.dgtsv(op.off.copy(), op.diag - shift, op.off.copy(), x)
     if info:
         raise SolverError(f"shifted tridiagonal solve failed (dgtsv info={info})")
-    return y
+    return x
 
 
 def _refine(op: Tridiagonal, shifts, rayleigh: bool, starts=None,

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from exopoly import _lapack
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # every name `exopoly` exports, each imported on first use
@@ -49,27 +51,45 @@ UNUSED = ["scipy", "scipy.linalg", "numpy.f2py", "numpy.random", "numpy.polynomi
           "_hashlib"]
 
 
+# numpy's wheel ships an OpenBLAS with LAPACK in it: the solver binds that
+# one, and scipy's second copy stays out of the process
+NUMPY_LAPACK = _lapack._numpy_openblas() is not None
+
+
 def test_cli_import_leaves_out_scipy_linalg_and_f2py():
     loaded = _fresh("import json, sys\n"
                     "from exopoly import cli\n"
                     "print(json.dumps(sorted(sys.modules)))")
     assert "exopoly.solver" in loaded and "numpy" in loaded
-    assert "scipy.linalg._flapack" in loaded
+    if NUMPY_LAPACK:
+        assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
+    else:
+        assert "scipy.linalg._flapack" in loaded
     assert [name for name in UNUSED if name in loaded] == []
 
 
 def test_verify_run_loads_no_unused_module(tmp_path):
-    # the saving is not moved into the run: a whole campaign on {} loads none
+    # the saving is not moved into the run: a whole campaign on {} loads
+    # none, and maps one OpenBLAS file where numpy ships its own
     (tmp_path / "cfg.json").write_text("{}")
-    loaded = _fresh("import contextlib, io, json, sys\n"
+    loaded = _fresh("import contextlib, io, json, os, sys\n"
                     "from exopoly import cli\n"
                     "with contextlib.redirect_stdout(io.StringIO()):\n"
                     f"    code = cli.main(['verify', '--config', {str(tmp_path / 'cfg.json')!r}, "
                     f"'--out', {str(tmp_path / 'report.json')!r}])\n"
-                    "print(json.dumps([code, sorted(sys.modules)]))")
-    code, modules = loaded
+                    "maps = None\n"
+                    "if os.path.exists('/proc/self/maps'):\n"
+                    "    with open('/proc/self/maps') as fh:\n"
+                    "        maps = sorted({line.split(maxsplit=5)[-1].strip() for line in fh\n"
+                    "                       if 'openblas' in line.lower()})\n"
+                    "print(json.dumps([code, sorted(sys.modules), maps]))")
+    code, modules, openblas = loaded
     assert code == 0
     assert [name for name in UNUSED if name in modules] == []
+    if NUMPY_LAPACK:
+        assert "scipy.linalg._flapack" not in modules
+        if openblas is not None:
+            assert len(openblas) == 1, openblas
 
 
 def test_exact_core_import_loads_no_numpy():

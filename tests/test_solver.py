@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from exopoly import solver
+from exopoly import _lapack, solver
 from exopoly.solver import (
     Grid,
     GridFunction,
@@ -110,32 +110,59 @@ class TestTridiagonalLapack:
 
     def _check(self, n):
         d, e = self._matrix(n)
-        assert np.array_equal(tridiagonal_eigh(d, e), eigh_tridiagonal(d, e, eigvals_only=True))
+        # strided, read-only views of the same entries give the same values
+        views = [np.repeat(a, 2)[::2] for a in (d, e)]
+        for view in views:
+            view.flags.writeable = False
+        expect = eigh_tridiagonal(d, e, eigvals_only=True)
+        assert np.array_equal(tridiagonal_eigh(d, e), expect)
+        assert np.array_equal(tridiagonal_eigh(*views), expect)
         for count in sorted({1, (n + 1) // 2, n}):
             expect = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
                                       select_range=(0, count - 1))
             got = tridiagonal_eigh(d, e, count=count)
             assert got.shape == (count,) and np.array_equal(got, expect)
+            assert np.array_equal(tridiagonal_eigh(*views, count=count), expect)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_bit_equal_to_scipy(self, n):
         self._check(n)
 
     def test_fallback_loader_gives_the_same_values(self, monkeypatch):
-        monkeypatch.setattr(solver, "_flapack_file", lambda: None)
-        fallback = solver._load_lapack()
-        assert fallback.__name__ == "scipy.linalg.lapack"
-        assert fallback.dstebz is solver._LAPACK.dstebz
-        # the three routines the solver calls, on one small matrix
-        d, e = self._matrix(6)
-        rhs = np.arange(1.0, 7.0)
-        for call in (lambda lapack: lapack.dstevd(d, e, compute_v=0)[0],
-                     lambda lapack: lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 3, 0.0, b"E")[1],
-                     lambda lapack: lapack.dgtsv(e, d - 0.5, e, rhs)[3]):
-            assert np.array_equal(call(fallback), call(solver._LAPACK))
-        monkeypatch.setattr(solver, "_LAPACK", fallback)
+        # where numpy ships no LAPACK of its own, the four routines wrap
+        # scipy's _flapack: the same levels, bit for bit, on the four
+        # 64000-point matrices of the spectral workload and on every size
+        from exopoly.potentials import Oscillator3D, ScarfTrig
+
+        loads = []
+        load_flapack = _lapack._load_flapack
+
+        def recording():
+            loads.append(load_flapack())
+            return loads[-1]
+
+        monkeypatch.setattr(_lapack, "_numpy_openblas", lambda: None)
+        monkeypatch.setattr(_lapack, "_load_flapack", recording)
+        fallback = dict(zip(_lapack.__all__, _lapack._routines()))
+        assert [module.__name__ for module in loads] == ["scipy.linalg._flapack"]
+        osc, sc = Oscillator3D(l=1), ScarfTrig(A=3, B=1, energy_shift=9.0)
+        cases = [(potential, preset.default_domain(), count)
+                 for preset, count in ((osc, 3), (sc, 4))
+                 for potential in (preset.potential, preset.extended_potential)]
+
+        def solves():
+            return [solve_spectrum(potential, Grid(*domain, 64000), count).to_json()
+                    for potential, domain, count in cases]
+
+        default = solves()
+        for name, routine in fallback.items():
+            monkeypatch.setattr(_lapack, name, routine)
+        assert solves() == default
         for n in self.SIZES:
             self._check(n)
+        # and scipy.linalg.lapack where the extension's file is not found
+        monkeypatch.setattr(_lapack, "_flapack_file", lambda: None)
+        assert load_flapack().__name__ == "scipy.linalg.lapack"
 
     @pytest.mark.parametrize("d,e", [
         ([1.0, math.nan], [0.5]), ([1.0, 2.0], [math.inf]), ([-math.inf], []),
@@ -298,8 +325,8 @@ class TestCoarseToFine:
             lower -= abs(lower) + 1
             for upper in shifts:
                 assert np.min(np.abs(w - upper)) >= margin and upper < w[-1]
-                m, *_ = solver._LAPACK.dstebz(op.diag, op.off, 1, lower, upper, 0, 0,
-                                              math.inf, b"B")
+                m, *_ = _lapack.dstebz(op.diag, op.off, 1, lower, upper, 0, 0, math.inf,
+                                       b"B")
                 assert solver._sturm_count(op, upper) == m == np.count_nonzero(w <= upper)
 
     def test_spectral_workload_levels_are_certified(self, monkeypatch):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exopoly import potentials, quad, solver, susy, xop
+from exopoly import _lapack, potentials, quad, solver, susy, xop
 from exopoly.cli import main
 from exopoly.polycore import Poly
 from exopoly.verify import (
@@ -234,20 +234,16 @@ class TestCampaign:
             raise AssertionError("the verify path reduced a grid vector through BLAS")
 
         calls = []
-        lapack = solver._LAPACK
 
-        class Recording:
-            """Each LAPACK routine the solver calls, by name, size and arguments."""
+        def recording(name, routine):
+            """The routine, recording each call by name, size and arguments."""
+            def call(*args, **kwargs):
+                calls.append((name, len(args[0]), args, kwargs))
+                return routine(*args, **kwargs)
+            return call
 
-            def __getattr__(self, name):
-                routine = getattr(lapack, name)
-
-                def call(*args, **kwargs):
-                    calls.append((name, len(args[0]), args, kwargs))
-                    return routine(*args, **kwargs)
-                return call
-
-        monkeypatch.setattr(solver, "_LAPACK", Recording())
+        for name in _lapack.__all__:
+            monkeypatch.setattr(_lapack, name, recording(name, getattr(_lapack, name)))
         monkeypatch.setattr(np, "dot", blas)
         monkeypatch.setattr(np.linalg, "norm", blas)
         cfg = VerificationConfig.from_dict(
@@ -535,6 +531,21 @@ class TestCliSpectrum:
         data = json.loads(out.read_text())
         assert "mapping" in data
         assert data["mapping"]["pairs"]
+
+    def test_compare_pairs_only_partners_in_a_deep_well(self, capsys):
+        # the extended deep well shares level 1 with the classical one; its
+        # level 19 lies 9.4e-3 off the classical level 19 and is no partner
+        code = main(["spectrum", "--preset", "morse", "--params", '{"A": 20, "B": 2}',
+                     "--levels", "20", "--compare"])
+        assert code == 0
+        pairs = json.loads(capsys.readouterr().out)["mapping"]["pairs"]
+        assert [(p["a"], p["b"]) for p in pairs] == [(1, 1)]
+        assert pairs[0]["diff"] < 1e-6
+        # an explicit tolerance still overrides the default
+        assert main(["spectrum", "--preset", "morse", "--params", '{"A": 20, "B": 2}',
+                     "--levels", "20", "--compare", "--match-tol", "1e-2"]) == 0
+        pairs = json.loads(capsys.readouterr().out)["mapping"]["pairs"]
+        assert [(p["a"], p["b"]) for p in pairs] == [(1, 1), (19, 19)]
 
     def test_bad_grid_exits_two(self):
         assert main(["spectrum", "--preset", "oscillator3d", "--grid-n", "8"]) == 2
