@@ -41,8 +41,8 @@ print(f"(x+k+1)(x+k)^2 on the 2-point rule of the weight: {val:.12f} "
 
 print("\n== orthogonality of the exceptional family ==")
 # Gram-Schmidt runs in the orthonormal basis of the weight's own recurrence:
-# the seeds span the kernel of l(p) = p(-k) - p'(-k), so one QR of a
-# bidiagonal matrix orthogonalizes them, and no integral is taken.  Member i
+# the seeds span the kernel of l(p) = p(-k) - p'(-k), so each member is one
+# closed-form unit vector in that basis, and no integral is taken.  Member i
 # depends only on the first i seeds, so one 10-member family serves both
 # sections below.
 family = gram_schmidt_family(w, 10)

@@ -4,11 +4,12 @@ Everything in this module is exact: a polynomial is a tuple of integer
 numerators over one positive common denominator (``coeffs`` shows them as
 `fractions.Fraction`), a differential operator with polynomial coefficients
 (`DiffOp`) is a set of integer terms over one denominator, the nullspace
-solver eliminates on integers, no floating point ever enters, and an
-identity that holds here holds as a theorem, not as a numerical
-coincidence.  The rest of the package builds the exceptional families out
-of these primitives and only drops to floats at the quadrature/eigensolver
-layer.
+solver eliminates on integers, and an identity that holds here holds as a
+theorem, not as a numerical coincidence.  Floats enter in one place only:
+:func:`real_roots` returns each real root of an exact polynomial as a float,
+found by float Newton steps but placed next to the root by exact signs.  The
+rest of the package builds the exceptional families out of these primitives
+and only drops to floats at the quadrature/eigensolver layer.
 """
 
 from __future__ import annotations
@@ -174,6 +175,34 @@ class Poly:
     def scale(self, c: RationalLike) -> "Poly":
         n, d = _ratio(c)
         return Poly._from_ints([n * a for a in self._num], self._den * d)
+
+    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """Quotient and remainder, deg(remainder) < deg(other), exactly.
+
+        Pseudo-division on the numerators: with l the leading numerator of
+        ``other`` and e = deg(self) - deg(other) + 1, l^e self = q other + r
+        holds in integers, one scaled subtraction per quotient term.
+        """
+        b = other._num
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem, nb = list(self._num), len(b)
+        if len(rem) < nb:
+            return Poly.zero(), self
+        lead, quot = b[-1], []
+        for top in range(len(rem) - 1, nb - 2, -1):
+            c = rem[top]
+            rem = [v * lead for v in rem[:top]]
+            for i, v in enumerate(b[:-1], top - nb + 1):
+                rem[i] -= c * v
+            quot = [v * lead for v in quot]
+            quot.append(c)
+        quot.reverse()
+        # l^e self = q other + r over self's den, other's den carried by q
+        den = self._den * lead ** len(quot)
+        sign = -1 if den < 0 else 1
+        return (Poly._from_ints([sign * v * other._den for v in quot], sign * den),
+                Poly._from_ints([sign * v for v in rem], sign * den))
 
     # evaluation -----------------------------------------------------------
 
@@ -509,3 +538,176 @@ def rational_nullspace(rows: list[list[RationalLike]]) -> list[list[Fraction]]:
                     den //= g
         basis.append([Fraction(v, den) for v in num] + [Fraction(0)] * (ncols - fc - 1))
     return basis
+
+
+# ---------------------------------------------------------------------------
+# gcd and real roots (small polynomials only)
+# ---------------------------------------------------------------------------
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor of a and b, not both zero, by Euclid's
+    algorithm on exact remainders."""
+    while not b.is_zero:
+        a, b = b, divmod(a, b)[1]
+    return a.monic()
+
+
+# float Newton steps per root, at most
+_NEWTON_STEPS = 100
+
+
+def real_roots(p: Poly) -> list[float]:
+    """The distinct real roots of the nonconstant p, ascending, each as a
+    float within one float step of the root: p is zero there, or p's exact
+    signs at the float's two neighbours differ.
+
+    A Sturm sequence, run on p's squarefree part, isolates each root in an
+    interval (lo, hi] between dyadic floats, halving from a power of 2 above
+    every root.  Newton steps on p's float values bring each root to one
+    float x; exact signs 1, 2, 4, ... float steps either side of x then
+    bracket the root, and bisection on exact signs takes the bracket down
+    to two neighbouring floats.  An exact sign is one integer Horner pass
+    over the numerators at x = a/b, about as fast as a float pass.
+    """
+    if p.degree < 1:
+        raise ValueError("real_roots needs a nonconstant polynomial")
+    # the numerators over one positive denominator carry the signs
+    chain = _sturm_chain(p._num[::-1])
+    if len(chain[-1]) > 1:  # then it is gcd(p, p'), up to a constant
+        p = divmod(p, Poly(chain[-1][::-1]))[0]
+        chain = _sturm_chain(p._num[::-1])
+    floats = p.to_floats()[::-1]
+
+    def variations(x: float) -> int:
+        a, b = x.as_integer_ratio()
+        return _variations([_scaled_value(q, a, b) for q in chain])
+
+    # every distinct real root: the variations at -inf less those at +inf
+    top = [q[0] for q in chain]
+    total = _variations([-c if len(q) % 2 == 0 else c for c, q in zip(top, chain)]) \
+        - _variations(top)
+    # a power of 2 at Fujiwara's bound 2 max |c_(n-i)/c_n|^(1/i), from float
+    # ratios, doubled until the counts at +-bound see every root
+    fujiwara = 2 * max(abs(c / floats[0]) ** (1 / i) for i, c in enumerate(floats) if i)
+    bound = 2.0 ** math.frexp(fujiwara)[1]
+    while (v_lo := variations(-bound)) - (v_hi := variations(bound)) != total:
+        bound *= 2
+    roots, stack = [], [(-bound, bound, v_lo, v_hi)]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
+            roots.append(_isolated_root(chain[0], floats, lo, hi))
+        elif v_lo > v_hi:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # roots closer than one float step
+                roots += [hi] * (v_lo - v_hi)
+                continue
+            v_mid = variations(mid)
+            stack += [(mid, hi, v_mid, v_hi), (lo, mid, v_lo, v_mid)]
+    return roots
+
+
+def _sturm_chain(nums: list[int]) -> list[list[int]]:
+    """The Sturm sequence of the integer polynomial ``nums`` (descending
+    coefficients): p, p' and the negated remainders of Euclid's algorithm on
+    them, down to the last nonzero one, each a positive multiple of the
+    exact one with coprime integer coefficients."""
+    n = len(nums) - 1
+    chain = [list(nums), [c * (n - i) for i, c in enumerate(nums[:-1])]]
+    while len(chain[-1]) > 1:
+        rem, div = chain[-2], chain[-1]
+        # |l| rem - sign(l) c x^k div cancels rem's top term c, l = div's
+        lead = abs(div[0])
+        sign = 1 if div[0] > 0 else -1
+        while len(rem) >= len(div):
+            c = sign * rem[0]
+            rem = [lead * r - c * d for r, d in zip(rem[1:], div[1:])] + \
+                [lead * r for r in rem[len(div):]]
+        while rem and not rem[0]:
+            rem.pop(0)
+        if not rem:
+            break
+        g = math.gcd(*rem)
+        chain.append([-r // g for r in rem])
+    return chain
+
+
+def _variations(values: list) -> int:
+    """Sign changes along ``values``, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _scaled_value(nums: tuple[int, ...], a: int, b: int) -> int:
+    """b^deg p(a/b), b > 0, of the polynomial with integer coefficients
+    ``nums`` (descending): an integer of p's sign at a/b."""
+    acc, bpow = 0, 1
+    for c in nums:
+        acc = acc * a + c * bpow
+        bpow *= b
+    return acc
+
+
+def _horner(floats: list[float], x: float) -> float:
+    """The polynomial with float coefficients ``floats`` (descending) at x."""
+    v = 0.0
+    for c in floats:
+        v = v * x + c
+    return v
+
+
+def _sign_at(nums: tuple[int, ...], x: float) -> int:
+    """The exact sign at the float x of the polynomial with integer
+    coefficients ``nums`` (descending)."""
+    value = _scaled_value(nums, *x.as_integer_ratio())
+    return (value > 0) - (value < 0)
+
+
+def _isolated_root(nums: tuple[int, ...], floats: list[float], lo: float,
+                   hi: float) -> float:
+    """The float at the one root in (lo, hi] of the polynomial with integer
+    coefficients ``nums`` and float ones ``floats`` (both descending)."""
+    s_hi = _sign_at(nums, hi)
+    if not s_hi:
+        return hi
+    # start where the chord through the float values at lo and hi crosses 0
+    v_lo, v_hi = _horner(floats, lo), _horner(floats, hi)
+    x = lo - v_lo * (hi - lo) / (v_hi - v_lo) if v_hi != v_lo else lo
+    a, b, x = lo, hi, x if lo < x < hi else 0.5 * (lo + hi)
+    for _ in range(_NEWTON_STEPS):
+        v = dv = 0.0
+        for c in floats:
+            dv = dv * x + v
+            v = v * x + c
+        if v == 0.0:
+            break
+        if (v > 0.0) == (s_hi > 0):
+            b = x
+        else:
+            a = x
+        step = x - v / dv if dv else 0.5 * (a + b)
+        if abs(step - x) <= 4 * math.ulp(x):  # rounding noise: exact signs take over
+            break
+        x = step if a < step < b else 0.5 * (a + b)
+    step = math.ulp(x)
+    while True:
+        # lo's sign is -s_hi, or 0 where lo is the root below (lo, hi]
+        a, b = max(x - step, lo), min(x + step, hi)
+        s_a = -s_hi if a == lo else _sign_at(nums, a)
+        s_b = _sign_at(nums, b)
+        if not s_a * s_b:
+            return b if s_a else a
+        if s_a != s_b:
+            if step == math.ulp(x):
+                return x
+            break
+        step *= 2
+    while a < (mid := 0.5 * (a + b)) < b:
+        s = _sign_at(nums, mid)
+        if not s:
+            return mid
+        if s == s_b:
+            b = mid
+        else:
+            a = mid
+    return b

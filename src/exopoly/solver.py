@@ -71,6 +71,11 @@ package ``__init__`` nor ``scipy.linalg`` runs (``scipy.linalg`` loads
 ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``).  The package's
 ``__init__`` pins OpenBLAS to one thread before numpy loads: its worker
 thread spins at load time, and nothing here runs a threaded BLAS kernel.
+These four are the only LAPACK routines an ``exopoly verify`` run calls:
+the quotient eigenproblem of :mod:`exopoly.xop` is solved exactly, its
+Gram-Schmidt basis and :func:`convergence_order`'s slope are closed forms,
+so no dense ``numpy.linalg`` driver (``eig``, ``qr``, ``lstsq`` behind
+``np.polyfit``) pulls its OpenBLAS code into the campaign's memory.
 
 Memory: the solves allocate their grid-sized work arrays afresh on every
 call, 512 KB each at 64000 points.  Under glibc's starting malloc thresholds
@@ -500,14 +505,21 @@ def convergence_order(
     """Measured convergence exponent p in error ~ h^p of the lowest eigenvalue.
 
     Solves the same problem on each grid size and fits log|E_0 - exact|
-    against log h by least squares.
+    against log h by least squares, the slope in closed form:
+    sum (u - mean u)(v - mean v) / sum (u - mean u)^2 with u = log h and
+    v = log error.  Needs at least two distinct sizes.
     """
-    hs, errs = [], []
+    sizes = list(sizes)
+    if len(set(sizes)) < 2:
+        raise ValueError(f"sizes must hold at least two distinct grid sizes, got {sizes}")
+    logh, loge = [], []
     for n in sizes:
         g = Grid(domain[0], domain[1], n)
-        hs.append(g.h)
-        errs.append(abs(lowest_levels(potential, g, 1)[0] - exact))
-    if any(e == 0 for e in errs):
-        raise SolverError("exact eigenvalue hit to roundoff; cannot fit an order")
-    slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-    return float(slope)
+        err = abs(lowest_levels(potential, g, 1)[0] - exact)
+        if err == 0:
+            raise SolverError("exact eigenvalue hit to roundoff; cannot fit an order")
+        logh.append(math.log(g.h))
+        loge.append(math.log(err))
+    mh, me = math.fsum(logh) / len(logh), math.fsum(loge) / len(loge)
+    return (math.fsum((u - mh) * (v - me) for u, v in zip(logh, loge))
+            / math.fsum((u - mh) ** 2 for u in logh))

@@ -7,7 +7,7 @@ Three independent construction routes are provided and cross-checked:
 * the exact nullspace of the cleared exceptional differential equation,
 * Gram-Schmidt orthogonalization of the seed sequences under the rational
   weight (floating point, in the orthonormal basis of the weight's own
-  recurrence).
+  recurrence, where each member is one closed-form unit vector).
 
 The defining equations are verified as exact polynomial identities: each
 cleared equation, and each first-order ladder, is a `polycore.DiffOp` built
@@ -21,10 +21,14 @@ once per family at two index values, and every index's operator is combined
 from those two in integers (see "operator pencils" below).
 
 The quotient identity of the codimension-j extensions, for g = f/(x+k)^j,
-is one more table, written in the shifted variable t = x + k: the exact
-:func:`xj_quotient_residual` applies it to f shifted by -k and shifts the
-result back, and :func:`xj_quotient_solve` reads its eigenproblem off the
-same operator's matrix on t-monomials.
+is one more table, written in the shifted variable t = x + k and affine in
+its coefficient A: the exact :func:`xj_quotient_residual` applies it to f
+shifted by -k and shifts the result back, and :func:`xj_quotient_solve`
+reads its eigenproblem off the same operator's matrix on t-monomials.  That
+matrix is integer and tridiagonal, so its characteristic polynomial and
+eigenvectors come exactly from one recurrence, and the A values are its
+real roots, certified by exact signs (:func:`polycore.real_roots`): no
+float eigen-solve, no thresholds.
 
 Each family fact has one home that every route reads: the Jacobi constants
 a, b, c in :class:`polycore.JacobiConstants`, the pole in ``quad.WeightSpec.pole``,
@@ -38,6 +42,7 @@ whole family, comes from :func:`operator_family`.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -52,12 +57,15 @@ from .polycore import (
     RationalLike,
     _clear,
     _ratio,
+    _three_term_step,
     as_rational,
     jacobi_classical,
     jacobi_family,
     laguerre_classical,
     laguerre_family,
+    poly_gcd,
     rational_nullspace,
+    real_roots,
 )
 
 
@@ -339,31 +347,31 @@ def xj_quotient_residual(f: Poly, k: RationalLike, j: int, A: RationalLike) -> P
     polynomial iff the identity holds.  B is not free: the t^0 coefficient
     of the identity in t = x + k is -(kj(j+1) + B) f(-k), so an f with
     f(-k) != 0 forces this B.  f is shifted to F(t) = f(t-k), the operator
-    of :func:`_quotient_table` applied, A t F subtracted and the result
-    shifted back.
+    of :func:`_quotient_table` at this A applied, and the result shifted
+    back.
     """
     if j < 1:
         raise ValueError("codimension j must be >= 1")
     kq = as_rational(k)
-    big_f = f.shift(-kq)
-    op = _quotient_operator((kq.numerator, kq.denominator), j, f.degree - j)
-    return (op(big_f) - Poly((0, A)) * big_f).shift(kq)
+    pencil = _quotient_pencil((kq.numerator, kq.denominator), j, f.degree - j)
+    return _pencil_at(pencil, *_ratio(A))(f.shift(-kq)).shift(kq)
 
 
 @functools.lru_cache(maxsize=_PENCILS)
-def _quotient_operator(k: tuple[int, int], j: int, c: int) -> DiffOp:
-    """The cleared quotient operator of :func:`_quotient_table` at A = 0; k
-    comes as (numerator, denominator)."""
-    return DiffOp(_quotient_table(Fraction(*k), j, c))
+def _quotient_pencil(k: tuple[int, int], j: int, c: int) -> _Pencil:
+    """The cleared quotient operator as T_0 + A M, read off
+    :func:`_quotient_table` at A = 0 and 1; k comes as (numerator,
+    denominator)."""
+    kq = Fraction(*k)
+    return _pencil(_quotient_table(kq, j, c, 0), _quotient_table(kq, j, c, 1))
 
 
-def _quotient_table(k, j, c) -> dict:
-    """The quotient identity in t = x + k, cleared by t^(j+2), at A = 0 and
+def _quotient_table(k, j, c, A) -> dict:
+    """The quotient identity in t = x + k, cleared by t^(j+2), at
     B = -j(j+1)k, on g = F/t^j:
-    (t-k) t^2 F'' + [(2k+1-t) t^2 - 2j t (t-k)] F' + [(c+j) t^2 + j(j-2k) t] F.
-    The A term is -A t F."""
+    (t-k) t^2 F'' + [(2k+1-t) t^2 - 2j t (t-k)] F' + [(c+j) t^2 + (j(j-2k) - A) t] F."""
     return {(3, 2): 1, (2, 2): -k, (3, 1): -1, (2, 1): 2 * k + 1 - 2 * j,
-            (1, 1): 2 * j * k, (2, 0): c + j, (1, 0): j * (j - 2 * k)}
+            (1, 1): 2 * j * k, (2, 0): c + j, (1, 0): j * (j - 2 * k) - A}
 
 
 def xj_quotient_solve(k: RationalLike, j: int, n: int) -> list[dict]:
@@ -376,47 +384,100 @@ def xj_quotient_solve(k: RationalLike, j: int, n: int) -> list[dict]:
     non-reducible case), B = -j(j+1)k; the remaining unknowns are exactly the
     eigenpairs of a small tridiagonal matrix, with A the eigenvalue: rows
     t^1..t^(n+1) of the :func:`_quotient_table` operator on t^0..t^n (rows
-    t^0 and t^(n+2) vanish by the choice of B and c).  Each returned entry
-    {"f": ascending monic float coefficients, "A", "B", "c"} has been
+    t^0 and t^(n+2) vanish by the choice of B and c).  Its sub-diagonal
+    never vanishes, so each eigenvalue has one eigenvector, of degree n, and
+    :func:`_quotient_charpoly` gives the characteristic polynomial chi_n and
+    the eigenvector's constant coordinate F(0) = f(-k) as exact polynomials
+    in A.  The A values are the distinct real roots of chi_n at which F(0) is
+    not zero: :func:`polycore.real_roots` of chi_n with every root it shares
+    with F(0) divided out, each a float next to the exact root, ascending.
+    No float eigen-solve and no threshold decides which roots count.  Each
+    returned entry {"f": ascending monic float coefficients, "A", "B", "c"}
+    holds the exact eigenvector at the float A, rounded once, and is
     re-verified against the exact :func:`xj_quotient_residual`.
 
     Solutions with f(-k) = 0 are reducible (the quotient collapses to a lower
-    codimension) and are dropped.  For j = 1 the branch A = 1
-    appears at every n and carries the exceptional family; the remaining
-    branches -- all of them for j >= 2 -- have n-dependent A, so no single
-    n-independent potential of this form exists beyond the A = 1 family.
+    codimension) and are dropped.  For j = 1, A = 1 is an exact root of every
+    chi_n and carries the exceptional family; the remaining branches -- all
+    of them for j >= 2 -- have n-dependent A, so no single n-independent
+    potential of this form exists beyond the A = 1 family.
     """
     if j < 1 or n < j:
         raise ValueError("need j >= 1 and n >= j")
     kq = as_rational(k)
-    size = n + 1
-    op = _quotient_operator((kq.numerator, kq.denominator), j, n - j)
-    # the t^(i+1) row carries the -A t F term, so A is a plain eigenvalue
-    m = np.array([[v / op.den for v in row]
-                  for row in op.monomial_matrix(size)[1:size + 1]])
-    vals, vecs = np.linalg.eig(m)
+    rows, den = _quotient_rows(kq, j, n)
+    kept, phi_0 = _quotient_charpoly(rows, den)
+    # Down the rows, gcd(chi, phi_0) = gcd(phi_i, phi_(i+1)) while the
+    # super-diagonal R[i][i+1] = den k (i+1)(2j-i) is not zero, and phi_n = 1:
+    # so chi and phi_0 can share a root only when n > 2j.  Then the shared
+    # roots go, at any multiplicity.
+    if not all(rows[i][i + 1] for i in range(n)):
+        while (common := poly_gcd(kept, phi_0)).degree > 0:
+            kept = divmod(kept, common)[0]
     out = []
-    for idx in np.argsort(vals.real):
-        a_val = vals[idx]
-        if abs(a_val.imag) > 1e-9 * (1 + abs(a_val.real)):
-            continue
-        phi = vecs[:, idx].real
-        if abs(phi[-1]) < 1e-10:
-            continue  # degree < n; belongs to a lower index
-        phi = phi / phi[-1]
-        if abs(phi[0]) < 1e-8 * np.max(np.abs(phi)):
-            continue
-        # back to f(x) = F(x+k), read exactly and rounded once
-        fcoef = np.array(Poly.from_floats(phi).shift(kq).to_floats())
-        a_real = float(a_val.real)
-        resid = xj_quotient_residual(Poly.from_floats(fcoef), kq, j, Fraction(a_real))
+    for a_real in real_roots(kept):
+        # F(t) at this A, exact, and back to f(x) = F(x+k), rounded once
+        fcoef = np.array(_quotient_vector(rows, den, a_real).shift(kq).to_floats())
+        a_exact = Fraction(a_real)
+        resid = xj_quotient_residual(Poly.from_floats(fcoef), kq, j, a_exact)
         if max(map(abs, resid.to_floats()), default=0.0) > 1e-7 * max(
                 1.0, float(np.max(np.abs(fcoef)))):
             continue
-        if not any(abs(e["A"] - a_real) < 1e-9 for e in out):
-            out.append({"f": fcoef, "A": a_real, "B": float(-j * (j + 1) * kq),
-                        "c": float(n - j)})
+        out.append({"f": fcoef, "A": a_real, "B": float(-j * (j + 1) * kq),
+                    "c": float(n - j)})
     return out
+
+
+def _quotient_rows(k: Fraction, j: int, n: int) -> tuple[list[list[int]], int]:
+    """Rows t^1..t^(n+1) of the quotient operator at A = 0 on t^0..t^n, as
+    integers over the returned denominator: the matrix of
+    :func:`xj_quotient_solve`."""
+    op = _quotient_operator((k.numerator, k.denominator), j, n - j)
+    return op.monomial_matrix(n + 1)[1:n + 2], op.den
+
+
+@functools.lru_cache(maxsize=_PENCILS)
+def _quotient_operator(k: tuple[int, int], j: int, c: int) -> DiffOp:
+    """The quotient operator at A = 0; k comes as (numerator, denominator)."""
+    return _pencil_at(_quotient_pencil(k, j, c), 0, 1)
+
+
+def _quotient_charpoly(rows: list[list[int]], den: int) -> tuple[Poly, Poly]:
+    """chi_n(A), up to a constant factor, and phi_0(A): the eigenproblem of
+    :func:`xj_quotient_solve` in exact polynomials of A.
+
+    ``rows`` are the integer rows t^1..t^(n+1) of the operator's matrix R on
+    t^0..t^n, over its denominator den.  Row i reads
+    R[i][i-1] phi_(i-1) + R[i][i] phi_i + R[i][i+1] phi_(i+1) = den A phi_i.
+    The sub-diagonal R[i][i-1] = den (n - i + 1) never vanishes, so rows
+    n..1, run backward from phi_n = 1, give each phi_(i-1) as one three-term
+    step; row 0, which that recurrence leaves unused, is then
+    chi_n(A) = (den A - R[0][0]) phi_0 - R[0][1] phi_1, of degree n + 1.
+    """
+    n = len(rows) - 1
+    cur, nxt = Poly.one(), Poly.zero()  # phi_i and phi_(i+1), from i = n
+    for i in range(n, 0, -1):
+        row = rows[i]
+        above = row[i + 1] if i < n else 0
+        cur, nxt = _three_term_step(cur, nxt, row[i - 1], -row[i], den, above), cur
+    return _three_term_step(cur, nxt, 1, -rows[0][0], den, rows[0][1]), cur
+
+
+def _quotient_vector(rows: list[list[int]], den: int, a: float) -> Poly:
+    """F(t) = phi_0 + phi_1 t + ... + phi_n t^n at A = a, exactly: the
+    recurrence of :func:`_quotient_charpoly` run in integers.  With a = p/q
+    and phi_i = psi_i / s_i, where s_n = 1 and s_(i-1) = q R[i][i-1] s_i,
+    psi_(i-1) = (den p - R[i][i] q) psi_i - q^2 R[i][i+1] R[i+1][i] psi_(i+1).
+    """
+    p, q = a.as_integer_ratio()
+    n = len(rows) - 1
+    psi, scale = [1, 0], [1]  # psi_n, psi_(n+1); s_n
+    for i in range(n, 0, -1):
+        row = rows[i]
+        coupling = q * q * row[i + 1] * rows[i + 1][i] if i < n else 0
+        psi.insert(0, (den * p - row[i] * q) * psi[0] - coupling * psi[1])
+        scale.insert(0, q * row[i - 1] * scale[0])
+    return Poly._from_ints([v * (scale[0] // s) for v, s in zip(psi, scale)], scale[0])
 
 
 # ---------------------------------------------------------------------------
@@ -431,17 +492,34 @@ def gram_schmidt_family(weight: quad.WeightSpec, count: int) -> list[np.ndarray]
     from :func:`quad.weight_recurrence`, where the weight's inner product is
     the Euclidean one.  The seeds span the kernel of l(p) = p(z) - d p'(z), z
     the pole and d = 1 (Laguerre) or b - c = -2/(beta-alpha) (Jacobi)
-    (Gomez-Ullate, Kamran, Milson, J. Approx. Theory 162, 2010).  phi_i =
-    q_i - (l(q_i)/l(q_{i-1})) q_{i-1} has degree i and l(phi_i) = 0, so
-    phi_1..phi_n span the same flag as the seeds; one QR of the bidiagonal
-    matrix of the phi in q-coordinates is their Gram-Schmidt under the
-    weight, with no quadrature.  Members are unit-norm with positive leading
-    coefficient; member i has degree i and depends only on phi_1..phi_i, so a
-    shorter family is a prefix of a longer one.  Raises QuadratureError if the
-    weight's recurrence does not settle or l vanishes on some q_i.
+    (Gomez-Ullate, Kamran, Milson, J. Approx. Theory 162, 2010), so the seeds
+    of degree <= i span the vectors v of q-coordinates 0..i with
+    l_0 v_0 + ... + l_i v_i = 0, l_m = l(q_m).  Member i is the unit vector
+    there orthogonal to the same space one degree down, in closed form
+    u_i = (-(l_i / h) (l_0, ..., l_(i-1)) / s, s / h) with
+    s = ||(l_0, ..., l_(i-1))|| and h = hypot(s, l_i): the Gram-Schmidt of the
+    seeds under the weight, with no quadrature and no factorization.  Members
+    are unit-norm with positive leading coefficient; member i has degree i
+    and reads only l_0..l_i, so a shorter family is bitwise a prefix of a
+    longer one.  Raises QuadratureError if the weight's recurrence does not
+    settle or l vanishes on some q_i.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    C, ell = _orthonormal_basis(weight, count)
+    members = []
+    for i in range(1, count + 1):
+        s = math.hypot(*ell[:i])
+        h = math.hypot(s, ell[i])
+        member = C[: i + 1, : i + 1] @ np.append(-(ell[i] / h) * ell[:i] / s, s / h)
+        members.append(member if member[-1] > 0 else -member)
+    return members
+
+
+def _orthonormal_basis(weight: quad.WeightSpec, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """C, whose column i holds the ascending coefficients of q_i, and the seed
+    functional's values l(q_0), ..., l(q_count), for :func:`gram_schmidt_family`.
+    """
     # the recurrence first: its overflow check names the parameter that a
     # pole too large for a float comes from
     rec = quad.weight_recurrence(weight, count + 1)
@@ -463,17 +541,7 @@ def gram_schmidt_family(weight: quad.WeightSpec, count: int) -> list[np.ndarray]
     if not np.all(np.isfinite(ell)) or np.any(ell[:-1] == 0):
         raise quad.QuadratureError("the seed functional vanishes on an orthonormal "
                                    "polynomial of the weight")
-    # phi_i in q-coordinates: -l(q_i)/l(q_{i-1}) at q_{i-1}, 1 at q_i
-    cols = np.arange(count)
-    phi = np.zeros((count + 1, count))
-    phi[cols + 1, cols] = 1.0
-    phi[cols, cols] = -ell[1:] / ell[:-1]
-    U = np.linalg.qr(phi)[0]
-    members = []
-    for i in range(1, count + 1):
-        member = C[: i + 1, : i + 1] @ U[: i + 1, i - 1]
-        members.append(member if member[-1] > 0 else -member)
-    return members
+    return C, ell
 
 
 def best_approximation_errors(weight: quad.WeightSpec,

@@ -212,3 +212,25 @@ def hamiltonian_residual(state, potential, grid) -> float:
     psi = state.on_grid(grid, normalize=False).values
     r = discretize(potential, grid).matvec(psi) - state.energy * psi
     return math.sqrt(math.fsum(r * r) / math.fsum(psi * psi))
+
+
+def gram_schmidt_by_qr(weight, count):
+    """The Gram-Schmidt route's members by one numpy QR of the bidiagonal
+    matrix of phi_i = q_i - (l(q_i)/l(q_{i-1})) q_{i-1} in the weight's
+    orthonormal basis: the factorization that ``xop.gram_schmidt_family``
+    writes in closed form.  Same basis, functional and sign rule."""
+    import numpy as np
+
+    from exopoly.xop import _orthonormal_basis
+
+    C, ell = _orthonormal_basis(weight, count)
+    cols = np.arange(count)
+    phi = np.zeros((count + 1, count))
+    phi[cols + 1, cols] = 1.0
+    phi[cols, cols] = -ell[1:] / ell[:-1]
+    U = np.linalg.qr(phi)[0]
+    members = []
+    for i in range(1, count + 1):
+        member = C[: i + 1, : i + 1] @ U[: i + 1, i - 1]
+        members.append(member if member[-1] > 0 else -member)
+    return members

@@ -18,8 +18,10 @@ from exopoly.polycore import (
     jacobi_family,
     laguerre_classical,
     laguerre_family,
+    poly_gcd,
     rational_nullspace,
     rational_str,
+    real_roots,
 )
 
 from oracles import (X, classical_jacobi_table, classical_laguerre_table,
@@ -132,6 +134,28 @@ class TestIntegerPolyAgainstSympy:
         assert p.coeffs == tuple(F(c) for c in coeffs)[: p.degree + 1]
         assert not any(F(c) for c in coeffs[p.degree + 1:])
 
+    @given(any_polys, nonzero_polys)
+    @oracle_settings
+    def test_divmod(self, a, b):
+        q, r = divmod(a, b)
+        assert_canonical(q)
+        assert_canonical(r)
+        sq, sr = sympy.div(to_sympy(a), to_sympy(b))
+        assert (q, r) == (from_sympy(sq), from_sympy(sr))
+
+    def test_divmod_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            divmod(Poly((1, 2)), Poly.zero())
+
+    @given(nonzero_polys, any_polys, small_polys)
+    @oracle_settings
+    def test_gcd(self, a, b, common):
+        if not common.is_zero:
+            a, b = a * common, b * common
+        g = poly_gcd(a, b)
+        assert_canonical(g)
+        assert g == from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)).monic())
+
     def test_zero_polynomial_forms(self):
         for zero in (Poly(), Poly((0, F(0), "0/7")), Poly.zero(), Poly((3,)) - Poly((3,)),
                      Poly((F(-1, 2), 4)).scale(0), derivative(Poly((5,)))):
@@ -219,6 +243,57 @@ class TestIntegerPolyAgainstSympy:
         back = Poly(map(F, js))
         assert back == p and back.to_json() == js
         assert_canonical(back)
+
+
+def _assert_next_to(found: list[float], exact: list) -> None:
+    """Each float is within a float step or two of its exact root."""
+    assert len(found) == len(exact)
+    for got, root in zip(found, exact):
+        assert abs(F(got) - root) <= 2 * F(math.ulp(float(root)))
+
+
+class TestRealRoots:
+    @given(st.lists(st.fractions(min_value=-1000, max_value=1000, max_denominator=1000),
+                    min_size=1, max_size=6),
+           st.lists(st.integers(1, 3), min_size=6, max_size=6),
+           st.fractions(min_value=F(1, 100), max_value=100, max_denominator=100),
+           st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))
+    @oracle_settings
+    def test_rational_roots_with_multiplicity(self, roots, powers, gap, lead):
+        # repeated roots come back once, and x^2 + gap adds no real root
+        p = Poly((gap, 0, 1)).scale(lead)
+        for root, power in zip(roots, powers):
+            for _ in range(power):
+                p = p * Poly((-root, 1))
+        _assert_next_to(real_roots(p), sorted(set(roots)))
+
+    @given(st.lists(st.integers(-30, 30), min_size=2, max_size=8).filter(lambda c: c[-1]))
+    @oracle_settings
+    def test_against_sympy(self, coeffs):
+        p = Poly(coeffs)
+        if p.degree < 1:
+            return
+        exact = sorted(set(to_sympy(p).real_roots()))
+        _assert_next_to(real_roots(p), [F(str(r.evalf(40))) for r in exact])
+
+    def test_close_tiny_and_large_roots(self):
+        roots = [F(-10**6), F(-1, 10**9), F(0), F(1, 3), F(1, 3) + F(1, 10**12), F(10**5)]
+        p = Poly.one()
+        for root in roots:
+            p = p * Poly((-root, 1))
+        _assert_next_to(real_roots(p), roots)
+        assert real_roots(p)[2] == 0.0
+
+    def test_roots_closer_than_a_float_step(self):
+        # both roots lie between the neighbouring floats 1 and 1 + 2^-52, so
+        # no float splits them; each still comes back, next to its root
+        roots = [1 + F(1, 2**60), 1 + F(1, 2**59)]
+        _assert_next_to(real_roots(Poly((-roots[0], 1)) * Poly((-roots[1], 1))), roots)
+
+    def test_no_real_roots_and_constants(self):
+        assert real_roots(Poly((1, 0, 1))) == []
+        with pytest.raises(ValueError, match="nonconstant"):
+            real_roots(Poly((3,)))
 
 
 class TestClassicalFamilies:

@@ -568,6 +568,26 @@ class TestConvergence:
                                   (500, 1000, 2000))
         assert 1.8 <= order <= 2.2
 
+    def test_slope_is_the_least_squares_fit(self):
+        # the closed-form slope against numpy's fit of the same errors
+        def box(x):
+            return np.zeros_like(x)
+
+        sizes = (300, 700, 1500, 4000)
+        errs, hs = [], []
+        for n in sizes:
+            g = Grid(0.0, math.pi, n)
+            hs.append(g.h)
+            errs.append(abs(lowest_levels(box, g, 1)[0] - 1.0))
+        fit = np.polyfit(np.log(hs), np.log(errs), 1)[0]
+        order = convergence_order(box, (0.0, math.pi), 1.0, sizes)
+        assert order == pytest.approx(fit, rel=1e-12)
+
+    @pytest.mark.parametrize("sizes", [(), (500,), (500, 500), [800, 800, 800]])
+    def test_fewer_than_two_distinct_sizes_refused(self, sizes):
+        with pytest.raises(ValueError, match="sizes"):
+            convergence_order(lambda x: np.zeros_like(x), (0.0, math.pi), 1.0, sizes)
+
     def test_report_serialization(self):
         g = Grid(0.0, math.pi, 200)
         rep = solve_spectrum(lambda x: np.zeros_like(x), g, 2, preset="box")

@@ -302,6 +302,28 @@ class TestCampaign:
         assert len(discretized) == 30
         assert sum(n == 64000 for _, n in discretized) == 8
 
+    @pytest.mark.parametrize("raw", [
+        {},
+        {"n_max": 12, "n_eigen_max": 40},
+        {"suites": ["spectra", "susy"],
+         "grid": {"spectrum_points": 64000, "rayleigh_points": 64000}},
+    ], ids=["default", "exact-deep", "spectral"])
+    def test_no_dense_linear_algebra(self, raw, monkeypatch):
+        # the quotient eigenproblem, the Gram-Schmidt basis and the
+        # convergence slope are exact or closed form; a dense LAPACK driver
+        # or a fit would map its OpenBLAS code pages into every campaign
+        def refuse(name):
+            def dense(*args, **kwargs):
+                raise AssertionError(f"{name} called during a verify run")
+            return dense
+
+        for name in ("eig", "eigvals", "eigh", "eigvalsh", "qr", "lstsq", "svd", "solve",
+                     "inv", "det", "cholesky", "pinv"):
+            monkeypatch.setattr(np.linalg, name, refuse(f"numpy.linalg.{name}"))
+        for name in ("polyfit", "roots"):
+            monkeypatch.setattr(np, name, refuse(f"numpy.{name}"))
+        assert run_verification(VerificationConfig.from_dict(raw)).failures == 0
+
 
 class TestWriteAtomic:
     def test_write_and_no_leftover_temp(self, tmp_path):

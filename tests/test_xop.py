@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import sympy
 
 from exopoly.polycore import DiffOp, JacobiConstants, Poly
-from exopoly.quad import WeightSpec, gram_matrix
+from exopoly.quad import QuadratureError, WeightSpec, gram_matrix
 from exopoly.verify import VerificationConfig
 from exopoly.xop import (
     XFamilySpec,
@@ -36,9 +36,12 @@ from exopoly.xop import (
     _jacobi_table,
     _laguerre_ladder_table,
     _laguerre_table,
+    _quotient_charpoly,
+    _quotient_rows,
+    _quotient_vector,
 )
 
-from oracles import coefficient, derivative, frac_nullspace
+from oracles import coefficient, derivative, frac_nullspace, gram_schmidt_by_qr
 
 K_SAMPLES = (F(1), F(2), F(7, 2))
 AB_SAMPLES = ((F(1), F(2)), (F(2), F(5)), (F(1, 2), F(3, 2)))
@@ -163,7 +166,7 @@ class TestXjEquation:
             assert sols, "expected nontrivial codimension-2 instances"
             for s in sols:
                 res = xj_quotient_residual(Poly.from_floats(s["f"]), k, 2, F(s["A"]))
-                assert max(map(abs, res.to_floats())) < 1e-9
+                assert max(map(abs, res.to_floats()), default=0.0) < 1e-9
                 assert s["B"] == pytest.approx(-6 * k)
                 assert s["c"] == pytest.approx(1.0)
 
@@ -183,6 +186,51 @@ class TestXjEquation:
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 positive_k = st.fractions(min_value=F(1, 4), max_value=5, max_denominator=4)
+
+
+class TestQuotientEigenproblem:
+    """The exact characteristic polynomial chi_n of xj_quotient_solve."""
+
+    @pytest.mark.parametrize("k", [F(1), F(2), F(7, 2), F(1, 3)])
+    def test_a_equal_one_is_a_root_of_every_j1_chi(self, k):
+        # (A - 1) divides chi_n, and the exact eigenvector at A = 1 is the
+        # exceptional member of index n, shifted to t = x + k
+        for n in range(1, 7):
+            rows, den = _quotient_rows(k, 1, n)
+            chi, _ = _quotient_charpoly(rows, den)
+            assert chi.degree == n + 1
+            assert divmod(chi, Poly((-1, 1)))[1].is_zero
+            member = _quotient_vector(rows, den, 1.0).shift(k)
+            assert member.monic() == x1_laguerre_op_route(n - 1, k).monic()
+
+    @given(positive_k, st.integers(min_value=1, max_value=3), st.data())
+    @settings(max_examples=25, deadline=None)  # sympy is the slow side
+    def test_a_values_are_sympys_kept_roots(self, k, j, data):
+        # n up to 2j + 3 reaches the zero super-diagonal entry at t^(2j+1),
+        # where chi_n and phi_0 can share roots
+        n = data.draw(st.integers(min_value=j, max_value=2 * j + 3), label="n")
+        t, a = sympy.symbols("t A")
+        kq = sympy.Rational(k.numerator, k.denominator)
+        x, b = t - kq, -j * (j + 1) * kq
+        # rows t^1..t^(n+1) of the cleared identity on F = t^d, at A = 0
+        cols = []
+        for d in range(n + 1):
+            g = t ** (d - j)
+            expr = sympy.cancel(t ** (j + 2) * (x * g.diff(t, 2) + (kq + 1 - x) * g.diff(t)
+                                                + (n - j - b / t**2) * g))
+            cols.append([sympy.Poly(expr, t).coeff_monomial(t**r) for r in range(1, n + 2)])
+        m = sympy.Matrix(n + 1, n + 1, lambda r, d: cols[d][r])
+        chi = m.charpoly(a)  # the A term is -A t F: rows read (m - A) phi = 0
+        # the null vector's t^0 coordinate is the (0, 0) cofactor
+        phi_0 = m[1:, 1:].charpoly(a)
+        kept = sympy.Poly(sympy.sqf_part(chi.as_expr()), a)
+        while (common := sympy.gcd(kept, phi_0.as_expr())).degree(a) > 0:
+            kept = sympy.Poly(sympy.quo(kept.as_expr(), common.as_expr()), a)
+        expect = [float(r.evalf(30)) for r in kept.real_roots()]
+        found = [s["A"] for s in xj_quotient_solve(k, j, n)]
+        assert len(found) == len(expect)
+        for got, root in zip(found, expect):
+            assert abs(got - root) <= 2 * math.ulp(root)
 
 
 class TestQuotientIdentityAgainstSympy:
@@ -261,6 +309,24 @@ class TestGramSchmidtRoute:
         short, long = gram_schmidt_family(weight, 8), gram_schmidt_family(weight, 10)
         assert len(short) == 8
         assert all(np.array_equal(a, b) for a, b in zip(short, long[:8]))
+
+    @given(st.one_of(
+        st.builds(WeightSpec.x1_laguerre, st.builds(F, st.integers(1, 5000), st.just(100))),
+        st.builds(lambda a, b: (a, b), st.builds(F, st.integers(-99, 5000), st.just(100)),
+                  st.builds(F, st.integers(-99, 5000), st.just(100)))
+        .filter(lambda ab: ab[0] != ab[1] and abs((ab[1] + ab[0]) / (ab[1] - ab[0])) > 1)
+        .map(lambda ab: WeightSpec.x1_jacobi(*ab))),
+        st.integers(1, 24))
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_matches_a_qr(self, weight, count):
+        # the rational-weight sweep's domain; the closed-form basis against
+        # one numpy QR of the bidiagonal seed matrix
+        try:
+            closed = gram_schmidt_family(weight, count)
+        except QuadratureError:
+            return
+        for member, ref in zip(closed, gram_schmidt_by_qr(weight, count)):
+            assert np.max(np.abs(member - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_degrees_and_positive_leading(self):
         w = WeightSpec.x1_jacobi(F(2), F(5))
