@@ -7,7 +7,7 @@ Subcommands:
     quad     --rule laguerre --n 16 --k 2              emit quadrature rules
 
 Exit codes: 0 success, 1 verification failures, 2 invalid configuration or
-arguments, 3 solver failure.
+arguments (an ``--out`` that cannot be written among them), 3 solver failure.
 
 Before it parses its arguments, :func:`main` starts glibc's malloc at the
 ceiling of the thresholds glibc would otherwise slide up to as it frees
@@ -63,7 +63,8 @@ def cmd_verify(args) -> int:
         report = run_verification(cfg)
     except (quad.QuadratureError, SolverError) as exc:
         return _fail(str(exc), EXIT_SOLVER)
-    _emit(report.to_json(), args.out)
+    if code := _emit(report.to_json(), args.out):
+        return code
     for check in report.checks:
         print(f"[{check['status']:8s}] {check['id']}  metric={check['metric']:.3e}",
               file=sys.stderr)
@@ -97,12 +98,7 @@ def _family_table(args) -> list:
         else:
             spec = xop.XFamilySpec(family="jacobi", alpha=_rational("--alpha", args.alpha),
                                    beta=_rational("--beta", args.beta))
-        if args.route == "gram-schmidt":
-            return xop.gram_schmidt_family(spec.weight(), args.n)
-        if args.route == "operator":
-            return xop.operator_family(spec, args.n)
-        return [xop.family_by_route(spec, n, args.route)
-                for n in range(1, args.n + 1)]
+        return xop.family_by_route(spec, args.n, args.route)
     raise ValueError(f"unknown family {fam!r}")
 
 
@@ -137,8 +133,7 @@ def cmd_poly(args) -> int:
         text = json.dumps({"family": args.family, "route": args.route,
                            "params": params, "members": payload},
                           sort_keys=True, indent=2)
-    _emit(text, args.out)
-    return EXIT_OK
+    return _emit(text, args.out)
 
 
 def cmd_spectrum(args) -> int:
@@ -192,8 +187,7 @@ def cmd_spectrum(args) -> int:
     except SolverError as exc:
         return _fail(str(exc), EXIT_SOLVER)
     text = rep.to_csv() if args.format == "csv" else rep.to_json(indent=2)
-    _emit(text, args.out)
-    return EXIT_OK
+    return _emit(text, args.out)
 
 
 def cmd_quad(args) -> int:
@@ -215,20 +209,24 @@ def cmd_quad(args) -> int:
         rule = quad.gauss_rule(weight, args.n)
     except (ValueError, ZeroDivisionError, quad.QuadratureError) as exc:
         return _fail(str(exc), EXIT_BAD_CONFIG)
-    _emit(rule.to_csv(header=f"{header},n={args.n}"), args.out)
-    return EXIT_OK
+    return _emit(rule.to_csv(header=f"{header},n={args.n}"), args.out)
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write ``text`` to the file ``out``, or to stdout.
+def _emit(text: str, out: str | None) -> int:
+    """Write ``text`` to the file ``out``, or to stdout; the exit code.
 
-    A reader that closes stdout early (``| head``) is not an error: stdout is
-    pointed at the null device, so the flush at interpreter exit does not
-    raise again, and the command keeps its own exit code.
+    A file that cannot be written (a missing or unwritable directory, a
+    directory as ``out``) is a bad argument: exit 2, with no temp file left
+    behind.  A reader that closes stdout early (``| head``) is not an error:
+    stdout is pointed at the null device, so the flush at interpreter exit
+    does not raise again, and the command keeps its own exit code.
     """
     if out:
-        write_atomic(out, text if text.endswith("\n") else text + "\n")
-        return
+        try:
+            write_atomic(out, text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            return _fail(f"cannot write {out}: {exc.strerror or exc}", EXIT_BAD_CONFIG)
+        return EXIT_OK
     try:
         print(text)
         sys.stdout.flush()
@@ -236,6 +234,7 @@ def _emit(text: str, out: str | None) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,9 +7,17 @@ numerators over one positive common denominator (``coeffs`` shows them as
 solver eliminates on integers, and an identity that holds here holds as a
 theorem, not as a numerical coincidence.  Floats enter in one place only:
 :func:`real_roots` returns each real root of an exact polynomial as a float,
-found by float Newton steps but placed next to the root by exact signs.  The
-rest of the package builds the exceptional families out of these primitives
-and only drops to floats at the quadrature/eigensolver layer.
+found by float Newton steps but placed next to the root by exact signs.
+
+Each exact computation is written once: every three-term recurrence (the
+classical families, and the quotient eigenproblem of ``xop``) steps through
+:func:`_three_term_step`; every division, in :func:`poly_gcd` and in the
+Sturm sequence of :func:`real_roots`, is the integer pseudo-division of
+``Poly.__divmod__``; and every exact evaluation, ``Poly.__call__`` at a
+rational and the signs that certify a root, is the integer Horner pass of
+:func:`_scaled_value`.  The rest of the package builds the exceptional
+families out of these primitives and only drops to floats at the
+quadrature/eigensolver layer.
 """
 
 from __future__ import annotations
@@ -135,6 +143,8 @@ class Poly:
     # ring operations ------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         da, db = self._den, other._den
         den = da * db // math.gcd(da, db)
         fa, fb = den // da, den // db
@@ -152,6 +162,8 @@ class Poly:
         return out
 
     def __sub__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -207,7 +219,8 @@ class Poly:
     # evaluation -----------------------------------------------------------
 
     def __call__(self, value):
-        """Horner evaluation: exact for Fraction/int input, float for float.
+        """Horner evaluation: exact for Fraction/int input (one integer pass,
+        :func:`_scaled_value`), float for float.
 
         Also evaluates on anything supporting * and + (e.g. numpy arrays),
         with coefficients coerced to float in that case.  An array is
@@ -217,12 +230,8 @@ class Poly:
         """
         if isinstance(value, (Fraction, int)):
             p, q = _ratio(value)
-            acc, qpow = 0, 1
-            for c in reversed(self._num):
-                acc = acc * p + c * qpow
-                qpow *= q
-            # acc = q^deg * den * f(p/q), and qpow = q^(deg+1)
-            return Fraction(acc * q, self._den * qpow)
+            return Fraction(_scaled_value(self._num, p, q),
+                            self._den * q ** max(self.degree, 0))
         acc = 0.0 * value  # a new array, or an immutable scalar rebound below
         for c in reversed(self.to_floats()):
             acc *= value
@@ -571,23 +580,23 @@ def real_roots(p: Poly) -> list[float]:
     """
     if p.degree < 1:
         raise ValueError("real_roots needs a nonconstant polynomial")
-    # the numerators over one positive denominator carry the signs
-    chain = _sturm_chain(p._num[::-1])
-    if len(chain[-1]) > 1:  # then it is gcd(p, p'), up to a constant
-        p = divmod(p, Poly(chain[-1][::-1]))[0]
-        chain = _sturm_chain(p._num[::-1])
-    floats = p.to_floats()[::-1]
+    chain = _sturm_chain(p)
+    if chain[-1].degree > 0:  # then it is gcd(p, p'), up to a constant
+        p = divmod(p, chain[-1])[0]
+        chain = _sturm_chain(p)
 
     def variations(x: float) -> int:
         a, b = x.as_integer_ratio()
-        return _variations([_scaled_value(q, a, b) for q in chain])
+        return _variations([_scaled_value(q._num, a, b) for q in chain])
 
-    # every distinct real root: the variations at -inf less those at +inf
-    top = [q[0] for q in chain]
-    total = _variations([-c if len(q) % 2 == 0 else c for c, q in zip(top, chain)]) \
+    # every distinct real root: the variations at -inf less those at +inf;
+    # the numerators over one positive denominator carry the signs
+    top = [q._num[-1] for q in chain]
+    total = _variations([c if q.degree % 2 == 0 else -c for c, q in zip(top, chain)]) \
         - _variations(top)
     # a power of 2 at Fujiwara's bound 2 max |c_(n-i)/c_n|^(1/i), from float
     # ratios, doubled until the counts at +-bound see every root
+    floats = p.to_floats()[::-1]
     fujiwara = 2 * max(abs(c / floats[0]) ** (1 / i) for i, c in enumerate(floats) if i)
     bound = 2.0 ** math.frexp(fujiwara)[1]
     while (v_lo := variations(-bound)) - (v_hi := variations(bound)) != total:
@@ -596,7 +605,7 @@ def real_roots(p: Poly) -> list[float]:
     while stack:
         lo, hi, v_lo, v_hi = stack.pop()
         if v_lo - v_hi == 1:
-            roots.append(_isolated_root(chain[0], floats, lo, hi))
+            roots.append(_isolated_root(p, lo, hi))
         elif v_lo > v_hi:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:  # roots closer than one float step
@@ -607,28 +616,19 @@ def real_roots(p: Poly) -> list[float]:
     return roots
 
 
-def _sturm_chain(nums: list[int]) -> list[list[int]]:
-    """The Sturm sequence of the integer polynomial ``nums`` (descending
-    coefficients): p, p' and the negated remainders of Euclid's algorithm on
-    them, down to the last nonzero one, each a positive multiple of the
-    exact one with coprime integer coefficients."""
-    n = len(nums) - 1
-    chain = [list(nums), [c * (n - i) for i, c in enumerate(nums[:-1])]]
-    while len(chain[-1]) > 1:
-        rem, div = chain[-2], chain[-1]
-        # |l| rem - sign(l) c x^k div cancels rem's top term c, l = div's
-        lead = abs(div[0])
-        sign = 1 if div[0] > 0 else -1
-        while len(rem) >= len(div):
-            c = sign * rem[0]
-            rem = [lead * r - c * d for r, d in zip(rem[1:], div[1:])] + \
-                [lead * r for r in rem[len(div):]]
-        while rem and not rem[0]:
-            rem.pop(0)
+def _sturm_chain(p: Poly) -> list[Poly]:
+    """The Sturm sequence of p: p, p' and the negated remainders of Euclid's
+    algorithm on them (``Poly.__divmod__``), down to the last nonzero one.
+    Each term after p is a positive multiple of the exact one in integers:
+    p' as the derivative of p's numerators, each remainder with coprime
+    coefficients."""
+    chain = [p, Poly._from_ints([i * c for i, c in enumerate(p._num)][1:])]
+    while chain[-1].degree > 0:
+        rem = divmod(chain[-2], chain[-1])[1]._num
         if not rem:
             break
         g = math.gcd(*rem)
-        chain.append([-r // g for r in rem])
+        chain.append(Poly._from_ints([-c // g for c in rem]))
     return chain
 
 
@@ -640,40 +640,30 @@ def _variations(values: list) -> int:
 
 def _scaled_value(nums: tuple[int, ...], a: int, b: int) -> int:
     """b^deg p(a/b), b > 0, of the polynomial with integer coefficients
-    ``nums`` (descending): an integer of p's sign at a/b."""
+    ``nums`` (ascending): an integer of p's sign at a/b."""
     acc, bpow = 0, 1
-    for c in nums:
+    for c in reversed(nums):
         acc = acc * a + c * bpow
         bpow *= b
     return acc
 
 
-def _horner(floats: list[float], x: float) -> float:
-    """The polynomial with float coefficients ``floats`` (descending) at x."""
-    v = 0.0
-    for c in floats:
-        v = v * x + c
-    return v
-
-
-def _sign_at(nums: tuple[int, ...], x: float) -> int:
-    """The exact sign at the float x of the polynomial with integer
-    coefficients ``nums`` (descending)."""
-    value = _scaled_value(nums, *x.as_integer_ratio())
+def _sign_at(p: Poly, x: float) -> int:
+    """The exact sign of p at the float x."""
+    value = _scaled_value(p._num, *x.as_integer_ratio())
     return (value > 0) - (value < 0)
 
 
-def _isolated_root(nums: tuple[int, ...], floats: list[float], lo: float,
-                   hi: float) -> float:
-    """The float at the one root in (lo, hi] of the polynomial with integer
-    coefficients ``nums`` and float ones ``floats`` (both descending)."""
-    s_hi = _sign_at(nums, hi)
+def _isolated_root(p: Poly, lo: float, hi: float) -> float:
+    """The float at the one root of p in (lo, hi]."""
+    s_hi = _sign_at(p, hi)
     if not s_hi:
         return hi
     # start where the chord through the float values at lo and hi crosses 0
-    v_lo, v_hi = _horner(floats, lo), _horner(floats, hi)
+    v_lo, v_hi = p(lo), p(hi)
     x = lo - v_lo * (hi - lo) / (v_hi - v_lo) if v_hi != v_lo else lo
     a, b, x = lo, hi, x if lo < x < hi else 0.5 * (lo + hi)
+    floats = p.to_floats()[::-1]
     for _ in range(_NEWTON_STEPS):
         v = dv = 0.0
         for c in floats:
@@ -693,8 +683,8 @@ def _isolated_root(nums: tuple[int, ...], floats: list[float], lo: float,
     while True:
         # lo's sign is -s_hi, or 0 where lo is the root below (lo, hi]
         a, b = max(x - step, lo), min(x + step, hi)
-        s_a = -s_hi if a == lo else _sign_at(nums, a)
-        s_b = _sign_at(nums, b)
+        s_a = -s_hi if a == lo else _sign_at(p, a)
+        s_b = _sign_at(p, b)
         if not s_a * s_b:
             return b if s_a else a
         if s_a != s_b:
@@ -703,7 +693,7 @@ def _isolated_root(nums: tuple[int, ...], floats: list[float], lo: float,
             break
         step *= 2
     while a < (mid := 0.5 * (a + b)) < b:
-        s = _sign_at(nums, mid)
+        s = _sign_at(p, mid)
         if not s:
             return mid
         if s == s_b:

@@ -27,7 +27,7 @@ import numpy as np
 from .polycore import jacobi_classical
 from .potentials import CoulombRadial, Oscillator3D, ScarfTrig
 from .solver import Grid, GridFunction, discretize
-from .xop import x1_jacobi_op_route
+from .xop import XFamilySpec, operator_family
 
 
 @dataclass(frozen=True)
@@ -380,8 +380,8 @@ def _scarf_claims() -> list[dict]:
 
     # raising-operator normalization: measured leading-coefficient ratio vs claim
     al, be = sc.jacobi_alpha, sc.jacobi_beta
-    for n in range(0, 5):
-        out = x1_jacobi_op_route(n, al, be)
+    raised = operator_family(XFamilySpec(family="jacobi", alpha=al, beta=be), 5)
+    for n, out in enumerate(raised):
         ref = jacobi_classical(n + 1, al, be)
         measured = float(out.leading / ref.leading)
         claimed = float(2 * (be - al) * (be + n))

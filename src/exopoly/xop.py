@@ -25,10 +25,12 @@ is one more table, written in the shifted variable t = x + k and affine in
 its coefficient A: the exact :func:`xj_quotient_residual` applies it to f
 shifted by -k and shifts the result back, and :func:`xj_quotient_solve`
 reads its eigenproblem off the same operator's matrix on t-monomials.  That
-matrix is integer and tridiagonal, so its characteristic polynomial and
-eigenvectors come exactly from one recurrence, and the A values are its
-real roots, certified by exact signs (:func:`polycore.real_roots`): no
-float eigen-solve, no thresholds.
+matrix is integer and tridiagonal, so one backward recurrence over exact
+polynomials in A gives both its characteristic polynomial and the
+eigenvector's coordinates; the A values are the characteristic polynomial's
+real roots, certified by exact signs (:func:`polycore.real_roots`), and the
+eigenvector at each is those coordinates evaluated exactly there: no float
+eigen-solve, no thresholds.
 
 Each family fact has one home that every route reads: the Jacobi constants
 a, b, c in :class:`polycore.JacobiConstants`, the pole in ``quad.WeightSpec.pole``,
@@ -36,7 +38,8 @@ the classical family the ladder raises in :meth:`XFamilySpec.seeds`, the ladder
 in :meth:`XFamilySpec.ladder`, the cleared equation in
 :meth:`XFamilySpec.operator`, and the seed functional, read off the pole, in
 :func:`gram_schmidt_family`.  Every operator-route member, one at a time or a
-whole family, comes from :func:`operator_family`.
+whole family, comes from :func:`operator_family`, and
+:func:`family_by_route` hands out members 1..n of any route.
 """
 
 from __future__ import annotations
@@ -387,14 +390,15 @@ def xj_quotient_solve(k: RationalLike, j: int, n: int) -> list[dict]:
     t^0 and t^(n+2) vanish by the choice of B and c).  Its sub-diagonal
     never vanishes, so each eigenvalue has one eigenvector, of degree n, and
     :func:`_quotient_charpoly` gives the characteristic polynomial chi_n and
-    the eigenvector's constant coordinate F(0) = f(-k) as exact polynomials
-    in A.  The A values are the distinct real roots of chi_n at which F(0) is
-    not zero: :func:`polycore.real_roots` of chi_n with every root it shares
-    with F(0) divided out, each a float next to the exact root, ascending.
-    No float eigen-solve and no threshold decides which roots count.  Each
-    returned entry {"f": ascending monic float coefficients, "A", "B", "c"}
-    holds the exact eigenvector at the float A, rounded once, and is
-    re-verified against the exact :func:`xj_quotient_residual`.
+    the eigenvector's coordinates phi_0..phi_n, with F(0) = phi_0 = f(-k), as
+    exact polynomials in A.  The A values are the distinct real roots of chi_n
+    at which F(0) is not zero: :func:`polycore.real_roots` of chi_n with every
+    root it shares with F(0) divided out, each a float next to the exact root,
+    ascending.  No float eigen-solve and no threshold decides which roots
+    count.  Each returned entry {"f": ascending monic float coefficients, "A",
+    "B", "c"} holds the eigenvector, the phi_i evaluated exactly at the float
+    A, rounded once, and is re-verified against the exact
+    :func:`xj_quotient_residual`.
 
     Solutions with f(-k) = 0 are reducible (the quotient collapses to a lower
     codimension) and are dropped.  For j = 1, A = 1 is an exact root of every
@@ -406,19 +410,19 @@ def xj_quotient_solve(k: RationalLike, j: int, n: int) -> list[dict]:
         raise ValueError("need j >= 1 and n >= j")
     kq = as_rational(k)
     rows, den = _quotient_rows(kq, j, n)
-    kept, phi_0 = _quotient_charpoly(rows, den)
+    kept, phi = _quotient_charpoly(rows, den)
     # Down the rows, gcd(chi, phi_0) = gcd(phi_i, phi_(i+1)) while the
     # super-diagonal R[i][i+1] = den k (i+1)(2j-i) is not zero, and phi_n = 1:
     # so chi and phi_0 can share a root only when n > 2j.  Then the shared
     # roots go, at any multiplicity.
     if not all(rows[i][i + 1] for i in range(n)):
-        while (common := poly_gcd(kept, phi_0)).degree > 0:
+        while (common := poly_gcd(kept, phi[0])).degree > 0:
             kept = divmod(kept, common)[0]
     out = []
     for a_real in real_roots(kept):
         # F(t) at this A, exact, and back to f(x) = F(x+k), rounded once
-        fcoef = np.array(_quotient_vector(rows, den, a_real).shift(kq).to_floats())
         a_exact = Fraction(a_real)
+        fcoef = np.array(Poly([p(a_exact) for p in phi]).shift(kq).to_floats())
         resid = xj_quotient_residual(Poly.from_floats(fcoef), kq, j, a_exact)
         if max(map(abs, resid.to_floats()), default=0.0) > 1e-7 * max(
                 1.0, float(np.max(np.abs(fcoef)))):
@@ -432,19 +436,13 @@ def _quotient_rows(k: Fraction, j: int, n: int) -> tuple[list[list[int]], int]:
     """Rows t^1..t^(n+1) of the quotient operator at A = 0 on t^0..t^n, as
     integers over the returned denominator: the matrix of
     :func:`xj_quotient_solve`."""
-    op = _quotient_operator((k.numerator, k.denominator), j, n - j)
+    op = _pencil_at(_quotient_pencil((k.numerator, k.denominator), j, n - j), 0, 1)
     return op.monomial_matrix(n + 1)[1:n + 2], op.den
 
 
-@functools.lru_cache(maxsize=_PENCILS)
-def _quotient_operator(k: tuple[int, int], j: int, c: int) -> DiffOp:
-    """The quotient operator at A = 0; k comes as (numerator, denominator)."""
-    return _pencil_at(_quotient_pencil(k, j, c), 0, 1)
-
-
-def _quotient_charpoly(rows: list[list[int]], den: int) -> tuple[Poly, Poly]:
-    """chi_n(A), up to a constant factor, and phi_0(A): the eigenproblem of
-    :func:`xj_quotient_solve` in exact polynomials of A.
+def _quotient_charpoly(rows: list[list[int]], den: int) -> tuple[Poly, list[Poly]]:
+    """chi_n(A), up to a constant factor, and phi_0(A), ..., phi_n(A): the
+    eigenproblem of :func:`xj_quotient_solve` in exact polynomials of A.
 
     ``rows`` are the integer rows t^1..t^(n+1) of the operator's matrix R on
     t^0..t^n, over its denominator den.  Row i reads
@@ -452,32 +450,17 @@ def _quotient_charpoly(rows: list[list[int]], den: int) -> tuple[Poly, Poly]:
     The sub-diagonal R[i][i-1] = den (n - i + 1) never vanishes, so rows
     n..1, run backward from phi_n = 1, give each phi_(i-1) as one three-term
     step; row 0, which that recurrence leaves unused, is then
-    chi_n(A) = (den A - R[0][0]) phi_0 - R[0][1] phi_1, of degree n + 1.
+    chi_n(A) = (den A - R[0][0]) phi_0 - R[0][1] phi_1, of degree n + 1.  At a
+    root A of chi_n, F(t) = phi_0(A) + phi_1(A) t + ... + phi_n(A) t^n is the
+    eigenvector, and every eigenvector at A is a multiple of it.
     """
     n = len(rows) - 1
-    cur, nxt = Poly.one(), Poly.zero()  # phi_i and phi_(i+1), from i = n
+    phi = [Poly.zero()] * n + [Poly.one(), Poly.zero()]  # phi_0..phi_(n+1)
     for i in range(n, 0, -1):
         row = rows[i]
         above = row[i + 1] if i < n else 0
-        cur, nxt = _three_term_step(cur, nxt, row[i - 1], -row[i], den, above), cur
-    return _three_term_step(cur, nxt, 1, -rows[0][0], den, rows[0][1]), cur
-
-
-def _quotient_vector(rows: list[list[int]], den: int, a: float) -> Poly:
-    """F(t) = phi_0 + phi_1 t + ... + phi_n t^n at A = a, exactly: the
-    recurrence of :func:`_quotient_charpoly` run in integers.  With a = p/q
-    and phi_i = psi_i / s_i, where s_n = 1 and s_(i-1) = q R[i][i-1] s_i,
-    psi_(i-1) = (den p - R[i][i] q) psi_i - q^2 R[i][i+1] R[i+1][i] psi_(i+1).
-    """
-    p, q = a.as_integer_ratio()
-    n = len(rows) - 1
-    psi, scale = [1, 0], [1]  # psi_n, psi_(n+1); s_n
-    for i in range(n, 0, -1):
-        row = rows[i]
-        coupling = q * q * row[i + 1] * rows[i + 1][i] if i < n else 0
-        psi.insert(0, (den * p - row[i] * q) * psi[0] - coupling * psi[1])
-        scale.insert(0, q * row[i - 1] * scale[0])
-    return Poly._from_ints([v * (scale[0] // s) for v, s in zip(psi, scale)], scale[0])
+        phi[i - 1] = _three_term_step(phi[i], phi[i + 1], row[i - 1], -row[i], den, above)
+    return _three_term_step(phi[0], phi[1], 1, -rows[0][0], den, rows[0][1]), phi[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -578,22 +561,25 @@ def coefficient_rel_diff(p, q) -> float:
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
-def family_by_route(spec: XFamilySpec, n: int, route: str):
-    """Dispatch one member by route: "operator" | "nullspace" (exact Poly) or
-    "gram-schmidt" (float array)."""
+def family_by_route(spec: XFamilySpec, n: int, route: str) -> list:
+    """Members of index 1..n by route: "operator" | "nullspace" (exact Polys,
+    nullspace members monic) or "gram-schmidt" (float arrays)."""
     if n < 1:
         raise ValueError("exceptional families have no degree-0 member")
     if route == "operator":
-        return operator_family(spec, n)[n - 1]
+        return operator_family(spec, n)
     if route == "nullspace":
-        sols = _monomial_nullspace(spec.operator(n), n)
-        if len(sols) != 1:
-            raise ValueError(
-                f"nullspace route expected exactly one solution, got {len(sols)}"
-            )
-        return sols[0]
+        members = []
+        for i in range(1, n + 1):
+            sols = _monomial_nullspace(spec.operator(i), i)
+            if len(sols) != 1:
+                raise ValueError(
+                    f"nullspace route expected exactly one solution, got {len(sols)}"
+                )
+            members.append(sols[0])
+        return members
     if route == "gram-schmidt":
-        return gram_schmidt_family(spec.weight(), n)[n - 1]
+        return gram_schmidt_family(spec.weight(), n)
     raise ValueError(f"unknown route {route!r}")
 
 

@@ -33,8 +33,8 @@ def test_criterion_01_exact_laguerre_eigenrelation():
     t0 = time.perf_counter()
     ok = True
     for k in K_GRID:
-        for n in range(1, 11):
-            f = xop.x1_laguerre_op_route(n - 1, k)
+        spec = xop.XFamilySpec(family="laguerre", k=k)
+        for n, f in enumerate(xop.family_by_route(spec, 10, "operator"), 1):
             ok &= xop.x1_laguerre_ode_residual(f, k, n).is_zero
     elapsed = time.perf_counter() - t0
     criterion(1, "exceptional Laguerre equation holds exactly, n=1..10, three k",
@@ -45,8 +45,8 @@ def test_criterion_02_exact_jacobi_eigenrelation():
     t0 = time.perf_counter()
     ok = True
     for alpha, beta in AB_GRID:
-        for n in range(1, 11):
-            f = xop.x1_jacobi_op_route(n - 1, alpha, beta)
+        spec = xop.XFamilySpec(family="jacobi", alpha=alpha, beta=beta)
+        for n, f in enumerate(xop.family_by_route(spec, 10, "operator"), 1):
             ok &= xop.x1_jacobi_ode_residual(f, alpha, beta, n).is_zero
     elapsed = time.perf_counter() - t0
     criterion(2, "exceptional Jacobi equation holds exactly, n=1..10, three (alpha,beta)",
@@ -59,12 +59,11 @@ def test_criterion_03_route_agreement():
     specs = [xop.XFamilySpec(family="laguerre", k=k) for k in K_GRID]
     specs += [xop.XFamilySpec(family="jacobi", alpha=a, beta=b) for a, b in AB_GRID]
     for spec in specs:
-        gs = xop.gram_schmidt_family(spec.weight(), 8)
-        for n in range(1, 9):
-            op = xop.family_by_route(spec, n, "operator")
-            ns = xop.family_by_route(spec, n, "nullspace")
+        families = [xop.family_by_route(spec, 8, route)
+                    for route in ("operator", "nullspace", "gram-schmidt")]
+        for op, ns, gs in zip(*families):
             worst = max(worst, xop.coefficient_rel_diff(op, ns))
-            worst = max(worst, xop.coefficient_rel_diff(gs[n - 1], op))
+            worst = max(worst, xop.coefficient_rel_diff(gs, op))
     elapsed = time.perf_counter() - t0
     criterion(3, "operator, nullspace, and Gram-Schmidt routes agree up to scale",
               worst < 1e-9 and elapsed < 30.0,
@@ -77,7 +76,7 @@ def test_criterion_04_orthogonality_under_rational_weights():
     specs = [xop.XFamilySpec(family="laguerre", k=k) for k in K_GRID]
     specs += [xop.XFamilySpec(family="jacobi", alpha=a, beta=b) for a, b in AB_GRID]
     for spec in specs:
-        members = [xop.family_by_route(spec, n, "operator") for n in range(1, 9)]
+        members = xop.family_by_route(spec, 8, "operator")
         gram = quad.gram_matrix(members, spec.weight())
         d = np.sqrt(np.diag(gram))
         rel = np.abs(gram - np.diag(np.diag(gram))) / np.outer(d, d)
@@ -92,8 +91,7 @@ def test_criterion_05_quotient_identity_with_codimension_two():
     grid = Grid(0.01, 40.0, 2000)
     worst1 = 0.0
     for k in K_GRID:  # three parameter samples, codimension 1
-        for n in (1, 2, 3):
-            f = xop.x1_laguerre_op_route(n - 1, k)
+        for f in xop.family_by_route(xop.XFamilySpec(family="laguerre", k=k), 3, "operator"):
             worst1 = max(worst1, quotient_identity_check(f, k, grid))
     worst2 = 0.0
     found = True

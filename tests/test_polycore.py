@@ -83,6 +83,15 @@ class TestPolyArithmetic:
         assert p(F(1, 2)) == F(7, 12)
         assert p(0.5) == pytest.approx(7 / 12)
 
+    @pytest.mark.parametrize("other", [1, F(1, 2), 0.5])
+    def test_scalar_sum_and_difference_raise_type_error(self, other):
+        # only Poly + Poly is defined, on either side; `p * 2` is scaling
+        p = Poly((1, 1))
+        for op in (lambda: p + other, lambda: p - other,
+                   lambda: other + p, lambda: other - p):
+            with pytest.raises(TypeError):
+                op()
+
     @given(small_polys, small_polys)
     @settings(deadline=None)
     def test_addition_roundtrip(self, p, q):

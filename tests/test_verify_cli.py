@@ -435,6 +435,16 @@ class TestCliVerify:
             f"error: unknown config field(s): ['{field}']")
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["missing/r.json", "."],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_out_exits_two(self, quick_config, target, tmp_path, capsys):
+        out = tmp_path / target
+        assert main(["verify", "--config", str(quick_config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_unsettled_weight_exits_three(self, tmp_path, capsys):
         # the weight's continued fraction does not settle within 2^17 steps
         cfg = tmp_path / "cfg.json"
@@ -469,6 +479,15 @@ class TestCliPoly:
 
     def test_missing_parameter_exits_two(self):
         assert main(["poly", "--family", "x1-laguerre", "--n", "2"]) == 2
+
+    def test_out_in_a_missing_directory_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "table.csv"
+        code = main(["poly", "--family", "x1-laguerre", "--k", "1", "--n", "2",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_classical_table_starts_at_degree_zero(self, capsys):
         code = main(["poly", "--family", "laguerre", "--k", "2", "--n", "1",

@@ -38,7 +38,6 @@ from exopoly.xop import (
     _laguerre_table,
     _quotient_charpoly,
     _quotient_rows,
-    _quotient_vector,
 )
 
 from oracles import coefficient, derivative, frac_nullspace, gram_schmidt_by_qr
@@ -64,8 +63,8 @@ class TestLaguerreOperatorRoute:
 
     @pytest.mark.parametrize("k", K_SAMPLES)
     def test_eigenrelation_exact_to_n10(self, k):
-        for n in range(1, 11):
-            f = x1_laguerre_op_route(n - 1, k)
+        family = operator_family(XFamilySpec(family="laguerre", k=k), 10)
+        for n, f in enumerate(family, 1):
             assert f.degree == n
             assert x1_laguerre_ode_residual(f, k, n).is_zero, n
 
@@ -97,8 +96,8 @@ class TestJacobiOperatorRoute:
     @pytest.mark.parametrize("ab", AB_SAMPLES)
     def test_eigenrelation_exact_to_n10(self, ab):
         alpha, beta = ab
-        for n in range(1, 11):
-            f = x1_jacobi_op_route(n - 1, alpha, beta)
+        family = operator_family(XFamilySpec(family="jacobi", alpha=alpha, beta=beta), 10)
+        for n, f in enumerate(family, 1):
             assert f.degree == n
             assert x1_jacobi_ode_residual(f, alpha, beta, n).is_zero, n
 
@@ -134,10 +133,11 @@ class TestXjEquation:
 
     def test_nullspace_j1_matches_operator_route(self):
         k = F(7, 2)
-        for n in range(1, 9):
+        family = operator_family(XFamilySpec(family="laguerre", k=k), 8)
+        for n, member in enumerate(family, 1):
             sols = xj_polynomial_solve(k, 1, n, n)
             assert len(sols) == 1
-            assert sols[0] == x1_laguerre_op_route(n - 1, k).monic()
+            assert sols[0] == member.monic()
 
     def test_no_degree_zero_member(self):
         assert xj_polynomial_solve(F(1), 1, 0, 1) == []
@@ -152,12 +152,13 @@ class TestXjEquation:
         # beside per-state branches, A = 1 is present at every n and carries
         # exactly the exceptional family member
         k = 2.0
+        family = operator_family(XFamilySpec(family="laguerre", k=F(2)), 4)
         for n in (1, 2, 4):
             sols = [s for s in xj_quotient_solve(k, 1, n)
                     if abs(s["A"] - 1.0) < 1e-8]
             assert len(sols) == 1
             assert sols[0]["B"] == pytest.approx(-2 * k)
-            expect = np.array(x1_laguerre_op_route(n - 1, F(2)).monic().to_floats())
+            expect = np.array(family[n - 1].monic().to_floats())
             assert sols[0]["f"] == pytest.approx(expect, abs=1e-9)
 
     def test_quotient_solve_j2_instances_verify(self):
@@ -193,15 +194,17 @@ class TestQuotientEigenproblem:
 
     @pytest.mark.parametrize("k", [F(1), F(2), F(7, 2), F(1, 3)])
     def test_a_equal_one_is_a_root_of_every_j1_chi(self, k):
-        # (A - 1) divides chi_n, and the exact eigenvector at A = 1 is the
-        # exceptional member of index n, shifted to t = x + k
-        for n in range(1, 7):
+        # (A - 1) divides chi_n, and the eigenvector phi_0(1) + ... +
+        # phi_n(1) t^n is the exceptional member of index n, shifted to t = x + k
+        family = operator_family(XFamilySpec(family="laguerre", k=k), 6)
+        for n, member in enumerate(family, 1):
             rows, den = _quotient_rows(k, 1, n)
-            chi, _ = _quotient_charpoly(rows, den)
+            chi, phi = _quotient_charpoly(rows, den)
             assert chi.degree == n + 1
             assert divmod(chi, Poly((-1, 1)))[1].is_zero
-            member = _quotient_vector(rows, den, 1.0).shift(k)
-            assert member.monic() == x1_laguerre_op_route(n - 1, k).monic()
+            assert len(phi) == n + 1 and phi[n] == Poly.one()
+            vector = Poly([p(1) for p in phi]).shift(k)
+            assert vector.monic() == member.monic()
 
     @given(positive_k, st.integers(min_value=1, max_value=3), st.data())
     @settings(max_examples=25, deadline=None)  # sympy is the slow side
@@ -340,23 +343,21 @@ class TestRouteAgreement:
     @pytest.mark.parametrize("k", K_SAMPLES)
     def test_laguerre_three_routes(self, k):
         spec = XFamilySpec(family="laguerre", k=k)
-        gs = gram_schmidt_family(spec.weight(), 6)
-        for n in range(1, 7):
-            op = family_by_route(spec, n, "operator")
-            ns = family_by_route(spec, n, "nullspace")
+        families = [family_by_route(spec, 6, route)
+                    for route in ("operator", "nullspace", "gram-schmidt")]
+        for op, ns, gs in zip(*families):
             assert op.monic() == ns  # exact
-            assert coefficient_rel_diff(gs[n - 1], op) < 1e-9
+            assert coefficient_rel_diff(gs, op) < 1e-9
 
     @pytest.mark.parametrize("ab", AB_SAMPLES)
     def test_jacobi_three_routes(self, ab):
         alpha, beta = ab
         spec = XFamilySpec(family="jacobi", alpha=alpha, beta=beta)
-        gs = gram_schmidt_family(spec.weight(), 6)
-        for n in range(1, 7):
-            op = family_by_route(spec, n, "operator")
-            ns = family_by_route(spec, n, "nullspace")
+        families = [family_by_route(spec, 6, route)
+                    for route in ("operator", "nullspace", "gram-schmidt")]
+        for op, ns, gs in zip(*families):
             assert op.monic() == ns
-            assert coefficient_rel_diff(gs[n - 1], op) < 1e-9
+            assert coefficient_rel_diff(gs, op) < 1e-9
 
     def test_alpha_below_zero_splits_the_routes(self):
         # 0 >= alpha > -1: P^(alpha-1, beta+1) does not exist, so the ladder
@@ -366,9 +367,8 @@ class TestRouteAgreement:
                       lambda: operator_family(spec, 4)):
             with pytest.raises(ValueError, match=r"P\^\(alpha-1, beta\+1\) exists"):
                 build()
-        gs = gram_schmidt_family(spec.weight(), 4)
-        for n in range(1, 5):
-            ns = family_by_route(spec, n, "nullspace")
+        gs = family_by_route(spec, 4, "gram-schmidt")
+        for n, ns in enumerate(family_by_route(spec, 4, "nullspace"), 1):
             assert ns.degree == n
             assert x1_jacobi_ode_residual(ns, spec.alpha, spec.beta, n).is_zero
             assert coefficient_rel_diff(gs[n - 1], ns) < 1e-9
@@ -384,6 +384,45 @@ class TestRouteAgreement:
             XFamilySpec(family="laguerre", k=F(1), j=2)
 
 
+ROUTES = ("operator", "nullspace", "gram-schmidt")
+ROUTE_SPECS = (XFamilySpec(family="laguerre", k=F(7, 2)),
+               XFamilySpec(family="jacobi", alpha=F(1, 2), beta=F(3, 2)))
+
+
+def _degree(member) -> int:
+    return member.degree if isinstance(member, Poly) else len(member) - 1
+
+
+class TestFamilyByRoute:
+    """The dispatcher hands out members 1..n of a route, one family a call."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("spec", ROUTE_SPECS, ids=lambda s: s.family)
+    def test_n_members_of_degrees_1_to_n(self, spec, route):
+        for n in (1, 2, 5):
+            family = family_by_route(spec, n, route)
+            assert [_degree(m) for m in family] == list(range(1, n + 1))
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("spec", ROUTE_SPECS, ids=lambda s: s.family)
+    def test_shorter_family_is_a_prefix(self, spec, route):
+        short, long = family_by_route(spec, 4, route), family_by_route(spec, 7, route)
+        for a, b in zip(short, long):
+            if route == "gram-schmidt":
+                assert np.array_equal(a, b)  # bitwise
+            else:
+                assert a == b
+
+    @pytest.mark.parametrize("spec", ROUTE_SPECS, ids=lambda s: s.family)
+    def test_nullspace_family_is_the_monic_operator_family(self, spec):
+        ops = family_by_route(spec, 8, "operator")
+        assert family_by_route(spec, 8, "nullspace") == [p.monic() for p in ops]
+
+    def test_unknown_route_named(self):
+        with pytest.raises(ValueError, match="'ladder'"):
+            family_by_route(ROUTE_SPECS[0], 3, "ladder")
+
+
 class TestCompletenessProxy:
     def test_strictly_decreasing_errors(self):
         w = WeightSpec.x1_laguerre(F(1))
@@ -395,7 +434,7 @@ class TestCompletenessProxy:
 
 def test_emit_family_csv_exact_and_float():
     spec = XFamilySpec(family="laguerre", k=F(1))
-    exact = [family_by_route(spec, n, "operator") for n in (1, 2)]
+    exact = family_by_route(spec, 2, "operator")
     text = emit_family_csv(exact, "operator", "k=1")
     lines = text.strip().splitlines()
     assert lines[0] == "degree,coefficients,route,params"
@@ -459,8 +498,7 @@ class TestPinnedOperatorCoefficients:
     @pytest.mark.parametrize("key", list(OPERATOR_DIGESTS), ids=",".join)
     def test_members_1_to_40(self, key):
         spec = dict(_default_families())[key]
-        members = operator_family(spec, 40)
-        assert [family_by_route(spec, n, "operator") for n in range(1, 41)] == members
+        members = family_by_route(spec, 40, "operator")
         text = json.dumps([p.to_json() for p in members])
         assert hashlib.sha256(text.encode()).hexdigest() == OPERATOR_DIGESTS[key]
 
@@ -557,18 +595,20 @@ class TestNullspaceRouteAgainstImageOracle:
     @pytest.mark.parametrize("k", POOL_K, ids=str)
     def test_laguerre_route(self, k):
         spec = XFamilySpec(family="laguerre", k=k)
+        family = family_by_route(spec, 12, "nullspace")
         for n in range(1, 13):
             oracle = _nullspace_by_images(
                 lambda f: _laguerre_residual_by_products(f, k, 1, n), n)
-            assert [family_by_route(spec, n, "nullspace")] == oracle, n
+            assert [family[n - 1]] == oracle, n
 
     @pytest.mark.parametrize("ab", POOL_AB, ids=lambda ab: f"{ab[0]},{ab[1]}")
     def test_jacobi_route(self, ab):
         spec = XFamilySpec(family="jacobi", alpha=ab[0], beta=ab[1])
+        family = family_by_route(spec, 12, "nullspace")
         for n in range(1, 13):
             oracle = _nullspace_by_images(
                 lambda f: _jacobi_residual_by_products(f, *ab, n), n)
-            assert [family_by_route(spec, n, "nullspace")] == oracle, n
+            assert [family[n - 1]] == oracle, n
 
     @pytest.mark.parametrize("j", [1, 2])
     @pytest.mark.parametrize("k", POOL_K, ids=str)
