@@ -33,10 +33,10 @@ print("\n== wavefunction-level mapping: classical (l=0) -> exceptional (l=1) =="
 grid = Grid(0.0, 14.0, 16000)
 classical = Oscillator3D(l=l - 1)
 exceptional = Oscillator3D(l=l)
-targets = [exceptional.exceptional_state(n).on_grid(grid) for n in range(1, 6)]
-for nu in range(4):
-    src = classical.classical_state(nu).on_grid(grid)
-    residuals = [m["rel_residual"] for m in intertwine_check(w, src, targets)]
+targets = [state.on_grid(grid) for state in exceptional.exceptional_states(range(1, 6))]
+sources = [classical.classical_state(nu).on_grid(grid) for nu in range(4)]
+for nu, row in enumerate(intertwine_check(w, grid, sources, targets)):
+    residuals = [m["rel_residual"] for m in row]
     best = int(np.argmin(residuals))
     runner_up = sorted(residuals)[1]
     print(f"  A psi[nu={nu}] -> exceptional n={best + 1}: "

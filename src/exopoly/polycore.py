@@ -28,7 +28,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[Fraction, int, str, float]
 
@@ -198,20 +198,11 @@ class Poly:
         b = other._num
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem, nb = list(self._num), len(b)
-        if len(rem) < nb:
+        if len(self._num) < len(b):
             return Poly.zero(), self
-        lead, quot = b[-1], []
-        for top in range(len(rem) - 1, nb - 2, -1):
-            c = rem[top]
-            rem = [v * lead for v in rem[:top]]
-            for i, v in enumerate(b[:-1], top - nb + 1):
-                rem[i] -= c * v
-            quot = [v * lead for v in quot]
-            quot.append(c)
-        quot.reverse()
+        quot, rem = _pseudo_divide(self._num, b, quotient=True)
         # l^e self = q other + r over self's den, other's den carried by q
-        den = self._den * lead ** len(quot)
+        den = self._den * b[-1] ** len(quot)
         sign = -1 if den < 0 else 1
         return (Poly._from_ints([sign * v * other._den for v in quot], sign * den),
                 Poly._from_ints([sign * v for v in rem], sign * den))
@@ -616,19 +607,45 @@ def real_roots(p: Poly) -> list[float]:
     return roots
 
 
+def _pseudo_divide(a: Sequence[int], b: Sequence[int],
+                   quotient: bool) -> tuple[list[int], list[int]]:
+    """Integer pseudo-division of ascending numerators, len(a) >= len(b):
+    with l the leading entry of b and e = len(a) - len(b) + 1,
+    l^e a = q b + r, one scaled subtraction per quotient term.  Returns q
+    (empty unless ``quotient`` asks for it, highest power last) and r, whose
+    len(b) - 1 entries may end in zeros."""
+    rem, nb, lead, quot = list(a), len(b), b[-1], []
+    for top in range(len(rem) - 1, nb - 2, -1):
+        c = rem[top]
+        rem = [v * lead for v in rem[:top]]
+        for i, v in enumerate(b[:-1], top - nb + 1):
+            rem[i] -= c * v
+        if quotient:
+            quot = [v * lead for v in quot]
+            quot.append(c)
+    quot.reverse()
+    return quot, rem
+
+
 def _sturm_chain(p: Poly) -> list[Poly]:
     """The Sturm sequence of p: p, p' and the negated remainders of Euclid's
-    algorithm on them (``Poly.__divmod__``), down to the last nonzero one.
-    Each term after p is a positive multiple of the exact one in integers:
-    p' as the derivative of p's numerators, each remainder with coprime
-    coefficients."""
+    algorithm on them, down to the last nonzero one.  Each term after p is a
+    positive multiple of the exact one in integers: p' as the derivative of
+    p's numerators, each remainder the primitive part of the integer
+    pseudo-remainder (:func:`_pseudo_divide`, no quotient), its sign that of
+    the remainder."""
     chain = [p, Poly._from_ints([i * c for i, c in enumerate(p._num)][1:])]
     while chain[-1].degree > 0:
-        rem = divmod(chain[-2], chain[-1])[1]._num
+        a, b = chain[-2]._num, chain[-1]._num
+        rem = _pseudo_divide(a, b, quotient=False)[1]
+        while rem and not rem[-1]:
+            rem.pop()
         if not rem:
             break
+        # l^e a = q b + r: the remainder's sign flips with l^e's, and the chain negates it
+        flip = 1 if b[-1] < 0 and (len(a) - len(b)) % 2 == 0 else -1
         g = math.gcd(*rem)
-        chain.append(Poly._from_ints([-c // g for c in rem]))
+        chain.append(Poly._from_ints([flip * c // g for c in rem]))
     return chain
 
 

@@ -50,6 +50,12 @@ def ve_laguerre(x, k, j: int = 1):
     return j / (x + kf) - j * (j + 1) * kf / (x + kf) ** 2
 
 
+def _in_place(ufunc, a):
+    """``ufunc(a)``, written over ``a`` when it is an array; a scalar (the
+    value at a 0-d point) gets a new scalar."""
+    return ufunc(a, out=a) if isinstance(a, np.ndarray) else ufunc(a)
+
+
 # ---------------------------------------------------------------------------
 # closed-form eigenstates
 # ---------------------------------------------------------------------------
@@ -74,7 +80,10 @@ class EigenstateClosedForm:
 
         The division and the product run in place, on the arrays this call
         made (z - pole, and the polynomial's values), never on the
-        prefactor's.
+        prefactor's.  With the preset frames, which evaluate z and the
+        prefactor in place, at most four grid arrays are alive at once,
+        the result among them: x, z and two of the prefactor, its
+        temporary, z - pole and the polynomial's values.
         """
         x = np.asarray(x, dtype=float)
         z = self.variable(x)
@@ -179,12 +188,23 @@ class _Preset:
                                     variable, prefactor)
 
     def exceptional_state(self, n: int) -> EigenstateClosedForm:
-        nu = self._partner(n)
-        self._check_level(nu)
-        variable, prefactor, family = self._frame(nu)
-        return EigenstateClosedForm(self.classical_energy(nu),
-                                    operator_family(family, nu + 1)[nu], variable,
-                                    prefactor, float(family.weight().pole))
+        return self.exceptional_states([n])[0]
+
+    def exceptional_states(self, levels: Sequence[int]) -> list[EigenstateClosedForm]:
+        """:meth:`exceptional_state` of each n in ``levels``, in order; each
+        distinct X1 family is built once, to the longest member asked of it."""
+        frames = []
+        for n in levels:
+            nu = self._partner(n)
+            self._check_level(nu)
+            frames.append((nu, self._frame(nu)))
+        lengths: dict[XFamilySpec, int] = {}
+        for nu, frame in frames:
+            lengths[frame.family] = max(lengths.get(frame.family, 0), nu + 1)
+        members = {family: operator_family(family, n) for family, n in lengths.items()}
+        return [EigenstateClosedForm(self.classical_energy(nu), members[family][nu],
+                                     variable, prefactor, float(family.weight().pole))
+                for nu, (variable, prefactor, family) in frames]
 
 
 @dataclass(frozen=True)
@@ -204,7 +224,7 @@ class _Radial(_Preset):
         x = np.asarray(x, dtype=float)
         v = self._core(x) + self.energy_shift
         if self.l:
-            v = v + self.l * (self.l + 1) / x**2
+            v += self.l * (self.l + 1) / x**2
         return v
 
     def ve_printed(self, r, n: Optional[int] = None):
@@ -230,7 +250,9 @@ class Oscillator3D(_Radial):
         return (0.0, 14.0)
 
     def variable(self, x):
-        return np.asarray(x, dtype=float) ** 2 / 2
+        u = np.asarray(x, dtype=float) ** 2
+        u /= 2
+        return u
 
     def _core(self, x):
         return x**2 / 4
@@ -244,8 +266,11 @@ class Oscillator3D(_Radial):
     def _frame(self, nu: int) -> _Frame:
         lp1 = self.l + 1
 
-        def pref(x, u):
-            return x**lp1 * np.exp(-(x**2) / 4)
+        def pref(x, u):  # x^(l+1) exp(-(x^2)/4)
+            out, g = x**lp1, _in_place(np.negative, x**2)
+            g /= 4
+            out *= _in_place(np.exp, g)
+            return out
 
         return _Frame(self.variable, pref, XFamilySpec("laguerre", k=self.k))
 
@@ -288,8 +313,11 @@ class CoulombRadial(_Radial):
         def var(x):
             return np.asarray(x, dtype=float) / big_n
 
-        def pref(x, t):
-            return t**lp1 * np.exp(-t / 2)
+        def pref(x, t):  # t^(l+1) exp(-t/2)
+            out, g = t**lp1, -t
+            g /= 2
+            out *= _in_place(np.exp, g)
+            return out
 
         return _Frame(var, pref, XFamilySpec("laguerre", k=self.k))
 
@@ -325,7 +353,9 @@ class Morse(_Preset):
 
     def variable(self, x):
         af, bf = float(self.alpha), float(self.B)
-        return (2 * bf / af) * np.exp(-af * np.asarray(x, dtype=float))
+        y = _in_place(np.exp, -af * np.asarray(x, dtype=float))
+        y *= 2 * bf / af
+        return y
 
     def default_domain(self) -> tuple[float, float]:
         """Between the y where the levels' shared envelope y^s e^(-y/2) falls
@@ -415,8 +445,11 @@ class Morse(_Preset):
     def _frame(self, nu: int) -> _Frame:
         exponent = float(self.s) - nu
 
-        def pref(x, y):
-            return y**exponent * np.exp(-y / 2)
+        def pref(x, y):  # y^(s - nu) exp(-y/2)
+            out, g = y**exponent, -y
+            g /= 2
+            out *= _in_place(np.exp, g)
+            return out
 
         return _Frame(self.variable, pref, XFamilySpec("laguerre", k=2 * (self.s - nu)))
 
@@ -475,7 +508,7 @@ class ScarfTrig(_Preset):
         return (-half + 1e-8, half - 1e-8)
 
     def variable(self, x):
-        return np.sin(float(self.alpha) * np.asarray(x, dtype=float))
+        return _in_place(np.sin, float(self.alpha) * np.asarray(x, dtype=float))
 
     def potential(self, x):
         x = np.asarray(x, dtype=float)
@@ -513,8 +546,12 @@ class ScarfTrig(_Preset):
         p = float(self.s - self.lam) / 2
         q = float(self.s + self.lam) / 2
 
-        def pref(x, z):
-            return (1 - z) ** p * (1 + z) ** q
+        def pref(x, z):  # (1 - z)^p (1 + z)^q
+            out, g = 1 - z, 1 + z
+            out **= p
+            g **= q
+            out *= g
+            return out
 
         return _Frame(self.variable, pref, XFamilySpec("jacobi", alpha=self.jacobi_alpha,
                                                        beta=self.jacobi_beta))
@@ -579,7 +616,6 @@ def quotient_identity_check(f, k: RationalLike, grid: Grid, j: int = 1,
     values measure, and their float evaluation adds about
     1e-16 * max_i |r_i x^i| / (x+k)^(j+2).
     """
-    kf = float(as_rational(k))
     if not isinstance(f, Poly):
         f = Poly.from_floats(f)
     if A is None:
@@ -588,6 +624,15 @@ def quotient_identity_check(f, k: RationalLike, grid: Grid, j: int = 1,
         A = 1
     elif isinstance(A, float):
         A = Fraction(A)
+    return quotient_grid_residual(xj_quotient_residual(f, k, j, A), k, j, grid)
+
+
+def quotient_grid_residual(residual: Poly, k: RationalLike, j: int, grid: Grid) -> float:
+    """Max over the grid of |residual(x)| / (x+k)^(j+2), for the exact cleared
+    polynomial of :func:`exopoly.xop.xj_quotient_residual` (which
+    :func:`exopoly.xop.xj_quotient_solve` returns with each solution):
+    :func:`quotient_identity_check` without rebuilding it."""
+    kf = float(as_rational(k))
     x = grid.points()
-    res = xj_quotient_residual(f, k, j, A)(x) / (x + kf) ** (j + 2)
+    res = residual(x) / (x + kf) ** (j + 2)
     return float(np.max(np.abs(res)))

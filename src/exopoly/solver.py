@@ -77,12 +77,20 @@ Gram-Schmidt basis and :func:`convergence_order`'s slope are closed forms,
 so no dense ``numpy.linalg`` driver (``eig``, ``qr``, ``lstsq`` behind
 ``np.polyfit``) pulls its OpenBLAS code into the campaign's memory.
 
-Memory: the solves allocate their grid-sized work arrays afresh on every
-call, 512 KB each at 64000 points.  Under glibc's starting malloc thresholds
-each one is mapped fresh and unmapped on free, so all its pages fault in
+Memory: a solve for ``count`` levels on N points holds at most count + 4
+grid arrays (N doubles, 512 KB at 64000 points) at once.  The peak falls at
+the last level's ``dgtsv``: the ``count`` level vectors (the carried starts,
+each refined in place), the three work rows :func:`_refine` makes once per
+grid for ``dgtsv``'s copies of T, T x and the products of the inner
+products, and the diagonal.  The off-diagonal is one value broadcast to
+n - 1 entries, and the fine points the starts are interpolated on are freed
+before the work rows are made.  Scarf's 4 levels at 64000 points peak at
+8.01 arrays of traced heap, against 11.33 when every step made its own
+copies, products and T x.  Under glibc's starting malloc thresholds arrays
+of this size are mapped fresh and unmapped on free, so their pages fault in
 again: about 1.5 us a 4 KiB page, map and unmap included (2-vCPU VM).  The
 command-line front end (:mod:`exopoly.cli`) starts glibc at the ceiling of
-its sliding thresholds, so the freed arrays are reused; the solver, like any
+its sliding thresholds, so freed arrays are reused; the solver, like any
 library import, leaves the allocator alone.
 """
 
@@ -103,9 +111,10 @@ class SolverError(RuntimeError):
     """Raised when a discretization or eigensolve cannot proceed."""
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """sum(a * b) by numpy's pairwise reduction, kept off the BLAS thread pool."""
-    return float(np.add.reduce(a * b))
+def _dot(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> float:
+    """sum(a * b) by numpy's pairwise reduction, kept off the BLAS thread pool;
+    the products go to ``out`` when it is given, else to a new array."""
+    return float(np.add.reduce(np.multiply(a, b, out=out)))
 
 
 @dataclass(frozen=True)
@@ -137,7 +146,11 @@ class Grid:
         return (self.b - self.a) / (self.n + 1)
 
     def points(self) -> np.ndarray:
-        return self.a + self.h * np.arange(1, self.n + 1)
+        """a + h * i for i = 1..N, in the one array returned."""
+        x = np.arange(1, self.n + 1, dtype=float)
+        x *= self.h
+        x += self.a
+        return x
 
 
 @dataclass
@@ -169,7 +182,12 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class Tridiagonal:
-    """Symmetric tridiagonal operator: main diagonal and (constant-length-1) off diagonal."""
+    """Symmetric tridiagonal operator: main diagonal and (length n - 1) off diagonal.
+
+    ``off`` may be a read-only view: :func:`discretize` makes its constant
+    off-diagonal a stride-0 broadcast of one value, and nothing here writes
+    into either array.
+    """
 
     diag: np.ndarray
     off: np.ndarray
@@ -178,19 +196,24 @@ class Tridiagonal:
     def n(self) -> int:
         return len(self.diag)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[:-1] += self.off * v[1:]
-        out[1:] += self.off * v[:-1]
+    def matvec(self, v: np.ndarray, out: Optional[np.ndarray] = None,
+               tmp: Optional[np.ndarray] = None) -> np.ndarray:
+        """T v, into ``out`` when given; the off-diagonal products go to
+        ``tmp`` (n entries, or n - 1) when given, else to new arrays."""
+        m = self.n - 1
+        out = np.multiply(self.diag, v, out=out)
+        out[:-1] += np.multiply(self.off, v[1:], out=None if tmp is None else tmp[:m])
+        out[1:] += np.multiply(self.off, v[:-1], out=None if tmp is None else tmp[:m])
         return out
 
 
 def discretize(potential: Callable[[np.ndarray], np.ndarray], grid: Grid) -> Tridiagonal:
     """3-point discretization of -d^2/dx^2 + V with Dirichlet boundaries.
 
-    Diagonal entries 2/h^2 + V(x_i), off-diagonal -1/h^2.  A potential that
-    evaluates to a non-finite value anywhere on the grid is rejected, naming
-    the offending node.
+    Diagonal entries 2/h^2 + V(x_i), off-diagonal -1/h^2, the latter one
+    value broadcast to n - 1 entries (a read-only view, no grid array).  A
+    potential that evaluates to a non-finite value anywhere on the grid is
+    rejected, naming the offending node.
     """
     x = grid.points()
     v = np.asarray(potential(x), dtype=float)
@@ -200,7 +223,7 @@ def discretize(potential: Callable[[np.ndarray], np.ndarray], grid: Grid) -> Tri
     if bad.size:
         raise SolverError(f"potential is not finite at grid node x={float(x[bad[0]])!r}")
     h2 = grid.h**2
-    return Tridiagonal(diag=2.0 / h2 + v, off=np.full(grid.n - 1, -1.0 / h2))
+    return Tridiagonal(diag=2.0 / h2 + v, off=np.broadcast_to(-1.0 / h2, (grid.n - 1,)))
 
 
 def tridiagonal_eigh(diag: np.ndarray, off: np.ndarray, count: Optional[int] = None):
@@ -274,10 +297,18 @@ def _sturm_count(op: Tridiagonal, upper: float) -> int:
         d[k] -= ek / piv * ek  # Python floats: an overflow is inf, as in dpttrf
 
 
-def _shifted_solve(op: Tridiagonal, shift: float, x: np.ndarray) -> np.ndarray:
+def _shifted_solve(op: Tridiagonal, shift: float, x: np.ndarray,
+                   work: Sequence[np.ndarray]) -> np.ndarray:
     """(T - shift) y = x by LAPACK dgtsv (elimination with partial pivoting),
-    O(N), with y in x's memory; dgtsv overwrites its copies of T too."""
-    info = _lapack.dgtsv(op.off.copy(), op.diag - shift, op.off.copy(), x)
+    O(N), with y in x's memory.  dgtsv overwrites its copies of T, which go
+    to the three N-entry ``work`` rows: sub-diagonal, diagonal,
+    super-diagonal."""
+    m = op.n - 1
+    lower, diag, upper = work[0][:m], work[1], work[2][:m]
+    np.copyto(lower, op.off)
+    np.subtract(op.diag, shift, out=diag)
+    np.copyto(upper, op.off)
+    info = _lapack.dgtsv(lower, diag, upper, x)
     if info:
         raise SolverError(f"shifted tridiagonal solve failed (dgtsv info={info})")
     return x
@@ -289,8 +320,8 @@ def _refine(op: Tridiagonal, shifts, rayleigh: bool, starts=None,
     and the vectors themselves when ``keep`` asks for them.
 
     Each level runs shifted inverse iteration from its own start in
-    ``starts`` (an iterable, read one vector at a time), or, without
-    ``starts``, from the same fixed pseudo-random vector: entries
+    ``starts``, a list of vectors refined in place, or, without ``starts``,
+    from the same fixed pseudo-random vector: entries
     ``random.Random(0).random() - 0.5``, so the result is bit-identical from
     run to run.  A smooth or low-discrepancy start would be nearly orthogonal
     to some smooth eigenvectors and need more solves.  With ``rayleigh``
@@ -303,28 +334,39 @@ def _refine(op: Tridiagonal, shifts, rayleigh: bool, starts=None,
     below before the solve, not after it: the solve then damps the round-off
     the projection leaves, so a near-degenerate partner does not hand its own
     residual on (deflating after the solve left 1.8e-5 on the second level
-    of a double well, against 1.5e-8 this way).  Without ``keep`` the vectors
-    are dropped on return, before anything else allocates grid-sized work
-    arrays; only a coarse grid's vectors are kept, as the next grid's starts.
+    of a double well, against 1.5e-8 this way).
+
+    Apart from the vectors, the grid-sized arrays are three work rows made
+    once: they take ``dgtsv``'s three overwritten copies of T, and between
+    solves row 0 holds T x and row 1 the products of every inner product
+    and projection.  Three rows rather than one (3, N) block, so each fits
+    a hole an earlier grid array left in the heap: at 1,000,000 points the
+    block grew the resident set by two arrays more.  Without ``keep`` the
+    vectors are dropped on return; only a coarse grid's vectors are kept, as
+    the next grid's starts.
     """
-    floor = _FLOOR * _EPS * (float(np.max(np.abs(op.diag))) + 2.0 * float(np.max(np.abs(op.off))))
-    if starts is None:  # the same start for every level
+    work = [np.empty(op.n) for _ in range(3)]
+    row0, row1 = work[0], work[1]
+    floor = _FLOOR * _EPS * (float(np.max(np.abs(op.diag, out=row0)))
+                             + 2.0 * float(np.max(np.abs(op.off, out=row1[:op.n - 1]))))
+    if starts is None:  # the same start for every level, copied before any is refined
         rng = random.Random(0)
-        start = np.array([rng.random() for _ in range(op.n)]) - 0.5
-        starts = (start.copy() for _ in shifts)
+        start = np.fromiter((rng.random() for _ in range(op.n)), float, op.n)
+        start -= 0.5
+        starts = [start] + [start.copy() for _ in range(len(shifts) - 1)]
     values, residuals, vectors = [], [], []
     for shift, x in zip(shifts, starts):
         shift = float(shift)
         for _ in range(_STEPS):
             for v in vectors:
-                x -= _dot(v, x) * v
-            x = _shifted_solve(op, shift, x)
-            x /= math.sqrt(_dot(x, x))
-            tx = op.matvec(x)
+                x -= np.multiply(v, _dot(v, x, row1), out=row1)
+            x = _shifted_solve(op, shift, x, work)
+            x /= math.sqrt(_dot(x, x, row1))
+            tx = op.matvec(x, out=row0, tmp=row1)
             if rayleigh:
-                shift = _dot(x, tx)
-            tx -= shift * x
-            res = math.sqrt(_dot(tx, tx))
+                shift = _dot(x, tx, row1)
+            tx -= np.multiply(x, shift, out=row1)
+            res = math.sqrt(_dot(tx, tx, row1))
             if res <= floor:
                 break
         values.append(shift)
@@ -333,13 +375,13 @@ def _refine(op: Tridiagonal, shifts, rayleigh: bool, starts=None,
     return values, residuals, (vectors if keep else None)
 
 
-def _carried(coarse: Grid, vectors: list[np.ndarray], grid: Grid):
+def _carried(coarse: Grid, vectors: list[np.ndarray], grid: Grid) -> list[np.ndarray]:
     """Each coarse vector linearly interpolated onto ``grid`` (the same ends),
-    with zero at the Dirichlet ends; one vector at a time."""
+    with zero at the Dirichlet ends.  All are made before any is refined, so
+    the fine points are freed before the refinement's work rows exist."""
     nodes = np.concatenate(([coarse.a], coarse.points(), [coarse.b]))
     points = grid.points()
-    for v in vectors:
-        yield np.interp(points, nodes, np.concatenate(([0.0], v, [0.0])))
+    return [np.interp(points, nodes, np.concatenate(([0.0], v, [0.0]))) for v in vectors]
 
 
 def _certified(op: Tridiagonal, values: list[float], residuals: list[float]) -> bool:
@@ -372,8 +414,10 @@ def _lowest(potential: Callable[[np.ndarray], np.ndarray], grid: Grid, count: in
         try:
             coarse = Grid(grid.a, grid.b, n_coarse)
             shifts, _, vectors = _lowest(potential, coarse, count, inner=True)
-            refined = _refine(op, shifts, rayleigh=True, starts=_carried(coarse, vectors, grid),
-                              keep=inner)
+            starts = _carried(coarse, vectors, grid)
+            del vectors  # the coarse vectors are not needed past the carry
+            refined = _refine(op, shifts, rayleigh=True, starts=starts, keep=inner)
+            del starts  # the refined vectors, unless ``inner`` kept them
             if _certified(op, *refined[:2]):
                 return refined
         except SolverError:

@@ -17,16 +17,17 @@ polynomial ladder operator and carries that construction in
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .polycore import jacobi_classical
 from .potentials import CoulombRadial, Oscillator3D, ScarfTrig
-from .solver import Grid, GridFunction, discretize
+from .solver import Grid, GridFunction, _dot, discretize
 from .xop import XFamilySpec, operator_family
 
 
@@ -64,7 +65,8 @@ def _derivative(v: np.ndarray, h: float) -> np.ndarray:
     if len(v) < 3:
         raise ValueError("grid too small for one-sided stencils")
     d = np.empty_like(v)
-    d[1:-1] = (v[2:] - v[:-2]) / (2 * h)
+    inner = np.subtract(v[2:], v[:-2], out=d[1:-1])
+    inner /= 2 * h
     d[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
     d[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
     return d
@@ -76,11 +78,13 @@ def apply_A(w: Superpotential, psi: GridFunction, dagger: bool = False) -> GridF
 
 
 def _apply_A(wx: np.ndarray, psi: GridFunction, dagger: bool = False) -> GridFunction:
-    """:func:`apply_A` from W's values ``wx`` at psi's grid points."""
+    """:func:`apply_A` from W's values ``wx`` at psi's grid points, in the
+    derivative's array."""
     d = _derivative(psi.values, psi.grid.h)
     if dagger:
-        d = -d
-    return GridFunction(psi.grid, d + wx * psi.values)
+        np.negative(d, out=d)
+    d += wx * psi.values
+    return GridFunction(psi.grid, d)
 
 
 def formal_zero_mode(w: Superpotential, grid: Grid) -> GridFunction:
@@ -92,30 +96,52 @@ def formal_zero_mode(w: Superpotential, grid: Grid) -> GridFunction:
     return GridFunction(grid, np.exp(-acc))
 
 
-def intertwine_check(w: Superpotential, psi_source: GridFunction,
-                     targets: Sequence[GridFunction]) -> list[dict]:
-    """Least-squares match of A psi_source against each target, in order.
+def intertwine_check(w: Superpotential, grid: Grid, sources: Iterable[GridFunction],
+                     targets: Iterable[GridFunction]) -> list[list[dict]]:
+    """Least-squares match of A psi against each target, for each source psi.
 
-    For each target psi_t, the scale s minimizing ||A psi_source - s psi_t||
-    and the relative residual ||A psi_source - s psi_t|| / ||psi_t||, as
-    ``{"scale", "rel_residual"}``.  A psi_source and each target norm are
-    computed once.  A small residual certifies the classical -> exceptional
+    Entry [i][j] holds, for source i and target j, the scale s minimizing
+    ||A psi_i - s psi_j|| and the relative residual ||A psi_i - s psi_j|| /
+    ||psi_j||, as ``{"scale", "rel_residual"}``.  Every function must live on
+    ``grid``.  A small residual certifies the classical -> exceptional
     mapping for that pairing; mismatched pairings come out O(1).
+
+    W is evaluated on the grid once, and A psi of every source is made
+    before the first target is read.  Sources and targets are read one at a
+    time and dropped once used; each target's norm, inner products and
+    residuals are computed in one buffer.  With generators for both, the
+    grid arrays alive at once are the A psi made so far, then W's values
+    (while sources are read) or one target and the buffer (while targets
+    are read), and the function the generator is making.
     """
-    if any(t.grid != psi_source.grid for t in targets):
-        raise ValueError("both functions must live on the same grid")
-    norms = [t.norm() for t in targets]
-    if 0 in norms:
-        raise ValueError("target function is zero")
-    phi = apply_A(w, psi_source)
+    def on_grid(psi: GridFunction) -> GridFunction:
+        if psi.grid != grid:
+            raise ValueError("every function must live on the given grid")
+        return psi
 
-    def match(target: GridFunction, tgt_norm: float) -> dict:
-        scale = phi.inner(target) / tgt_norm**2
-        diff = GridFunction(phi.grid, phi.values - scale * target.values)
-        return {"scale": float(scale), "rel_residual": float(diff.norm() / tgt_norm)}
+    wx = w.w(grid.points())
+    # map holds no source or target after its call, so each is freed before
+    # the next one is made
+    phis = [phi.values for phi in map(lambda psi: _apply_A(wx, on_grid(psi)), sources)]
+    del wx
+    h = grid.h
 
-    # one target's work arrays at a time: each is freed when match returns
-    return [match(t, n) for t, n in zip(targets, norms)]
+    def fit(target: GridFunction) -> list[dict]:
+        t, buf = on_grid(target).values, np.empty(grid.n)
+        norm = math.sqrt(h * _dot(t, t, buf))
+        if norm == 0:
+            raise ValueError("target function is zero")
+        out = []
+        for phi in phis:
+            scale = h * _dot(phi, t, buf) / norm**2
+            diff = np.subtract(phi, np.multiply(t, scale, out=buf), out=buf)
+            GridFunction(grid, diff)  # rejects a non-finite difference
+            out.append({"scale": float(scale),
+                        "rel_residual": float(math.sqrt(h * _dot(diff, diff, buf)) / norm)})
+        return out
+
+    columns = list(map(fit, targets))
+    return [[column[i] for column in columns] for i in range(len(phis))]
 
 
 def superpotential_from_ground_state(psi0: GridFunction) -> Superpotential:

@@ -40,6 +40,7 @@ from .potentials import (
     Morse,
     Oscillator3D,
     ScarfTrig,
+    quotient_grid_residual,
     quotient_identity_check,
     state_rayleigh,
 )
@@ -334,9 +335,8 @@ def suite_theorem(cfg: VerificationConfig) -> list[dict]:
 
         sols_n2 = xop.xj_quotient_solve(k, 2, 2)
         sols = sols_n2 + xop.xj_quotient_solve(k, 2, 3)
-        if sols:
-            worst = max(quotient_identity_check(s["f"], k, grid, j=2, A=s["A"])
-                        for s in sols)
+        if sols:  # each solution carries its exact cleared residual
+            worst = max(quotient_grid_residual(s["residual"], k, 2, grid) for s in sols)
         else:
             worst = float("inf")
         rows.add(f"quotient-extension-xj[j=2,k={k}]",
@@ -431,7 +431,7 @@ def _worst_rayleigh(preset, grid: Grid) -> float:
     """Largest relative gap between the Rayleigh quotients of exceptional
     states 1..3 under the extended potential and their energies."""
     levels = (1, 2, 3)
-    quotients = state_rayleigh([preset.exceptional_state(n) for n in levels],
+    quotients = state_rayleigh(preset.exceptional_states(levels),
                                preset.extended_potential, grid)
     return max(abs(rq - preset.exceptional_energy(n)) / preset.exceptional_energy(n)
                for n, rq in zip(levels, quotients))
@@ -468,14 +468,15 @@ def suite_susy(cfg: VerificationConfig) -> list[dict]:
              {"test_functions": 5}, worst, _TOLERANCES["operator_identity"])
 
     classical = Oscillator3D(l=l - 1)
-    exceptional = Oscillator3D(l=l)
     g = Grid(0.0, 14.0, cfg.grid["rayleigh_points"])
-    targets = [exceptional.exceptional_state(n).on_grid(g) for n in range(1, 6)]
+    # generators: each state is made on the grid only when the check reads it
+    matches = susy.intertwine_check(
+        w_osc, g, (classical.classical_state(nu).on_grid(g) for nu in range(0, 4)),
+        (state.on_grid(g) for state in Oscillator3D(l=l).exceptional_states(range(1, 6))))
     matched_worst, mismatch_best = 0.0, float("inf")
     pairings = {}
-    for nu in range(0, 4):
-        src = classical.classical_state(nu).on_grid(g)
-        residuals = [m["rel_residual"] for m in susy.intertwine_check(w_osc, src, targets)]
+    for nu, row in enumerate(matches):
+        residuals = [m["rel_residual"] for m in row]
         best = int(np.argmin(residuals))
         pairings[nu] = {"best_n": best + 1, "residual": residuals[best]}
         matched_worst = max(matched_worst, residuals[best])

@@ -396,9 +396,10 @@ def xj_quotient_solve(k: RationalLike, j: int, n: int) -> list[dict]:
     root it shares with F(0) divided out, each a float next to the exact root,
     ascending.  No float eigen-solve and no threshold decides which roots
     count.  Each returned entry {"f": ascending monic float coefficients, "A",
-    "B", "c"} holds the eigenvector, the phi_i evaluated exactly at the float
-    A, rounded once, and is re-verified against the exact
-    :func:`xj_quotient_residual`.
+    "B", "c", "residual"} holds the eigenvector, the phi_i evaluated exactly
+    at the float A, rounded once, and is re-verified against the exact
+    :func:`xj_quotient_residual` of the rounded f at the float A, the Poly
+    returned as "residual".
 
     Solutions with f(-k) = 0 are reducible (the quotient collapses to a lower
     codimension) and are dropped.  For j = 1, A = 1 is an exact root of every
@@ -428,7 +429,7 @@ def xj_quotient_solve(k: RationalLike, j: int, n: int) -> list[dict]:
                 1.0, float(np.max(np.abs(fcoef)))):
             continue
         out.append({"f": fcoef, "A": a_real, "B": float(-j * (j + 1) * kq),
-                    "c": float(n - j)})
+                    "c": float(n - j), "residual": resid})
     return out
 
 

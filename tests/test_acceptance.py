@@ -188,11 +188,11 @@ def test_criterion_09_intertwining_level_mapping():
     classical = Oscillator3D(l=0)
     exceptional = Oscillator3D(l=1)
     targets = [exceptional.exceptional_state(n).on_grid(g) for n in range(1, 6)]
+    sources = [classical.classical_state(nu).on_grid(g) for nu in range(4)]
     matched_worst = 0.0
     mismatch_best = np.inf
-    for nu in range(4):
-        src = classical.classical_state(nu).on_grid(g)
-        residuals = [m["rel_residual"] for m in susy.intertwine_check(w, src, targets)]
+    for row in susy.intertwine_check(w, g, sources, targets):
+        residuals = [m["rel_residual"] for m in row]
         best = int(np.argmin(residuals))
         matched_worst = max(matched_worst, residuals[best])
         mismatch_best = min(mismatch_best,

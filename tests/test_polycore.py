@@ -20,6 +20,7 @@ from exopoly.polycore import (
     laguerre_family,
     poly_gcd,
     rational_nullspace,
+    _sturm_chain,
     rational_str,
     real_roots,
 )
@@ -298,6 +299,22 @@ class TestRealRoots:
         # no float splits them; each still comes back, next to its root
         roots = [1 + F(1, 2**60), 1 + F(1, 2**59)]
         _assert_next_to(real_roots(Poly((-roots[0], 1)) * Poly((-roots[1], 1))), roots)
+
+    @given(st.lists(st.integers(-40, 40), min_size=2, max_size=9).filter(lambda c: c[-1]),
+           st.integers(1, 12))
+    @oracle_settings
+    def test_sturm_chain_negates_the_primitive_remainders(self, coeffs, den):
+        # the remainder-only pseudo-division gives the terms Poly.__divmod__
+        # gives: each the negated remainder of the two before, made primitive
+        p = Poly([F(c, den) for c in coeffs])
+        chain = _sturm_chain(p)
+        d = derivative(p)
+        assert chain[0] == p and chain[1].monic() == d.monic() and chain[1].leading * d.leading > 0
+        for a, b, c in zip(chain, chain[1:], chain[2:]):
+            r = divmod(a, b)[1].coeffs
+            ints = [int(q * math.lcm(*(v.denominator for v in r))) for q in r]
+            assert c == Poly([-v // math.gcd(*ints) for v in ints])
+        assert chain[-1].degree == 0 or divmod(chain[-2], chain[-1])[1].is_zero
 
     def test_no_real_roots_and_constants(self):
         assert real_roots(Poly((1, 0, 1))) == []

@@ -357,6 +357,23 @@ class TestStatesPinnedToExplicitForms:
             assert st.energy == sc.exceptional_energy(n) == sc.classical_energy(n - 1)
             assert np.array_equal(st(x), pref / (z - 2.5) * st.polynomial(z))
 
+    @pytest.mark.parametrize("preset,levels", [
+        (Oscillator3D(l=1), [3, 1, 5, 1]), (CoulombRadial(l=1), [1, 2, 3]),
+        (Morse(A=4, B=2), [0, 3, 1]), (ScarfTrig(A=3, B=1), [2, 1])])
+    def test_exceptional_states_equal_one_call_per_state(self, preset, levels):
+        # Morse's levels each have their own family, Coulomb's their own
+        # variable; the others share one family
+        x = Grid(*preset.default_domain(), 500).points()
+        states = preset.exceptional_states(levels)
+        assert len(states) == len(levels)
+        for n, st in zip(levels, states):
+            one = preset.exceptional_state(n)
+            assert (st.energy, st.polynomial, st.pole) == (one.energy, one.polynomial, one.pole)
+            assert np.array_equal(st(x), one(x))
+        assert preset.exceptional_states([]) == []
+        with pytest.raises(PotentialError):
+            preset.exceptional_states([*levels, -1])
+
     def test_levels_outside_the_families_rejected(self):
         for preset in (Oscillator3D(), CoulombRadial(), ScarfTrig(A=3, B=1)):
             with pytest.raises(PotentialError):

@@ -325,8 +325,9 @@ class TestCoarseToFine:
             lower -= abs(lower) + 1
             for upper in shifts:
                 assert np.min(np.abs(w - upper)) >= margin and upper < w[-1]
-                m, *_ = _lapack.dstebz(op.diag, op.off, 1, lower, upper, 0, 0, math.inf,
-                                       b"B")
+                # the raw binding takes writable arrays; discretize's off is a view
+                m, *_ = _lapack.dstebz(op.diag, op.off.copy(), 1, lower, upper, 0, 0,
+                                       math.inf, b"B")
                 assert solver._sturm_count(op, upper) == m == np.count_nonzero(w <= upper)
 
     def test_spectral_workload_levels_are_certified(self, monkeypatch):
@@ -349,6 +350,39 @@ class TestCoarseToFine:
                 levels = lowest_levels(potential, g, count)
                 assert levels == sorted(levels)
         assert sizes == [250] * 4
+
+
+# solve_spectrum on the four 64000-point matrices of the spectral workload,
+# as float.hex of each level and residual: the values the solver gave when
+# every step made its own arrays, which the shared work rows must reproduce
+PINNED_SPECTRA = {
+    "oscillator": (["0x1.7ffffff0004e9p+0", "0x1.bfffffd7e2f81p+1", "0x1.5fffffcf08df5p+2"],
+                   ["0x1.6e4b65ef11569p-28", "0x1.4df91322474bfp-28", "0x1.743fad5f1a1f7p-28"]),
+    "oscillator-extended": (
+        ["0x1.7fffffcd55a1dp+0", "0x1.bfffffc9753ffp+1", "0x1.5fffffc832fa5p+2"],
+        ["0x1.3083c5e244a85p-28", "0x1.3f720f9cb4512p-28", "0x1.b682be2437856p-28"]),
+    "scarf": (["0x1.1ffffffeb5057p+3", "0x1.fffffff88a2b5p+3", "0x1.8ffffff2fda64p+4",
+               "0x1.1fffffef644c0p+5"],
+              ["0x1.6083ed52f34f1p-21", "0x1.f86d6ca2f82d1p-23", "0x1.832122856960ap-24",
+               "0x1.aebe26991dcbap-23"]),
+    "scarf-extended": (["0x1.1ffffffef4e20p+3", "0x1.fffffff84f026p+3", "0x1.8ffffff2c9610p+4",
+                        "0x1.1fffffef5f95ep+5"],
+                       ["0x1.adecce891deecp-22", "0x1.b347cc30086f5p-24",
+                        "0x1.ecfefd299bb63p-24", "0x1.d6a19a63ca3a0p-23"]),
+}
+
+
+def test_spectral_workload_spectra_are_pinned():
+    from exopoly.potentials import Oscillator3D, ScarfTrig
+
+    osc, sc = Oscillator3D(l=0), ScarfTrig(A=3, B=1, energy_shift=9.0)
+    cases = {"oscillator": (osc.potential, osc, 3),
+             "oscillator-extended": (osc.extended_potential, osc, 3),
+             "scarf": (sc.potential, sc, 4), "scarf-extended": (sc.extended_potential, sc, 4)}
+    for name, (potential, preset, count) in cases.items():
+        rep = solve_spectrum(potential, Grid(*preset.default_domain(), 64000), count)
+        assert ([e.hex() for e in rep.eigenvalues], [r.hex() for r in rep.residuals]) \
+            == tuple(PINNED_SPECTRA[name]), name
 
 
 @st.composite

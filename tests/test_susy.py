@@ -91,7 +91,7 @@ class TestIntertwining:
     def test_zero_mode_maps_to_nothing(self):
         g = Grid(-8.0, 8.0, 4000)
         zm = formal_zero_mode(W_LINEAR, g).normalized()
-        (out,) = intertwine_check(W_LINEAR, zm, [zm])
+        ((out,),) = intertwine_check(W_LINEAR, g, [zm], [zm])
         assert abs(out["scale"]) < 1e-4
         assert out["rel_residual"] < 1e-4
 
@@ -101,8 +101,8 @@ class TestIntertwining:
         classical = Oscillator3D(l=0)
         exceptional = Oscillator3D(l=1)
         src = classical.classical_state(1).on_grid(g)
-        matched, mismatched = intertwine_check(
-            w, src, [exceptional.exceptional_state(n).on_grid(g) for n in (2, 3)])
+        ((matched, mismatched),) = intertwine_check(
+            w, g, [src], [exceptional.exceptional_state(n).on_grid(g) for n in (2, 3)])
         assert matched["rel_residual"] < 1e-5
         assert mismatched["rel_residual"] > 1e-1
 
@@ -125,8 +125,9 @@ class TestIntertwining:
         g1, g2 = Grid(0.0, 1.0, 64), Grid(0.0, 1.0, 65)
         a = GridFunction(g1, np.ones(64))
         b = GridFunction(g2, np.ones(65))
-        with pytest.raises(ValueError):
-            intertwine_check(W_LINEAR, a, [b])
+        for sources, targets in (([a], [b]), ([b], [a]), ([a], [a, b])):
+            with pytest.raises(ValueError):
+                intertwine_check(W_LINEAR, g1, sources, targets)
 
 
 class TestPluralForms:
@@ -137,11 +138,14 @@ class TestPluralForms:
         g = Grid(0.0, 14.0, 3000)
         exceptional = Oscillator3D(l=1)
         targets = [exceptional.exceptional_state(n).on_grid(g) for n in range(1, 6)]
-        for nu in range(3):
-            src = Oscillator3D(l=0).classical_state(nu).on_grid(g)
-            together = intertwine_check(w, src, targets)
-            assert together == [intertwine_check(w, src, [t])[0] for t in targets]
-        assert intertwine_check(w, src, []) == []
+        sources = [Oscillator3D(l=0).classical_state(nu).on_grid(g) for nu in range(3)]
+        together = intertwine_check(w, g, sources, targets)
+        assert together == [[intertwine_check(w, g, [src], [t])[0][0] for t in targets]
+                            for src in sources]
+        streamed = intertwine_check(w, g, iter(sources), (t for t in targets))
+        assert streamed == together
+        assert intertwine_check(w, g, sources, []) == [[], [], []]
+        assert intertwine_check(w, g, [], targets) == []
 
     @pytest.mark.parametrize("w,dom", [(W_LINEAR, (-8.0, 8.0)),
                                        (oscillator_intertwiner(1), (0.8, 12.0))])

@@ -271,10 +271,12 @@ class TestCampaign:
         assert not {n for n, _ in bisections} & {1000, 2000, 4000, 12000}
 
     def test_spectral_config_computes_each_grid_quantity_once(self, monkeypatch):
-        # A psi once per source in the pairings row (4 sources, 5 targets),
-        # and one discretization per potential in each Rayleigh row
-        discretized, sources = [], []
-        discretize, apply_a = solver.discretize, susy.apply_A
+        # A psi once per source in the pairings row (4 sources, 5 targets)
+        # with W evaluated once on its grid, and one discretization per
+        # potential in each Rayleigh row
+        discretized, sources, w_grids = [], [], []
+        discretize, apply_a = solver.discretize, susy._apply_A
+        intertwiner = susy.oscillator_intertwiner
 
         def counting_discretize(module):
             def wrapped(potential, grid):
@@ -282,25 +284,72 @@ class TestCampaign:
                 return discretize(potential, grid)
             return wrapped
 
-        def counting_apply_a(w, psi, dagger=False):
+        def counting_apply_a(wx, psi, dagger=False):
             sources.append(psi.grid.n)
-            return apply_a(w, psi, dagger)
+            return apply_a(wx, psi, dagger)
+
+        def counting_intertwiner(l):
+            w = intertwiner(l)
+
+            def values(x):
+                w_grids.append(np.size(x))
+                return w.w(x)
+            return susy.Superpotential(w=values, w_prime=w.w_prime)
 
         for module in (solver, potentials, susy):
             monkeypatch.setattr(module, "discretize", counting_discretize(module.__name__))
-        monkeypatch.setattr(susy, "apply_A", counting_apply_a)
+        monkeypatch.setattr(susy, "_apply_A", counting_apply_a)
+        monkeypatch.setattr(susy, "oscillator_intertwiner", counting_intertwiner)
         cfg = VerificationConfig.from_dict(
             {"suites": ["spectra", "susy"],
              "grid": {"spectrum_points": 64000, "rayleigh_points": 64000}})
         suite_spectra(cfg)
         suite_susy(cfg)
-        assert sources == [64000] * 4 + [4000]  # the pairings, then the zero mode
+        # the pairings, then the zero mode; the operator identity applies A
+        # twice to each of its 5 functions on two 12000-point grids
+        assert [n for n in sources if n != 12000] == [64000] * 4 + [4000]
+        assert w_grids.count(64000) == 1
         rayleigh = [n for module, n in discretized if module == "exopoly.potentials"]
         assert rayleigh == [64000, 64000]  # oscillator and Scarf
         # H+ and H- once per superpotential in the operator identity
         assert [n for module, n in discretized if module == "exopoly.susy"] == [12000] * 4
         assert len(discretized) == 30
         assert sum(n == 64000 for _, n in discretized) == 8
+
+    def test_each_exceptional_family_is_built_once(self, monkeypatch):
+        # the Rayleigh rows read states 1..3 and the pairings states 1..5
+        # from one build of their family; the claim audit's one state is
+        # its own call
+        builds = []
+        build = potentials.operator_family
+
+        def counting(spec, n):
+            builds.append((spec, n))
+            return build(spec, n)
+
+        monkeypatch.setattr(potentials, "operator_family", counting)
+        cfg = VerificationConfig.from_dict({})
+        suite_spectra(cfg)
+        suite_susy(cfg)
+        laguerre = [xop.XFamilySpec("laguerre", k=Fraction(2 * l + 1, 2)) for l in (0, 1)]
+        scarf = xop.XFamilySpec("jacobi", alpha=Fraction(3, 2), beta=Fraction(7, 2))
+        assert builds == [(laguerre[0], 3), (scarf, 3), (laguerre[1], 1), (laguerre[1], 5)]
+
+    def test_each_quotient_residual_is_computed_once(self, monkeypatch):
+        # per k: the 3 exceptional members and the negative control at j = 1,
+        # and the 7 codimension-2 solutions, whose grid check reads the
+        # residual their solve computed
+        codimensions = []
+        residual = xop.xj_quotient_residual
+
+        def counting(f, k, j, A):
+            codimensions.append(j)
+            return residual(f, k, j, A)
+
+        monkeypatch.setattr(xop, "xj_quotient_residual", counting)
+        monkeypatch.setattr(potentials, "xj_quotient_residual", counting)
+        suite_theorem(VerificationConfig.from_dict({}))
+        assert (codimensions.count(1), codimensions.count(2)) == (12, 21)
 
     @pytest.mark.parametrize("raw", [
         {},
