@@ -6,10 +6,10 @@ and overwrites them as LAPACK does; each returns LAPACK's ``info``:
 
 * ``dstevd(d, e)``: all eigenvalues of the symmetric tridiagonal (d, e),
   ascending, into ``d``; ``e`` is destroyed.  Values only.
-* ``dstebz(d, e, range, vl, vu, il, iu, abstol, order)`` -> ``(m, w, info)``:
-  bisection, ``range`` numbered as scipy's wrapper numbers it (0 all, 1 by
-  value in (vl, vu], 2 by index il..iu), ``order`` ``b"E"`` or ``b"B"``;
-  the ``m`` values are ``w[:m]``.  ``d`` and ``e`` are only read.
+* ``dstebz(d, e, count)`` -> ``(m, w, info)``: bisection for the lowest
+  ``count`` eigenvalues, by index 1..count, ordered by value, with LAPACK's
+  default absolute tolerance (abstol 0); the ``m`` values are ``w[:m]``.
+  ``d`` and ``e`` are only read.
 * ``dgtsv(dl, d, du, b)``: the solution of the tridiagonal system into
   ``b``; ``dl``, ``d`` and ``du`` are overwritten.
 * ``dpttrf(d, e)``: the L D L^T factorization of (d, e) in place, up to
@@ -57,7 +57,6 @@ _F8 = np.dtype(np.float64)
 _Double = ctypes.c_double
 _Int = ctypes.c_int64
 _ONE = _Int(1)  # read-only by LAPACK, so one object serves every thread
-_RANGE = {0: b"A", 1: b"V", 2: b"I"}  # dstebz's range as scipy's wrapper numbers it
 
 
 def _size(d: np.ndarray) -> int:
@@ -137,13 +136,14 @@ def _bound(lib: ctypes.CDLL):
               _Double(), _ONE, _Int(), _ONE, info, 1)
         return info.value
 
-    def dstebz(d, e, range, vl, vu, il, iu, abstol, order):
+    def dstebz(d, e, count):
         n = _size(d)
         # w, work (4n), and iblock, isplit, iwork (n, n, 3n) in one array
         w, work, ints = np.empty(n), np.empty(4 * n), np.empty(5 * n, np.int64)
         m, nsplit, info = _Int(), _Int(), _Int()
-        stebz(_RANGE[range], order, _Int(n), _Double(vl), _Double(vu), _Int(il), _Int(iu),
-              _Double(abstol), _pointer(d, n, "d"), _pointer(e, n - 1, "e"), m, nsplit,
+        # by index 1..count, so vl and vu are not referenced
+        stebz(b"I", b"E", _Int(n), _Double(), _Double(), _ONE, _Int(count),
+              _Double(), _pointer(d, n, "d"), _pointer(e, n - 1, "e"), m, nsplit,
               _Double.from_buffer(w), _Int.from_buffer(ints), _Int.from_buffer(ints, 8 * n),
               _Double.from_buffer(work), _Int.from_buffer(ints, 16 * n), info, 1, 1)
         return m.value, w, info.value
@@ -219,9 +219,10 @@ def _wrapped(flapack):
         checked(d, e)
         return flapack.dstevd(d, _padded(e), compute_v=0, overwrite_d=1, overwrite_e=1)[2]
 
-    def dstebz(d, e, range, vl, vu, il, iu, abstol, order):
+    def dstebz(d, e, count):
         checked(d, e)
-        m, w, _, _, info = flapack.dstebz(d, _padded(e), range, vl, vu, il, iu, abstol, order)
+        # range 2 is by index in scipy's numbering, so vl and vu are not read
+        m, w, _, _, info = flapack.dstebz(d, _padded(e), 2, 0.0, 1.0, 1, count, 0.0, b"E")
         return m, w, info
 
     def dgtsv(dl, d, du, b):

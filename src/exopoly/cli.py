@@ -149,10 +149,14 @@ def cmd_spectrum(args) -> int:
         preset = make_preset(args.preset, params)
     except PotentialError as exc:
         return _fail(str(exc), EXIT_BAD_CONFIG)
+    if args.domain:
+        try:
+            a, b = map(float, args.domain.split(","))
+        except ValueError:  # not two values, or one that is not a number
+            return _fail(f"--domain must be two numbers a,b, got {args.domain!r}",
+                         EXIT_BAD_CONFIG)
     try:
-        if args.domain:
-            a, b = (float(v) for v in args.domain.split(","))
-        else:
+        if not args.domain:
             a, b = preset.default_domain()
         grid = Grid(a, b, args.grid_n)
     except ValueError as exc:

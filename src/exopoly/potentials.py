@@ -43,11 +43,11 @@ _FLOAT_MAX = Fraction(sys.float_info.max)
 # the extension terms, exactly as functions
 # ---------------------------------------------------------------------------
 
-def ve_laguerre(x, k, j: int = 1):
-    """Rational Laguerre extension j/(x+k) - j(j+1)k/(x+k)^2 (pole at -k)."""
-    kf = float(k) if isinstance(k, float) else float(as_rational(k))
+def ve_laguerre(x, k):
+    """Rational Laguerre X1 extension 1/(x+k) - 2k/(x+k)^2 (pole at -k)."""
+    kf = float(as_rational(k))
     x = np.asarray(x, dtype=float)
-    return j / (x + kf) - j * (j + 1) * kf / (x + kf) ** 2
+    return 1 / (x + kf) - 2 * kf / (x + kf) ** 2
 
 
 def _in_place(ufunc, a):
@@ -597,41 +597,32 @@ def make_preset(name: str, params: dict):
 # the quotient identity
 # ---------------------------------------------------------------------------
 
-def quotient_identity_check(f, k: RationalLike, grid: Grid, j: int = 1,
-                            A: Optional[RationalLike] = None) -> float:
-    """Max grid residual of the quotient form of the extended Laguerre equation.
+def quotient_identity_check(f: Poly, k: RationalLike, grid: Grid) -> float:
+    """Max grid residual of the quotient form of the X1 Laguerre equation.
 
     Evaluates  x g'' + (k+1-x) g' + (c - A/(x+k) - B/(x+k)^2) g  with
-    g = f/(x+k)^j, c = deg(f) - j and B = -j(j+1)k (the only B an f with
-    f(-k) != 0 admits), as the exact cleared polynomial of
-    :func:`exopoly.xop.xj_quotient_residual` divided by (x+k)^(j+2) on the
-    grid.  For j = 1, A defaults to the exceptional-family value 1; for
-    j >= 2 it must be supplied (see :func:`exopoly.xop.xj_quotient_solve`,
-    which also explains why no n-independent choice exists).  Float input
-    (coefficients of f, A) is read as its exact binary value.  A small
-    residual confirms the identity for this f; a wrong polynomial fails
-    loudly.  The cleared polynomial is exact, so an f that satisfies the
-    identity reads exactly 0 for every k; an f or A that satisfies it only to
-    rounding leaves a small cleared polynomial sum_i r_i x^i, which the grid
-    values measure, and their float evaluation adds about
-    1e-16 * max_i |r_i x^i| / (x+k)^(j+2).
+    g = f/(x+k), c = deg(f) - 1, the exceptional-family value A = 1 and
+    B = -2k (the only B an f with f(-k) != 0 admits), that is the
+    codimension j = 1 identity, as the exact cleared polynomial of
+    :func:`exopoly.xop.xj_quotient_residual` divided by (x+k)^3 on the grid.
+    A small residual confirms the identity for the exact polynomial f; a
+    wrong polynomial fails loudly.  The cleared polynomial is exact, so an f
+    that satisfies the identity reads exactly 0 for every k.  The Xj
+    instances of :func:`exopoly.xop.xj_quotient_solve` carry their exact
+    cleared residual, which :func:`quotient_grid_residual` reads on a grid.
     """
     if not isinstance(f, Poly):
-        f = Poly.from_floats(f)
-    if A is None:
-        if j != 1:
-            raise PotentialError("j >= 2 needs an explicit coefficient A")
-        A = 1
-    elif isinstance(A, float):
-        A = Fraction(A)
-    return quotient_grid_residual(xj_quotient_residual(f, k, j, A), k, j, grid)
+        raise TypeError(f"quotient_identity_check takes an exact Poly, not {type(f).__name__}")
+    return quotient_grid_residual(xj_quotient_residual(f, k, 1, 1), k, 1, grid)
 
 
 def quotient_grid_residual(residual: Poly, k: RationalLike, j: int, grid: Grid) -> float:
     """Max over the grid of |residual(x)| / (x+k)^(j+2), for the exact cleared
     polynomial of :func:`exopoly.xop.xj_quotient_residual` (which
-    :func:`exopoly.xop.xj_quotient_solve` returns with each solution):
-    :func:`quotient_identity_check` without rebuilding it."""
+    :func:`exopoly.xop.xj_quotient_solve` returns with each solution).  A
+    residual sum_i r_i x^i left by an f or A that satisfies the identity only
+    to rounding is measured by its grid values, whose float evaluation adds
+    about 1e-16 * max_i |r_i x^i| / (x+k)^(j+2)."""
     kf = float(as_rational(k))
     x = grid.points()
     res = residual(x) / (x + kf) ** (j + 2)

@@ -5,8 +5,9 @@ The rational weights  x^k e^-x / (x+k)^2  on (0, inf)  and
 (1-x)^a (1+x)^b / (x-b)^2  on [-1, 1]  are dlambda/(x-z)^2 for a classical
 dlambda and a pole z = -k resp. b outside the support.  Their own monic
 recurrence comes from the classical one by two linear-divisor modifications
-(:func:`weight_recurrence`), and Golub-Welsch turns it into Gauss rules of
-the weight itself (:func:`weight_rule`).
+(:func:`weight_recurrence`).  :func:`gauss_rule` is the one Gauss rule of any
+weight: Golub-Welsch on the classical recurrence for the classical kinds, on
+:func:`weight_recurrence` for the x1 kinds.
 
 :func:`gram_matrix` is the one discrete inner product per weight: it
 integrates polynomials on one such rule, sized to be exact by degree.
@@ -193,8 +194,9 @@ class QuadratureRule:
         return "\n".join(lines) + "\n"
 
 
-def golub_welsch(rec: Recurrence, n: int) -> QuadratureRule:
-    """n-point Gauss rule from the symmetric tridiagonal Jacobi matrix.
+def golub_welsch(rec: Recurrence) -> QuadratureRule:
+    """Gauss rule with one node per recurrence coefficient, from the symmetric
+    tridiagonal Jacobi matrix.
 
     Nodes are the eigenvalues of the Jacobi matrix (via the tridiagonal
     solver of :mod:`exopoly.solver`).  Weights use the equivalent Christoffel
@@ -203,16 +205,15 @@ def golub_welsch(rec: Recurrence, n: int) -> QuadratureRule:
     to absolute-precision underflow already around n = 32, whereas this form
     keeps every weight positive and relatively accurate.
     """
+    n = len(rec.a)
     if n < 1:
         raise ValueError("rule needs at least one node")
-    if len(rec.a) < n:
-        raise QuadratureError("recurrence does not provide enough coefficients")
     if np.any(rec.b[1:n] <= 0):
         raise QuadratureError("recurrence coefficients are not from a positive measure")
     diag = np.asarray(rec.a[:n], dtype=float)
     off = np.sqrt(np.asarray(rec.b[1:n], dtype=float))
     nodes = np.atleast_1d(tridiagonal_eigh(diag, off))
-    weights = _christoffel_weights(rec, nodes, n)
+    weights = _christoffel_weights(rec, nodes)
     if np.any(weights < 0) or not np.all(np.isfinite(weights)):
         raise QuadratureError("negative quadrature weight produced")
     # true weights below ~1e-308 (possible past n ~ 256 on unbounded domains)
@@ -222,14 +223,15 @@ def golub_welsch(rec: Recurrence, n: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, exact_degree=2 * n - 1)
 
 
-def _christoffel_weights(rec: Recurrence, nodes: np.ndarray, n: int) -> np.ndarray:
-    """w_i = 1 / sum_{m<n} ptilde_m(x_i)^2 with the orthonormal recurrence.
+def _christoffel_weights(rec: Recurrence, nodes: np.ndarray) -> np.ndarray:
+    """w_i = 1 / sum_{m<n} ptilde_m(x_i)^2 with the orthonormal recurrence,
+    n the number of nodes.
 
     The orthonormal values are carried as q * exp(s) with a per-node log
     scale s, and the sum is accumulated with logaddexp, so extreme nodes
     (where the true weight is ~1e-200) neither overflow nor flush to zero.
     """
-    x = nodes
+    x, n = nodes, nodes.size
     q_prev = np.zeros_like(x)
     q = np.ones_like(x)
     s = np.full_like(x, -0.5 * math.log(rec.mu0))  # ptilde_0 = 1/sqrt(mu0)
@@ -247,11 +249,6 @@ def _christoffel_weights(rec: Recurrence, nodes: np.ndarray, n: int) -> np.ndarr
         nz = q != 0
         log_sum[nz] = np.logaddexp(log_sum[nz], 2 * (np.log(np.abs(q[nz])) + s[nz]))
     return np.exp(-log_sum)
-
-
-def gauss_rule(weight: WeightSpec, n: int) -> QuadratureRule:
-    """n-point Gauss rule for the classical base of ``weight``."""
-    return golub_welsch(recurrence_coefficients(weight, n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +331,13 @@ def _divided_recurrence(weight: WeightSpec, n: int) -> Recurrence:
     return Recurrence(a=a[:n].copy(), b=b[:n].copy(), mu0=mu0)
 
 
-def weight_rule(weight: WeightSpec, n: int) -> QuadratureRule:
+def gauss_rule(weight: WeightSpec, n: int) -> QuadratureRule:
     """n-point Gauss rule of the weight itself (exact through degree 2n-1):
-    the classical rule for classical kinds, the rule of
+    the rule of :func:`recurrence_coefficients` for the classical kinds, of
     :func:`weight_recurrence` for the x1 kinds."""
-    if not weight.is_rational_extension:
-        return gauss_rule(weight, n)
-    return golub_welsch(weight_recurrence(weight, n), n)
+    if weight.is_rational_extension:
+        return golub_welsch(weight_recurrence(weight, n))
+    return golub_welsch(recurrence_coefficients(weight, n))
 
 
 def _degree(f) -> int:
@@ -372,7 +369,7 @@ def gram_matrix(
 
     Without ``others`` it is the Gram matrix of ``polys``, with the upper
     triangle mirrored so the result is symmetric by construction.  Every
-    entry comes from one :func:`weight_rule` of nu = floor((deg p + deg q)/2)
+    entry comes from one :func:`gauss_rule` of nu = floor((deg p + deg q)/2)
     + 1 nodes, the largest degrees over both lists, so it is exact by degree.
     A callable is refused with TypeError.
     """
@@ -380,7 +377,7 @@ def gram_matrix(
         raise ValueError("gram_matrix needs at least one polynomial")
     right_polys = polys if others is None else others
     degree = max(map(_degree, polys)) + max(map(_degree, right_polys), default=0)
-    rule = weight_rule(weight, degree // 2 + 1)
+    rule = gauss_rule(weight, degree // 2 + 1)
     vals = _values(polys, rule.nodes)
     right = vals if others is None else _values(others, rule.nodes)
     gram = (vals * rule.weights) @ right.T

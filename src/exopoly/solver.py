@@ -248,9 +248,9 @@ def tridiagonal_eigh(diag: np.ndarray, off: np.ndarray, count: Optional[int] = N
     if count is None:  # dstevd overwrites both: the values land in w
         w = d.copy()
         info = _lapack.dstevd(w, e.copy())
-    else:  # by index: il = 1, iu = count, tol = 0, ordered by value
+    else:
         d, e = np.require(d, requirements="CW"), np.require(e, requirements="CW")
-        m, w, info = _lapack.dstebz(d, e, 2, 0.0, 1.0, 1, count, 0.0, b"E")
+        m, w, info = _lapack.dstebz(d, e, count)
         w = w[:m]
     if info:
         raise SolverError(f"tridiagonal eigensolve failed (LAPACK info={info})")

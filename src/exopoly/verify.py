@@ -63,15 +63,27 @@ _DEFAULTS = {
     "negative_control": False,
 }
 
-# the gates of the floating-point checks; fixed here, so no config moves them
+# every gate of the report, fixed here so no config moves it: 0 for the exact
+# checks (a count of failing members, or a deviation that must vanish), a
+# bound for the floating-point ones.  A check that must stay above its bound
+# (the negative control, the separation) or inside an interval (the
+# convergence order) makes its own comparison, but reads the bound here.
 _TOLERANCES = {
+    "exact": 0,
     "route_agreement": 1e-9,
     "orthogonality": 1e-10,
     "quotient": 1e-8,
+    "quotient_negative_control": 1e-2,
+    "convergence_order": [1.8, 2.2],
     "spectrum_rel": 1e-4,
+    "isospectrality_match": 1e-2,
     "rayleigh_rel": 1e-6,
+    "partner_identity": 1e-12,
     "intertwine": 1e-5,
+    "intertwine_separation": 1e-1,
+    "intertwine_separation_ratio": 1e4,
     "operator_identity": 1e-5,
+    "zero_mode": 1e-5,
 }
 
 
@@ -264,13 +276,13 @@ def suite_xop(cfg: VerificationConfig) -> list[dict]:
         with_n_max = {**params, "n_max": cfg.n_max}
 
         # ops[n - 1] is the operator-route member of index n
-        ops = xop.operator_family(spec, max(cfg.n_max, cfg.n_eigen_max))
+        ops = xop.family_by_route(spec, max(cfg.n_max, cfg.n_eigen_max), "operator")
         bad = sum(1 for n in range(1, cfg.n_eigen_max + 1)
                   if not spec.ode_residual(ops[n - 1], n).is_zero)
         rows.add(f"x1-{fam}-eigenrelation[{tag}]",
                  f"exceptional {fam.capitalize()} equation holds exactly "
                  "on the operator route",
-                 {**params, "n": f"1..{cfg.n_eigen_max}"}, bad, 0)
+                 {**params, "n": f"1..{cfg.n_eigen_max}"}, bad, _TOLERANCES["exact"])
 
         exact_dev = 0.0
         for op, ns in zip(ops, xop.family_by_route(spec, cfg.n_max, "nullspace")):
@@ -279,11 +291,11 @@ def suite_xop(cfg: VerificationConfig) -> list[dict]:
                 exact_dev = max(exact_dev, xop.coefficient_rel_diff(op, ns))
         rows.add(f"route-agreement-exact[{fam},{tag}]",
                  "operator and nullspace routes agree exactly",
-                 with_n_max, exact_dev, 0)
+                 with_n_max, exact_dev, _TOLERANCES["exact"])
 
         # member n depends only on seeds 1..n, so one family serves every check
-        gs_all = xop.gram_schmidt_family(
-            spec.weight(), max(cfg.n_max, 10) if fam == "laguerre" else cfg.n_max)
+        gs_all = xop.family_by_route(
+            spec, max(cfg.n_max, 10) if fam == "laguerre" else cfg.n_max, "gram-schmidt")
         gs = gs_all[: cfg.n_max]
         dev = max(xop.coefficient_rel_diff(gs[n - 1], ops[n - 1])
                   for n in range(1, cfg.n_max + 1))
@@ -304,14 +316,14 @@ def suite_xop(cfg: VerificationConfig) -> list[dict]:
         degrees_ok = all(ops[n - 1].degree == n for n in range(1, cfg.n_max + 1))
         rows.add(f"degree-law[{fam},{tag}]",
                  "member n has degree n and no degree-0 member exists",
-                 params, 0 if (no_const and degrees_ok) else 1, 0)
+                 params, 0 if (no_const and degrees_ok) else 1, _TOLERANCES["exact"])
 
         errs = xop.best_approximation_errors(spec.weight(), gs_all[:10])
         decreasing = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
         rows.add(f"completeness-proxy[{fam},{tag}]",
                  "best approximation error of 1 strictly decreases with N",
                  {**params, "errors": [round(e, 12) for e in errs]},
-                 0 if decreasing else 1, 0)
+                 0 if decreasing else 1, _TOLERANCES["exact"])
     return rows.rows
 
 
@@ -328,10 +340,11 @@ def suite_theorem(cfg: VerificationConfig) -> list[dict]:
 
         wrong = laguerre_classical(2, k)
         neg = quotient_identity_check(wrong, k, grid)
+        floor = _TOLERANCES["quotient_negative_control"]
         rows.add(f"quotient-negative-control[k={k}]",
                  "a classical polynomial fails the quotient identity loudly",
-                 {"k": str(k), "residual": neg}, neg, 1e-2,
-                 "pass" if neg > 1e-2 else "fail")
+                 {"k": str(k), "residual": neg}, neg, floor,
+                 "pass" if neg > floor else "fail")
 
         sols_n2 = xop.xj_quotient_solve(k, 2, 2)
         sols = sols_n2 + xop.xj_quotient_solve(k, 2, 3)
@@ -394,9 +407,10 @@ def suite_spectra(cfg: VerificationConfig) -> list[dict]:
     osc0 = Oscillator3D(l=0)
     order = solver.convergence_order(osc0.potential, osc0.default_domain(),
                                      osc0.classical_energy(0), (1000, 2000, 4000))
+    lo, hi = _TOLERANCES["convergence_order"]
     rows.add("oscillator-convergence-order", "eigenvalue error scales as h^2",
              {"sizes": [1000, 2000, 4000], "order": round(order, 3)},
-             order, [1.8, 2.2], "pass" if 1.8 <= order <= 2.2 else "fail")
+             order, [lo, hi], "pass" if lo <= order <= hi else "fail")
 
     rq_grid = Grid(*osc0.default_domain(), cfg.grid["rayleigh_points"])
     worst = _worst_rayleigh(osc0, rq_grid)
@@ -419,7 +433,7 @@ def suite_spectra(cfg: VerificationConfig) -> list[dict]:
 
 def _isospectrality(rows: _Rows, cid: str, params: dict, levels, levels_ext) -> None:
     """The reported row that maps the extended levels onto the classical ones."""
-    mapping = solver.spectrum_compare(levels, levels_ext, 1e-2)
+    mapping = solver.spectrum_compare(levels, levels_ext, _TOLERANCES["isospectrality_match"])
     rows.add(cid, "extended vs classical level mapping (missing states reported)",
              {**params, "mapping": mapping,
               "ground_state_unmatched": 0 in mapping["unmatched_a"]
@@ -456,7 +470,8 @@ def suite_susy(cfg: VerificationConfig) -> list[dict]:
         worst = max(worst, float(dev / scale))
     rows.add("partner-construction-identity",
              "V- - V+ = 2 W' to roundoff for every superpotential",
-             {"superpotentials": ["W(x)=x", "oscillator intertwiner"]}, worst, 1e-12)
+             {"superpotentials": ["W(x)=x", "oscillator intertwiner"]}, worst,
+             _TOLERANCES["partner_identity"])
 
     worst = 0.0
     for w, dom in ((w_lin, (-8.0, 8.0)), (w_osc, (0.8, 12.0))):
@@ -487,17 +502,19 @@ def suite_susy(cfg: VerificationConfig) -> list[dict]:
              {"l": l, "pairings": {str(k): v for k, v in pairings.items()}},
              matched_worst, _TOLERANCES["intertwine"])
     separation = mismatch_best / matched_worst if matched_worst else float("inf")
+    floor = _TOLERANCES["intertwine_separation"]
     rows.add("intertwine-separation",
              "mismatched pairings are rejected by orders of magnitude",
              {"mismatch_best": mismatch_best, "separation": separation},
-             mismatch_best, 1e-1,
-             "pass" if mismatch_best > 1e-1 and separation >= 1e4 else "fail")
+             mismatch_best, floor,
+             "pass" if mismatch_best > floor
+             and separation >= _TOLERANCES["intertwine_separation_ratio"] else "fail")
 
     gz = Grid(-8.0, 8.0, 4000)
     zero_mode = susy.formal_zero_mode(w_lin, gz).normalized()
     res = susy.apply_A(w_lin, zero_mode).norm()
     rows.add("zero-mode-annihilation", "A annihilates exp(-integral W)",
-             {"W": "x"}, res, 1e-5)
+             {"W": "x"}, res, _TOLERANCES["zero_mode"])
     return rows.rows
 
 

@@ -5,7 +5,6 @@ binding of numpy's own OpenBLAS (where numpy ships one) and the wrappers
 of scipy's ``_flapack``.  scipy's public ``scipy.linalg.lapack`` is the
 reference."""
 
-import math
 
 import numpy as np
 import pytest
@@ -65,15 +64,14 @@ def test_dstevd_bit_equal_to_scipy(lapack, n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_dstebz_bit_equal_to_scipy(lapack, n):
+    # the lowest count values by index 1..count, ordered by value, abstol 0
     d, e = _matrix(n)
-    calls = [(0, 0.0, 0.0, 0, 0, 0.0, b"E"), (1, -1.0, 0.5, 0, 0, math.inf, b"B"),
-             (1, -1.0, 0.5, 0, 0, 0.0, b"E")]
-    calls += [(2, 0.0, 1.0, 1, count, 0.0, order) for count in sorted({1, (n + 1) // 2, n})
-              for order in (b"E", b"B")]
-    for args in calls:
-        m, w, info = lapack["dstebz"](d, e, *args)
-        ref_m, ref_w, _, _, ref_info = scipy_lapack.dstebz(d, _padded(e), *args)
-        assert (m, info) == (ref_m, ref_info) and _same(w[:m], ref_w[:ref_m]), args
+    for count in sorted({1, (n + 1) // 2, n}):
+        m, w, info = lapack["dstebz"](d, e, count)
+        ref_m, ref_w, _, _, ref_info = scipy_lapack.dstebz(d, _padded(e), 2, 0.0, 1.0, 1,
+                                                           count, 0.0, b"E")
+        assert (m, info) == (ref_m, ref_info) == (count, 0), count
+        assert _same(w[:m], ref_w[:ref_m]), count
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -14,6 +14,7 @@ from exopoly.potentials import (
     PotentialError,
     ScarfTrig,
     make_preset,
+    quotient_grid_residual,
     quotient_identity_check,
     state_rayleigh,
     ve_laguerre,
@@ -26,8 +27,7 @@ from oracles import hamiltonian_residual
 
 class TestExtensionTerms:
     def test_laguerre_point_values(self):
-        assert ve_laguerre(0.0, 1, 1) == pytest.approx(-1.0)
-        assert ve_laguerre(1.0, 1, 2) == pytest.approx(-0.5)
+        assert ve_laguerre(0.0, 1) == pytest.approx(-1.0)
 
     def test_j1_matches_the_closed_form(self):
         rng = np.random.default_rng(0)
@@ -35,7 +35,7 @@ class TestExtensionTerms:
             x = float(rng.uniform(0, 20))
             k = float(rng.uniform(0.2, 5))
             expect = 1 / (x + k) - 2 * k / (x + k) ** 2
-            assert ve_laguerre(x, k, 1) == pytest.approx(expect, rel=1e-14)
+            assert ve_laguerre(x, k) == pytest.approx(expect, rel=1e-14)
 
 
 class TestPrintedForms:
@@ -270,15 +270,14 @@ class TestQuotientIdentity:
         grid = Grid(0.01, 40.0, 2000)
         assert quotient_identity_check(laguerre_classical(2, F(1)), F(1), grid) > 1e-2
 
+    def test_float_coefficients_refused(self):
+        with pytest.raises(TypeError, match="exact Poly"):
+            quotient_identity_check([1.0, 1.0], F(1), Grid(0.01, 10.0, 100))
+
     def test_j2_instances(self):
         grid = Grid(0.01, 40.0, 2000)
         for s in xj_quotient_solve(2.0, 2, 3):
-            res = quotient_identity_check(s["f"], 2.0, grid, j=2, A=s["A"])
-            assert res < 1e-8
-
-    def test_j2_requires_coefficients(self):
-        with pytest.raises(PotentialError):
-            quotient_identity_check(Poly((1, 1)), F(1), Grid(0.01, 10.0, 100), j=2)
+            assert quotient_grid_residual(s["residual"], 2.0, 2, grid) < 1e-8
 
 
 class TestStatesPinnedToExplicitForms:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import lapack as scipy_lapack
 
 from exopoly import _lapack, solver
 from exopoly.solver import (
@@ -325,9 +326,9 @@ class TestCoarseToFine:
             lower -= abs(lower) + 1
             for upper in shifts:
                 assert np.min(np.abs(w - upper)) >= margin and upper < w[-1]
-                # the raw binding takes writable arrays; discretize's off is a view
-                m, *_ = _lapack.dstebz(op.diag, op.off.copy(), 1, lower, upper, 0, 0,
-                                       math.inf, b"B")
+                # LAPACK's bisection count by value in (lower, upper]
+                m, *_ = scipy_lapack.dstebz(op.diag, op.off, 1, lower, upper, 0, 0,
+                                            math.inf, b"B")
                 assert solver._sturm_count(op, upper) == m == np.count_nonzero(w <= upper)
 
     def test_spectral_workload_levels_are_certified(self, monkeypatch):

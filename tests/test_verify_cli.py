@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exopoly import _lapack, potentials, quad, solver, susy, xop
+from exopoly import _lapack, potentials, quad, solver, susy, verify, xop
 from exopoly.cli import main
 from exopoly.polycore import Poly
 from exopoly.verify import (
@@ -260,15 +260,13 @@ class TestCampaign:
         # counts (dpttrf sweeps) and shifted solves (dgtsv); no eigenvectors
         # (no stein, no dstevd with compute_v)
         assert {name for name, *_ in calls} == {"dstebz", "dgtsv", "dpttrf"}
-        assert all(args[2] == 2 for name, _, args, _ in calls if name == "dstebz")
-        bisections = [(n, args[-1]) for name, n, args, _ in calls
-                      if name == "dstebz" and args[2] == 2]
+        bisections = [n for name, n, _, _ in calls if name == "dstebz"]
         # every bisection on the bottom grid of the coarse-to-fine recursion:
         # 2 levels x 2 potentials for the oscillator at 2000 -> 125 points, the
         # convergence sizes 1000/2000/4000 -> 62/125/250, 2 for Scarf at
         # 12000 -> 750 -> 46
-        assert bisections == [(n, b"E") for n in [125] * 4 + [62, 125, 250] + [46] * 2]
-        assert not {n for n, _ in bisections} & {1000, 2000, 4000, 12000}
+        assert bisections == [125] * 4 + [62, 125, 250] + [46] * 2
+        assert not set(bisections) & {1000, 2000, 4000, 12000}
 
     def test_spectral_config_computes_each_grid_quantity_once(self, monkeypatch):
         # A psi once per source in the pairings row (4 sources, 5 targets)
@@ -350,6 +348,58 @@ class TestCampaign:
         monkeypatch.setattr(potentials, "xj_quotient_residual", counting)
         suite_theorem(VerificationConfig.from_dict({}))
         assert (codimensions.count(1), codimensions.count(2)) == (12, 21)
+
+    def test_xop_suite_enters_the_float_layer_through_one_name_each(self, monkeypatch):
+        # every Gauss rule through quad.gauss_rule (per family one Gram matrix
+        # of 8 members, and per Laguerre family the projections of 1 onto 10)
+        # and every family of all three routes through xop.family_by_route:
+        # the names the benchmark's tracer wraps
+        rules, routes = [], []
+        rule_of, family_of = quad.gauss_rule, xop.family_by_route
+
+        def counting_rule(weight, n):
+            rules.append(n)
+            return rule_of(weight, n)
+
+        def counting_family(spec, n, route):
+            routes.append(route)
+            return family_of(spec, n, route)
+
+        monkeypatch.setattr(quad, "gauss_rule", counting_rule)
+        monkeypatch.setattr(xop, "family_by_route", counting_family)
+        suite_xop(VerificationConfig.from_dict({}))
+        assert rules == [9, 6] * 3 + [9] * 3
+        assert routes == ["operator", "nullspace", "gram-schmidt"] * 6
+
+    def test_every_gate_reads_the_tolerance_table(self, monkeypatch):
+        # with each entry of verify._TOLERANCES nudged to a value no literal
+        # in the suites has, those are the only tolerances the pass/fail rows
+        # report (the claim audits carry their own), and the isospectrality
+        # rows match levels at the table's value
+        nudged = {}
+        for i, (key, value) in enumerate(verify._TOLERANCES.items(), 1):
+            step = i * 2.0**-20
+            if isinstance(value, list):
+                nudged[key] = [value[0] * (1 - step), value[1] * (1 + step)]
+            else:
+                nudged[key] = value * (1 + step) if value else step**3
+        monkeypatch.setattr(verify, "_TOLERANCES", nudged)
+        match_tols = []
+        compare = solver.spectrum_compare
+
+        def recording(a, b, tol):
+            match_tols.append(tol)
+            return compare(a, b, tol)
+
+        monkeypatch.setattr(solver, "spectrum_compare", recording)
+        report = run_verification(VerificationConfig.from_dict({}))
+        gates = [c for c in report.checks if c["status"] in ("pass", "fail")
+                 and not c["id"].startswith("claim-audit[")]
+        assert len(gates) == 49 and report.failures == 0
+        stray = [(c["id"], c["tolerance"]) for c in gates
+                 if c["tolerance"] not in nudged.values()]
+        assert stray == []
+        assert match_tols == [nudged["isospectrality_match"]] * 3
 
     @pytest.mark.parametrize("raw", [
         {},
@@ -639,6 +689,12 @@ class TestCliSpectrum:
 
     def test_bad_grid_exits_two(self):
         assert main(["spectrum", "--preset", "oscillator3d", "--grid-n", "8"]) == 2
+
+    @pytest.mark.parametrize("domain", ["0,1,2", "5", "a,b"])
+    def test_domain_that_is_not_two_numbers_exits_two(self, domain, capsys):
+        assert main(["spectrum", "--preset", "oscillator3d", f"--domain={domain}"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --domain must be two numbers a,b, got '{domain}'\n")
 
     def test_decimal_preset_parameters(self, tmp_path):
         out = tmp_path / "spec.json"
