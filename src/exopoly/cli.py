@@ -83,6 +83,23 @@ def _rational(flag: str, text: str) -> Fraction:
         raise ValueError(f"{flag}: {text!r} is not a number") from None
 
 
+# the parameter flags each classical weight takes; an X1 family takes those
+# of its classical one
+_PARAMETERS = {"laguerre": ("k",), "jacobi": ("alpha", "beta"), "legendre": ()}
+
+
+def _refuse_foreign_flags(args, name: str, noun: str) -> int:
+    """Exit 2 naming the first parameter flag that the family or rule ``name``
+    does not take, as a bad argument; 0 when every flag given applies."""
+    taken = _PARAMETERS[name.removeprefix("x1-")]
+    for flag in ("k", "alpha", "beta"):
+        if getattr(args, flag) is not None and flag not in taken:
+            takes = " and ".join(f"--{f}" for f in taken) or "no parameter"
+            return _fail(f"--{flag} does not apply to the {name} {noun}, which takes "
+                         f"{takes}", EXIT_BAD_CONFIG)
+    return EXIT_OK
+
+
 def _family_table(args) -> list:
     fam = args.family
     if fam == "laguerre":
@@ -107,6 +124,8 @@ def cmd_poly(args) -> int:
         return _fail(f"--route {args.route} applies to the exceptional families "
                      f"only; the classical {args.family} table has one construction, "
                      "its three-term recurrence", EXIT_BAD_CONFIG)
+    if code := _refuse_foreign_flags(args, args.family, "family"):
+        return code
     # without the flag an exceptional family takes the operator route; the
     # tables of a classical family keep their `operator` label
     args.route = args.route or "operator"
@@ -195,6 +214,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_quad(args) -> int:
+    if code := _refuse_foreign_flags(args, args.rule, "rule"):
+        return code
     try:
         if args.rule == "legendre":
             weight, header = quad.WeightSpec.jacobi(0, 0), "rule=legendre"

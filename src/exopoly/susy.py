@@ -236,10 +236,11 @@ def random_smooth_functions(grid: Grid, count: int, seed: int = 0) -> list[GridF
     x = grid.points()
     s = (x - grid.a) / (grid.b - grid.a)
     window = np.sin(np.pi * s) ** 6
+    sin2, cos1 = np.sin(2 * np.pi * s), np.cos(np.pi * s)
     out = []
     for _ in range(count):
         c = [2.0 * rng.random() - 1.0 for _ in range(4)]
-        bump = c[0] + c[1] * s + c[2] * np.sin(2 * np.pi * s) + c[3] * np.cos(np.pi * s)
+        bump = c[0] + c[1] * s + c[2] * sin2 + c[3] * cos1
         out.append(GridFunction(grid, window * bump).normalized())
     return out
 

@@ -34,11 +34,13 @@ eigen-solve, no thresholds.
 
 Each family fact has one home that every route reads: the Jacobi constants
 a, b, c in :class:`polycore.JacobiConstants`, the pole in ``quad.WeightSpec.pole``,
-the classical family the ladder raises in :meth:`XFamilySpec.seeds`, the ladder
-in :meth:`XFamilySpec.ladder`, the cleared equation in
-:meth:`XFamilySpec.operator`, and the seed functional, read off the pole, in
-:func:`gram_schmidt_family`.  Every operator-route member, one at a time or a
-whole family, comes from :func:`operator_family`, and
+the classical family the ladder raises in :meth:`XFamilySpec.seeds`, the
+Darboux seed phi = g eta of the weight (eta = x - pole, r = g'/g and the
+ladder's scale) in :func:`_darboux_seed`, and the cleared equation in
+:meth:`XFamilySpec.operator`.  The ladder (:meth:`XFamilySpec.ladder`, the
+Darboux step :func:`_darboux_table`) and the Gram-Schmidt route's seed
+functional are both read from the seed.  Every operator-route member, one at
+a time or a whole family, comes from :func:`operator_family`, and
 :func:`family_by_route` hands out members 1..n of any route.
 """
 
@@ -48,7 +50,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -125,13 +127,33 @@ class XFamilySpec:
         return jacobi_family(n, self.alpha - 1, self.beta + 1)
 
     def ladder(self) -> DiffOp:
-        """The first-order ladder: degree nu of :meth:`seeds` goes to the
+        """The first-order ladder, the Darboux step of the weight's seed
+        (:func:`_darboux_table`): degree nu of :meth:`seeds` goes to the
         member of index nu+1."""
-        if self.family == "laguerre":
-            return DiffOp(_laguerre_ladder_table(self.k))
-        if self.alpha <= 0:
+        if self.family == "jacobi" and self.alpha <= 0:
             raise ValueError("requires alpha > 0 so P^(alpha-1, beta+1) exists")
-        return DiffOp(_jacobi_ladder_table(self.alpha, self.beta))
+        return DiffOp(_darboux_table(_darboux_seed(self.weight())))
+
+
+class _DarbouxSeed(NamedTuple):
+    """The seed phi = g eta of an X1 weight's Darboux step, polynomials as
+    ascending coefficient tuples: eta = x - pole, r = g'/g = r_num / r_den,
+    and the ladder's scale."""
+    eta: tuple
+    r_num: tuple
+    r_den: tuple
+    scale: RationalLike
+
+
+def _darboux_seed(weight: quad.WeightSpec) -> _DarbouxSeed:
+    """The seed of an x1 weight: g = e^x (Laguerre) or (1+x)^(-beta-1)
+    (Jacobi), with scale 1 resp. alpha - beta, the normalization of the
+    published ladders (Gomez-Ullate, Kamran, Milson, J. Phys. A 43, 2010;
+    Quesne, J. Phys. A 41, 2008)."""
+    eta = (-weight.pole, 1)
+    if weight.kind == "x1-laguerre":
+        return _DarbouxSeed(eta, (1,), (1,), 1)
+    return _DarbouxSeed(eta, (-(weight.beta + 1),), (1, 1), weight.alpha - weight.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -171,19 +193,18 @@ def operator_family(spec: XFamilySpec, n_max: int) -> list[Poly]:
 # Operator tables {(shift, order): coefficient}, one term c x^shift D^order
 # each: plain arithmetic on the parameters, so they also expand symbolically.
 
-def _laguerre_ladder_table(k) -> dict:
-    """The Laguerre ladder (x+k)(d/dx - 1) - 1 = (x+k) D - (x+k+1)."""
-    return {(0, 1): k, (1, 1): 1, (0, 0): -(k + 1), (1, 0): -1}
-
-
-def _jacobi_ladder_table(al, be) -> dict:
-    """The Jacobi ladder
-    [alpha+beta-(beta-alpha)x]((1+x) d/dx + beta + 1) + (beta-alpha)(1+x);
-    with p = alpha+beta and q = beta-alpha it is
-    (p + (p-q) x - q x^2) D + p(beta+1) + q - q beta x."""
-    p, q = al + be, be - al
-    return {(0, 1): p, (1, 1): p - q, (2, 1): -q, (0, 0): p * (be + 1) + q,
-            (1, 0): -q * be}
+def _darboux_table(seed: _DarbouxSeed) -> dict:
+    """The Darboux step y -> scale r_den (eta y' - (r eta + eta') y), the
+    ladder of :meth:`XFamilySpec.ladder`."""
+    eta, r_num, r_den, scale = seed
+    d_eta = [j * v for j, v in enumerate(eta)][1:]
+    table: dict = {}
+    for order, c, a, b in ((1, scale, r_den, eta), (0, -scale, r_num, eta),
+                           (0, -scale, r_den, d_eta)):
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                table[i + j, order] = table.get((i + j, order), 0) + c * u * v
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +496,13 @@ def gram_schmidt_family(weight: quad.WeightSpec, count: int) -> list[np.ndarray]
     Works in the basis q_0..q_count of polynomials orthonormal for the weight,
     from :func:`quad.weight_recurrence`, where the weight's inner product is
     the Euclidean one.  The seeds span the kernel of l(p) = p(z) - d p'(z), z
-    the pole and d = 1 (Laguerre) or b - c = -2/(beta-alpha) (Jacobi)
-    (Gomez-Ullate, Kamran, Milson, J. Approx. Theory 162, 2010), so the seeds
-    of degree <= i span the vectors v of q-coordinates 0..i with
-    l_0 v_0 + ... + l_i v_i = 0, l_m = l(q_m).  Member i is the unit vector
-    there orthogonal to the same space one degree down, in closed form
+    the pole and 1/d = r(z) + r_den'(z)/r_den(z) + eta''(z)/eta'(z) read from
+    the weight's Darboux seed (:func:`_darboux_seed`): d = 1 (Laguerre) or
+    b - c = -2/(beta-alpha) (Jacobi) (Gomez-Ullate, Kamran, Milson, J. Approx.
+    Theory 162, 2010), so the seeds of degree <= i span the vectors v of
+    q-coordinates 0..i with l_0 v_0 + ... + l_i v_i = 0, l_m = l(q_m).
+    Member i is the unit vector there orthogonal to the same space one degree
+    down, in closed form
     u_i = (-(l_i / h) (l_0, ..., l_(i-1)) / s, s / h) with
     s = ||(l_0, ..., l_(i-1))|| and h = hypot(s, l_i): the Gram-Schmidt of the
     seeds under the weight, with no quadrature and no factorization.  Members
@@ -507,8 +530,11 @@ def _orthonormal_basis(weight: quad.WeightSpec, count: int) -> tuple[np.ndarray,
     # the recurrence first: its overflow check names the parameter that a
     # pole too large for a float comes from
     rec = quad.weight_recurrence(weight, count + 1)
-    z = float(weight.pole)
-    d = 1.0 if weight.kind == "x1-laguerre" else float(-2 / (weight.beta - weight.alpha))
+    # d = 1 / (r(z) + r_den'(z) / r_den(z) + eta''(z) / eta'(z)), exactly
+    zq, D = weight.pole, DiffOp({(0, 1): 1})
+    eta, r_num, r_den = (Poly(c) for c in _darboux_seed(weight)[:3])
+    d = float(1 / ((r_num(zq) + D(r_den)(zq)) / r_den(zq) + D(D(eta))(zq) / D(eta)(zq)))
+    z = float(zq)
     s = np.sqrt(rec.b)  # s[i] links q_{i-1} and q_i; s[0] is unused
     # column i: ascending coefficients of q_i, then q_i(z) and q_i'(z), all
     # carried by the orthonormal recurrence s_{i+1} q_{i+1} = (x-a_i) q_i - s_i q_{i-1}

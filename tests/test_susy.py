@@ -1,6 +1,7 @@
 """Superpotentials, partner pairs, intertwining operators, claim audit."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -166,6 +167,20 @@ class TestPluralForms:
         d[-1] = (3 * psi.values[-1] - 4 * psi.values[-2] + psi.values[-3]) / (2 * g.h)
         assert np.array_equal(apply_A(w, psi).values, d + w.w(x) * psi.values)
         assert np.array_equal(apply_A(w, psi, dagger=True).values, -d + w.w(x) * psi.values)
+
+    @pytest.mark.parametrize("n,seed", [(12000, 7), (3000, 11), (500, 0)])
+    def test_smooth_functions_bitwise_equal_to_the_per_function_formula(self, n, seed):
+        g = Grid(-8.0, 9.0, n)
+        rng = random.Random(seed)
+        s = (g.points() - g.a) / (g.b - g.a)
+        expect = []
+        for _ in range(5):
+            c = [2.0 * rng.random() - 1.0 for _ in range(4)]
+            bump = (c[0] + c[1] * s + c[2] * np.sin(2 * np.pi * s)
+                    + c[3] * np.cos(np.pi * s))
+            expect.append(GridFunction(g, np.sin(np.pi * s) ** 6 * bump).normalized())
+        for got, want in zip(random_smooth_functions(g, 5, seed=seed), expect, strict=True):
+            assert np.array_equal(got.values, want.values)
 
     def test_function_off_the_grid_rejected(self):
         g = Grid(-8.0, 8.0, 500)

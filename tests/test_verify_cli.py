@@ -917,6 +917,19 @@ class TestCliQuad:
             err = capsys.readouterr().err.strip()
             assert err == f"error: {named} has a zero denominator", argv
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["quad", "--rule", "legendre", "--alpha", "1", "--beta", "2", "--n", "3"], "--alpha"),
+        (["poly", "--family", "laguerre", "--k", "1", "--alpha", "2", "--n", "2"], "--alpha"),
+        (["poly", "--family", "x1-laguerre", "--k", "1", "--beta", "2", "--n", "2"], "--beta"),
+        (["poly", "--family", "x1-jacobi", "--alpha", "1", "--beta", "3", "--k", "2",
+          "--n", "2"], "--k"),
+        (["quad", "--rule", "laguerre", "--k", "2", "--alpha", "1", "--n", "3"], "--alpha"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v[:3]))
+    def test_parameter_the_weight_does_not_take_exits_two(self, argv, flag, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {flag} does not apply to the {argv[2]}")
+
     def test_non_numeric_parameter_named(self, capsys):
         assert main(["poly", "--family", "x1-jacobi", "--alpha", "x", "--beta", "2",
                      "--n", "2"]) == 2

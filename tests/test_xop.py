@@ -32,9 +32,10 @@ from exopoly.xop import (
     xj_polynomial_solve,
     xj_quotient_residual,
     xj_quotient_solve,
-    _jacobi_ladder_table,
+    _DarbouxSeed,
+    _darboux_seed,
+    _darboux_table,
     _jacobi_table,
-    _laguerre_ladder_table,
     _laguerre_table,
     _quotient_charpoly,
     _quotient_rows,
@@ -299,6 +300,26 @@ class TestGramSchmidtRoute:
                 abs(z), np.abs(pp.polyder(member)))
             assert abs(ell) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("params, slope", [
+        *(({"k": k}, F(1)) for k in (*K_SAMPLES, F(1, 3))),
+        *(({"alpha": a, "beta": b}, slope) for a, b, slope in (
+            (F(1), F(2), F(-1, 2)), (F(1, 2), F(3, 2), F(-1, 2)), (F(2), F(5), F(-3, 2)),
+            (F(3, 2), F(1, 2), F(1, 2))))],
+        ids=lambda v: ",".join(f"{key}={val}" for key, val in v.items())
+        if isinstance(v, dict) else f"slope={v}")
+    def test_seed_functional_holds_on_the_operator_members(self, params, slope):
+        # 1/d = r(z) + r_den'(z)/r_den(z) + eta''(z)/eta'(z) of the seed,
+        # and every operator-route member f has f'(z)/f(z) = 1/d exactly
+        spec = XFamilySpec(family="laguerre" if "k" in params else "jacobi", **params)
+        weight = spec.weight()
+        z = weight.pole
+        eta, r_num, r_den = (Poly(c) for c in _darboux_seed(weight)[:3])
+        inv_d = (r_num(z) / r_den(z) + derivative(r_den)(z) / r_den(z)
+                 + derivative(derivative(eta))(z) / derivative(eta)(z))
+        assert inv_d == slope
+        for f in operator_family(spec, 8):
+            assert derivative(f)(z) / f(z) == inv_d
+
     def test_orthonormality_k1(self):
         w = WeightSpec.x1_laguerre(F(1))
         fam = gram_schmidt_family(w, 6)
@@ -372,6 +393,16 @@ class TestRouteAgreement:
             assert ns.degree == n
             assert x1_jacobi_ode_residual(ns, spec.alpha, spec.beta, n).is_zero
             assert coefficient_rel_diff(gs[n - 1], ns) < 1e-9
+
+    def test_pole_inside_the_interval_leaves_only_the_nullspace_route(self):
+        # alpha and beta of opposite signs put the pole b = -1/3 inside
+        # [-1, 1]: there is no weight, so no seed for the ladder either
+        spec = XFamilySpec(family="jacobi", alpha=F(1), beta=F(-1, 2))
+        for route in ("operator", "gram-schmidt"):
+            with pytest.raises(ValueError, match=r"pole inside \[-1,1\]"):
+                family_by_route(spec, 3, route)
+        for n, ns in enumerate(family_by_route(spec, 3, "nullspace"), 1):
+            assert x1_jacobi_ode_residual(ns, spec.alpha, spec.beta, n).is_zero
 
     def test_no_degree_zero_member_via_routes(self):
         spec = XFamilySpec(family="laguerre", k=F(1))
@@ -546,15 +577,17 @@ class TestOperatorTablesAgainstSympy:
     def test_laguerre_ladder(self):
         k = sympy.Symbol("k")
         printed = (SX + k) * (_d(1) - SF) - SF
-        assert sympy.expand(_expand_table(_laguerre_ladder_table(k)) - printed) == 0
+        table = _darboux_table(_DarbouxSeed(eta=(k, 1), r_num=(1,), r_den=(1,), scale=1))
+        assert sympy.expand(_expand_table(table) - printed) == 0
 
     def test_jacobi_ladder(self):
         alpha, beta = sympy.symbols("alpha beta")
         printed = ((alpha + beta - (beta - alpha) * SX)
                    * ((1 + SX) * _d(1) + (beta + 1) * SF)
                    + (beta - alpha) * (1 + SX) * SF)
-        table = _jacobi_ladder_table(alpha, beta)
-        assert sympy.expand(_expand_table(table) - printed) == 0
+        seed = _DarbouxSeed(eta=(-(alpha + beta) / (beta - alpha), 1), r_num=(-(beta + 1),),
+                            r_den=(1, 1), scale=alpha - beta)
+        assert sympy.simplify(_expand_table(_darboux_table(seed)) - printed) == 0
 
 
 def _laguerre_residual_by_products(f: Poly, k, j: int, n) -> Poly:
