@@ -14,10 +14,10 @@ classical families, and the quotient eigenproblem of ``xop``) steps through
 :func:`_three_term_step`; every division, in :func:`poly_gcd` and in the
 Sturm sequence of :func:`real_roots`, is the integer pseudo-division of
 ``Poly.__divmod__``; and every exact evaluation, ``Poly.__call__`` at a
-rational and the signs that certify a root, is the integer Horner pass of
-:func:`_scaled_value`.  The rest of the package builds the exceptional
-families out of these primitives and only drops to floats at the
-quadrature/eigensolver layer.
+rational, the signs that certify a root and ``quad``'s values at the Gauss
+nodes, is the integer Horner pass of :func:`_scaled_value`.  The rest of
+the package builds the exceptional families out of these primitives and
+only drops to floats at the quadrature/eigensolver layer.
 """
 
 from __future__ import annotations

@@ -10,8 +10,13 @@ weight: Golub-Welsch on the classical recurrence for the classical kinds, on
 :func:`weight_recurrence` for the x1 kinds.
 
 :func:`gram_matrix` is the one discrete inner product per weight: it
-integrates polynomials on one such rule, sized to be exact by degree.
-:func:`integrate` is its 1x1 case, one polynomial against the constant 1.
+integrates polynomials on one such rule, sized to be exact by degree, as
+numpy reductions of element-wise products, not BLAS products.  An exact
+polynomial is evaluated exactly at the nodes and rounded once, and each
+row of values and the weights are scaled by powers of two, so that the
+cosines of inner products too large for a float stay finite
+(:func:`_scaled_gram`).  :func:`integrate` is its 1x1 case, one polynomial
+against the constant 1.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .polycore import JacobiConstants, Poly, RationalLike, as_rational
+from .polycore import JacobiConstants, Poly, RationalLike, _scaled_value, as_rational
 from .solver import tridiagonal_eigh
 
 
@@ -182,7 +187,7 @@ class QuadratureRule:
     exact_degree: int
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        return float(np.dot(self.weights, np.asarray(f(self.nodes), dtype=float)))
+        return float(np.add.reduce(self.weights * np.asarray(f(self.nodes), dtype=float)))
 
     def to_csv(self, header: str = "") -> str:
         lines = []
@@ -349,15 +354,76 @@ def _degree(f) -> int:
     return max(len(np.atleast_1d(f)) - 1, 0)
 
 
-def _values(fs: Sequence[Union[Poly, np.ndarray]], x: np.ndarray) -> np.ndarray:
-    """Row i holds fs[i] at the nodes x.  A Poly is called (a constant result
-    is broadcast); anything else is read as ascending float coefficients."""
-    rows = []
+def _scaled_rows(fs: Sequence[Union[Poly, np.ndarray]],
+                 x: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Row i holds fs[i] at the nodes x times 2^-e[i], with e[i] the integer
+    that brings the row's largest magnitude to about 1: no row overflows,
+    however large the polynomial's values, and the scale comes off exactly.
+
+    A Poly, integer numerators over den, is evaluated exactly at each node
+    a/2^s = ``x.as_integer_ratio()``: its value there is n / (den 2^(s deg)),
+    n by integer Horner (:func:`polycore._scaled_value`), rounded once by one
+    correctly rounded integer division that takes the scale with it.
+    Anything else is read as ascending float coefficients and evaluated by
+    ``np.polyval``; a constant is broadcast.
+    """
+    # a float's ratio has a power-of-two denominator b = 2^s
+    ratios = [(a, b, b.bit_length() - 1)
+              for a, b in map(float.as_integer_ratio, x.tolist())]
+    rows, exps = [], []
     for f in fs:
-        vals = f(x) if isinstance(f, Poly) else np.polyval(
-            np.atleast_1d(np.asarray(f, dtype=float))[::-1], x)
-        rows.append(np.broadcast_to(np.asarray(vals, dtype=float), x.shape))
-    return np.array(rows)
+        if isinstance(f, Poly):
+            deg, den = max(f.degree, 0), f._den
+            vals = [(_scaled_value(f._num, a, b), s * deg) for a, b, s in ratios]
+            # 2^(e-1) < |n / (den 2^t)| < 2^(e+1) at the largest
+            e = max((n.bit_length() - t - den.bit_length() for n, t in vals if n),
+                    default=0)
+            rows.append([n / (den << (t + e)) if t + e >= 0 else (n << -(t + e)) / den
+                         for n, t in vals])
+        else:
+            vals = np.broadcast_to(np.polyval(
+                np.atleast_1d(np.asarray(f, dtype=float))[::-1], x), x.shape)
+            e = _exponent(vals)
+            rows.append(np.ldexp(vals, -e))
+        exps.append(e)
+    return np.array(rows, dtype=float), exps
+
+
+def _exponent(values: np.ndarray) -> int:
+    """e with max |values| in [2^(e-1), 2^e); 0 for all zeros or a non-finite
+    maximum."""
+    return math.frexp(float(np.max(np.abs(values))))[1]
+
+
+def _scaled_gram(
+    polys: Sequence[Union[Poly, np.ndarray]],
+    weight: WeightSpec,
+    others: Optional[Sequence[Union[Poly, np.ndarray]]] = None,
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """(G, e, f) with G[i, j] 2^(e[i] + f[j]) the inner product (polys[i],
+    others[j]): the Gram matrix of :func:`gram_matrix` with each row's
+    values (:func:`_scaled_rows`) and the Gauss weights scaled by powers of
+    two to a largest magnitude of about 1, so that no product or sum
+    overflows where the inner products themselves would.  Cosines
+    G[i, j] / sqrt(G[i, i] G[j, j]) are those of the inner products.
+
+    Each entry is a sum of element-wise products by ``np.add.reduce``, not a
+    BLAS product.
+    """
+    if not len(polys):
+        raise ValueError("gram_matrix needs at least one polynomial")
+    right_polys = polys if others is None else others
+    degree = max(map(_degree, polys)) + max(map(_degree, right_polys), default=0)
+    rule = gauss_rule(weight, degree // 2 + 1)
+    vals, e = _scaled_rows(polys, rule.nodes)
+    right, f = (vals, e) if others is None else _scaled_rows(others, rule.nodes)
+    ew = _exponent(rule.weights)
+    gram = np.add.reduce(
+        (vals * np.ldexp(rule.weights, -ew))[:, None, :] * right[None, :, :], axis=-1)
+    if others is None:
+        lower = np.tril_indices(len(polys), -1)
+        gram[lower] = gram.T[lower]
+    return gram, [v + ew for v in e], f
 
 
 def gram_matrix(
@@ -371,20 +437,16 @@ def gram_matrix(
     triangle mirrored so the result is symmetric by construction.  Every
     entry comes from one :func:`gauss_rule` of nu = floor((deg p + deg q)/2)
     + 1 nodes, the largest degrees over both lists, so it is exact by degree.
+    A Poly is evaluated exactly at the nodes and rounded once; a coefficient
+    array by ``np.polyval``.  The sums are numpy reductions of element-wise
+    products (:func:`_scaled_gram`), so no BLAS kernel runs; the power-of-two
+    scales come off exactly, and an entry too large for a float reads inf.
     A callable is refused with TypeError.
     """
-    if not len(polys):
-        raise ValueError("gram_matrix needs at least one polynomial")
-    right_polys = polys if others is None else others
-    degree = max(map(_degree, polys)) + max(map(_degree, right_polys), default=0)
-    rule = gauss_rule(weight, degree // 2 + 1)
-    vals = _values(polys, rule.nodes)
-    right = vals if others is None else _values(others, rule.nodes)
-    gram = (vals * rule.weights) @ right.T
-    if others is None:
-        lower = np.tril_indices(len(polys), -1)
-        gram[lower] = gram.T[lower]
-    return gram
+    gram, e, f = _scaled_gram(polys, weight, others)
+    # C-int exponents of the result's own shape: ldexp's native loop, where
+    # broadcast int64 exponents fault in numpy's integer add and cast loops
+    return np.ldexp(gram, np.array([[a + b for b in f] for a in e], dtype=np.intc))
 
 
 def integrate(f: Union[Poly, np.ndarray], weight: WeightSpec) -> float:

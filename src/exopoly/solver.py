@@ -75,7 +75,16 @@ These four are the only LAPACK routines an ``exopoly verify`` run calls:
 the quotient eigenproblem of :mod:`exopoly.xop` is solved exactly, its
 Gram-Schmidt basis and :func:`convergence_order`'s slope are closed forms,
 so no dense ``numpy.linalg`` driver (``eig``, ``qr``, ``lstsq`` behind
-``np.polyfit``) pulls its OpenBLAS code into the campaign's memory.
+``np.polyfit``) pulls its OpenBLAS code into the campaign's memory.  Nor
+does any BLAS product: the Gram matrices of :mod:`exopoly.quad`, the
+Gram-Schmidt members and ``QuadratureRule.integrate`` sum element-wise
+products by ``np.add.reduce``, as :func:`_dot` does for grid vectors, and
+the package holds no ``@`` and no ``np.dot``/``matmul``/``einsum`` call (a
+test reads the source).  The first such product, on matrices of 13 rows at
+most, faulted in OpenBLAS's GEMM code and reserved its 32 MB buffer: in a
+cold ``exopoly verify`` on ``{}`` the library's resident pages grew by
+732 KB against 448 KB without the products, the LAPACK start-up the solver
+pays anyway (2-vCPU VM, numpy 2.4).
 
 Memory: a solve for ``count`` levels on N points holds at most count + 4
 grid arrays (N doubles, 512 KB at 64000 points) at once.  The peak falls at

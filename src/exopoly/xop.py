@@ -505,7 +505,9 @@ def gram_schmidt_family(weight: quad.WeightSpec, count: int) -> list[np.ndarray]
     down, in closed form
     u_i = (-(l_i / h) (l_0, ..., l_(i-1)) / s, s / h) with
     s = ||(l_0, ..., l_(i-1))|| and h = hypot(s, l_i): the Gram-Schmidt of the
-    seeds under the weight, with no quadrature and no factorization.  Members
+    seeds under the weight, with no quadrature and no factorization.  Its
+    monomial coefficients, sum_m u_i[m] times those of q_m, are sums of
+    element-wise products by ``np.add.reduce``, not a BLAS product.  Members
     are unit-norm with positive leading coefficient; member i has degree i
     and reads only l_0..l_i, so a shorter family is bitwise a prefix of a
     longer one.  Raises QuadratureError if the weight's recurrence does not
@@ -518,7 +520,8 @@ def gram_schmidt_family(weight: quad.WeightSpec, count: int) -> list[np.ndarray]
     for i in range(1, count + 1):
         s = math.hypot(*ell[:i])
         h = math.hypot(s, ell[i])
-        member = C[: i + 1, : i + 1] @ np.append(-(ell[i] / h) * ell[:i] / s, s / h)
+        u = np.append(-(ell[i] / h) * ell[:i] / s, s / h)
+        member = np.add.reduce(C[: i + 1, : i + 1] * u, axis=1)
         members.append(member if member[-1] > 0 else -member)
     return members
 
