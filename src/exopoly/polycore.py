@@ -26,7 +26,6 @@ import bisect
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -62,6 +61,37 @@ def rational_str(value: RationalLike) -> str:
     """Canonical "num/den" form (denominator always written, always positive)."""
     q = as_rational(value)
     return f"{q.numerator}/{q.denominator}"
+
+
+class _Value:
+    """Base of the package's value records (``JacobiConstants``, ``WeightSpec``,
+    ``Grid``, ``XFamilySpec``, the presets): ``==`` and ``hash`` read the
+    tuple of the fields named in ``_fields``, ``repr`` shows them, and no
+    attribute can be set or deleted once ``__init__`` has stored the fields
+    into ``__dict__``.  Records of two different classes are never equal."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Poly:
@@ -459,8 +489,7 @@ def jacobi_classical(n: int, alpha: RationalLike, beta: RationalLike) -> Poly:
     return jacobi_family(n, alpha, beta)[n]
 
 
-@dataclass(frozen=True)
-class JacobiConstants:
+class JacobiConstants(_Value):
     """The derived constants a = (beta-alpha)/2, b = (beta+alpha)/(beta-alpha),
     c = b + 1/a that control the exceptional Jacobi construction.
 
@@ -468,9 +497,10 @@ class JacobiConstants:
     keeps the rational weight denominator (x - b)^2 away from [-1, 1].
     """
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    _fields = ("a", "b", "c")
+
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction):
+        self.__dict__.update(a=a, b=b, c=c)
 
     @staticmethod
     def from_parameters(alpha: RationalLike, beta: RationalLike) -> "JacobiConstants":

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .polycore import JacobiConstants, Poly, RationalLike, as_rational
+from .polycore import JacobiConstants, Poly, RationalLike, _Value, as_rational
 from .solver import Grid, GridFunction, discretize, rayleigh_quotient
 from .xop import XFamilySpec, operator_family, xj_quotient_residual
 
@@ -60,7 +59,6 @@ def _in_place(ufunc, a):
 # closed-form eigenstates
 # ---------------------------------------------------------------------------
 
-@dataclass
 class EigenstateClosedForm:
     """A bound state prefactor(x, z) / (z - pole) * polynomial(z), z = variable(x).
 
@@ -69,11 +67,15 @@ class EigenstateClosedForm:
     wavefunction of either kind.
     """
 
-    energy: float
-    polynomial: Poly
-    variable: Callable[[np.ndarray], np.ndarray]
-    prefactor: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    pole: Optional[float] = None
+    def __init__(self, energy: float, polynomial: Poly,
+                 variable: Callable[[np.ndarray], np.ndarray],
+                 prefactor: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 pole: Optional[float] = None):
+        self.energy = energy
+        self.polynomial = polynomial
+        self.variable = variable
+        self.prefactor = prefactor
+        self.pole = pole
 
     def __call__(self, x):
         """The wavefunction at x: (prefactor / (z - pole)) * polynomial(z).
@@ -124,7 +126,11 @@ class _Frame(NamedTuple):
     family: XFamilySpec
 
 
-class _Preset:
+# the default of a preset parameter that has none
+_REQUIRED = object()
+
+
+class _Preset(_Value):
     """The closed-form eigenstates of a preset, built once from its ``_frame``.
 
     Classical level nu is the frame's prefactor times ``family.classical(nu)``.
@@ -133,30 +139,41 @@ class _Preset:
     operator-route member of degree nu + 1, at the classical energy of level
     nu.  Exceptional state n is the partner of level n - 1, except where a
     preset overrides ``_partner``.
+
+    ``_params`` is the preset's parameter table: each parameter of its
+    constructor, in order, as (name, kind, default), with ``_REQUIRED`` for a
+    parameter without default.  It names what :func:`make_preset` accepts and
+    asks for and what :meth:`params` returns, and its kind (Fraction, float,
+    or int) says how :meth:`_store` takes the value.
     """
 
-    def __post_init__(self):
-        # numeric fields take ints, decimals and "num/den" strings: Fraction
-        # fields keep the exact value, energy_shift (the float field) a float;
-        # every value must fit a float, as the grid functions use it as one,
-        # and so must the square of each Fraction field (A^2, B^2, alpha^2)
-        for f in fields(self):
-            if f.type not in ("Fraction", "float"):
-                continue
-            value = getattr(self, f.name)
-            try:
-                q = as_rational(value)
-            except (TypeError, ValueError, ZeroDivisionError):
-                raise ValueError(f"{f.name}: {value!r} is not a number") from None
-            try:
-                qf = float(q)
-            except OverflowError:
-                qf = 0.0
-            if q and not qf:  # overflowed, or underflowed to 0
-                raise ValueError(f"{f.name}: {value!r} does not fit a float")
-            if f.type == "Fraction" and q * q > _FLOAT_MAX:
-                raise ValueError(f"{f.name}: {value!r} squared does not fit a float")
-            object.__setattr__(self, f.name, qf if f.type == "float" else q)
+    _params: tuple[tuple[str, type, object], ...] = ()
+
+    def _store(self, *values) -> None:
+        """Store ``values`` as the fields of ``_params``, in its order.
+
+        Fraction and float fields take ints, decimals and "num/den" strings:
+        a Fraction field keeps the exact value, a float field a float; every
+        value must fit a float, as the grid functions use it as one, and so
+        must the square of each Fraction field (A^2, B^2, alpha^2).  An int
+        field is stored as given, for the preset to check.
+        """
+        for (name, kind, _), value in zip(self._params, values):
+            if kind is not int:
+                try:
+                    q = as_rational(value)
+                except (TypeError, ValueError, ZeroDivisionError):
+                    raise ValueError(f"{name}: {value!r} is not a number") from None
+                try:
+                    qf = float(q)
+                except OverflowError:
+                    qf = 0.0
+                if q and not qf:  # overflowed, or underflowed to 0
+                    raise ValueError(f"{name}: {value!r} does not fit a float")
+                if kind is Fraction and q * q > _FLOAT_MAX:
+                    raise ValueError(f"{name}: {value!r} squared does not fit a float")
+                value = qf if kind is float else q
+            self.__dict__[name] = value
 
     def _frame(self, nu: int) -> _Frame:
         raise NotImplementedError
@@ -172,7 +189,7 @@ class _Preset:
         return n - 1
 
     def params(self) -> dict:
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        values = {name: getattr(self, name) for name in self._fields}
         return {k: str(v) if isinstance(v, Fraction) else v for k, v in values.items()}
 
     def extended_potential(self, x, n: Optional[int] = None):
@@ -207,16 +224,15 @@ class _Preset:
                 for nu, (variable, prefactor, family) in frames]
 
 
-@dataclass(frozen=True)
 class _Radial(_Preset):
     """A radial channel: V = core(x) + energy_shift + l(l+1)/x^2, with the
     Laguerre parameter k fixed by the angular momentum l."""
 
-    l: int = 0
-    energy_shift: float = 0.0
+    _params = (("l", int, 0), ("energy_shift", float, 0.0))
+    _fields = tuple(name for name, _, _ in _params)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, l: int = 0, energy_shift: float = 0.0):
+        self._store(l, energy_shift)
         if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 0:
             raise PotentialError(f"angular momentum l must be an int >= 0, not {self.l!r}")
 
@@ -233,7 +249,6 @@ class _Radial(_Preset):
         return ve_laguerre(r, self.k)
 
 
-@dataclass(frozen=True)
 class Oscillator3D(_Radial):
     """Radial isotropic oscillator: V = x^2/4 + l(l+1)/x^2, E_n = 2n + l + 3/2.
 
@@ -275,7 +290,6 @@ class Oscillator3D(_Radial):
         return _Frame(self.variable, pref, XFamilySpec("laguerre", k=self.k))
 
 
-@dataclass(frozen=True)
 class CoulombRadial(_Radial):
     """Radial Coulomb problem: V = -1/x + l(l+1)/x^2, E_N = -1/(4 N^2).
 
@@ -322,7 +336,6 @@ class CoulombRadial(_Radial):
         return _Frame(var, pref, XFamilySpec("laguerre", k=self.k))
 
 
-@dataclass(frozen=True)
 class Morse(_Preset):
     """Morse potential A^2 + B^2 e^(-2 a x) - 2B(A + a/2) e^(-a x) on the line.
 
@@ -334,13 +347,13 @@ class Morse(_Preset):
     state n is the partner of level n (same energy, degree n+1).
     """
 
-    A: Fraction
-    B: Fraction
-    alpha: Fraction = Fraction(1)
-    energy_shift: float = 0.0
+    _params = (("A", Fraction, _REQUIRED), ("B", Fraction, _REQUIRED),
+               ("alpha", Fraction, Fraction(1)), ("energy_shift", float, 0.0))
+    _fields = tuple(name for name, _, _ in _params)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, A: Fraction, B: Fraction, alpha: Fraction = Fraction(1),
+                 energy_shift: float = 0.0):
+        self._store(A, B, alpha, energy_shift)
         if self.A <= 0 or self.B <= 0 or self.alpha <= 0:
             raise PotentialError("morse requires A, B, alpha > 0")
         if 2 * self.s > _FLOAT_MAX:  # the level-0 Laguerre parameter, as a float
@@ -454,7 +467,6 @@ class Morse(_Preset):
         return _Frame(self.variable, pref, XFamilySpec("laguerre", k=2 * (self.s - nu)))
 
 
-@dataclass(frozen=True)
 class ScarfTrig(_Preset):
     """Trigonometric Scarf potential on (-pi/2a, pi/2a).
 
@@ -464,13 +476,13 @@ class ScarfTrig(_Preset):
     keeps the states normalizable and the extension pole |b| > 1.
     """
 
-    A: Fraction
-    B: Fraction
-    alpha: Fraction = Fraction(1)
-    energy_shift: float = 0.0
+    _params = (("A", Fraction, _REQUIRED), ("B", Fraction, _REQUIRED),
+               ("alpha", Fraction, Fraction(1)), ("energy_shift", float, 0.0))
+    _fields = tuple(name for name, _, _ in _params)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, A: Fraction, B: Fraction, alpha: Fraction = Fraction(1),
+                 energy_shift: float = 0.0):
+        self._store(A, B, alpha, energy_shift)
         if self.alpha <= 0:
             raise PotentialError("scarf requires alpha > 0")
         if self.B == 0:
@@ -576,12 +588,13 @@ def make_preset(name: str, params: dict):
     cls = PRESETS.get(name)
     if cls is None:
         raise PotentialError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
-    accepted = [f.name for f in fields(cls)]
+    accepted = [key for key, _, _ in cls._params]
     unknown = [key for key in params if key not in accepted]
     if unknown:
         raise PotentialError(f"preset {name} has no parameter {', '.join(unknown)}; "
                              f"it accepts {', '.join(accepted)}")
-    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in params]
+    missing = [key for key, _, default in cls._params
+               if default is _REQUIRED and key not in params]
     if missing:
         raise PotentialError(f"preset {name} needs parameters {', '.join(missing)} "
                              "in --params")

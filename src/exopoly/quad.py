@@ -22,13 +22,12 @@ against the constant 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .polycore import JacobiConstants, Poly, RationalLike, _scaled_value, as_rational
+from .polycore import JacobiConstants, Poly, RationalLike, _scaled_value, _Value, as_rational
 from .solver import tridiagonal_eigh
 
 
@@ -36,8 +35,7 @@ class QuadratureError(RuntimeError):
     """Raised when a recurrence or a Gauss rule cannot be built."""
 
 
-@dataclass(frozen=True)
-class WeightSpec:
+class WeightSpec(_Value):
     """A weight function for orthogonality integrals.
 
     kind is one of "laguerre", "jacobi", "x1-laguerre", "x1-jacobi"; the x1
@@ -46,12 +44,11 @@ class WeightSpec:
     that the denominator never vanishes on [-1, 1].
     """
 
-    kind: str
-    k: Optional[Fraction] = None
-    alpha: Optional[Fraction] = None
-    beta: Optional[Fraction] = None
+    _fields = ("kind", "k", "alpha", "beta")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, k: Optional[Fraction] = None,
+                 alpha: Optional[Fraction] = None, beta: Optional[Fraction] = None):
+        self.__dict__.update(kind=kind, k=k, alpha=alpha, beta=beta)
         if self.kind in ("laguerre", "x1-laguerre"):
             if self.k is None:
                 raise ValueError(f"{self.kind} weight needs parameter k")
@@ -122,7 +119,6 @@ class WeightSpec:
         raise ValueError("only the x1 kinds have a pole")
 
 
-@dataclass(frozen=True)
 class Recurrence:
     """Monic three-term recurrence p_{i+1} = (x - a_i) p_i - b_i p_{i-1}.
 
@@ -130,9 +126,10 @@ class Recurrence:
     itself but kept 0 by convention.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    mu0: float
+    def __init__(self, a: np.ndarray, b: np.ndarray, mu0: float):
+        self.a = a
+        self.b = b
+        self.mu0 = mu0
 
 
 def recurrence_coefficients(weight: WeightSpec, n: int) -> Recurrence:
@@ -178,13 +175,13 @@ def recurrence_coefficients(weight: WeightSpec, n: int) -> Recurrence:
     return Recurrence(a=a, b=b, mu0=mu0)
 
 
-@dataclass(frozen=True)
 class QuadratureRule:
     """Nodes/weights of an n-point Gauss rule; exact through degree 2n-1."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    exact_degree: int
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray, exact_degree: int):
+        self.nodes = nodes
+        self.weights = weights
+        self.exact_degree = exact_degree
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
         return float(np.add.reduce(self.weights * np.asarray(f(self.nodes), dtype=float)))

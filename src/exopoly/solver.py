@@ -108,12 +108,12 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import _lapack
+from .polycore import _Value
 
 
 class SolverError(RuntimeError):
@@ -126,23 +126,27 @@ def _dot(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> floa
     return float(np.add.reduce(np.multiply(a, b, out=out)))
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(_Value):
     """Uniform grid with N interior points on (a, b); h = (b-a)/(N+1).
 
     Dirichlet values at a and b are implicit and never stored.  For radial
     problems a = 0 is the exact boundary point of the half-line; the potential
     is only ever evaluated at interior nodes, so centrifugal terms are safe.
+    The ends are stored as floats and N must be an int: a fractional N would
+    give an h that disagrees with the N points.
     """
 
-    a: float
-    b: float
-    n: int
+    _fields = ("a", "b", "n")
 
-    def __post_init__(self):
+    def __init__(self, a: float, b: float, n: int):
+        self.__dict__.update(a=float(a), b=float(b), n=n)
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"grid ends must be finite, got a={self.a!r}, b={self.b!r}")
         if not self.a < self.b:
             raise ValueError("grid requires a < b")
-        if self.n < 16:
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"grid needs an int number of interior points, not {n!r}")
+        if n < 16:
             raise ValueError("grid requires at least 16 interior points")
         # the discretization divides by h^2: both it and 1/h^2 must be floats
         h2 = self.h * self.h
@@ -162,15 +166,12 @@ class Grid:
         return x
 
 
-@dataclass
 class GridFunction:
     """Values of a function at the interior nodes of a Grid."""
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+    def __init__(self, grid: Grid, values: np.ndarray):
+        self.grid = grid
+        self.values = np.asarray(values, dtype=float)
         if self.values.shape != (self.grid.n,):
             raise ValueError("values must match the grid size")
         if not np.all(np.isfinite(self.values)):
@@ -189,7 +190,6 @@ class GridFunction:
         return GridFunction(self.grid, self.values / nrm)
 
 
-@dataclass(frozen=True)
 class Tridiagonal:
     """Symmetric tridiagonal operator: main diagonal and (length n - 1) off diagonal.
 
@@ -198,8 +198,9 @@ class Tridiagonal:
     into either array.
     """
 
-    diag: np.ndarray
-    off: np.ndarray
+    def __init__(self, diag: np.ndarray, off: np.ndarray):
+        self.diag = diag
+        self.off = off
 
     @property
     def n(self) -> int:
@@ -457,16 +458,17 @@ def rayleigh_quotient(op: Tridiagonal, psi) -> float:
 # spectrum reports and comparison
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SpectrumReport:
     """Eigenvalues of one Hamiltonian with per-pair discrete residuals."""
 
-    preset: str
-    params: dict
-    grid: Grid
-    eigenvalues: list[float]
-    residuals: list[float]
-    mapping: Optional[dict] = None
+    def __init__(self, preset: str, params: dict, grid: Grid, eigenvalues: list[float],
+                 residuals: list[float], mapping: Optional[dict] = None):
+        self.preset = preset
+        self.params = params
+        self.grid = grid
+        self.eigenvalues = eigenvalues
+        self.residuals = residuals
+        self.mapping = mapping
 
     def to_dict(self) -> dict:
         out = {

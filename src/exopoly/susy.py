@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -31,20 +30,22 @@ from .solver import Grid, GridFunction, _dot, discretize
 from .xop import XFamilySpec, operator_family
 
 
-@dataclass(frozen=True)
 class Superpotential:
     """Evaluable W and W'."""
 
-    w: Callable[[np.ndarray], np.ndarray]
-    w_prime: Callable[[np.ndarray], np.ndarray]
+    def __init__(self, w: Callable[[np.ndarray], np.ndarray],
+                 w_prime: Callable[[np.ndarray], np.ndarray]):
+        self.w = w
+        self.w_prime = w_prime
 
 
-@dataclass(frozen=True)
 class PartnerPair:
     """V+/- = W^2 -/+ W' + E, by construction."""
 
-    v_plus: Callable[[np.ndarray], np.ndarray]
-    v_minus: Callable[[np.ndarray], np.ndarray]
+    def __init__(self, v_plus: Callable[[np.ndarray], np.ndarray],
+                 v_minus: Callable[[np.ndarray], np.ndarray]):
+        self.v_plus = v_plus
+        self.v_minus = v_minus
 
 
 def partner_potentials(w: Superpotential, energy: float = 0.0) -> PartnerPair:

@@ -27,7 +27,6 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -92,15 +91,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass
 class VerificationConfig:
-    suites: list[str]
-    laguerre_k: list[Fraction]
-    jacobi_alpha_beta: list[tuple[Fraction, Fraction]]
-    n_max: int
-    n_eigen_max: int
-    grid: dict
-    negative_control: bool
+    def __init__(self, suites: list[str], laguerre_k: list[Fraction],
+                 jacobi_alpha_beta: list[tuple[Fraction, Fraction]], n_max: int,
+                 n_eigen_max: int, grid: dict, negative_control: bool):
+        self.suites = suites
+        self.laguerre_k = laguerre_k
+        self.jacobi_alpha_beta = jacobi_alpha_beta
+        self.n_max = n_max
+        self.n_eigen_max = n_eigen_max
+        self.grid = grid
+        self.negative_control = negative_control
 
     @staticmethod
     def from_dict(raw: dict) -> "VerificationConfig":
@@ -192,10 +193,10 @@ class VerificationConfig:
         }
 
 
-@dataclass
 class VerificationReport:
-    config: dict
-    checks: list[dict]
+    def __init__(self, config: dict, checks: list[dict]):
+        self.config = config
+        self.checks = checks
 
     @property
     def failures(self) -> int:

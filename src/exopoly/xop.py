@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -63,6 +62,7 @@ from .polycore import (
     _clear,
     _ratio,
     _three_term_step,
+    _Value,
     as_rational,
     jacobi_classical,
     jacobi_family,
@@ -74,16 +74,15 @@ from .polycore import (
 )
 
 
-@dataclass(frozen=True)
-class XFamilySpec:
-    """Identifies one X1 family: base family and parameters."""
+class XFamilySpec(_Value):
+    """Identifies one X1 family: base family ("laguerre" or "jacobi") and
+    parameters."""
 
-    family: str  # "laguerre" | "jacobi"
-    k: Optional[Fraction] = None
-    alpha: Optional[Fraction] = None
-    beta: Optional[Fraction] = None
+    _fields = ("family", "k", "alpha", "beta")
 
-    def __post_init__(self):
+    def __init__(self, family: str, k: Optional[Fraction] = None,
+                 alpha: Optional[Fraction] = None, beta: Optional[Fraction] = None):
+        self.__dict__.update(family=family, k=k, alpha=alpha, beta=beta)
         if self.family == "laguerre":
             if self.k is None or self.k <= 0:
                 raise ValueError("exceptional Laguerre requires k > 0")

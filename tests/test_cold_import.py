@@ -1,6 +1,7 @@
 """What a cold `exopoly` command imports, how it sets up glibc's allocator,
 and the package's lazy exports."""
 
+import ast
 import contextlib
 import ctypes
 import io
@@ -46,9 +47,10 @@ def _fresh(code: str, **env) -> dict:
 
 
 # modules no command needs: scipy's package __init__, numpy.random (which
-# loads OpenSSL through secrets/hmac) and numpy's polynomial classes
+# loads OpenSSL through secrets/hmac), numpy's polynomial classes and
+# dataclasses (whose generated methods took most of the package's own import)
 UNUSED = ["scipy", "scipy.linalg", "numpy.f2py", "numpy.random", "numpy.polynomial",
-          "_hashlib"]
+          "_hashlib", "dataclasses"]
 
 
 # numpy's wheel ships an OpenBLAS with LAPACK in it: the solver binds that
@@ -90,6 +92,23 @@ def test_verify_run_loads_no_unused_module(tmp_path):
         assert "scipy.linalg._flapack" not in modules
         if openblas is not None:
             assert len(openblas) == 1, openblas
+
+
+def test_no_module_imports_dataclasses():
+    # the records are plain classes with written-out methods: nothing is
+    # generated at import, and no module may bring dataclasses back
+    found = []
+    for path in sorted((SRC / "exopoly").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "dataclasses"]
+    assert found == []
 
 
 def test_exact_core_import_loads_no_numpy():

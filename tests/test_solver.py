@@ -1,6 +1,7 @@
 """Finite-difference eigensolver: discretization, spectra, comparisons."""
 
 import math
+from fractions import Fraction as F
 from unittest.mock import patch
 
 import numpy as np
@@ -55,6 +56,24 @@ class TestDiscretize:
             Grid(0.0, 1.0, 8)
         with pytest.raises(ValueError):
             Grid(1.0, 0.0, 64)
+
+    @pytest.mark.parametrize("n", [16.5, 20.0, True, "20", np.float64(20)])
+    def test_grid_size_must_be_an_int(self, n):
+        # a fractional size would give an h that disagrees with the points
+        with pytest.raises(ValueError, match="int number of interior points"):
+            Grid(0.0, 1.0, n)
+
+    @pytest.mark.parametrize("a,b", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0),
+                                     (-math.inf, math.inf)])
+    def test_grid_ends_must_be_finite(self, a, b):
+        with pytest.raises(ValueError, match="grid ends must be finite"):
+            Grid(a, b, 20)
+
+    def test_grid_ends_are_floats(self):
+        g = Grid(F(0), F(1), 20)
+        assert type(g.a) is float and type(g.b) is float
+        assert g.points() == pytest.approx(np.arange(1, 21) / 21)
+        assert g == Grid(0.0, 1.0, 20) and g.h == 1 / 21
 
 
 class TestEigenLowest:
