@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -114,16 +114,19 @@ def state_rayleigh(states: Sequence[EigenstateClosedForm], potential,
 # presets
 # ---------------------------------------------------------------------------
 
-class _Frame(NamedTuple):
+class _Frame(_Value):
     """Classical level nu: psi = prefactor(x, z) * P_nu(z) with z = variable(x).
 
     ``family`` is the X1 family of the level: P_nu is its
     :meth:`XFamilySpec.classical` member, L^(k) or P^(alpha, beta).
     """
 
-    variable: Callable[[np.ndarray], np.ndarray]
-    prefactor: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    family: XFamilySpec
+    _fields = ("variable", "prefactor", "family")
+
+    def __init__(self, variable: Callable[[np.ndarray], np.ndarray],
+                 prefactor: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 family: XFamilySpec):
+        self.__dict__.update(variable=variable, prefactor=prefactor, family=family)
 
 
 # the default of a preset parameter that has none
@@ -200,9 +203,9 @@ class _Preset(_Value):
 
     def classical_state(self, n: int) -> EigenstateClosedForm:
         self._check_level(n)
-        variable, prefactor, family = self._frame(n)
-        return EigenstateClosedForm(self.classical_energy(n), family.classical(n),
-                                    variable, prefactor)
+        frame = self._frame(n)
+        return EigenstateClosedForm(self.classical_energy(n), frame.family.classical(n),
+                                    frame.variable, frame.prefactor)
 
     def exceptional_state(self, n: int) -> EigenstateClosedForm:
         return self.exceptional_states([n])[0]
@@ -219,9 +222,10 @@ class _Preset(_Value):
         for nu, frame in frames:
             lengths[frame.family] = max(lengths.get(frame.family, 0), nu + 1)
         members = {family: operator_family(family, n) for family, n in lengths.items()}
-        return [EigenstateClosedForm(self.classical_energy(nu), members[family][nu],
-                                     variable, prefactor, float(family.weight().pole))
-                for nu, (variable, prefactor, family) in frames]
+        return [EigenstateClosedForm(self.classical_energy(nu), members[frame.family][nu],
+                                     frame.variable, frame.prefactor,
+                                     float(frame.family.weight().pole))
+                for nu, frame in frames]
 
 
 class _Radial(_Preset):

@@ -380,9 +380,10 @@ def _coulomb_claims() -> list[dict]:
     rows = []
 
     # printed mapped expression: -l/r^2 + (1/r)(1/(r+k) - 2k/(r+k)^2)
-    printed = -l / rw**2 + (1.0 / rw) * (1.0 / (rw + kf) - 2 * kf / (rw + kf) ** 2)
+    coulomb = CoulombRadial(l=l)
+    printed = -l / rw**2 + (1.0 / rw) * coulomb.ve_printed(rw)
     for n in (1, 2):
-        derived = CoulombRadial(l=l).extension(rw, n)
+        derived = coulomb.extension(rw, n)
         rows.append(_row(f"coulomb-mapped-2wprime-vs-level{n}-extension",
                          {**params, "n": n},
                          float(np.max(np.abs(printed - derived))), None, "reported"))

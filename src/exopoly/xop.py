@@ -15,10 +15,13 @@ from its parameters by a coefficient table; the "residual" functions apply
 it and return the equation's left-hand side with denominators cleared,
 which is the zero polynomial precisely on eigenpolynomials, and the
 nullspace route hands the operator's integer matrix on monomials to the
-exact nullspace solver.  Each X1 operator is affine in its index, so the
-coefficient tables, which stay the one home of the coefficients, are read
-once per family at two index values, and every index's operator is combined
-from those two in integers (see "operator pencils" below).
+exact nullspace solver.  Every exact operator here is affine in one
+scalar: the index n (Laguerre), lam = (n-1)(alpha+beta+n) (Jacobi) or the
+quotient coefficient A (below).  So each coefficient table, which stays the
+one home of its coefficients, is read once per parameter set, at the scalar
+0 and 1, into an integer pencil (T_0, M) kept in one cache, and the operator
+at any value v of the scalar, T_0 + v M, is combined from it in integers
+(see "operator pencils" below).
 
 The quotient identity of the codimension-j extensions, for g = f/(x+k)^j,
 is one more table, written in the shifted variable t = x + k and affine in
@@ -49,7 +52,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -134,14 +137,15 @@ class XFamilySpec(_Value):
         return DiffOp(_darboux_table(_darboux_seed(self.weight())))
 
 
-class _DarbouxSeed(NamedTuple):
+class _DarbouxSeed(_Value):
     """The seed phi = g eta of an X1 weight's Darboux step, polynomials as
     ascending coefficient tuples: eta = x - pole, r = g'/g = r_num / r_den,
     and the ladder's scale."""
-    eta: tuple
-    r_num: tuple
-    r_den: tuple
-    scale: RationalLike
+
+    _fields = ("eta", "r_num", "r_den", "scale")
+
+    def __init__(self, eta: tuple, r_num: tuple, r_den: tuple, scale: RationalLike):
+        self.__dict__.update(eta=eta, r_num=r_num, r_den=r_den, scale=scale)
 
 
 def _darboux_seed(weight: quad.WeightSpec) -> _DarbouxSeed:
@@ -195,7 +199,7 @@ def operator_family(spec: XFamilySpec, n_max: int) -> list[Poly]:
 def _darboux_table(seed: _DarbouxSeed) -> dict:
     """The Darboux step y -> scale r_den (eta y' - (r eta + eta') y), the
     ladder of :meth:`XFamilySpec.ladder`."""
-    eta, r_num, r_den, scale = seed
+    eta, r_num, r_den, scale = seed.eta, seed.r_num, seed.r_den, seed.scale
     d_eta = [j * v for j, v in enumerate(eta)][1:]
     table: dict = {}
     for order, c, a, b in ((1, scale, r_den, eta), (0, -scale, r_num, eta),
@@ -210,27 +214,33 @@ def _darboux_table(seed: _DarbouxSeed) -> dict:
 # operator pencils
 # ---------------------------------------------------------------------------
 
-# A cleared X1 operator is T_0 + t M, with t = n for Laguerre and
-# t = lam = (n-1)(alpha+beta+n) for Jacobi.  A pencil holds the term keys
-# (shift, order), the integer terms of T_0 and of M, and their common
-# denominator.
+# Each table below, called as table(*params, t), is an operator affine in its
+# last argument t: T_0 + t M.  A pencil holds the term keys (shift, order),
+# the integer terms of T_0 and of M, and their common denominator.
 _Pencil = tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...], int]
-# families whose pencils are kept; a campaign runs a handful
+# parameter sets whose pencils are kept: a campaign builds 24 on {} and on
+# {"n_max": 12, "n_eigen_max": 40} (6 Laguerre and 3 Jacobi X1 operators, 15
+# quotient operators), and 18 on {"laguerre_k": ["1/3", "5/2", "70"],
+# "suites": ["theorem"]}
 _PENCILS = 64
 
 
-def _pencil(at0: dict, at1: dict) -> _Pencil:
-    """T_0 and M of an operator whose coefficient table is ``at0`` at index
-    value 0 and ``at1`` at 1, cleared to integers over one denominator."""
+@functools.lru_cache(maxsize=_PENCILS)
+def _pencil(table: Callable[..., dict], params: tuple) -> _Pencil:
+    """T_0 and M of the operator ``table(*params, t)``, read off the table at
+    t = 0 and 1 and cleared to integers over one denominator."""
+    at0, at1 = table(*params, 0), table(*params, 1)
     keys = tuple(at0)
     nums, den = _clear([*(at0[key] for key in keys),
                         *(at1[key] - at0[key] for key in keys)])
     return keys, tuple(nums[:len(keys)]), tuple(nums[len(keys):]), den
 
 
-def _pencil_at(pencil: _Pencil, p: int, q: int) -> DiffOp:
-    """The operator T_0 + (p/q) M, q > 0."""
-    keys, t0, m, den = pencil
+def _operator(table: Callable[..., dict], params: tuple, t: RationalLike) -> DiffOp:
+    """The operator ``table(*params, t)``: T_0 + t M of its cached pencil,
+    combined in integers."""
+    keys, t0, m, den = _pencil(table, params)
+    p, q = _ratio(t)
     return DiffOp._from_ints(zip(keys, [q * a + p * b for a, b in zip(t0, m)]),
                              q * den)
 
@@ -262,25 +272,17 @@ def x1_jacobi_ode_residual(f: Poly, alpha: RationalLike, beta: RationalLike,
 
 def _jacobi_operator(alpha: RationalLike, beta: RationalLike,
                      n: RationalLike) -> DiffOp:
-    """The cleared X1 Jacobi operator at index n: T_0 + lam M with
-    lam = (n-1)(alpha+beta+n), combined in integers."""
-    pencil, s = _jacobi_pencil(_ratio(alpha), _ratio(beta))
-    p, r = _ratio(n)
-    # lam = (p/r - 1)(s + p/r) over the positive denominator s.den r^2
-    sn, sd = s.numerator, s.denominator
-    return _pencil_at(pencil, (p - r) * (sn * r + p * sd), sd * r * r)
+    """The cleared X1 Jacobi operator at index n: :func:`_jacobi_table` at
+    lam = (n-1)(alpha+beta+n)."""
+    al, be, n = as_rational(alpha), as_rational(beta), as_rational(n)
+    return _operator(_x1_jacobi_table, (al, be), (n - 1) * (al + be + n))
 
 
-@functools.lru_cache(maxsize=_PENCILS)
-def _jacobi_pencil(alpha: tuple[int, int],
-                   beta: tuple[int, int]) -> tuple[_Pencil, Fraction]:
-    """The X1 Jacobi operator as T_0 + lam M, read off :func:`_jacobi_table`
-    at lam = 0 and 1, with alpha + beta; the parameters come as (numerator,
-    denominator), which hash faster than Fractions."""
-    al, be = Fraction(*alpha), Fraction(*beta)
-    jc = JacobiConstants.from_parameters(al, be)
-    return (_pencil(_jacobi_table(jc.a, jc.b, jc.c, 0),
-                    _jacobi_table(jc.a, jc.b, jc.c, 1)), al + be)
+def _x1_jacobi_table(alpha, beta, lam) -> dict:
+    """:func:`_jacobi_table` of the constants of alpha and beta, so that the
+    pencil is keyed by the parameters and the constants are derived once."""
+    jc = JacobiConstants.from_parameters(alpha, beta)
+    return _jacobi_table(jc.a, jc.b, jc.c, lam)
 
 
 def _jacobi_table(a, b, c, lam) -> dict:
@@ -304,19 +306,10 @@ def xj_laguerre_ode_residual(f: Poly, k: RationalLike, j: int, n: RationalLike) 
 
 def _laguerre_operator(k: RationalLike, j: int, n: RationalLike) -> DiffOp:
     """The one operator of both Laguerre residuals (private, so a traced
-    public name never calls the other): T_0 + n M, combined in integers."""
+    public name never calls the other): :func:`_laguerre_table` at n."""
     if j < 1:
         raise ValueError("codimension j must be >= 1")
-    return _pencil_at(_laguerre_pencil(_ratio(k), j), *_ratio(n))
-
-
-@functools.lru_cache(maxsize=_PENCILS)
-def _laguerre_pencil(k: tuple[int, int], j: int) -> _Pencil:
-    """The codimension-j Laguerre operator as T_0 + n M, read off
-    :func:`_laguerre_table` at n = 0 and 1; k comes as (numerator,
-    denominator)."""
-    kq = Fraction(*k)
-    return _pencil(_laguerre_table(kq, j, 0), _laguerre_table(kq, j, 1))
+    return _operator(_laguerre_table, (as_rational(k), j), n)
 
 
 def _laguerre_table(k, j, n) -> dict:
@@ -376,17 +369,7 @@ def xj_quotient_residual(f: Poly, k: RationalLike, j: int, A: RationalLike) -> P
     if j < 1:
         raise ValueError("codimension j must be >= 1")
     kq = as_rational(k)
-    pencil = _quotient_pencil((kq.numerator, kq.denominator), j, f.degree - j)
-    return _pencil_at(pencil, *_ratio(A))(f.shift(-kq)).shift(kq)
-
-
-@functools.lru_cache(maxsize=_PENCILS)
-def _quotient_pencil(k: tuple[int, int], j: int, c: int) -> _Pencil:
-    """The cleared quotient operator as T_0 + A M, read off
-    :func:`_quotient_table` at A = 0 and 1; k comes as (numerator,
-    denominator)."""
-    kq = Fraction(*k)
-    return _pencil(_quotient_table(kq, j, c, 0), _quotient_table(kq, j, c, 1))
+    return _operator(_quotient_table, (kq, j, f.degree - j), A)(f.shift(-kq)).shift(kq)
 
 
 def _quotient_table(k, j, c, A) -> dict:
@@ -457,7 +440,7 @@ def _quotient_rows(k: Fraction, j: int, n: int) -> tuple[list[list[int]], int]:
     """Rows t^1..t^(n+1) of the quotient operator at A = 0 on t^0..t^n, as
     integers over the returned denominator: the matrix of
     :func:`xj_quotient_solve`."""
-    op = _pencil_at(_quotient_pencil((k.numerator, k.denominator), j, n - j), 0, 1)
+    op = _operator(_quotient_table, (k, j, n - j), 0)
     return op.monomial_matrix(n + 1)[1:n + 2], op.den
 
 
@@ -534,7 +517,8 @@ def _orthonormal_basis(weight: quad.WeightSpec, count: int) -> tuple[np.ndarray,
     rec = quad.weight_recurrence(weight, count + 1)
     # d = 1 / (r(z) + r_den'(z) / r_den(z) + eta''(z) / eta'(z)), exactly
     zq, D = weight.pole, DiffOp({(0, 1): 1})
-    eta, r_num, r_den = (Poly(c) for c in _darboux_seed(weight)[:3])
+    seed = _darboux_seed(weight)
+    eta, r_num, r_den = Poly(seed.eta), Poly(seed.r_num), Poly(seed.r_den)
     d = float(1 / ((r_num(zq) + D(r_den)(zq)) / r_den(zq) + D(D(eta))(zq) / D(eta)(zq)))
     z = float(zq)
     s = np.sqrt(rec.b)  # s[i] links q_{i-1} and q_i; s[0] is unused

@@ -1,12 +1,15 @@
 """The records' contract: every record constructor's parameters, the value
 semantics of the value records, and the presets' parameter table."""
 
+import importlib
 import inspect
+import pkgutil
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+import exopoly
 from exopoly import polycore, potentials, quad, solver, susy, verify, xop
 from exopoly.potentials import PotentialError, make_preset
 
@@ -170,3 +173,15 @@ def test_records_without_value_semantics_compare_by_identity():
     first, second = solver.GridFunction(grid, values), solver.GridFunction(grid, values)
     assert first == first and first != second
     assert len({first, second}) == 2
+
+
+def test_no_class_of_the_package_subclasses_tuple():
+    # a NamedTuple compiles a generated __new__ from a string at import; the
+    # package's records are classes with written-out methods
+    found = []
+    for info in pkgutil.iter_modules(exopoly.__path__):
+        module = importlib.import_module(f"exopoly.{info.name}")
+        found += [f"{module.__name__}.{value.__qualname__}" for value in vars(module).values()
+                  if isinstance(value, type) and value.__module__ == module.__name__
+                  and issubclass(value, tuple)]
+    assert found == []

@@ -14,7 +14,7 @@ import sympy
 
 from exopoly.polycore import DiffOp, JacobiConstants, Poly
 from exopoly.quad import QuadratureError, WeightSpec, gram_matrix
-from exopoly.verify import VerificationConfig
+from exopoly.verify import VerificationConfig, run_verification
 from exopoly.xop import (
     XFamilySpec,
     best_approximation_errors,
@@ -37,6 +37,8 @@ from exopoly.xop import (
     _darboux_table,
     _jacobi_table,
     _laguerre_table,
+    _pencil,
+    _PENCILS,
     _quotient_charpoly,
     _quotient_rows,
 )
@@ -313,7 +315,8 @@ class TestGramSchmidtRoute:
         spec = XFamilySpec(family="laguerre" if "k" in params else "jacobi", **params)
         weight = spec.weight()
         z = weight.pole
-        eta, r_num, r_den = (Poly(c) for c in _darboux_seed(weight)[:3])
+        seed = _darboux_seed(weight)
+        eta, r_num, r_den = Poly(seed.eta), Poly(seed.r_num), Poly(seed.r_den)
         inv_d = (r_num(z) / r_den(z) + derivative(r_den)(z) / r_den(z)
                  + derivative(derivative(eta))(z) / derivative(eta)(z))
         assert inv_d == slope
@@ -520,6 +523,16 @@ class TestOperatorPencil:
             size = math.floor(n) + 3
             assert ours.den == table.den, n
             assert ours.monomial_matrix(size) == table.monomial_matrix(size), n
+
+
+def test_default_campaign_builds_24_pencils():
+    # 6 Laguerre and 3 Jacobi X1 operators and 15 quotient operators, each
+    # built once into the one pencil cache and kept there
+    _pencil.cache_clear()
+    run_verification(VerificationConfig.from_dict({}))
+    info = _pencil.cache_info()
+    assert info.misses == info.currsize == 24
+    assert info.misses <= _PENCILS
 
 
 class TestPinnedOperatorCoefficients:
