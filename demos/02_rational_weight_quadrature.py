@@ -43,16 +43,16 @@ print(f"(x+k+1)(x+k)^2 on the 2-point rule of the weight: {val:.12f} "
 print("\n== orthogonality of the exceptional family ==")
 # Gram-Schmidt runs in the orthonormal basis of the weight's own recurrence:
 # the seeds span the kernel of l(p) = p(-k) - p'(-k), so each member is one
-# closed-form unit vector in that basis, and no integral is taken.  Member i
-# depends only on the first i seeds, so one 10-member family serves both
-# sections below.
-family = gram_schmidt_family(w, 10)
-gram = gram_matrix(family[:6], w)
+# closed-form unit vector in that basis, and no integral is taken.
+family = gram_schmidt_family(w, 6)
+gram = gram_matrix(family, w)
 off = np.abs(gram - np.eye(6)).max()
 print(f"Gram matrix of the first 6 members on a 7-point rule: max |G - I| = {off:.2e}")
 
 print("\n== completeness proxy ==")
-errs = best_approximation_errors(w, family)
+# 1 = sqrt(mu0) q_0, and members 1..N span the vectors orthogonal to
+# (l(q_0), ..., l(q_N)): the error is the component of 1 along that normal
+errs = best_approximation_errors(w, 10)
 print("L2(weight) best-approximation error of the constant 1 by the first N members:")
 for n, e in enumerate(errs, start=1):
     print(f"  N={n:2d}: {e:.6f}")

@@ -522,8 +522,8 @@ def spectrum_compare(a: Sequence[float], b: Sequence[float], tol: float) -> dict
     Candidate pairs are taken in order of increasing |E_a - E_b| and accepted
     while both levels are unused and the gap is within ``tol``.  The result
     reports matched index pairs, the unmatched levels of each side, and the
-    worst matched gap; it deliberately does not presuppose which side (if
-    either) is missing a state -- the mapping itself is the evidence.
+    worst matched gap (None if nothing paired); it does not presuppose which
+    side (if either) is missing a state -- the mapping itself is the evidence.
     """
     a = list(a)
     b = list(b)
@@ -547,7 +547,7 @@ def spectrum_compare(a: Sequence[float], b: Sequence[float], tol: float) -> dict
         "pairs": pairs,
         "unmatched_a": [i for i in range(len(a)) if i not in used_a],
         "unmatched_b": [j for j in range(len(b)) if j not in used_b],
-        "max_pair_diff": max((p["diff"] for p in pairs), default=0.0),
+        "max_pair_diff": max((p["diff"] for p in pairs), default=None),
     }
 
 

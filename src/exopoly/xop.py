@@ -42,9 +42,10 @@ Darboux seed phi = g eta of the weight (eta = x - pole, r = g'/g and the
 ladder's scale) in :func:`_darboux_seed`, and the cleared equation in
 :meth:`XFamilySpec.operator`.  The ladder (:meth:`XFamilySpec.ladder`, the
 Darboux step :func:`_darboux_table`) and the Gram-Schmidt route's seed
-functional are both read from the seed.  Every operator-route member, one at
-a time or a whole family, comes from :func:`operator_family`, and
-:func:`family_by_route` hands out members 1..n of any route.
+functional are both read from the seed; the completeness proxy is a closed
+form in that functional.  Every operator-route member, one at a time or a
+whole family, comes from :func:`operator_family`, and :func:`family_by_route`
+hands out members 1..n of any route.
 """
 
 from __future__ import annotations
@@ -540,17 +541,19 @@ def _orthonormal_basis(weight: quad.WeightSpec, count: int) -> tuple[np.ndarray,
     return C, ell
 
 
-def best_approximation_errors(weight: quad.WeightSpec,
-                              members: list[np.ndarray]) -> list[float]:
-    """L2(weight) best-approximation error of the constant 1 by the first N members.
+def best_approximation_errors(weight: quad.WeightSpec, count: int) -> list[float]:
+    """L2(weight) errors err_1..err_count of the best approximation of 1 by
+    members 1..N of :func:`gram_schmidt_family`: strictly decreasing in N (the
+    completeness proxy) while the seed functional's l_N = l(q_N) != 0.
 
-    err_N^2 = ||1||^2 - sum_{i<=N} (1, e_i)^2 for orthonormal members; the
-    sequence strictly decreasing in N is the completeness proxy.
+    In the weight's orthonormal basis 1 = sqrt(mu0) q_0, and members 1..N span
+    the vectors orthogonal to (l_0, ..., l_N), so
+    err_N = sqrt(mu0) |l_0| / ||(l_0, ..., l_N)||: no quadrature, and no
+    difference of near-equal squares to cancel to 0.
     """
-    one = np.array([1.0])
-    total, *proj = quad.gram_matrix([one], weight, others=[one, *members])[0]
-    acc = np.cumsum(np.square(proj))
-    return [float(np.sqrt(max(total - a, 0.0))) for a in acc]
+    ell = _orthonormal_basis(weight, count)[1].tolist()
+    one = math.sqrt(quad.weight_recurrence(weight, 1).mu0) * abs(ell[0])
+    return [one / math.hypot(*ell[: n + 1]) for n in range(1, count + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -615,6 +615,12 @@ class TestSpectrumCompare:
         assert [(p["a"], p["b"]) for p in m["pairs"]] == [(0, 0)]
         assert m["unmatched_a"] == [1] and m["unmatched_b"] == [1]
 
+    def test_nothing_paired_has_no_worst_gap(self):
+        # 0.0 would read as a perfect match
+        m = spectrum_compare([1.0, 2.0], [5.0, 6.0], tol=0.1)
+        assert m["pairs"] == [] and m["unmatched_a"] == [0, 1]
+        assert m["max_pair_diff"] is None
+
 
 class TestConvergence:
     def test_box_order_is_two(self):

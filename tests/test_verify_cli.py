@@ -168,6 +168,8 @@ class TestCampaign:
             "route-agreement-exact[jacobi,alpha=1/2,beta=3/2]",
             "route-agreement-gs[jacobi,alpha=1/2,beta=3/2]",
             "orthogonality[jacobi,alpha=1/2,beta=3/2]",
+            "degree-law[jacobi,alpha=1/2,beta=3/2]",
+            "completeness-proxy[jacobi,alpha=1/2,beta=3/2]",
         ])
 
     def test_determinism_modulo_runtime(self):
@@ -352,8 +354,8 @@ class TestCampaign:
 
     def test_xop_suite_enters_the_float_layer_through_one_name_each(self, monkeypatch):
         # every Gauss rule through quad.gauss_rule (per family one Gram matrix
-        # of 8 members, and per Laguerre family the projections of 1 onto 10)
-        # and every family of all three routes through xop.family_by_route:
+        # of 8 members; the completeness proxy takes no integral) and every
+        # family of all three routes through xop.family_by_route:
         # the names the benchmark's tracer wraps
         rules, routes = [], []
         rule_of, family_of = quad.gauss_rule, xop.family_by_route
@@ -369,7 +371,7 @@ class TestCampaign:
         monkeypatch.setattr(quad, "gauss_rule", counting_rule)
         monkeypatch.setattr(xop, "family_by_route", counting_family)
         suite_xop(VerificationConfig.from_dict({}))
-        assert rules == [9, 6] * 3 + [9] * 3
+        assert rules == [9] * 6
         assert routes == ["operator", "nullspace", "gram-schmidt"] * 6
 
     def test_every_gate_reads_the_tolerance_table(self, monkeypatch):
@@ -396,11 +398,19 @@ class TestCampaign:
         report = run_verification(VerificationConfig.from_dict({}))
         gates = [c for c in report.checks if c["status"] in ("pass", "fail")
                  and not c["id"].startswith("claim-audit[")]
-        assert len(gates) == 49 and report.failures == 0
+        assert len(gates) == 55 and report.failures == 0
         stray = [(c["id"], c["tolerance"]) for c in gates
                  if c["tolerance"] not in nudged.values()]
         assert stray == []
         assert match_tols == [nudged["isospectrality_match"]] * 3
+
+    def test_isospectrality_with_nothing_paired_reads_inf(self):
+        # the mapping's worst gap is null, and the row's metric stays a float
+        rows = verify._Rows()
+        verify._isospectrality(rows, "iso", {}, [1.0, 2.0], [5.0, 6.0])
+        (row,) = rows.rows
+        assert row["params"]["mapping"]["max_pair_diff"] is None
+        assert row["metric"] == math.inf and row["status"] == "reported"
 
     @pytest.mark.parametrize("raw", [
         {},
@@ -754,6 +764,13 @@ class TestCliSpectrum:
         data = json.loads(out.read_text())
         assert "mapping" in data
         assert data["mapping"]["pairs"]
+
+    def test_compare_with_nothing_paired_has_null_worst_gap(self, capsys):
+        # no Coulomb level of the extended potential lies near a classical one
+        code = main(["spectrum", "--preset", "coulomb", "--compare", "--grid-n", "4000"])
+        assert code == 0
+        mapping = json.loads(capsys.readouterr().out)["mapping"]
+        assert mapping["pairs"] == [] and mapping["max_pair_diff"] is None
 
     def test_compare_pairs_only_partners_in_a_deep_well(self, capsys):
         # the extended deep well shares level 1 with the classical one; its

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction as F
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -457,13 +458,72 @@ class TestFamilyByRoute:
             family_by_route(ROUTE_SPECS[0], 3, "ladder")
 
 
+def _mp(q: F):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _mpmath_errors(spec: XFamilySpec, count: int) -> list[float]:
+    """err_1..err_count at 60 digits: the weight's moments by tanh-sinh and
+    the exact operator-route members, which are orthogonal, so that
+    err_N^2 = (1, 1) - sum_{n <= N} (1, p_n)^2 / (p_n, p_n)."""
+    with mpmath.workdps(60):
+        if spec.family == "laguerre":
+            k = _mp(spec.k)
+            density = lambda x: x**k * mpmath.exp(-x) / (x + k) ** 2
+            pieces = [0, 1, 10, 40, mpmath.inf]
+        else:
+            a, b, z = _mp(spec.alpha), _mp(spec.beta), _mp(spec.weight().pole)
+            density = lambda x: (1 - x) ** a * (1 + x) ** b / (x - z) ** 2
+            pieces = [-1, 0, 1]
+        moments = [mpmath.quad(lambda x: x**j * density(x), pieces)
+                   for j in range(2 * count + 1)]
+
+        def inner(p: Poly, q: Poly):
+            return mpmath.fsum(_mp(u) * _mp(v) * moments[i + j]
+                               for i, u in enumerate(p.coeffs)
+                               for j, v in enumerate(q.coeffs))
+
+        square, errors = moments[0], []
+        for p in operator_family(spec, count):
+            square -= inner(Poly.one(), p) ** 2 / inner(p, p)
+            errors.append(float(mpmath.sqrt(square)))
+        return errors
+
+
 class TestCompletenessProxy:
     def test_strictly_decreasing_errors(self):
-        w = WeightSpec.x1_laguerre(F(1))
-        fam = gram_schmidt_family(w, 10)
-        errs = best_approximation_errors(w, fam)
-        assert len(errs) == 10
+        errs = best_approximation_errors(WeightSpec.x1_laguerre(F(1)), 10)
+        assert len(errs) == 10 and all(type(e) is float for e in errs)
         assert all(errs[i + 1] < errs[i] for i in range(9))
+
+    @pytest.mark.parametrize("spec", [XFamilySpec(family="laguerre", k=F(3)),
+                                      XFamilySpec(family="jacobi", alpha=F(2), beta=F(3))],
+                             ids=["laguerre-k3", "jacobi-2-3"])
+    def test_matches_a_60_digit_reference(self, spec):
+        # where a Gauss-rule sum ||1||^2 - sum proj^2 loses the digits: it is
+        # 1.9e-8 off at k = 3, and stalls at 5.9e-9 for Jacobi (2, 3)
+        ref = _mpmath_errors(spec, 10)
+        got = best_approximation_errors(spec.weight(), 10)
+        assert all(abs(g - r) <= 1e-13 * r for g, r in zip(got, ref))
+
+    @given(st.one_of(
+        st.floats(math.log(0.01), math.log(170))
+        .map(lambda u: WeightSpec.x1_laguerre(
+            min(max(F(math.exp(u)).limit_denominator(1000), F(1, 100)), F(170)))),
+        st.tuples(st.builds(F, st.integers(1, 100000), st.just(100)),
+                  st.builds(F, st.integers(1, 100000), st.just(100)))
+        .filter(lambda ab: ab[0] != ab[1])
+        .map(lambda ab: WeightSpec.x1_jacobi(*ab))),
+        st.integers(1, 24))
+    @settings(max_examples=60, deadline=None)
+    def test_strictly_decreasing_or_named_failure(self, weight, count):
+        # k log-uniform in [1/100, 170], and alpha, beta in (0, 1000]
+        try:
+            errs = best_approximation_errors(weight, count)
+        except (QuadratureError, ValueError):
+            return
+        assert len(errs) == count and all(e > 0 and math.isfinite(e) for e in errs)
+        assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
 def test_emit_family_csv_exact_and_float():
