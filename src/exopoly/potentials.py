@@ -614,33 +614,17 @@ def make_preset(name: str, params: dict):
 # the quotient identity
 # ---------------------------------------------------------------------------
 
-def quotient_identity_check(f: Poly, k: RationalLike, grid: Grid) -> float:
-    """Max grid residual of the quotient form of the X1 Laguerre equation.
+def quotient_identity_check(f: Poly, k: RationalLike) -> Poly:
+    """The quotient form of the X1 Laguerre equation on f, exactly.
 
-    Evaluates  x g'' + (k+1-x) g' + (c - A/(x+k) - B/(x+k)^2) g  with
-    g = f/(x+k), c = deg(f) - 1, the exceptional-family value A = 1 and
-    B = -2k (the only B an f with f(-k) != 0 admits), that is the
-    codimension j = 1 identity, as the exact cleared polynomial of
-    :func:`exopoly.xop.xj_quotient_residual` divided by (x+k)^3 on the grid.
-    A small residual confirms the identity for the exact polynomial f; a
-    wrong polynomial fails loudly.  The cleared polynomial is exact, so an f
-    that satisfies the identity reads exactly 0 for every k.  The Xj
-    instances of :func:`exopoly.xop.xj_quotient_solve` carry their exact
-    cleared residual, which :func:`quotient_grid_residual` reads on a grid.
+    x g'' + (k+1-x) g' + (c - A/(x+k) - B/(x+k)^2) g  with g = f/(x+k),
+    c = deg(f) - 1, the exceptional-family value A = 1 and B = -2k (the
+    only B an f with f(-k) != 0 admits), that is the codimension j = 1
+    identity, cleared by (x+k)^3: :func:`exopoly.xop.xj_quotient_residual`
+    at j = 1 and A = 1.  For a nonzero f it is the zero polynomial exactly
+    when f is the X1 member of index deg(f), up to scale, at every k; any
+    other f leaves a nonzero residual.
     """
     if not isinstance(f, Poly):
         raise TypeError(f"quotient_identity_check takes an exact Poly, not {type(f).__name__}")
-    return quotient_grid_residual(xj_quotient_residual(f, k, 1, 1), k, 1, grid)
-
-
-def quotient_grid_residual(residual: Poly, k: RationalLike, j: int, grid: Grid) -> float:
-    """Max over the grid of |residual(x)| / (x+k)^(j+2), for the exact cleared
-    polynomial of :func:`exopoly.xop.xj_quotient_residual` (which
-    :func:`exopoly.xop.xj_quotient_solve` returns with each solution).  A
-    residual sum_i r_i x^i left by an f or A that satisfies the identity only
-    to rounding is measured by its grid values, whose float evaluation adds
-    about 1e-16 * max_i |r_i x^i| / (x+k)^(j+2)."""
-    kf = float(as_rational(k))
-    x = grid.points()
-    res = residual(x) / (x + kf) ** (j + 2)
-    return float(np.max(np.abs(res)))
+    return xj_quotient_residual(f, k, 1, 1)

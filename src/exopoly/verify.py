@@ -39,7 +39,6 @@ from .potentials import (
     Morse,
     Oscillator3D,
     ScarfTrig,
-    quotient_grid_residual,
     quotient_identity_check,
     state_rayleigh,
 )
@@ -65,14 +64,12 @@ _DEFAULTS = {
 # every gate of the report, fixed here so no config moves it: 0 for the exact
 # checks (a count of failing members, or a deviation that must vanish), a
 # bound for the floating-point ones.  A check that must stay above its bound
-# (the negative control, the separation) or inside an interval (the
-# convergence order) makes its own comparison, but reads the bound here.
+# (the separation) or inside an interval (the convergence order) makes its
+# own comparison, but reads the bound here.
 _TOLERANCES = {
     "exact": 0,
     "route_agreement": 1e-9,
     "orthogonality": 1e-10,
-    "quotient": 1e-8,
-    "quotient_negative_control": 1e-2,
     "convergence_order": [1.8, 2.2],
     "spectrum_rel": 1e-4,
     "isospectrality_match": 1e-2,
@@ -317,7 +314,7 @@ def suite_xop(cfg: VerificationConfig) -> list[dict]:
         decreasing = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
         rows.add(f"completeness-proxy[{fam},{tag}]",
                  "best approximation error of 1 strictly decreases with N",
-                 {**params, "errors": [round(e, 12) for e in errs]},
+                 {**params, "errors": [float(f"{e:.12g}") for e in errs]},
                  0 if decreasing else 1, _TOLERANCES["exact"])
     return rows.rows
 
@@ -335,34 +332,31 @@ def _orthogonality(members: list, weight: quad.WeightSpec) -> float:
 
 def suite_theorem(cfg: VerificationConfig) -> list[dict]:
     rows = _Rows()
-    tol = _TOLERANCES["quotient"]
-    grid = Grid(0.01, 40.0, 2000)
+    exact = _TOLERANCES["exact"]
     for k in cfg.laguerre_k:
         members = xop.operator_family(xop.XFamilySpec(family="laguerre", k=k), 3)
-        worst = max(quotient_identity_check(f, k, grid) for f in members)
+        bad = sum(1 for f in members if not quotient_identity_check(f, k).is_zero)
         rows.add(f"quotient-extension-x1[k={k}]",
                  "f/(x+k) solves the extended equation when f is exceptional",
-                 {"k": str(k), "n": "1..3"}, worst, tol)
+                 {"k": str(k), "n": "1..3"}, bad, exact)
 
-        wrong = laguerre_classical(2, k)
-        neg = quotient_identity_check(wrong, k, grid)
-        floor = _TOLERANCES["quotient_negative_control"]
+        neg = quotient_identity_check(laguerre_classical(2, k), k)
         rows.add(f"quotient-negative-control[k={k}]",
                  "a classical polynomial fails the quotient identity loudly",
-                 {"k": str(k), "residual": neg}, neg, floor,
-                 "pass" if neg > floor else "fail")
+                 {"k": str(k), "degree": neg.degree,
+                  "leading": "0" if neg.is_zero else str(neg.leading)},
+                 neg.degree, exact, "fail" if neg.is_zero else "pass")
 
         sols_n2 = xop.xj_quotient_solve(k, 2, 2)
         sols = sols_n2 + xop.xj_quotient_solve(k, 2, 3)
-        if sols:  # each solution carries its exact cleared residual
-            worst = max(quotient_grid_residual(s["residual"], k, 2, grid) for s in sols)
-        else:
-            worst = float("inf")
+        # chi_n divides every coefficient of the identity: exact at every A found
+        bad = (sum(xop.xj_quotient_certificate(k, 2, n) for n in (2, 3)) if sols
+               else float("inf"))
         rows.add(f"quotient-extension-xj[j=2,k={k}]",
                  "degree-n quotients f/(x+k)^2 solve their rational extensions",
                  {"k": str(k), "solutions": len(sols),
                   "A_values": [round(s["A"], 10) for s in sols]},
-                 worst, tol)
+                 bad, exact)
 
         measured = sorted(s["A"] for s in sols_n2)
         rows.add(f"xj-first-order-coefficient[j=2,k={k}]",

@@ -33,7 +33,8 @@ polynomials in A gives both its characteristic polynomial and the
 eigenvector's coordinates; the A values are the characteristic polynomial's
 real roots, certified by exact signs (:func:`polycore.real_roots`), and the
 eigenvector at each is those coordinates evaluated exactly there: no float
-eigen-solve, no thresholds.
+eigen-solve, no thresholds; :func:`xj_quotient_certificate` proves the
+identity at every root at once, modulo the characteristic polynomial.
 
 Each family fact has one home that every route reads: the Jacobi constants
 a, b, c in :class:`polycore.JacobiConstants`, the pole in ``quad.WeightSpec.pole``,
@@ -51,6 +52,7 @@ hands out members 1..n of any route.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Optional
@@ -79,8 +81,14 @@ from .polycore import (
 
 
 class XFamilySpec(_Value):
-    """Identifies one X1 family: base family ("laguerre" or "jacobi") and
-    parameters."""
+    """One X1 family: base family ("laguerre" or "jacobi") and parameters.
+
+    What each route admits: the spec takes k > 0, or alpha, beta > -1 with
+    alpha != beta, all that the cleared equation (the nullspace route) needs.
+    The operator and Gram-Schmidt routes read the X1 weight, so a Jacobi
+    pair also needs its pole |b| > 1 (alpha beta > 0), and the operator
+    route, which raises P^(alpha-1, beta+1), alpha > 0; each refuses the
+    rest with a ValueError naming the condition."""
 
     _fields = ("family", "k", "alpha", "beta")
 
@@ -399,11 +407,9 @@ def xj_quotient_solve(k: RationalLike, j: int, n: int) -> list[dict]:
     at which F(0) is not zero: :func:`polycore.real_roots` of chi_n with every
     root it shares with F(0) divided out, each a float next to the exact root,
     ascending.  No float eigen-solve and no threshold decides which roots
-    count.  Each returned entry {"f": ascending monic float coefficients, "A",
-    "B", "c", "residual"} holds the eigenvector, the phi_i evaluated exactly
-    at the float A, rounded once, and is re-verified against the exact
-    :func:`xj_quotient_residual` of the rounded f at the float A, the Poly
-    returned as "residual".
+    count.  Each entry {"f": ascending monic float coefficients, "A", "B",
+    "c"} holds the phi_i evaluated exactly at the float A, rounded once; the
+    identity is proved at all roots by :func:`xj_quotient_certificate`.
 
     Solutions with f(-k) = 0 are reducible (the quotient collapses to a lower
     codimension) and are dropped.  For j = 1, A = 1 is an exact root of every
@@ -423,18 +429,30 @@ def xj_quotient_solve(k: RationalLike, j: int, n: int) -> list[dict]:
     if not all(rows[i][i + 1] for i in range(n)):
         while (common := poly_gcd(kept, phi[0])).degree > 0:
             kept = divmod(kept, common)[0]
-    out = []
-    for a_real in real_roots(kept):
-        # F(t) at this A, exact, and back to f(x) = F(x+k), rounded once
-        a_exact = Fraction(a_real)
-        fcoef = np.array(Poly([p(a_exact) for p in phi]).shift(kq).to_floats())
-        resid = xj_quotient_residual(Poly.from_floats(fcoef), kq, j, a_exact)
-        if max(map(abs, resid.to_floats()), default=0.0) > 1e-7 * max(
-                1.0, float(np.max(np.abs(fcoef)))):
-            continue
-        out.append({"f": fcoef, "A": a_real, "B": float(-j * (j + 1) * kq),
-                    "c": float(n - j), "residual": resid})
-    return out
+    # F(t) at each A, exact, and back to f(x) = F(x+k), rounded once
+    return [{"f": np.array(Poly([p(Fraction(a)) for p in phi]).shift(kq).to_floats()),
+             "A": a, "B": float(-j * (j + 1) * kq), "c": float(n - j)}
+            for a in real_roots(kept)]
+
+
+def xj_quotient_certificate(k: RationalLike, j: int, n: int) -> int:
+    """How many coefficients of the quotient identity on F(t) = sum_i
+    phi_i(A) t^i, A left free, chi_n(A) does not divide: 0 proves the identity
+    of :func:`xj_quotient_solve` at every root of chi_n at once, irrational
+    ones included.  Each row t^0..t^(n+2) of the integer pencil den (T_0 + A M)
+    on t^0..t^n is combined with the phi_i over Q[A] and reduced mod chi_n."""
+    if j < 1 or n < j:
+        raise ValueError("need j >= 1 and n >= j")
+    kq = as_rational(k)
+    chi, phi = _quotient_charpoly(*_quotient_rows(kq, j, n))
+    keys, t0, m, _ = _pencil(_quotient_table, (kq, j, n - j))
+    t0_rows, m_rows = (DiffOp._from_ints(zip(keys, part)).monomial_matrix(n + 1)
+                       for part in (t0, m))
+    bad = 0
+    for a, b in itertools.zip_longest(t0_rows, m_rows, fillvalue=[0] * (n + 1)):
+        coeff = sum((Poly((u, v)) * p for u, v, p in zip(a, b, phi)), Poly.zero())
+        bad += not divmod(coeff, chi)[1].is_zero
+    return bad
 
 
 def _quotient_rows(k: Fraction, j: int, n: int) -> tuple[list[list[int]], int]:

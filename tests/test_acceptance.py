@@ -14,7 +14,6 @@ from exopoly.polycore import laguerre_classical
 from exopoly.potentials import (
     Oscillator3D,
     ScarfTrig,
-    quotient_grid_residual,
     quotient_identity_check,
     state_rayleigh,
 )
@@ -89,24 +88,22 @@ def test_criterion_04_orthogonality_under_rational_weights():
 
 
 def test_criterion_05_quotient_identity_with_codimension_two():
-    grid = Grid(0.01, 40.0, 2000)
-    worst1 = 0.0
+    bad1 = 0
     for k in K_GRID:  # three parameter samples, codimension 1
         for f in xop.family_by_route(xop.XFamilySpec(family="laguerre", k=k), 3, "operator"):
-            worst1 = max(worst1, quotient_identity_check(f, k, grid))
-    worst2 = 0.0
+            bad1 += not quotient_identity_check(f, k).is_zero
+    bad2 = 0
     found = True
     for kf in (1.0, 2.0, 3.5):  # three parameter samples, codimension 2
-        sols = xop.xj_quotient_solve(kf, 2, 2) + xop.xj_quotient_solve(kf, 2, 3)
-        found &= bool(sols)
-        for s in sols:
-            worst2 = max(worst2, quotient_grid_residual(s["residual"], kf, 2, grid))
-    negative = min(
-        quotient_identity_check(laguerre_classical(2, k), k, grid) for k in K_GRID
-    )
+        for n in (2, 3):
+            found &= bool(xop.xj_quotient_solve(kf, 2, n))
+            bad2 += xop.xj_quotient_certificate(kf, 2, n)
+    negative = sum(quotient_identity_check(laguerre_classical(2, k), k).is_zero
+                   for k in K_GRID)
     criterion(5, "quotient extensions verified (j=1 and j=2), wrong input fails loudly",
-              worst1 < 1e-8 and found and worst2 < 1e-8 and negative > 1e-2,
-              f"j=1 {worst1:.1e}, j=2 {worst2:.1e}, negative control {negative:.1e}")
+              bad1 == 0 and found and bad2 == 0 and negative == 0,
+              f"j=1 {bad1} nonzero, j=2 {bad2} coefficients not divisible by chi_n, "
+              f"negative control {negative} zero")
 
 
 def test_criterion_06_oscillator_spectrum_and_order():

@@ -14,13 +14,17 @@ from exopoly.potentials import (
     PotentialError,
     ScarfTrig,
     make_preset,
-    quotient_grid_residual,
     quotient_identity_check,
     state_rayleigh,
     ve_laguerre,
 )
 from exopoly.solver import Grid, lowest_levels
-from exopoly.xop import x1_jacobi_op_route, x1_laguerre_op_route, xj_quotient_solve
+from exopoly.xop import (
+    x1_jacobi_op_route,
+    x1_laguerre_op_route,
+    xj_quotient_certificate,
+    xj_quotient_solve,
+)
 
 from oracles import hamiltonian_residual
 
@@ -258,26 +262,27 @@ class TestPresetRegistry:
 
 class TestQuotientIdentity:
     def test_x1_members_pass(self):
-        grid = Grid(0.01, 40.0, 2000)
         for k in (F(1), F(7, 2)):
             for n in (1, 3):
                 f = x1_laguerre_op_route(n - 1, k)
-                assert quotient_identity_check(f, k, grid) < 1e-8
+                assert quotient_identity_check(f, k).is_zero
 
     def test_wrong_polynomial_fails_loudly(self):
         from exopoly.polycore import laguerre_classical
 
-        grid = Grid(0.01, 40.0, 2000)
-        assert quotient_identity_check(laguerre_classical(2, F(1)), F(1), grid) > 1e-2
+        # -(x+k) times the cleared X1 residual of L_2^(1): degree 3, leading -(k+2)
+        residual = quotient_identity_check(laguerre_classical(2, F(1)), F(1))
+        assert (residual.degree, residual.leading) == (3, -3)
 
     def test_float_coefficients_refused(self):
         with pytest.raises(TypeError, match="exact Poly"):
-            quotient_identity_check([1.0, 1.0], F(1), Grid(0.01, 10.0, 100))
+            quotient_identity_check([1.0, 1.0], F(1))
 
     def test_j2_instances(self):
-        grid = Grid(0.01, 40.0, 2000)
-        for s in xj_quotient_solve(2.0, 2, 3):
-            assert quotient_grid_residual(s["residual"], 2.0, 2, grid) < 1e-8
+        # chi_3 divides every coefficient of the identity, so it holds exactly
+        # at each A the solve returns
+        assert xj_quotient_solve(2.0, 2, 3)
+        assert xj_quotient_certificate(2.0, 2, 3) == 0
 
 
 class TestStatesPinnedToExplicitForms:

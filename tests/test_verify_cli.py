@@ -152,6 +152,51 @@ class TestCampaign:
         assert rows["quotient-extension-x1[k=1/3]"]["metric"] == 0.0
         assert rows["quotient-extension-xj[j=2,k=1/3]"]["status"] == "pass"
 
+    def test_theorem_suite_builds_no_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the theorem suite built a grid")
+
+        for module in (solver, verify, potentials, susy):
+            monkeypatch.setattr(module, "Grid", refuse)
+        rows = suite_theorem(VerificationConfig.from_dict({"suites": ["theorem"]}))
+        assert all(row["status"] != "fail" for row in rows)
+
+    def test_quotient_rows_gate_exact_residuals(self):
+        rows = {c["id"]: c for c in suite_theorem(VerificationConfig.from_dict({}))}
+        for k, leading in (("1", "-3"), ("2", "-4"), ("7/2", "-11/2")):
+            for cid in (f"quotient-extension-x1[k={k}]", f"quotient-extension-xj[j=2,k={k}]"):
+                assert (rows[cid]["metric"], rows[cid]["tolerance"]) == (0.0, 0)
+            neg = rows[f"quotient-negative-control[k={k}]"]
+            assert (neg["status"], neg["metric"], neg["tolerance"]) == ("pass", 3.0, 0)
+            assert neg["params"] == {"k": k, "degree": 3, "leading": leading}
+
+    def test_a_perturbed_phi_0_fails_every_xj_row(self, monkeypatch):
+        # phi_0 + 1 leaves rows t^1 and t^2 of the identity off chi_n, at n = 2 and 3
+        charpoly = xop._quotient_charpoly
+
+        def perturbed(rows, den):
+            chi, phi = charpoly(rows, den)
+            return chi, [phi[0] + Poly.one(), *phi[1:]]
+
+        monkeypatch.setattr(xop, "_quotient_charpoly", perturbed)
+        rows = suite_theorem(VerificationConfig.from_dict({"suites": ["theorem"]}))
+        xj = [r for r in rows if r["id"].startswith("quotient-extension-xj")]
+        assert len(xj) == 3
+        assert all((r["status"], r["metric"]) == ("fail", 4.0) for r in xj)
+
+    def test_a_shifted_darboux_seed_fails_every_x1_row(self, monkeypatch):
+        # the ladder of the pole -(k + 1/2) builds members that solve nothing at k
+        seed = xop._darboux_seed
+
+        def shifted(weight):
+            return seed(quad.WeightSpec.x1_laguerre(weight.k + Fraction(1, 2)))
+
+        monkeypatch.setattr(xop, "_darboux_seed", shifted)
+        rows = suite_theorem(VerificationConfig.from_dict({"suites": ["theorem"]}))
+        x1 = [r for r in rows if r["id"].startswith("quotient-extension-x1")]
+        assert len(x1) == 3
+        assert all((r["status"], r["metric"]) == ("fail", 3.0) for r in x1)
+
     def test_xop_suite_id_set(self):
         cfg = VerificationConfig.from_dict(
             {"suites": ["xop"], "laguerre_k": ["7/2"],
@@ -337,9 +382,8 @@ class TestCampaign:
         assert builds == [(laguerre[0], 3), (scarf, 3), (laguerre[1], 1), (laguerre[1], 5)]
 
     def test_each_quotient_residual_is_computed_once(self, monkeypatch):
-        # per k: the 3 exceptional members and the negative control at j = 1,
-        # and the 7 codimension-2 solutions, whose grid check reads the
-        # residual their solve computed
+        # per k: the 3 exceptional members and the negative control at j = 1;
+        # the codimension-2 rows read no residual, only their certificate
         codimensions = []
         residual = xop.xj_quotient_residual
 
@@ -350,7 +394,7 @@ class TestCampaign:
         monkeypatch.setattr(xop, "xj_quotient_residual", counting)
         monkeypatch.setattr(potentials, "xj_quotient_residual", counting)
         suite_theorem(VerificationConfig.from_dict({}))
-        assert (codimensions.count(1), codimensions.count(2)) == (12, 21)
+        assert (codimensions.count(1), codimensions.count(2)) == (12, 0)
 
     def test_xop_suite_enters_the_float_layer_through_one_name_each(self, monkeypatch):
         # every Gauss rule through quad.gauss_rule (per family one Gram matrix
@@ -726,6 +770,17 @@ class TestCliPoly:
                      "--n", "4", "--route", route]) == code
         if code:
             assert "P^(alpha-1, beta+1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("route,code", [("operator", 2), ("nullspace", 0),
+                                            ("gram-schmidt", 2)])
+    def test_jacobi_pole_inside_the_interval_only_the_nullspace_route_builds(
+            self, route, code, capsys):
+        # alpha beta < 0 puts the pole b = -1/3 inside [-1, 1]: the spec
+        # admits the pair, the routes that read the X1 weight refuse it
+        assert main(["poly", "--family", "x1-jacobi", "--alpha", "1", "--beta=-1/2",
+                     "--n", "2", "--route", route]) == code
+        if code:
+            assert "pole inside [-1,1]" in capsys.readouterr().err
 
     def test_pole_overflowing_a_float_exits_two(self, capsys):
         code = main(["poly", "--family", "x1-laguerre", "--k", "1e400", "--n", "2",

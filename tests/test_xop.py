@@ -31,6 +31,7 @@ from exopoly.xop import (
     xj_index_scan,
     xj_laguerre_ode_residual,
     xj_polynomial_solve,
+    xj_quotient_certificate,
     xj_quotient_residual,
     xj_quotient_solve,
     _DarbouxSeed,
@@ -239,10 +240,19 @@ class TestQuotientEigenproblem:
         for got, root in zip(found, expect):
             assert abs(got - root) <= 2 * math.ulp(root)
 
+    @given(st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000),
+           st.integers(min_value=1, max_value=3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_certificate_reads_zero(self, k, j, data):
+        # chi_n divides every coefficient of the identity on F with A free,
+        # through the gcd branch n > 2j as well
+        n = data.draw(st.integers(min_value=j, max_value=2 * j + 3), label="n")
+        assert xj_quotient_certificate(k, j, n) == 0
+
 
 class TestQuotientIdentityAgainstSympy:
-    """The cleared quotient identity, the one evaluator behind both the
-    xj_quotient_solve filter and the grid check, against sympy's expansion."""
+    """The cleared quotient identity, the one exact evaluator behind the
+    theorem suite's X1 rows and negative control, against sympy's expansion."""
 
     @given(st.lists(small_rationals, min_size=1, max_size=6), positive_k,
            st.integers(min_value=1, max_value=3), small_rationals)
