@@ -63,7 +63,9 @@ def cmd_verify(args) -> int:
         report = run_verification(cfg)
     except (quad.QuadratureError, SolverError) as exc:
         return _fail(str(exc), EXIT_SOLVER)
-    if code := _emit(report.to_json(), args.out):
+    # a report file is streamed, never held as one string
+    if code := (_write_file(args.out, report.write_json) if args.out
+                else _emit(report.to_json(), None)):
         return code
     for check in report.checks:
         print(f"[{check['status']:8s}] {check['id']}  metric={check['metric']:.3e}",
@@ -247,11 +249,7 @@ def _emit(text: str, out: str | None) -> int:
     does not raise again, and the command keeps its own exit code.
     """
     if out:
-        try:
-            write_atomic(out, text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            return _fail(f"cannot write {out}: {exc.strerror or exc}", EXIT_BAD_CONFIG)
-        return EXIT_OK
+        return _write_file(out, text if text.endswith("\n") else text + "\n")
     try:
         print(text)
         sys.stdout.flush()
@@ -259,6 +257,16 @@ def _emit(text: str, out: str | None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+    return EXIT_OK
+
+
+def _write_file(out: str, text) -> int:
+    """:func:`write_atomic` of ``text`` (a string, or a function that writes
+    into the file) to ``out``; a file that cannot be written exits 2."""
+    try:
+        write_atomic(out, text)
+    except OSError as exc:
+        return _fail(f"cannot write {out}: {exc.strerror or exc}", EXIT_BAD_CONFIG)
     return EXIT_OK
 
 

@@ -49,12 +49,6 @@ def ve_laguerre(x, k):
     return 1 / (x + kf) - 2 * kf / (x + kf) ** 2
 
 
-def _in_place(ufunc, a):
-    """``ufunc(a)``, written over ``a`` when it is an array; a scalar (the
-    value at a 0-d point) gets a new scalar."""
-    return ufunc(a, out=a) if isinstance(a, np.ndarray) else ufunc(a)
-
-
 # ---------------------------------------------------------------------------
 # closed-form eigenstates
 # ---------------------------------------------------------------------------
@@ -82,10 +76,9 @@ class EigenstateClosedForm:
 
         The division and the product run in place, on the arrays this call
         made (z - pole, and the polynomial's values), never on the
-        prefactor's.  With the preset frames, which evaluate z and the
-        prefactor in place, at most four grid arrays are alive at once,
-        the result among them: x, z and two of the prefactor, its
-        temporary, z - pole and the polynomial's values.
+        prefactor's.  On a grid (:meth:`on_grid`) the call runs one block of
+        points at a time, so x, z, the prefactor's temporaries and the
+        polynomial's values are each one block long.
         """
         x = np.asarray(x, dtype=float)
         z = self.variable(x)
@@ -98,8 +91,12 @@ class EigenstateClosedForm:
         return out
 
     def on_grid(self, grid: Grid, normalize: bool = True) -> GridFunction:
-        gf = GridFunction(grid, self(grid.points()))
-        return gf.normalized() if normalize else gf
+        """The state at the grid's points, filled block by block
+        (:meth:`Grid.evaluate`) into the one array it returns, and with
+        ``normalize`` divided by its norm in place: equal bit for bit to
+        ``self(grid.points())`` and to its normalized copy."""
+        gf = GridFunction(grid, grid.evaluate(self))
+        return gf.normalize() if normalize else gf
 
 
 def state_rayleigh(states: Sequence[EigenstateClosedForm], potential,
@@ -286,9 +283,8 @@ class Oscillator3D(_Radial):
         lp1 = self.l + 1
 
         def pref(x, u):  # x^(l+1) exp(-(x^2)/4)
-            out, g = x**lp1, _in_place(np.negative, x**2)
-            g /= 4
-            out *= _in_place(np.exp, g)
+            out = x**lp1
+            out *= np.exp(-(x**2) / 4)
             return out
 
         return _Frame(self.variable, pref, XFamilySpec("laguerre", k=self.k))
@@ -332,9 +328,8 @@ class CoulombRadial(_Radial):
             return np.asarray(x, dtype=float) / big_n
 
         def pref(x, t):  # t^(l+1) exp(-t/2)
-            out, g = t**lp1, -t
-            g /= 2
-            out *= _in_place(np.exp, g)
+            out = t**lp1
+            out *= np.exp(-t / 2)
             return out
 
         return _Frame(var, pref, XFamilySpec("laguerre", k=self.k))
@@ -370,7 +365,7 @@ class Morse(_Preset):
 
     def variable(self, x):
         af, bf = float(self.alpha), float(self.B)
-        y = _in_place(np.exp, -af * np.asarray(x, dtype=float))
+        y = np.exp(-af * np.asarray(x, dtype=float))
         y *= 2 * bf / af
         return y
 
@@ -463,9 +458,8 @@ class Morse(_Preset):
         exponent = float(self.s) - nu
 
         def pref(x, y):  # y^(s - nu) exp(-y/2)
-            out, g = y**exponent, -y
-            g /= 2
-            out *= _in_place(np.exp, g)
+            out = y**exponent
+            out *= np.exp(-y / 2)
             return out
 
         return _Frame(self.variable, pref, XFamilySpec("laguerre", k=2 * (self.s - nu)))
@@ -524,7 +518,7 @@ class ScarfTrig(_Preset):
         return (-half + 1e-8, half - 1e-8)
 
     def variable(self, x):
-        return _in_place(np.sin, float(self.alpha) * np.asarray(x, dtype=float))
+        return np.sin(float(self.alpha) * np.asarray(x, dtype=float))
 
     def potential(self, x):
         x = np.asarray(x, dtype=float)
@@ -534,8 +528,9 @@ class ScarfTrig(_Preset):
                 - bf * (2 * a_ - af) * np.tan(af * x) * sec + self.energy_shift)
 
     def extension(self, x, n: Optional[int] = None):
-        """Derived extension -2 a^2 [ b/(z-b) + (b^2-1)/(z-b)^2 ]."""
-        bq = float(JacobiConstants.from_parameters(self.jacobi_alpha, self.jacobi_beta).b)
+        """Derived extension -2 a^2 [ b/(z-b) + (b^2-1)/(z-b)^2 ], with the
+        Jacobi pole b = (beta + alpha)/(beta - alpha) = (2A - a)/(2B)."""
+        bq = float((2 * self.A - self.alpha) / (2 * self.B))
         af = float(self.alpha)
         z = self.variable(x)
         return -2 * af**2 * (bq / (z - bq) + (bq**2 - 1) / (z - bq) ** 2)

@@ -92,10 +92,15 @@ the last level's ``dgtsv``: the ``count`` level vectors (the carried starts,
 each refined in place), the three work rows :func:`_refine` makes once per
 grid for ``dgtsv``'s copies of T, T x and the products of the inner
 products, and the diagonal.  The off-diagonal is one value broadcast to
-n - 1 entries, and the fine points the starts are interpolated on are freed
-before the work rows are made.  Scarf's 4 levels at 64000 points peak at
-8.01 arrays of traced heap, against 11.33 when every step made its own
-copies, products and T x.  Under glibc's starting malloc thresholds arrays
+n - 1 entries.  The diagonal and the level vectors are made before the
+coarser solve, and every grid evaluation (:meth:`Grid.evaluate`: the
+potential in :func:`discretize`, the carried starts, the closed-form states
+and W of :mod:`exopoly.susy`) fills its one output array a block of
+``_BLOCK`` points at a time, so its temporaries hold one block, never a grid
+array.  A cold 64000-point ``spectral`` campaign peaks 1.03 MB lower in
+resident memory for it (``BENCH_blockwise_grid.json``).  Scarf's 4 levels at
+64000 points peak at 8.01 arrays of traced heap, against 11.33 when every
+step made its own copies, products and T x.  Under glibc's starting malloc thresholds arrays
 of this size are mapped fresh and unmapped on free, so their pages fault in
 again: about 1.5 us a 4 KiB page, map and unmap included (2-vCPU VM).  The
 command-line front end (:mod:`exopoly.cli`) starts glibc at the ceiling of
@@ -120,10 +125,30 @@ class SolverError(RuntimeError):
     """Raised when a discretization or eigensolve cannot proceed."""
 
 
+_BLOCK = 8192  # points a block of Grid.evaluate, and products a piece of _dot
+
+
 def _dot(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> float:
-    """sum(a * b) by numpy's pairwise reduction, kept off the BLAS thread pool;
-    the products go to ``out`` when it is given, else to a new array."""
-    return float(np.add.reduce(np.multiply(a, b, out=out)))
+    """sum(a * b) by numpy's pairwise reduction, kept off the BLAS thread pool.
+
+    The products go to ``out`` when it is given.  Otherwise they are made at
+    most ``_BLOCK`` at a time, into one block-sized buffer: numpy's pairwise
+    sum of n > 128 terms adds the sums of its first n2 and its last n - n2
+    terms, n2 = n // 2 rounded down to a multiple of 8, so splitting the same
+    way down to pieces of ``_BLOCK`` terms and adding the pieces' sums in that
+    tree gives np.add.reduce(a * b) bit for bit, with no product array of
+    the full length (a test holds it to numpy's sum)."""
+    if out is not None:
+        return float(np.add.reduce(np.multiply(a, b, out=out)))
+    return _pairwise_dot(a, b, np.empty(min(len(a), _BLOCK)))
+
+
+def _pairwise_dot(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> float:
+    n = len(a)
+    if n <= _BLOCK:
+        return float(np.add.reduce(np.multiply(a, b, out=buf[:n])))
+    n2 = n // 2 - n // 2 % 8
+    return _pairwise_dot(a[:n2], b[:n2], buf) + _pairwise_dot(a[n2:], b[n2:], buf)
 
 
 class Grid(_Value):
@@ -160,10 +185,39 @@ class Grid(_Value):
 
     def points(self) -> np.ndarray:
         """a + h * i for i = 1..N, in the one array returned."""
-        x = np.arange(1, self.n + 1, dtype=float)
+        return self._points(0, self.n)
+
+    def _points(self, i: int, j: int) -> np.ndarray:
+        """Points i + 1..j, made as (i + 1..j) * h + a."""
+        x = np.arange(i + 1, j + 1, dtype=float)
         x *= self.h
         x += self.a
         return x
+
+    def evaluate(self, f: Callable[[np.ndarray], np.ndarray],
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        """f at the N points, filled into ``out`` or one new array a block of
+        at most ``_BLOCK`` points at a time.
+
+        Each block's points are made as :meth:`points` makes them, so for a
+        pointwise f (each value an element-wise function of its own point)
+        the array equals f(self.points()) bit for bit, while f's temporaries
+        hold one block.  A scalar f(x) fills its whole block.  An ``out`` of
+        shape (m, N) takes m functions, one a row: f(x) then yields m rows of
+        values, and as a generator it lets them share one block's work while
+        only one of their rows is made at a time.
+        """
+        if out is None:
+            out = np.empty(self.n)
+        for i in range(0, self.n, _BLOCK):
+            j = min(i + _BLOCK, self.n)
+            x = self._points(i, j)
+            if out.ndim == 1:
+                out[i:j] = f(x)
+            else:
+                for row, values in zip(out, f(x), strict=True):
+                    row[i:j] = values
+        return out
 
 
 class GridFunction:
@@ -184,10 +238,16 @@ class GridFunction:
         return self.grid.h * _dot(self.values, other.values)
 
     def normalized(self) -> "GridFunction":
+        """A unit-norm copy."""
+        return GridFunction(self.grid, self.values.copy()).normalize()
+
+    def normalize(self) -> "GridFunction":
+        """Divide the values by their norm, in place; returns this function."""
         nrm = self.norm()
         if nrm == 0:
             raise ValueError("cannot normalize the zero grid function")
-        return GridFunction(self.grid, self.values / nrm)
+        self.values /= nrm
+        return self
 
 
 class Tridiagonal:
@@ -221,19 +281,24 @@ def discretize(potential: Callable[[np.ndarray], np.ndarray], grid: Grid) -> Tri
     """3-point discretization of -d^2/dx^2 + V with Dirichlet boundaries.
 
     Diagonal entries 2/h^2 + V(x_i), off-diagonal -1/h^2, the latter one
-    value broadcast to n - 1 entries (a read-only view, no grid array).  A
-    potential that evaluates to a non-finite value anywhere on the grid is
-    rejected, naming the offending node.
+    value broadcast to n - 1 entries (a read-only view, no grid array).  V
+    is evaluated block by block (:meth:`Grid.evaluate`) into the array that
+    becomes the diagonal, and 2/h^2 is added in place, so the operator holds
+    one grid array and V's temporaries one block.  A potential that
+    evaluates to a non-finite value anywhere on the grid is rejected, naming
+    the first offending node.
     """
-    x = grid.points()
-    v = np.asarray(potential(x), dtype=float)
-    if v.shape == ():
-        v = np.full(grid.n, float(v))
-    bad = np.flatnonzero(~np.isfinite(v))
-    if bad.size:
-        raise SolverError(f"potential is not finite at grid node x={float(x[bad[0]])!r}")
+    def values(x: np.ndarray) -> np.ndarray:
+        v = np.asarray(potential(x), dtype=float)
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:  # a scalar V is its block's first node
+            raise SolverError(f"potential is not finite at grid node x={float(x[bad[0]])!r}")
+        return v
+
     h2 = grid.h**2
-    return Tridiagonal(diag=2.0 / h2 + v, off=np.broadcast_to(-1.0 / h2, (grid.n - 1,)))
+    diag = grid.evaluate(values)
+    diag += 2.0 / h2
+    return Tridiagonal(diag=diag, off=np.broadcast_to(-1.0 / h2, (grid.n - 1,)))
 
 
 def tridiagonal_eigh(diag: np.ndarray, off: np.ndarray, count: Optional[int] = None):
@@ -265,11 +330,6 @@ def tridiagonal_eigh(diag: np.ndarray, off: np.ndarray, count: Optional[int] = N
     if info:
         raise SolverError(f"tridiagonal eigensolve failed (LAPACK info={info})")
     return w
-
-
-def _check_count(count: int, op: Tridiagonal) -> None:
-    if count < 1 or count > op.n:
-        raise ValueError("count must be between 1 and the matrix size")
 
 
 _COARSE = 16  # a grid starts from the levels on 1/_COARSE of its points
@@ -385,13 +445,15 @@ def _refine(op: Tridiagonal, shifts, rayleigh: bool, starts=None,
     return values, residuals, (vectors if keep else None)
 
 
-def _carried(coarse: Grid, vectors: list[np.ndarray], grid: Grid) -> list[np.ndarray]:
+def _carry(coarse: Grid, vectors: list[np.ndarray], grid: Grid,
+           starts: np.ndarray) -> None:
     """Each coarse vector linearly interpolated onto ``grid`` (the same ends),
-    with zero at the Dirichlet ends.  All are made before any is refined, so
-    the fine points are freed before the refinement's work rows exist."""
+    with zero at the Dirichlet ends, into the matching row of ``starts``.
+    The rows are filled block by block (:meth:`Grid.evaluate`), so no array
+    of the fine points is made."""
     nodes = np.concatenate(([coarse.a], coarse.points(), [coarse.b]))
-    points = grid.points()
-    return [np.interp(points, nodes, np.concatenate(([0.0], v, [0.0]))) for v in vectors]
+    padded = [np.concatenate(([0.0], v, [0.0])) for v in vectors]
+    grid.evaluate(lambda x: (np.interp(x, nodes, p) for p in padded), out=starts)
 
 
 def _certified(op: Tridiagonal, values: list[float], residuals: list[float]) -> bool:
@@ -416,22 +478,31 @@ def _lowest(potential: Callable[[np.ndarray], np.ndarray], grid: Grid, count: in
     accept, gets bisection on its own points instead; the residuals and
     vectors then come from refinement at the bisection values, from the fixed
     start, which leaves the values as they are.
+
+    The grid's own long-lived arrays, its diagonal and the level vectors the
+    carry fills, are made before the coarser solve, so the coarser grids'
+    arrays lie above them and are all freed before the refinement makes its
+    work rows there: at 1,000,000 points, level vectors made after the
+    coarser solve left a hole under them and the peak resident set 0.3 grid
+    arrays higher.
     """
+    if count < 1 or count > grid.n:
+        raise ValueError("count must be between 1 and the matrix size")
     op = discretize(potential, grid)
-    _check_count(count, op)
     n_coarse = grid.n // _COARSE
     if n_coarse >= 8 * max(2, count):  # 8 coarse points a level, a 16-point grid at least
+        starts = np.empty((count, grid.n))
         try:
             coarse = Grid(grid.a, grid.b, n_coarse)
             shifts, _, vectors = _lowest(potential, coarse, count, inner=True)
-            starts = _carried(coarse, vectors, grid)
+            _carry(coarse, vectors, grid, starts)
             del vectors  # the coarse vectors are not needed past the carry
-            refined = _refine(op, shifts, rayleigh=True, starts=starts, keep=inner)
-            del starts  # the refined vectors, unless ``inner`` kept them
+            refined = _refine(op, shifts, rayleigh=True, starts=list(starts), keep=inner)
             if _certified(op, *refined[:2]):
                 return refined
         except SolverError:
             pass
+        del starts  # the refined vectors, unless ``inner`` kept them
     values = tridiagonal_eigh(op.diag, op.off, count=count)
     return _refine(op, values, rayleigh=False, keep=inner)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .polycore import jacobi_classical
 from .potentials import CoulombRadial, Oscillator3D, ScarfTrig
-from .solver import Grid, GridFunction, _dot, discretize
+from .solver import _BLOCK, Grid, GridFunction, _dot, discretize
 from .xop import XFamilySpec, operator_family
 
 
@@ -60,12 +60,13 @@ def partner_potentials(w: Superpotential, energy: float = 0.0) -> PartnerPair:
     return PartnerPair(v_plus=v_plus, v_minus=v_minus)
 
 
-def _derivative(v: np.ndarray, h: float) -> np.ndarray:
+def _derivative(v: np.ndarray, h: float, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Grid derivative: centered in the interior and 3-point one-sided at the
-    two end nodes (no Dirichlet ghost is assumed for the derivative itself)."""
+    two end nodes (no Dirichlet ghost is assumed for the derivative itself);
+    into ``out`` when it is given, else into a new array."""
     if len(v) < 3:
         raise ValueError("grid too small for one-sided stencils")
-    d = np.empty_like(v)
+    d = np.empty_like(v) if out is None else out
     inner = np.subtract(v[2:], v[:-2], out=d[1:-1])
     inner /= 2 * h
     d[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
@@ -75,23 +76,25 @@ def _derivative(v: np.ndarray, h: float) -> np.ndarray:
 
 def apply_A(w: Superpotential, psi: GridFunction, dagger: bool = False) -> GridFunction:
     """(d/dx + W) psi, or (-d/dx + W) psi with dagger (see :func:`_derivative`)."""
-    return _apply_A(w.w(psi.grid.points()), psi, dagger)
+    return _apply_A(psi.grid.evaluate(w.w), psi, dagger)
 
 
 def _apply_A(wx: np.ndarray, psi: GridFunction, dagger: bool = False) -> GridFunction:
     """:func:`apply_A` from W's values ``wx`` at psi's grid points, in the
-    derivative's array."""
-    d = _derivative(psi.values, psi.grid.h)
+    derivative's array; W psi is added a block at a time, so no grid-sized
+    product is made."""
+    v = psi.values
+    d = _derivative(v, psi.grid.h)
     if dagger:
         np.negative(d, out=d)
-    d += wx * psi.values
+    for i in range(0, len(d), _BLOCK):
+        d[i:i + _BLOCK] += wx[i:i + _BLOCK] * v[i:i + _BLOCK]
     return GridFunction(psi.grid, d)
 
 
 def formal_zero_mode(w: Superpotential, grid: Grid) -> GridFunction:
     """exp(-integral W) by grid quadrature; the formal kernel of A."""
-    x = grid.points()
-    wx = w.w(x)
+    wx = grid.evaluate(w.w)
     acc = np.concatenate(([0.0], np.cumsum((wx[1:] + wx[:-1]) * grid.h / 2)))
     acc -= acc.min()  # keep the exponent bounded
     return GridFunction(grid, np.exp(-acc))
@@ -120,7 +123,7 @@ def intertwine_check(w: Superpotential, grid: Grid, sources: Iterable[GridFuncti
             raise ValueError("every function must live on the given grid")
         return psi
 
-    wx = w.w(grid.points())
+    wx = grid.evaluate(w.w)
     # map holds no source or target after its call, so each is freed before
     # the next one is made
     phis = [phi.values for phi in map(lambda psi: _apply_A(wx, on_grid(psi)), sources)]
@@ -231,19 +234,24 @@ def random_smooth_functions(grid: Grid, count: int, seed: int = 0) -> list[GridF
     Laplacian stay O(h^2) accurate instead of injecting boundary jumps.  The
     four coefficients of each function are uniform on [-1, 1), drawn by
     ``random.Random(seed).random()``, whose sequence Python keeps the same
-    across versions, so the functions are the same from run to run.
+    across versions, so the functions are the same from run to run.  The
+    functions are the rows of one array, filled block by block
+    (:meth:`Grid.evaluate`): each block's envelope and trigonometric terms
+    are made once for all of them, and each row is normalized in place.
     """
     rng = random.Random(seed)
-    x = grid.points()
-    s = (x - grid.a) / (grid.b - grid.a)
-    window = np.sin(np.pi * s) ** 6
-    sin2, cos1 = np.sin(2 * np.pi * s), np.cos(np.pi * s)
-    out = []
-    for _ in range(count):
-        c = [2.0 * rng.random() - 1.0 for _ in range(4)]
-        bump = c[0] + c[1] * s + c[2] * sin2 + c[3] * cos1
-        out.append(GridFunction(grid, window * bump).normalized())
-    return out
+    coeffs = [[2.0 * rng.random() - 1.0 for _ in range(4)] for _ in range(count)]
+    a, width = grid.a, grid.b - grid.a
+
+    def bumps(x):
+        s = (x - a) / width
+        window = np.sin(np.pi * s) ** 6
+        sin2, cos1 = np.sin(2 * np.pi * s), np.cos(np.pi * s)
+        for c in coeffs:
+            yield window * (c[0] + c[1] * s + c[2] * sin2 + c[3] * cos1)
+
+    values = grid.evaluate(bumps, out=np.empty((count, grid.n)))
+    return [GridFunction(grid, row).normalize() for row in values]
 
 
 def intertwining_operator_residual(w: Superpotential, grid: Grid,
@@ -251,24 +259,33 @@ def intertwining_operator_residual(w: Superpotential, grid: Grid,
     """||(A H+ - H- A) psi|| / ||psi|| for each psi on ``grid``, in order, with
     H+/- built from the same W.
 
-    H+, H- and W's grid values are made once for all the psis.  The
-    continuum identity A H+ = H- A holds exactly for any W; on the grid the
-    residual is O(h^2) for smooth boundary-compatible psi.
+    H+, H- and W's grid values are made once for all the psis, each
+    block by block (:meth:`Grid.evaluate`), and so are three work rows that
+    every psi's products, derivatives and matrix products overwrite: six
+    grid arrays in all.  The continuum identity A H+ = H- A holds exactly
+    for any W; on the grid the residual is O(h^2) for smooth
+    boundary-compatible psi.
     """
     if any(psi.grid != grid for psi in psis):
         raise ValueError("every test function must live on the given grid")
     pair = partner_potentials(w)
     h_plus = discretize(pair.v_plus, grid)
     h_minus = discretize(pair.v_minus, grid)
-    wx = w.w(grid.points())
-
-    def residual(psi: GridFunction) -> float:
-        lhs = _apply_A(wx, GridFunction(grid, h_plus.matvec(psi.values)))
-        rhs = h_minus.matvec(_apply_A(wx, psi).values)
-        return GridFunction(grid, lhs.values - rhs).norm() / psi.norm()
-
-    # one function's work arrays at a time: each is freed when residual returns
-    return [residual(psi) for psi in psis]
+    wx = grid.evaluate(w.w)
+    a, b, c = (np.empty(grid.n) for _ in range(3))
+    out = []
+    for psi in psis:
+        v = psi.values
+        _derivative(v, grid.h, out=a)  # H- A psi into b
+        a += np.multiply(wx, v, out=c)
+        h_minus.matvec(a, out=b, tmp=c)
+        h_plus.matvec(v, out=a, tmp=c)  # A H+ psi into c
+        _derivative(a, grid.h, out=c)
+        c += np.multiply(wx, a, out=a)
+        c -= b
+        GridFunction(grid, c)  # rejects a non-finite residual
+        out.append(math.sqrt(grid.h * _dot(c, c, a)) / math.sqrt(grid.h * _dot(v, v, a)))
+    return out
 
 
 # ---------------------------------------------------------------------------

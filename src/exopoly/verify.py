@@ -28,7 +28,7 @@ import os
 import tempfile
 import time
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional, TextIO, Union
 
 import numpy as np
 
@@ -211,6 +211,12 @@ class VerificationReport:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
+    def write_json(self, fh: TextIO) -> None:
+        """:meth:`to_json` and a newline, streamed into ``fh`` piece by piece
+        rather than made as one string first: the same bytes."""
+        json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
 
 class _Rows:
     """The report rows of one suite, timed back to back.
@@ -347,11 +353,13 @@ def suite_theorem(cfg: VerificationConfig) -> list[dict]:
                   "leading": "0" if neg.is_zero else str(neg.leading)},
                  neg.degree, exact, "fail" if neg.is_zero else "pass")
 
-        sols_n2 = xop.xj_quotient_solve(k, 2, 2)
-        sols = sols_n2 + xop.xj_quotient_solve(k, 2, 3)
+        # one eigenproblem per degree serves the solutions and the certificate
+        problems = {n: xop._quotient_problem(k, 2, n) for n in (2, 3)}
+        sols_n2 = xop.xj_quotient_solve(k, 2, 2, problems[2])
+        sols = sols_n2 + xop.xj_quotient_solve(k, 2, 3, problems[3])
         # chi_n divides every coefficient of the identity: exact at every A found
-        bad = (sum(xop.xj_quotient_certificate(k, 2, n) for n in (2, 3)) if sols
-               else float("inf"))
+        bad = (sum(xop.xj_quotient_certificate(k, 2, n, problems[n]) for n in (2, 3))
+               if sols else float("inf"))
         rows.add(f"quotient-extension-xj[j=2,k={k}]",
                  "degree-n quotients f/(x+k)^2 solve their rational extensions",
                  {"k": str(k), "solutions": len(sols),
@@ -547,13 +555,21 @@ def run_verification(cfg: VerificationConfig) -> VerificationReport:
     return VerificationReport(config=cfg.to_dict(), checks=checks)
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write via a sibling temp file + rename, so readers never see a torn file."""
+def write_atomic(path: str, text: Union[str, Callable[[TextIO], object]]) -> None:
+    """Write via a sibling temp file + rename, so readers never see a torn file.
+
+    ``text`` is the file's text, or a function that writes it into the open
+    temp file (a report streams itself this way).  On any error the temp file
+    is removed and the error raised.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            if callable(text):
+                text(fh)
+            else:
+                fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -389,7 +389,13 @@ def _quotient_table(k, j, c, A) -> dict:
             (1, 1): 2 * j * k, (2, 0): c + j, (1, 0): j * (j - 2 * k) - A}
 
 
-def xj_quotient_solve(k: RationalLike, j: int, n: int) -> list[dict]:
+# the eigenproblem of one (k, j, n): the integer rows t^1..t^(n+1) of the
+# quotient operator at A = 0, their denominator, chi_n and phi_0..phi_n
+_QuotientProblem = tuple[list[list[int]], int, Poly, list[Poly]]
+
+
+def xj_quotient_solve(k: RationalLike, j: int, n: int,
+                      problem: Optional[_QuotientProblem] = None) -> list[dict]:
     """Polynomials f of degree n for which f/(x+k)^j solves a rational extension
     of the Laguerre equation.
 
@@ -416,12 +422,13 @@ def xj_quotient_solve(k: RationalLike, j: int, n: int) -> list[dict]:
     chi_n and carries the exceptional family; the remaining branches -- all
     of them for j >= 2 -- have n-dependent A, so no single n-independent
     potential of this form exists beyond the A = 1 family.
+
+    ``problem`` is :func:`_quotient_problem` of the same (k, j, n), when the
+    caller has it (it also feeds :func:`xj_quotient_certificate`); it is
+    built here otherwise.
     """
-    if j < 1 or n < j:
-        raise ValueError("need j >= 1 and n >= j")
     kq = as_rational(k)
-    rows, den = _quotient_rows(kq, j, n)
-    kept, phi = _quotient_charpoly(rows, den)
+    rows, _, kept, phi = problem or _quotient_problem(kq, j, n)
     # Down the rows, gcd(chi, phi_0) = gcd(phi_i, phi_(i+1)) while the
     # super-diagonal R[i][i+1] = den k (i+1)(2j-i) is not zero, and phi_n = 1:
     # so chi and phi_0 can share a root only when n > 2j.  Then the shared
@@ -435,16 +442,17 @@ def xj_quotient_solve(k: RationalLike, j: int, n: int) -> list[dict]:
             for a in real_roots(kept)]
 
 
-def xj_quotient_certificate(k: RationalLike, j: int, n: int) -> int:
+def xj_quotient_certificate(k: RationalLike, j: int, n: int,
+                            problem: Optional[_QuotientProblem] = None) -> int:
     """How many coefficients of the quotient identity on F(t) = sum_i
     phi_i(A) t^i, A left free, chi_n(A) does not divide: 0 proves the identity
     of :func:`xj_quotient_solve` at every root of chi_n at once, irrational
     ones included.  Each row t^0..t^(n+2) of the integer pencil den (T_0 + A M)
-    on t^0..t^n is combined with the phi_i over Q[A] and reduced mod chi_n."""
-    if j < 1 or n < j:
-        raise ValueError("need j >= 1 and n >= j")
+    on t^0..t^n is combined with the phi_i over Q[A] and reduced mod chi_n.
+    ``problem`` is :func:`_quotient_problem` of the same (k, j, n), built here
+    when not given."""
     kq = as_rational(k)
-    chi, phi = _quotient_charpoly(*_quotient_rows(kq, j, n))
+    _, _, chi, phi = problem or _quotient_problem(kq, j, n)
     keys, t0, m, _ = _pencil(_quotient_table, (kq, j, n - j))
     t0_rows, m_rows = (DiffOp._from_ints(zip(keys, part)).monomial_matrix(n + 1)
                        for part in (t0, m))
@@ -453,6 +461,16 @@ def xj_quotient_certificate(k: RationalLike, j: int, n: int) -> int:
         coeff = sum((Poly((u, v)) * p for u, v, p in zip(a, b, phi)), Poly.zero())
         bad += not divmod(coeff, chi)[1].is_zero
     return bad
+
+
+def _quotient_problem(k: RationalLike, j: int, n: int) -> _QuotientProblem:
+    """The eigenproblem of :func:`xj_quotient_solve` and
+    :func:`xj_quotient_certificate`, built once for both:
+    :func:`_quotient_rows` and :func:`_quotient_charpoly` of them."""
+    if j < 1 or n < j:
+        raise ValueError("need j >= 1 and n >= j")
+    rows, den = _quotient_rows(as_rational(k), j, n)
+    return (rows, den, *_quotient_charpoly(rows, den))
 
 
 def _quotient_rows(k: Fraction, j: int, n: int) -> tuple[list[list[int]], int]:

@@ -25,6 +25,13 @@ def coefficient(p: Poly, power: int) -> Fraction:
     return p.coeffs[power] if 0 <= power <= p.degree else Fraction(0)
 
 
+def poly_from_floats(values) -> Poly:
+    """The polynomial whose coefficients are the exact binary values of the
+    floats ``values`` (0.5 -> 1/2, 0.1 -> 3602879701896397/2^55), where
+    ``Poly`` reads a float as its shortest decimal literal."""
+    return Poly([Fraction(*float(v).as_integer_ratio()) for v in values])
+
+
 def horner_reference(p: Poly, x):
     """p at x by Horner with a new array per step, acc = acc * x + c, on the
     correctly rounded float coefficients."""

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from exopoly import solver
 from exopoly.polycore import Poly, jacobi_classical, laguerre_classical
 from exopoly.potentials import (
     CoulombRadial,
@@ -18,7 +19,8 @@ from exopoly.potentials import (
     state_rayleigh,
     ve_laguerre,
 )
-from exopoly.solver import Grid, lowest_levels
+from exopoly.solver import Grid, GridFunction, lowest_levels
+from exopoly.susy import oscillator_intertwiner
 from exopoly.xop import (
     x1_jacobi_op_route,
     x1_laguerre_op_route,
@@ -394,3 +396,53 @@ class TestStatesPinnedToExplicitForms:
             ("A", "4"), ("B", "2"), ("alpha", "1"), ("energy_shift", 0.0)]
         assert ScarfTrig(A="7/2", B=-1, alpha="1/2").params() == {
             "A": "7/2", "B": "-1", "alpha": "1/2", "energy_shift": 0.0}
+
+
+class TestBlockwiseEvaluation:
+    """Every grid evaluation of a preset runs block by block
+    (:meth:`Grid.evaluate`); each must equal the function on the whole
+    point array bit for bit, at block boundaries and past them."""
+
+    B = solver._BLOCK
+
+    @staticmethod
+    def _functions(preset):
+        n_ext = 1 if isinstance(preset, (CoulombRadial, Morse)) else None
+        fs = {"potential": preset.potential,
+              "extension": lambda x: preset.extension(x, n_ext)
+              if n_ext else preset.extension(x),
+              "extended": lambda x: preset.extended_potential(x, n_ext)}
+        levels = range(2) if isinstance(preset, Morse) else range(3)
+        for n in levels:
+            fs[f"classical-{n}"] = preset.classical_state(n)
+        for n in ([0, 1] if isinstance(preset, Morse) else [1, 2, 3]):
+            fs[f"exceptional-{n}"] = preset.exceptional_state(n)
+        return fs
+
+    @pytest.mark.parametrize("size", [B - 1, B, B + 1, 2 * B + 1], ids=str)
+    @pytest.mark.parametrize("preset", [Oscillator3D(l=1), CoulombRadial(l=1),
+                                        Morse(A=4, B=2), ScarfTrig(A=3, B=1)],
+                             ids=["oscillator3d", "coulomb", "morse", "scarf"])
+    def test_every_preset_function_bitwise(self, preset, size):
+        grid = Grid(*preset.default_domain(), size)
+        x = grid.points()
+        for name, f in self._functions(preset).items():
+            assert grid.evaluate(f).tobytes() == np.asarray(f(x), dtype=float).tobytes(), name
+
+    @pytest.mark.parametrize("size", [B - 1, B, B + 1, 2 * B + 1], ids=str)
+    def test_states_on_grid_bitwise(self, size):
+        osc = Oscillator3D(l=1)
+        grid = Grid(*osc.default_domain(), size)
+        for state in (osc.classical_state(2), osc.exceptional_state(3)):
+            full = state(grid.points())
+            assert state.on_grid(grid, normalize=False).values.tobytes() == full.tobytes()
+            assert state.on_grid(grid).values.tobytes() == \
+                GridFunction(grid, full).normalized().values.tobytes()
+
+    @pytest.mark.parametrize("size", [B - 1, B, B + 1, 2 * B + 1], ids=str)
+    def test_intertwiner_bitwise(self, size):
+        w = oscillator_intertwiner(1)
+        grid = Grid(0.5, 12.0, size)
+        x = grid.points()
+        assert grid.evaluate(w.w).tobytes() == w.w(x).tobytes()
+        assert grid.evaluate(w.w_prime).tobytes() == w.w_prime(x).tobytes()

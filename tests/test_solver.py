@@ -657,3 +657,54 @@ class TestConvergence:
         assert "mapping" not in data
         csv = rep.to_csv()
         assert csv.splitlines()[0] == "index,E,residual"
+
+
+class TestBlockwiseEvaluation:
+    B = solver._BLOCK
+    SIZES = [B - 1, B, B + 1, 2 * B + 1]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_evaluate_is_the_function_at_the_points_bitwise(self, n):
+        g = Grid(-1.0, 3.0, n)
+        f = lambda x: np.exp(-x) * np.sin(3 * x) + x**3  # noqa: E731
+        got = g.evaluate(f)
+        assert got.shape == (n,) and got.tobytes() == f(g.points()).tobytes()
+        # each block's points are those of points(), bit for bit
+        assert g.evaluate(lambda x: x).tobytes() == g.points().tobytes()
+
+    def test_a_scalar_fills_its_block(self):
+        g = Grid(0.0, 1.0, 2 * self.B + 1)
+        assert np.array_equal(g.evaluate(lambda x: 2.5), np.full(g.n, 2.5))
+
+    def test_rows_are_filled_one_function_each(self):
+        g = Grid(0.0, 2.0, self.B + 1)
+        got = g.evaluate(lambda x: (x * k for k in range(3)), out=np.empty((3, g.n)))
+        assert np.array_equal(got, [g.points() * k for k in range(3)])
+        with pytest.raises(ValueError):  # one row too few
+            g.evaluate(lambda x: (x for _ in range(2)), out=np.empty((3, g.n)))
+
+    @pytest.mark.parametrize("n", [1, 127, 129, *SIZES, 64000, 100003, 1000000])
+    def test_dot_is_numpys_pairwise_sum_bitwise(self, n):
+        # the product pieces follow numpy's pairwise halving, so no grid-sized
+        # product array is needed for the same sum
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+        b = rng.standard_normal(n)
+        assert solver._dot(a, b) == float(np.add.reduce(a * b))
+        assert solver._dot(a, a) == float(np.add.reduce(np.multiply(a, a, out=np.empty(n))))
+
+    def test_nonfinite_potential_names_the_first_node_in_a_later_block(self):
+        g = Grid(0.0, 1.0, 2 * self.B + 1)
+        x = g.points()
+        first = x[self.B + 5]
+        with pytest.raises(SolverError) as info:
+            discretize(lambda x: np.where(x >= first, np.inf, x), g)
+        assert str(info.value) == f"potential is not finite at grid node x={float(first)!r}"
+        with pytest.raises(SolverError, match=f"x={float(x[0])!r}$"):
+            discretize(lambda x: math.nan, g)
+
+    def test_discretize_diagonal_is_the_full_grid_formula_bitwise(self):
+        g = Grid(0.0, 14.0, 2 * self.B + 1)
+        v = lambda x: x**2 / 4 + 2 / x**2  # noqa: E731
+        op = discretize(v, g)
+        assert op.diag.tobytes() == (2.0 / g.h**2 + v(g.points())).tobytes()

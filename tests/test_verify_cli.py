@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exopoly import _lapack, potentials, quad, solver, susy, verify, xop
+from exopoly import _lapack, cli, potentials, quad, solver, susy, verify, xop
 from exopoly.cli import main
 from exopoly.polycore import Poly
 from exopoly.verify import (
@@ -354,7 +354,16 @@ class TestCampaign:
         # the pairings, then the zero mode; the operator identity applies A
         # twice to each of its 5 functions on two 12000-point grids
         assert [n for n in sources if n != 12000] == [64000] * 4 + [4000]
-        assert w_grids.count(64000) == 1
+        # W runs a block at a time: one grid evaluation is full blocks and a
+        # shorter last one (no grid here is a multiple of the block), so the
+        # block lengths of each evaluation sum to its grid's size
+        evaluations, total = [], 0
+        for n in w_grids:
+            total += n
+            if n != solver._BLOCK:
+                evaluations.append(total)
+                total = 0
+        assert total == 0 and evaluations.count(64000) == 1
         rayleigh = [n for module, n in discretized if module == "exopoly.potentials"]
         assert rayleigh == [64000, 64000]  # oscillator and Scarf
         # H+ and H- once per superpotential in the operator identity
@@ -556,6 +565,27 @@ class TestWriteAtomic:
         assert json.loads(target.read_text()) == {"x": 1}
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
+    def test_a_streamed_report_is_its_json_and_a_newline(self, tmp_path):
+        report = run_verification(VerificationConfig.from_dict(
+            {"suites": ["theorem"], "laguerre_k": ["1", "7/2"]}))
+        target = tmp_path / "report.json"
+        write_atomic(str(target), report.write_json)
+        assert target.read_text() == report.to_json() + "\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_a_failing_writer_leaves_the_old_file_and_no_temp(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("old\n")
+
+        def broken(fh):
+            fh.write('{"half": ')
+            raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError):
+            write_atomic(str(target), broken)
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
 
 @pytest.fixture()
 def quick_config(tmp_path):
@@ -670,6 +700,19 @@ class TestCliVerify:
         assert capsys.readouterr().err.strip() == (
             f"error: unknown config field(s): ['{field}']")
         assert not out.exists()
+
+    def test_out_file_is_the_reports_json_and_a_newline(self, quick_config, tmp_path,
+                                                          monkeypatch):
+        made = []
+
+        def keep(cfg):
+            made.append(run_verification(cfg))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "run_verification", keep)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", str(quick_config), "--out", str(out)]) == 0
+        assert out.read_text() == made[0].to_json() + "\n"
 
     @pytest.mark.parametrize("target", ["missing/r.json", "."],
                              ids=["missing-directory", "directory"])

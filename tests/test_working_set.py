@@ -3,7 +3,10 @@
 Each budget counts N-point float arrays (8N bytes) at the traced heap's
 high-water during one call, above what was allocated before it; numpy
 reports its array buffers to tracemalloc.  A sixteenth of an array on top
-covers the Python objects and coarse-grid arrays a call makes.
+covers the Python objects and coarse-grid arrays a call makes.  Grid
+evaluations run a block of ``solver._BLOCK`` points at a time, so their
+temporaries are counted in blocks: ``BLOCK`` is one block-sized array, in
+grid arrays.
 """
 
 import tracemalloc
@@ -16,6 +19,7 @@ from exopoly.solver import Grid
 
 N = 64000
 SLACK = 1 / 16
+BLOCK = solver._BLOCK / N
 
 
 def arrays_at_peak(call, n=N) -> float:
@@ -56,6 +60,16 @@ def test_discretize_makes_no_off_diagonal_array():
     assert op.off.shape == (N - 1,)
 
 
+@pytest.mark.parametrize("potential", [SCARF.potential, SCARF.extended_potential],
+                         ids=["classical", "extended"])
+def test_discretize_holds_the_diagonal_and_one_block(potential):
+    # the diagonal, and the temporaries of one block of V: the points, the
+    # sines and secants of the classical part and the poles of the extension
+    # (were 5 and 6 grid arrays when V ran on the whole grid at once)
+    assert arrays_at_peak(lambda: solver.discretize(potential, SCARF_GRID)) \
+        <= 1 + 6 * BLOCK + SLACK
+
+
 @pytest.mark.parametrize("preset,state", [
     (Oscillator3D(l=1), lambda p: p.exceptional_state(3)),
     (Oscillator3D(l=0), lambda p: p.classical_state(2)),
@@ -64,11 +78,12 @@ def test_discretize_makes_no_off_diagonal_array():
     (SCARF, lambda p: p.exceptional_state(2)),
 ], ids=["oscillator-exceptional", "oscillator-classical", "coulomb", "morse", "scarf"])
 def test_closed_form_state_holds_four_arrays(preset, state):
-    # x, z and two of: the prefactor, its temporary, z - pole and the
-    # polynomial's values; the normalized result is one of the four
+    # at most four once, when the state ran on the whole grid; now the
+    # result, normalized in place, and one block's x, z, prefactor, its
+    # exponential and the polynomial's values
     grid = Grid(*preset.default_domain(), N)
     closed_form = state(preset)
-    assert arrays_at_peak(lambda: closed_form.on_grid(grid)) <= 4 + SLACK
+    assert arrays_at_peak(lambda: closed_form.on_grid(grid)) <= 1 + 5 * BLOCK + SLACK
 
 
 def _pairings(grid):
@@ -81,7 +96,20 @@ def _pairings(grid):
 
 
 def test_pairings_stay_within_the_solver_budget():
-    # the 4 A psi and one target being made (4 arrays at most); never the
-    # A psi and the 5 targets together
+    # the 4 A psi, one target and the residual buffer; while the sources are
+    # read, 3 A psi, W's values, the source, its A psi and one block of
+    # W psi; never the A psi and the 5 targets together
     grid = Grid(0.0, 14.0, N)
-    assert arrays_at_peak(lambda: _pairings(grid)) <= 4 + 4 + SLACK
+    assert arrays_at_peak(lambda: _pairings(grid)) <= 4 + 2 + BLOCK + SLACK
+
+
+def test_operator_identity_holds_six_arrays():
+    # H+ and H- (their diagonals), W's values and the three work rows every
+    # test function reuses; the discretizations' block temporaries stay
+    # below a seventh array (the 5 test functions were made before the call)
+    n = 12000
+    grid = Grid(0.8, 12.0, n)
+    w = susy.oscillator_intertwiner(1)
+    psis = susy.random_smooth_functions(grid, 5, seed=7)
+    assert arrays_at_peak(lambda: susy.intertwining_operator_residual(w, grid, psis), n) \
+        <= 7 + SLACK

@@ -45,7 +45,8 @@ from exopoly.xop import (
     _quotient_rows,
 )
 
-from oracles import coefficient, derivative, frac_nullspace, gram_schmidt_by_qr
+from oracles import (coefficient, derivative, frac_nullspace, gram_schmidt_by_qr,
+                     poly_from_floats)
 
 K_SAMPLES = (F(1), F(2), F(7, 2))
 AB_SAMPLES = ((F(1), F(2)), (F(2), F(5)), (F(1, 2), F(3, 2)))
@@ -171,7 +172,7 @@ class TestXjEquation:
             sols = xj_quotient_solve(k, 2, 3)
             assert sols, "expected nontrivial codimension-2 instances"
             for s in sols:
-                res = xj_quotient_residual(Poly.from_floats(s["f"]), k, 2, F(s["A"]))
+                res = xj_quotient_residual(poly_from_floats(s["f"]), k, 2, F(s["A"]))
                 assert max(map(abs, res.to_floats()), default=0.0) < 1e-9
                 assert s["B"] == pytest.approx(-6 * k)
                 assert s["c"] == pytest.approx(1.0)
