@@ -175,9 +175,6 @@ class _Preset(_Value):
                 value = qf if kind is float else q
             self.__dict__[name] = value
 
-    def _frame(self, nu: int) -> _Frame:
-        raise NotImplementedError
-
     def _check_level(self, n) -> None:
         if n < 0:
             raise PotentialError("quantum number must be >= 0")

@@ -92,12 +92,6 @@ class WeightSpec(_Value):
     # properties -----------------------------------------------------------
 
     @property
-    def domain(self) -> tuple[float, float]:
-        if self.kind in ("laguerre", "x1-laguerre"):
-            return (0.0, math.inf)
-        return (-1.0, 1.0)
-
-    @property
     def is_rational_extension(self) -> bool:
         return self.kind.startswith("x1-")
 

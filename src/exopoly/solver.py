@@ -234,9 +234,6 @@ class GridFunction:
     def norm(self) -> float:
         return math.sqrt(self.grid.h * _dot(self.values, self.values))
 
-    def inner(self, other: "GridFunction") -> float:
-        return self.grid.h * _dot(self.values, other.values)
-
     def normalized(self) -> "GridFunction":
         """A unit-norm copy."""
         return GridFunction(self.grid, self.values.copy()).normalize()
@@ -384,7 +381,7 @@ def _shifted_solve(op: Tridiagonal, shift: float, x: np.ndarray,
     return x
 
 
-def _refine(op: Tridiagonal, shifts, rayleigh: bool, starts=None,
+def _refine(op: Tridiagonal, shifts, starts=None,
             keep: bool = False) -> tuple[list[float], list[float], Optional[list[np.ndarray]]]:
     """Value and residual ||T x - value x|| of a unit vector x for each shift,
     and the vectors themselves when ``keep`` asks for them.
@@ -394,11 +391,11 @@ def _refine(op: Tridiagonal, shifts, rayleigh: bool, starts=None,
     from the same fixed pseudo-random vector: entries
     ``random.Random(0).random() - 0.5``, so the result is bit-identical from
     run to run.  A smooth or low-discrepancy start would be nearly orthogonal
-    to some smooth eigenvectors and need more solves.  With ``rayleigh``
-    the shift moves to each iterate's Rayleigh quotient (Rayleigh-quotient
-    iteration) and is the returned value; otherwise the shift stays put and
-    only the vector is refined.  A level stops once its residual is at
-    round-off, or after ``_STEPS`` solves.
+    to some smooth eigenvectors and need more solves.  With ``starts`` the
+    shift moves to each iterate's Rayleigh quotient (Rayleigh-quotient
+    iteration) and is the returned value; without, the shifts are already
+    the values, so they stay put and only the vector is refined.  A level
+    stops once its residual is at round-off, or after ``_STEPS`` solves.
 
     Each right-hand side is made orthogonal to the vectors of the levels
     below before the solve, not after it: the solve then damps the round-off
@@ -419,7 +416,8 @@ def _refine(op: Tridiagonal, shifts, rayleigh: bool, starts=None,
     row0, row1 = work[0], work[1]
     floor = _FLOOR * _EPS * (float(np.max(np.abs(op.diag, out=row0)))
                              + 2.0 * float(np.max(np.abs(op.off, out=row1[:op.n - 1]))))
-    if starts is None:  # the same start for every level, copied before any is refined
+    rayleigh = starts is not None
+    if not rayleigh:  # the same start for every level, copied before any is refined
         rng = random.Random(0)
         start = np.fromiter((rng.random() for _ in range(op.n)), float, op.n)
         start -= 0.5
@@ -497,14 +495,14 @@ def _lowest(potential: Callable[[np.ndarray], np.ndarray], grid: Grid, count: in
             shifts, _, vectors = _lowest(potential, coarse, count, inner=True)
             _carry(coarse, vectors, grid, starts)
             del vectors  # the coarse vectors are not needed past the carry
-            refined = _refine(op, shifts, rayleigh=True, starts=list(starts), keep=inner)
+            refined = _refine(op, shifts, starts=list(starts), keep=inner)
             if _certified(op, *refined[:2]):
                 return refined
         except SolverError:
             pass
         del starts  # the refined vectors, unless ``inner`` kept them
     values = tridiagonal_eigh(op.diag, op.off, count=count)
-    return _refine(op, values, rayleigh=False, keep=inner)
+    return _refine(op, values, keep=inner)
 
 
 def lowest_levels(potential: Callable[[np.ndarray], np.ndarray], grid: Grid,

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-import time
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -303,11 +302,10 @@ def _row(claim: str, params: dict, dev: float, tol: Optional[float],
         "max_abs_dev": float(dev),
         "tol": tol,
         "status": status,
-        "done": time.perf_counter(),
     }
 
 
-def verify_claims(preset: str) -> list[dict]:
+def verify_claims(preset: str) -> Iterator[dict]:
     """Evaluate the preset-specific printed identities and report deviations.
 
     Every row carries the measured numbers; construction identities that hold
@@ -315,24 +313,18 @@ def verify_claims(preset: str) -> list[dict]:
     formulas are always status "reported" (their deviations are findings, not
     test failures).  Presets: "oscillator3d", "coulomb", "scarf".
 
-    Each row's "runtime" is the wall time since the previous row was made
-    (since the call began, for the first row), so the rows' runtimes add up
-    to the time of the call.
+    The rows are made one at a time as the returned iterator is read, so a
+    caller that records each row as it comes times each row's own work; an
+    unknown preset is refused at the call.
     """
     claims = {"oscillator3d": _oscillator_claims, "coulomb": _coulomb_claims,
               "scarf": _scarf_claims}
     if preset not in claims:
         raise ValueError(f"claim audit covers oscillator3d, coulomb, scarf; got {preset!r}")
-    t0 = time.perf_counter()
-    rows = claims[preset]()
-    for row in rows:
-        done = row.pop("done")
-        row["runtime"] = done - t0
-        t0 = done
-    return rows
+    return claims[preset]()
 
 
-def _oscillator_claims() -> list[dict]:
+def _oscillator_claims() -> Iterator[dict]:
     l = 1
     kf = l + 0.5
     grid = Grid(0.0, 12.0, _CLAIM_POINTS)
@@ -340,7 +332,6 @@ def _oscillator_claims() -> list[dict]:
     x = grid.points()
     win = x > 0.25
     xw = x[win]
-    rows = []
     params = {"preset": "oscillator3d", "l": l, "k": kf}
 
     w_der = oscillator_intertwiner(l)
@@ -349,31 +340,31 @@ def _oscillator_claims() -> list[dict]:
     two_wp = 2 * w_der.w_prime(xw)
     dev = float(np.max(np.abs(vdiff - two_wp)))
     scale = float(np.max(np.abs(two_wp)))
-    rows.append(_row("partner-construction-difference", params,
-                     dev, 1e-10 * max(scale, 1.0),
-                     "pass" if dev <= 1e-10 * max(scale, 1.0) else "fail"))
+    yield _row("partner-construction-difference", params,
+               dev, 1e-10 * max(scale, 1.0),
+               "pass" if dev <= 1e-10 * max(scale, 1.0) else "fail")
 
     w_printed = printed_superpotential_candidate(l, kf)
     direct = np.abs(w_printed.w(xw) - w_der.w(xw))
-    rows.append(_row("superpotential-printed-direct-reading", params,
-                     float(np.max(direct)), None, "reported"))
+    yield _row("superpotential-printed-direct-reading", params,
+               float(np.max(direct)), None, "reported")
     chain = np.abs(xw * w_printed.w(xw**2 / 2) - w_der.w(xw))
-    rows.append(_row("superpotential-printed-chain-rule-reading", params,
-                     float(np.max(chain)), None, "reported"))
+    yield _row("superpotential-printed-chain-rule-reading", params,
+               float(np.max(chain)), None, "reported")
 
     # printed claim: 2W' equals the oscillator extension term
     osc = Oscillator3D(l=l)
     ext = osc.extension(xw)
-    rows.append(_row("oscillator-extension-vs-2wprime", params,
-                     float(np.max(np.abs(two_wp - ext))), None, "reported"))
+    yield _row("oscillator-extension-vs-2wprime", params,
+               float(np.max(np.abs(two_wp - ext))), None, "reported")
     # ... and the gap is exactly the centrifugal step 2l/x^2 - 1 between the
     # partner channels, which identifies the claim's missing terms
     gap = two_wp - ext - (2 * l / xw**2 - 1.0)
-    rows.append(_row("oscillator-2wprime-extension-gap-structure", params,
-                     float(np.max(np.abs(gap))), None, "reported"))
+    yield _row("oscillator-2wprime-extension-gap-structure", params,
+               float(np.max(np.abs(gap))), None, "reported")
     printed_rhs = -l / xw**2 + 2 * xw**2 / (xw**2 + kf) ** 2 - 1.0 / (xw**2 + kf)
-    rows.append(_row("oscillator-2wprime-printed-rhs", params,
-                     float(np.max(np.abs(two_wp - printed_rhs))), None, "reported"))
+    yield _row("oscillator-2wprime-printed-rhs", params,
+               float(np.max(np.abs(two_wp - printed_rhs))), None, "reported")
 
     # does the conventional ground-state recipe recover the intertwiner? (it should not)
     psi0 = osc.exceptional_state(1).on_grid(grid)
@@ -381,12 +372,11 @@ def _oscillator_claims() -> list[dict]:
         psi0 = GridFunction(grid, -psi0.values)
     w_gs = superpotential_from_ground_state(psi0)
     dev_gs = np.abs(w_gs.w(xw) - w_der.w(xw))
-    rows.append(_row("ground-state-superpotential-diagnostic", params,
-                     float(np.max(dev_gs)), None, "reported"))
-    return rows
+    yield _row("ground-state-superpotential-diagnostic", params,
+               float(np.max(dev_gs)), None, "reported")
 
 
-def _coulomb_claims() -> list[dict]:
+def _coulomb_claims() -> Iterator[dict]:
     l = 0
     kf = 2 * l + 1
     grid = Grid(0.0, 80.0, _CLAIM_POINTS)
@@ -394,35 +384,32 @@ def _coulomb_claims() -> list[dict]:
     win = r > 0.5
     rw = r[win]
     params = {"preset": "coulomb", "l": l, "k": kf}
-    rows = []
 
     # printed mapped expression: -l/r^2 + (1/r)(1/(r+k) - 2k/(r+k)^2)
     coulomb = CoulombRadial(l=l)
     printed = -l / rw**2 + (1.0 / rw) * coulomb.ve_printed(rw)
     for n in (1, 2):
         derived = coulomb.extension(rw, n)
-        rows.append(_row(f"coulomb-mapped-2wprime-vs-level{n}-extension",
-                         {**params, "n": n},
-                         float(np.max(np.abs(printed - derived))), None, "reported"))
-    return rows
+        yield _row(f"coulomb-mapped-2wprime-vs-level{n}-extension",
+                   {**params, "n": n},
+                   float(np.max(np.abs(printed - derived))), None, "reported")
 
 
-def _scarf_claims() -> list[dict]:
+def _scarf_claims() -> Iterator[dict]:
     sc = ScarfTrig(A=3, B=1)
     a, b = sc.default_domain()
     grid = Grid(a, b, _CLAIM_POINTS)
     x = grid.points()
     z = sc.variable(x)
     params = {"preset": "scarf", "A": str(sc.A), "B": str(sc.B)}
-    rows = []
 
     printed = sc.ve_printed(z)
     derived = sc.extension(x)
     dev = printed - derived
-    rows.append(_row("scarf-printed-extension-vs-derived", params,
-                     float(np.max(np.abs(dev))), None, "reported"))
-    rows.append(_row("scarf-printed-extension-offset", params,
-                     float(np.max(dev) - np.min(dev)), None, "reported"))
+    yield _row("scarf-printed-extension-vs-derived", params,
+               float(np.max(np.abs(dev))), None, "reported")
+    yield _row("scarf-printed-extension-offset", params,
+               float(np.max(dev) - np.min(dev)), None, "reported")
 
     # raising-operator normalization: measured leading-coefficient ratio vs claim
     al, be = sc.jacobi_alpha, sc.jacobi_beta
@@ -431,7 +418,6 @@ def _scarf_claims() -> list[dict]:
         ref = jacobi_classical(n + 1, al, be)
         measured = float(out.leading / ref.leading)
         claimed = float(2 * (be - al) * (be + n))
-        rows.append(_row("jacobi-raising-constant",
-                         {**params, "n": n, "measured": measured, "claimed": claimed},
-                         abs(measured - claimed), None, "reported"))
-    return rows
+        yield _row("jacobi-raising-constant",
+                   {**params, "n": n, "measured": measured, "claimed": claimed},
+                   abs(measured - claimed), None, "reported")

@@ -16,9 +16,9 @@ spectra suite): a config that names them is rejected as an unknown field.
 Every row of a suite is made by one recorder, :class:`_Rows`.  A row's
 ``runtime`` is the wall time since the previous row of its suite (since the
 suite began, for the first row), so a suite's runtimes add up to its wall
-time.  The claim-audit rows keep the runtimes :func:`susy.verify_claims`
-gives them by the same rule; the time around those calls goes to the next
-row.  ``runtime`` is the only field that differs between two runs.
+time.  The claim-audit rows are added as :func:`susy.verify_claims` makes
+them, one at a time, so they are timed by the same rule.  ``runtime`` is the
+only field that differs between two runs.
 """
 
 from __future__ import annotations
@@ -234,33 +234,16 @@ class _Rows:
     def add(self, cid: str, claim: str, params: dict, metric: float, tolerance,
             status: Optional[str] = None) -> None:
         now = time.perf_counter()
-        self._append(cid, claim, params, metric, tolerance,
-                     status or ("pass" if metric <= tolerance else "fail"),
-                     now - self._last)
-        self._last = now
-
-    def add_claims(self, preset: str, claims: list[dict]) -> None:
-        """The rows of one :func:`susy.verify_claims` call, with its runtimes.
-
-        The time around the call counts toward the next row of the suite.
-        """
-        for row in claims:
-            n = f"[n={row['params']['n']}]" if "n" in row["params"] else ""
-            self._append(f"claim-audit[{preset}:{row['claim']}]{n}", row["claim"],
-                         row["params"], row["max_abs_dev"], row["tol"],
-                         row["status"], row["runtime"])
-            self._last += row["runtime"]
-
-    def _append(self, cid, claim, params, metric, tolerance, status, runtime):
         self.rows.append({
             "id": cid,
             "claim": claim,
             "params": params,
-            "status": status,
+            "status": status or ("pass" if metric <= tolerance else "fail"),
             "metric": float(metric),
             "tolerance": tolerance,
-            "runtime": round(runtime, 6),
+            "runtime": round(now - self._last, 6),
         })
+        self._last = now
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +445,11 @@ def _worst_rayleigh(preset, grid: Grid) -> float:
 
 def suite_susy(cfg: VerificationConfig) -> list[dict]:
     rows = _Rows()
-    # first, so the time around each audit call goes to a row of this suite
     for preset in ("oscillator3d", "coulomb", "scarf"):
-        rows.add_claims(preset, susy.verify_claims(preset))
+        for row in susy.verify_claims(preset):
+            n = f"[n={row['params']['n']}]" if "n" in row["params"] else ""
+            rows.add(f"claim-audit[{preset}:{row['claim']}]{n}", row["claim"],
+                     row["params"], row["max_abs_dev"], row["tol"], row["status"])
 
     l = 1
     w_osc = susy.oscillator_intertwiner(l)

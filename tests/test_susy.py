@@ -241,7 +241,7 @@ class TestGroundStateDiagnostic:
 class TestClaimAudit:
     @pytest.mark.parametrize("preset", ["oscillator3d", "coulomb", "scarf"])
     def test_rows_are_populated(self, preset):
-        rows = verify_claims(preset)
+        rows = list(verify_claims(preset))
         assert rows
         for row in rows:
             assert row["status"] in ("pass", "fail", "reported")
