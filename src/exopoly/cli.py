@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from . import __version__, quad, solver, xop
 from .polycore import as_rational, jacobi_family, laguerre_family
-from .potentials import PotentialError, make_preset
+from .potentials import PRESETS, PotentialError, make_preset
 from .solver import Grid, SolverError
 from .verify import ConfigError, VerificationConfig, run_verification, write_atomic
 
@@ -298,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.set_defaults(func=cmd_poly)
 
     ps = sub.add_parser("spectrum", help="grid-solve a preset potential")
-    ps.add_argument("--preset", required=True,
-                    choices=["oscillator3d", "coulomb", "morse", "scarf"])
+    ps.add_argument("--preset", required=True, choices=list(PRESETS))
     ps.add_argument("--extended", action="store_true",
                     help="solve the rationally extended potential")
     ps.add_argument("--compare", action="store_true",

@@ -182,14 +182,14 @@ def oscillator_intertwiner(l: int) -> Superpotential:
     """Superpotential whose A = d/dx + W maps classical oscillator states with
     angular momentum l-1 onto the exceptional states with angular momentum l.
 
-    W(x) = -l/x - x/2 - x/(x^2/2 + k), k = l + 1/2.  Derived by pushing the
-    polynomial ladder operator through the oscillator prefactors; the mapping
-    A psi+_nu = psi-_(nu+1) is exact at the closed-form level, so grid
+    W(x) = -l/x - x/2 - x/(x^2/2 + k), k = l + 1/2 = ``Oscillator3D(l).k``.  Derived
+    by pushing the polynomial ladder operator through the oscillator prefactors; the
+    mapping A psi+_nu = psi-_(nu+1) is exact at the closed-form level, so grid
     residuals of the intertwining check are pure O(h^2).
     """
     if l < 1:
         raise ValueError("need l >= 1 so the classical side l-1 is a radial channel")
-    kf = l + 0.5
+    kf = float(Oscillator3D(l).k)
 
     def w(x):
         x = np.asarray(x, dtype=float)
@@ -311,22 +311,21 @@ def verify_claims(preset: str) -> Iterator[dict]:
     Every row carries the measured numbers; construction identities that hold
     by algebra are pass/fail at tight tolerance, while printed preset-specific
     formulas are always status "reported" (their deviations are findings, not
-    test failures).  Presets: "oscillator3d", "coulomb", "scarf".
+    test failures).  The presets audited are the keys of :data:`CLAIMS`.
 
     The rows are made one at a time as the returned iterator is read, so a
     caller that records each row as it comes times each row's own work; an
     unknown preset is refused at the call.
     """
-    claims = {"oscillator3d": _oscillator_claims, "coulomb": _coulomb_claims,
-              "scarf": _scarf_claims}
-    if preset not in claims:
-        raise ValueError(f"claim audit covers oscillator3d, coulomb, scarf; got {preset!r}")
-    return claims[preset]()
+    if preset not in CLAIMS:
+        raise ValueError(f"claim audit covers {', '.join(CLAIMS)}; got {preset!r}")
+    return CLAIMS[preset]()
 
 
 def _oscillator_claims() -> Iterator[dict]:
     l = 1
-    kf = l + 0.5
+    osc = Oscillator3D(l=l)
+    kf = float(osc.k)
     grid = Grid(0.0, 12.0, _CLAIM_POINTS)
     # audit window away from the centrifugal singularity
     x = grid.points()
@@ -353,7 +352,6 @@ def _oscillator_claims() -> Iterator[dict]:
                float(np.max(chain)), None, "reported")
 
     # printed claim: 2W' equals the oscillator extension term
-    osc = Oscillator3D(l=l)
     ext = osc.extension(xw)
     yield _row("oscillator-extension-vs-2wprime", params,
                float(np.max(np.abs(two_wp - ext))), None, "reported")
@@ -378,15 +376,14 @@ def _oscillator_claims() -> Iterator[dict]:
 
 def _coulomb_claims() -> Iterator[dict]:
     l = 0
-    kf = 2 * l + 1
+    coulomb = CoulombRadial(l=l)
     grid = Grid(0.0, 80.0, _CLAIM_POINTS)
     r = grid.points()
     win = r > 0.5
     rw = r[win]
-    params = {"preset": "coulomb", "l": l, "k": kf}
+    params = {"preset": "coulomb", "l": l, "k": int(coulomb.k)}  # k = 2l + 1
 
     # printed mapped expression: -l/r^2 + (1/r)(1/(r+k) - 2k/(r+k)^2)
-    coulomb = CoulombRadial(l=l)
     printed = -l / rw**2 + (1.0 / rw) * coulomb.ve_printed(rw)
     for n in (1, 2):
         derived = coulomb.extension(rw, n)
@@ -421,3 +418,8 @@ def _scarf_claims() -> Iterator[dict]:
         yield _row("jacobi-raising-constant",
                    {**params, "n": n, "measured": measured, "claimed": claimed},
                    abs(measured - claimed), None, "reported")
+
+
+# each preset's claim audit, in the order the verify report's susy suite runs them
+CLAIMS = {"oscillator3d": _oscillator_claims, "coulomb": _coulomb_claims,
+          "scarf": _scarf_claims}

@@ -10,8 +10,9 @@ order given; report files are written atomically.
 A config sets the suites, the family parameters (``laguerre_k``,
 ``jacobi_alpha_beta``), the degrees (``n_max``, ``n_eigen_max``), the grid
 sizes and the negative control, and nothing else.  The gates are fixed in
-this module (``_TOLERANCES``, and the oscillator levels l = 0, 1 of the
-spectra suite): a config that names them is rejected as an unknown field.
+this module (``_TOLERANCES``, and the spectra suite's cases, one loop over the
+table ``_SPECTRA``: the oscillator at l = 0, 1 and Scarf at A = 3, B = 1): a
+config that names them is rejected as an unknown field.
 
 Every row of a suite is made by one recorder, :class:`_Rows`.  A row's
 ``runtime`` is the wall time since the previous row of its suite (since the
@@ -375,25 +376,48 @@ def suite_theorem(cfg: VerificationConfig) -> list[dict]:
     return rows.rows
 
 
+_OSCILLATOR_LEVELS = "grid solver reproduces E_n = 2n + l + 3/2"
+# the spectra suite's cases, in run order: id stem, params of the level rows
+# (which tag their ids), preset, how many lowest levels of its potential and
+# extended potential are solved, the fewest points of their grid, the claim of
+# the spectrum row, and the claim, params and config grid entry of the
+# exceptional-Rayleigh row (None: no such row)
+_SPECTRA = (
+    ("oscillator", {"l": 0}, Oscillator3D(l=0), 3, 0, _OSCILLATOR_LEVELS,
+     ("exceptional closed forms sit at the classical levels", {"l": 0}, "rayleigh_points")),
+    ("oscillator", {"l": 1}, Oscillator3D(l=1), 3, 0, _OSCILLATOR_LEVELS, None),
+    ("scarf", {}, ScarfTrig(A=3, B=1, energy_shift=9.0), 4, 12000, None,  # shift = A^2: E > 0
+     ("exceptional Scarf closed forms sit at the classical levels", {"A": "3", "B": "1"},
+      "spectrum_points")),
+)
+
+
 def suite_spectra(cfg: VerificationConfig) -> list[dict]:
     rows = _Rows()
-    npts = cfg.grid["spectrum_points"]
-    for l in (0, 1):
-        osc = Oscillator3D(l=l)
-        grid = Grid(*osc.default_domain(), npts)
-        levels = solver.lowest_levels(osc.potential, grid, 3)
-        rel = max(
-            abs(levels[n] - osc.classical_energy(n)) / osc.classical_energy(n)
-            for n in range(3)
-        )
-        rows.add(f"oscillator-spectrum[l={l}]",
-                 "grid solver reproduces E_n = 2n + l + 3/2",
-                 {"l": l, "N": npts, "levels": [round(e, 8) for e in levels]},
-                 rel, _TOLERANCES["spectrum_rel"])
+    for stem, params, preset, count, min_points, spectrum, rayleigh in _SPECTRA:
+        tag = f"[{','.join(f'{k}={v}' for k, v in params.items())}]" if params else ""
+        domain = preset.default_domain()
+        grid = Grid(*domain, max(cfg.grid["spectrum_points"], min_points))
+        levels = solver.lowest_levels(preset.potential, grid, count)
+        if spectrum:
+            classical = [preset.classical_energy(n) for n in range(count)]
+            rows.add(f"{stem}-spectrum{tag}", spectrum,
+                     {**params, "N": grid.n, "levels": [round(e, 8) for e in levels]},
+                     max(abs(e - ref) / ref for e, ref in zip(levels, classical)),
+                     _TOLERANCES["spectrum_rel"])
 
-        levels_ext = solver.lowest_levels(osc.extended_potential, grid, 3)
-        _isospectrality(rows, f"oscillator-isospectrality[l={l}]", {"l": l},
-                        levels, levels_ext)
+        levels_ext = solver.lowest_levels(preset.extended_potential, grid, count)
+        _isospectrality(rows, f"{stem}-isospectrality{tag}", params, levels, levels_ext)
+
+        if rayleigh:
+            claim, rq_params, key = rayleigh
+            quotients = state_rayleigh(preset.exceptional_states((1, 2, 3)),
+                                       preset.extended_potential,
+                                       Grid(*domain, max(cfg.grid[key], min_points)))
+            exceptional = [preset.exceptional_energy(n) for n in (1, 2, 3)]
+            rows.add(f"{stem}-exceptional-rayleigh", claim, {**rq_params, "n": "1..3"},
+                     max(abs(rq - e) / e for rq, e in zip(quotients, exceptional)),
+                     _TOLERANCES["rayleigh_rel"])
 
     osc0 = Oscillator3D(l=0)
     order = solver.convergence_order(osc0.potential, osc0.default_domain(),
@@ -402,23 +426,6 @@ def suite_spectra(cfg: VerificationConfig) -> list[dict]:
     rows.add("oscillator-convergence-order", "eigenvalue error scales as h^2",
              {"sizes": [1000, 2000, 4000], "order": round(order, 3)},
              order, [lo, hi], "pass" if lo <= order <= hi else "fail")
-
-    rq_grid = Grid(*osc0.default_domain(), cfg.grid["rayleigh_points"])
-    worst = _worst_rayleigh(osc0, rq_grid)
-    rows.add("oscillator-exceptional-rayleigh",
-             "exceptional closed forms sit at the classical levels",
-             {"l": 0, "n": "1..3"}, worst, _TOLERANCES["rayleigh_rel"])
-
-    sc = ScarfTrig(A=3, B=1, energy_shift=9.0)  # shift = A^2 keeps levels positive
-    scgrid = Grid(*sc.default_domain(), max(npts, 12000))
-    worst = _worst_rayleigh(sc, scgrid)
-    rows.add("scarf-exceptional-rayleigh",
-             "exceptional Scarf closed forms sit at the classical levels",
-             {"A": "3", "B": "1", "n": "1..3"}, worst, _TOLERANCES["rayleigh_rel"])
-
-    levels_cl = solver.lowest_levels(sc.potential, scgrid, 4)
-    levels_ext = solver.lowest_levels(sc.extended_potential, scgrid, 4)
-    _isospectrality(rows, "scarf-isospectrality", {}, levels_cl, levels_ext)
     return rows.rows
 
 
@@ -433,19 +440,9 @@ def _isospectrality(rows: _Rows, cid: str, params: dict, levels, levels_ext) -> 
              float("inf") if worst is None else worst, None, "reported")  # none paired
 
 
-def _worst_rayleigh(preset, grid: Grid) -> float:
-    """Largest relative gap between the Rayleigh quotients of exceptional
-    states 1..3 under the extended potential and their energies."""
-    levels = (1, 2, 3)
-    quotients = state_rayleigh(preset.exceptional_states(levels),
-                               preset.extended_potential, grid)
-    return max(abs(rq - preset.exceptional_energy(n)) / preset.exceptional_energy(n)
-               for n, rq in zip(levels, quotients))
-
-
 def suite_susy(cfg: VerificationConfig) -> list[dict]:
     rows = _Rows()
-    for preset in ("oscillator3d", "coulomb", "scarf"):
+    for preset in susy.CLAIMS:
         for row in susy.verify_claims(preset):
             n = f"[n={row['params']['n']}]" if "n" in row["params"] else ""
             rows.add(f"claim-audit[{preset}:{row['claim']}]{n}", row["claim"],
@@ -477,7 +474,7 @@ def suite_susy(cfg: VerificationConfig) -> list[dict]:
              {"test_functions": 5}, worst, _TOLERANCES["operator_identity"])
 
     classical = Oscillator3D(l=l - 1)
-    g = Grid(0.0, 14.0, cfg.grid["rayleigh_points"])
+    g = Grid(*classical.default_domain(), cfg.grid["rayleigh_points"])
     # generators: each state is made on the grid only when the check reads it
     matches = susy.intertwine_check(
         w_osc, g, (classical.classical_state(nu).on_grid(g) for nu in range(0, 4)),

@@ -312,12 +312,39 @@ class TestCampaign:
         # (no stein, no dstevd with compute_v)
         assert {name for name, *_ in calls} == {"dstebz", "dgtsv", "dpttrf"}
         bisections = [n for name, n, _, _ in calls if name == "dstebz"]
-        # every bisection on the bottom grid of the coarse-to-fine recursion:
-        # 2 levels x 2 potentials for the oscillator at 2000 -> 125 points, the
-        # convergence sizes 1000/2000/4000 -> 62/125/250, 2 for Scarf at
-        # 12000 -> 750 -> 46
-        assert bisections == [125] * 4 + [62, 125, 250] + [46] * 2
+        # every bisection on the bottom grid of the coarse-to-fine recursion,
+        # in the run order of the spectra cases and then the convergence row:
+        # 2 levels x 2 potentials for the oscillator at 2000 -> 125 points, 2
+        # for Scarf at 12000 -> 750 -> 46, the convergence sizes
+        # 1000/2000/4000 -> 62/125/250
+        assert bisections == [125] * 4 + [46] * 2 + [62, 125, 250]
         assert not set(bisections) & {1000, 2000, 4000, 12000}
+
+    def test_a_spectra_case_is_one_table_entry(self, monkeypatch):
+        # one more oscillator entry adds exactly its spectrum and
+        # isospectrality rows, and every other row stays as it was
+        cfg = VerificationConfig.from_dict(
+            {"suites": ["spectra"],
+             "grid": {"spectrum_points": 2000, "rayleigh_points": 2000}})
+
+        def rows_by_id():
+            return {c["id"]: {k: v for k, v in c.items() if k != "runtime"}
+                    for c in suite_spectra(cfg)}
+
+        before = rows_by_id()
+        entry = ("oscillator", {"l": 2}, potentials.Oscillator3D(l=2), 3, 0,
+                 verify._OSCILLATOR_LEVELS, None)
+        monkeypatch.setattr(verify, "_SPECTRA", verify._SPECTRA + (entry,))
+        after = rows_by_id()
+        added = sorted(set(after) - set(before))
+        assert added == ["oscillator-isospectrality[l=2]", "oscillator-spectrum[l=2]"]
+        assert {cid: after[cid] for cid in before} == before
+        spectrum = after["oscillator-spectrum[l=2]"]
+        assert spectrum["status"] == "pass"
+        assert spectrum["params"]["levels"] == pytest.approx([3.5, 5.5, 7.5], rel=1e-4)
+        mapping = after["oscillator-isospectrality[l=2]"]["params"]["mapping"]
+        assert after["oscillator-isospectrality[l=2]"]["status"] == "reported"
+        assert mapping["unmatched_a"] == mapping["unmatched_b"] == []
 
     def test_spectral_config_computes_each_grid_quantity_once(self, monkeypatch):
         # A psi once per source in the pairings row (4 sources, 5 targets)
